@@ -8,6 +8,9 @@ transformation elsewhere in the package returns a new tree.
 
 from __future__ import annotations
 
+import dataclasses
+import functools
+import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
@@ -328,53 +331,48 @@ class ChildProgram(Node):
 # Traversal helpers
 # ---------------------------------------------------------------------------
 
-def expr_children(e: Expr) -> tuple[Expr, ...]:
-    if isinstance(e, Unary):
-        return (e.operand,)
-    if isinstance(e, Binary):
-        return (e.left, e.right)
-    if isinstance(e, Ite):
-        return (e.cond, e.then, e.other)
-    if isinstance(e, ArraySelect):
-        return (e.array, e.index)
-    return ()
+@functools.cache
+def _child_fields(cls: type) -> tuple[str, ...]:
+    """The fields of a node class, in field order, except span and node
+    id (the two that take no part in comparison): child nodes live only
+    in these."""
+    return tuple(f.name for f in dataclasses.fields(cls) if f.compare)
 
 
-def stmt_children(s: Stmt) -> tuple[Node, ...]:
-    if isinstance(s, Assign):
-        return (s.lhs, s.rhs)
-    if isinstance(s, If):
-        out: list[Node] = [s.cond, *s.then]
-        for cond, body in s.elifs:
-            out.append(cond)
-            out.extend(body)
-        out.extend(s.orelse)
+def _map_value(v, fn):
+    # a loop rather than a comprehension: one stack frame less per level
+    if isinstance(v, Node):
+        return fn(v)
+    if isinstance(v, tuple):
+        out = []
+        for x in v:
+            out.append(_map_value(x, fn))
         return tuple(out)
-    if isinstance(s, (Assume, Assert)):
-        return (s.cond,)
-    return ()
+    return v
+
+
+def _collect(v, out: list) -> None:
+    if isinstance(v, Node):
+        out.append(v)
+    elif isinstance(v, tuple):
+        for x in v:
+            _collect(x, out)
+
+
+def map_children(node: Node, fn) -> Node:
+    """A copy of `node` in which every child node `c`, including those in
+    nested tuples such as `If.elifs` or `invariants_spec`, is `fn(c)`."""
+    changes = {}
+    for name in _child_fields(type(node)):
+        changes[name] = _map_value(getattr(node, name), fn)
+    return dataclasses.replace(node, **changes)
 
 
 def node_children(n: Node) -> tuple[Node, ...]:
-    if isinstance(n, ChildProgram):
-        out: list[Node] = []
-        out.extend(n.type_defs)
-        out.extend(n.locals)
-        out.extend(n.inputs)
-        out.extend(n.outputs)
-        out.extend(n.init_body)
-        out.extend(n.next_body)
-        out.extend(e for _, e in n.invariants_spec)
-        return tuple(out)
-    if isinstance(n, Decl):
-        return (n.annot,)
-    if isinstance(n, DeclValue):
-        return (n.expr,)
-    if isinstance(n, Stmt):
-        return stmt_children(n)
-    if isinstance(n, Expr):
-        return expr_children(n)
-    return ()
+    out: list[Node] = []
+    for name in _child_fields(type(n)):
+        _collect(getattr(n, name), out)
+    return tuple(out)
 
 
 def iter_nodes(tree: Node) -> Iterator[tuple[Node, int]]:
@@ -406,76 +404,28 @@ def _with_nid(n, nid: int):
     return n
 
 
-def _rebuild(n: Node, counter: list[int]) -> Node:
-    nid = counter[0]
-    counter[0] += 1
-
-    def rec(c: Node) -> Node:
-        return _rebuild(c, counter)
-
-    if isinstance(n, ChildProgram):
-        out = ChildProgram(
-            module_name=n.module_name,
-            type_defs=tuple(rec(d) for d in n.type_defs),
-            locals=tuple(rec(d) for d in n.locals),
-            inputs=tuple(rec(d) for d in n.inputs),
-            outputs=tuple(rec(d) for d in n.outputs),
-            init_body=tuple(rec(s) for s in n.init_body),
-            next_body=tuple(rec(s) for s in n.next_body),
-            invariants_spec=tuple((name, rec(e)) for name, e in n.invariants_spec),
-            module_hole=n.module_hole,
-            span=n.span,
-        )
-    elif isinstance(n, Decl):
-        out = Decl(n.name, rec(n.annot), span=n.span)
-    elif isinstance(n, DeclValue):
-        out = DeclValue(rec(n.expr), span=n.span)
-    elif isinstance(n, Assign):
-        out = Assign(rec(n.lhs), rec(n.rhs), span=n.span)
-    elif isinstance(n, If):
-        out = If(
-            rec(n.cond),
-            tuple(rec(s) for s in n.then),
-            tuple((rec(c), tuple(rec(s) for s in b)) for c, b in n.elifs),
-            tuple(rec(s) for s in n.orelse),
-            span=n.span,
-        )
-    elif isinstance(n, (Assume, Assert)):
-        out = type(n)(rec(n.cond), span=n.span)
-    elif isinstance(n, Unary):
-        out = Unary(n.op, rec(n.operand), span=n.span)
-    elif isinstance(n, Binary):
-        out = Binary(n.op, rec(n.left), rec(n.right), span=n.span)
-    elif isinstance(n, Ite):
-        out = Ite(rec(n.cond), rec(n.then), rec(n.other), span=n.span)
-    elif isinstance(n, ArraySelect):
-        out = ArraySelect(rec(n.array), rec(n.index), span=n.span)
-    else:
-        # leaves: literals, VarRef, holes, TypeAnnot, Havoc, HoleDecl, ...
-        import dataclasses as _dc
-
-        out = _dc.replace(n)
-    return _with_nid(out, nid)
-
-
 def assign_node_ids(tree):
     """Return a copy of the tree with unique pre-order node ids.
 
     Idempotent: re-running on an id-bearing tree reproduces the same ids.
     Works on both ParentAst and module-language trees.
     """
+    ids = itertools.count()
     if isinstance(tree, ParentAst):
-        counter = [0]
 
         def walk(p: PNode) -> PNode:
-            nid = counter[0]
-            counter[0] += 1
+            nid = next(ids)
             kids = tuple(walk(c) for c in p.children)
             return PNode(p.kind, kids, p.text, p.span, nid)
 
         return ParentAst(walk(tree.root), list(tree.error_nodes), tree.source)
     if isinstance(tree, Node):
-        return _rebuild(tree, [0])
+
+        def rebuild(n: Node) -> Node:
+            nid = next(ids)
+            return _with_nid(map_children(n, rebuild), nid)
+
+        return rebuild(tree)
     raise TypeError(f"cannot assign node ids to {type(tree).__name__}")
 
 
@@ -491,19 +441,6 @@ def depth_map(tree) -> dict[int, int]:
             if n.nid >= 0:
                 out[n.nid] = d
     return out
-
-
-def depth_of(tree, nid: int) -> int:
-    """Depth of the node with the given id; raises KeyError if unknown."""
-    dm = depth_map(tree)
-    if nid not in dm:
-        raise KeyError(f"unknown node id {nid}")
-    return dm[nid]
-
-
-def max_nid(tree) -> int:
-    dm = depth_map(tree)
-    return max(dm) if dm else -1
 
 
 def max_hole_id(tree: Node) -> int:
@@ -528,7 +465,7 @@ def count_holes(p: ChildProgram) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Type formatting and debug printers
+# Type formatting
 # ---------------------------------------------------------------------------
 
 def format_type(t: TypeTerm) -> str:
@@ -550,72 +487,3 @@ def format_type(t: TypeTerm) -> str:
     if isinstance(t, TVar):
         return f"?t{t.tid}"
     raise TypeError(f"unknown type term {t!r}")
-
-
-def pp_parent(ast: ParentAst) -> str:
-    """Deterministic s-expression dump of a surface AST (golden tests)."""
-    lines: list[str] = []
-    for n, d in iter_pnodes(ast.root):
-        label = n.kind if not n.text else f"{n.kind}:{n.text}"
-        lines.append("  " * d + label)
-    if ast.error_nodes:
-        lines.append("errors: " + ",".join(str(i) for i in sorted(ast.error_nodes)))
-    return "\n".join(lines) + "\n"
-
-
-def _pp_node(n: Node) -> str:
-    if isinstance(n, BoolLit):
-        return f"bool:{n.value}"
-    if isinstance(n, IntLit):
-        return f"int:{n.value}"
-    if isinstance(n, RealLit):
-        return f"real:{n.value}"
-    if isinstance(n, BVLit):
-        return f"bv:{n.value}w{n.width}"
-    if isinstance(n, EnumLit):
-        return f"enum:{n.tag}"
-    if isinstance(n, VarRef):
-        return f"var:{n.name}"
-    if isinstance(n, Unary):
-        return f"unary:{n.op}"
-    if isinstance(n, Binary):
-        return f"binary:{n.op}"
-    if isinstance(n, Ite):
-        return "ite"
-    if isinstance(n, ArraySelect):
-        return "select"
-    if isinstance(n, HoleExpr):
-        return "hole-expr"
-    if isinstance(n, Assign):
-        return "assign"
-    if isinstance(n, If):
-        return "if"
-    if isinstance(n, Havoc):
-        return f"havoc:{n.name}"
-    if isinstance(n, Assume):
-        return "assume"
-    if isinstance(n, Assert):
-        return "assert"
-    if isinstance(n, HoleStmt):
-        return "hole-stmt"
-    if isinstance(n, TypeAnnot):
-        return f"type:{format_type(n.ty)}"
-    if isinstance(n, HoleType):
-        return "hole-type"
-    if isinstance(n, DeclValue):
-        return "decl-value"
-    if isinstance(n, Decl):
-        return f"decl:{n.name}"
-    if isinstance(n, HoleDecl):
-        return "hole-decl"
-    if isinstance(n, ChildProgram):
-        return f"module:{n.module_name}" + (" hole" if n.module_hole is not None else "")
-    return type(n).__name__
-
-
-def pp_child(p: ChildProgram) -> str:
-    """Deterministic structural dump of a module-language tree."""
-    lines: list[str] = []
-    for n, d in iter_nodes(p):
-        lines.append("  " * d + _pp_node(n))
-    return "\n".join(lines) + "\n"

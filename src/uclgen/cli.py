@@ -16,7 +16,9 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import NoReturn
 
+from .constraints import WEIGHT_MODES
 from .frontend import parse_tolerant, print_child, prune_to_child
 from .llm import (
     HttpBackend,
@@ -41,19 +43,43 @@ EXIT_FAILED = 1
 EXIT_USAGE = 2
 
 
+def _usage_error(message: str) -> NoReturn:
+    print(f"uclgen: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_USAGE)
+
+
 def _build_backend(args: argparse.Namespace):
     if args.backend == "replay":
         if not args.transcript:
-            raise SystemExit("--transcript is required with --backend replay")
-        return ReplayBackend.from_file(args.transcript, loose=args.loose)
+            _usage_error("--transcript is required with --backend replay")
+        try:
+            return ReplayBackend.from_file(args.transcript, loose=args.loose)
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            _usage_error(f"cannot load --transcript {args.transcript}: {exc}")
     if args.backend == "mock":
         if not args.responses:
-            raise SystemExit("--responses is required with --backend mock")
-        raw = json.loads(Path(args.responses).read_text(encoding="utf-8"))
+            _usage_error("--responses is required with --backend mock")
+        try:
+            raw = json.loads(Path(args.responses).read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            _usage_error(f"cannot load --responses {args.responses}: {exc}")
+        if not isinstance(raw, list) or not all(
+            isinstance(r, str) for r in raw
+        ):
+            _usage_error("--responses must be a JSON list of strings")
         return MockBackend(raw)
     if not args.url or not args.model:
-        raise SystemExit("--url and --model are required with --backend http")
+        _usage_error("--url and --model are required with --backend http")
     return HttpBackend(args.url, args.model, api_key_env=args.api_key_env)
+
+
+def _add_weights_arg(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--weights",
+        choices=WEIGHT_MODES,
+        default="depth",
+        help="soft-clause weighting scheme (default: %(default)s)",
+    )
 
 
 def _add_backend_args(p: argparse.ArgumentParser) -> None:
@@ -76,12 +102,7 @@ def _add_backend_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--responses", help="JSON list of responses for the mock backend")
     p.add_argument("--record", help="record all LLM exchanges to this JSONL file")
     p.add_argument("--max-llm-calls", type=int, default=5)
-    p.add_argument(
-        "--weights",
-        choices=("depth", "inverse-depth", "uniform"),
-        default="depth",
-        help="soft-clause weighting scheme (default: %(default)s)",
-    )
+    _add_weights_arg(p)
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -199,11 +220,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--suite", required=True, help="suite JSON file")
     p_bench.add_argument("-o", "--output", help="write the report here")
     p_bench.add_argument("--max-llm-calls", type=int, default=5)
-    p_bench.add_argument(
-        "--weights",
-        choices=("depth", "inverse-depth", "uniform"),
-        default="depth",
-    )
+    _add_weights_arg(p_bench)
     p_bench.add_argument("--loose", action="store_true")
     p_bench.set_defaults(func=_cmd_bench)
 
@@ -215,11 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--uclid", action="store_true",
         help="compile to UCLID5 when no holes remain",
     )
-    p_rep.add_argument(
-        "--weights",
-        choices=("depth", "inverse-depth", "uniform"),
-        default="depth",
-    )
+    _add_weights_arg(p_rep)
     p_rep.set_defaults(func=_cmd_repair)
     return parser
 

@@ -1,10 +1,10 @@
 """Weighted partial MAX-SMT over the type-term algebra.
 
 The theory is unification over type terms extended with constructor
-testers and enum-tag membership. The built-in solver is a branch and
-bound search over which soft clauses to falsify; an external SMT-LIB
-solver can be plugged in for the same job (`solve_external`), with the
-built-in search as fallback.
+testers and enum-tag membership. The solver is a branch and bound search
+over which soft clauses to falsify. `emit_smtlib` renders a clause set
+as SMT-LIB 2 with `assert-soft` weights, for inspection or for another
+MAX-SMT solver.
 
 Optimum selection: minimal total weight of falsified soft clauses;
 ties go to the lexicographically smallest set of falsified clause
@@ -15,11 +15,6 @@ which preserves both the optimum and the tie-break.
 
 from __future__ import annotations
 
-import os
-import re
-import shlex
-import subprocess
-import tempfile
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -570,7 +565,7 @@ def solve_maxsmt(cs: ClauseSet) -> MaxSmtResult:
 
 
 # ---------------------------------------------------------------------------
-# External solver via SMT-LIB
+# SMT-LIB export
 # ---------------------------------------------------------------------------
 
 SMT_PRELUDE = """\
@@ -675,72 +670,6 @@ def emit_smtlib(cs: ClauseSet) -> str:
         names = " ".join(f"b{i}" for i in soft)
         lines.append(f"(get-value ({names}))")
     return "\n".join(lines) + "\n"
-
-
-class ExternalSolverError(RuntimeError):
-    pass
-
-
-_VALUE_RE = re.compile(r"\(\s*b(\d+)\s+(true|false)\s*\)")
-
-
-def parse_solver_output(text: str) -> tuple[int, ...]:
-    """Falsified soft-clause indices from solver output."""
-    head = text.strip().splitlines()
-    if not head or head[0].strip() not in ("sat", "unsat", "unknown"):
-        raise ExternalSolverError(f"unrecognized solver output: {text[:200]!r}")
-    if head[0].strip() != "sat":
-        raise ExternalSolverError(f"solver answered {head[0].strip()}")
-    return tuple(
-        sorted(int(m.group(1)) for m in _VALUE_RE.finditer(text)
-               if m.group(2) == "false")
-    )
-
-
-def solve_external(
-    cs: ClauseSet,
-    command: Optional[str] = None,
-    timeout: float = 30.0,
-) -> MaxSmtResult:
-    """Solve with an external MAX-SMT solver, falling back to the
-    built-in search on any failure.
-
-    The command (or the UCLGEN_SMT_SOLVER environment variable) is run
-    with the SMT-LIB file as its last argument.
-    """
-    command = command or os.environ.get("UCLGEN_SMT_SOLVER")
-    if not command:
-        return solve_maxsmt(cs)
-    try:
-        with tempfile.NamedTemporaryFile(
-            "w", suffix=".smt2", delete=False
-        ) as f:
-            f.write(emit_smtlib(cs))
-            path = f.name
-        proc = subprocess.run(
-            shlex.split(command) + [path],
-            capture_output=True,
-            text=True,
-            timeout=timeout,
-        )
-        falsified = parse_solver_output(proc.stdout)
-    except (OSError, subprocess.TimeoutExpired, ExternalSolverError):
-        return solve_maxsmt(cs)
-    # derive model and forcing information internally from the answer;
-    # a falsified clause is relaxed (dropped), not negated
-    dropped = set(falsified)
-    res = check_sat([c for c in cs.clauses if c.index not in dropped])
-    if not res.sat:
-        return solve_maxsmt(cs)
-    cost = sum(c.weight for c in cs.clauses if c.index in set(falsified))
-    all_tids = {tv.tid for tv in cs.tvar_table.values()}
-    model = dict(res.model)
-    for tid in all_tids - set(model):
-        model[tid] = INT
-    return MaxSmtResult(
-        tuple(sorted(falsified)), cost, model, res.forced,
-        frozenset(all_tids - set(res.forced)),
-    )
 
 
 def verify_solution(cs: ClauseSet, result: MaxSmtResult) -> bool:

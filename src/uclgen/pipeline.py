@@ -85,6 +85,12 @@ def run_pipeline(
         out.iterations += 1
         return response
 
+    if max_llm_calls < 1:
+        out.status = STATUS_ITERATION_LIMIT
+        out.diagnostics.append(
+            f"max_llm_calls is {max_llm_calls}; no backend call made"
+        )
+        return out
     response = ask(initial_prompt(task))
     if response is None:
         return out
@@ -105,7 +111,7 @@ def run_pipeline(
 
         if repaired.holes_remaining == 0:
             try:
-                module = compile_program(repaired.program, weight_mode)
+                module = compile_program(repaired.program)
             except (CompileError, Untypeable) as exc:
                 out.diagnostics.append(f"compile: {exc}")
                 return out

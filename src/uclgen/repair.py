@@ -5,9 +5,9 @@ One repair round is:
      declared (``self.x = ??`` appended to the locals section),
   2. solve the typing MAX-SMT problem and replace the subtree at each
      falsified clause's origin with a hole of the right category,
-  3. re-solve the holed program and fill every type hole whose type
-     variable is forced (ground by equations or pinned to a singleton
-     scalar constructor by testers).
+  3. re-solve the holed program (if step 2 made holes) and fill every
+     type hole whose type variable is forced (ground by equations or
+     pinned to a singleton scalar constructor by testers).
 
 Everything still holey after that is handed back to the LLM.
 """
@@ -15,13 +15,12 @@ Everything still holey after that is handed back to the LLM.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 from .ast_core import (
-    Annot,
-    Assign,
     ChildProgram,
     Decl,
     DeclValue,
@@ -30,7 +29,6 @@ from .ast_core import (
     HoleExpr,
     HoleStmt,
     HoleType,
-    If,
     Node,
     Stmt,
     TypeAnnot,
@@ -39,6 +37,7 @@ from .ast_core import (
     assign_node_ids,
     count_holes,
     iter_nodes,
+    map_children,
     max_hole_id,
 )
 from .constraints import ClauseSet, generate_clauses
@@ -49,22 +48,14 @@ from .maxsmt import MaxSmtResult, solve_maxsmt
 # Hole insertion at falsified-clause origins
 # ---------------------------------------------------------------------------
 
-class _HoleIds:
-    def __init__(self, start: int):
-        self.next = start
-
-    def take(self) -> int:
-        hid = self.next
-        self.next += 1
-        return hid
-
-
 def holeify(
     program: ChildProgram, cs: ClauseSet, falsified: tuple[int, ...]
 ) -> ChildProgram:
     """Replace the maximal subtree at each falsified clause's origin with
     a hole. Origins nested inside other origins are absorbed by the
-    outermost replacement. Node ids are reassigned afterwards."""
+    outermost replacement. A declaration whose annotation holds an origin
+    gets a type hole. Node ids are reassigned afterwards; with no origin
+    the program itself is returned."""
     origins = {
         cs.clauses[i].origin
         for i in falsified
@@ -72,67 +63,25 @@ def holeify(
     }
     if not origins:
         return program
-    ids = _HoleIds(max_hole_id(program) + 1)
+    ids = itertools.count(max_hole_id(program) + 1)
 
-    def decl(d) -> object:
-        if isinstance(d, HoleDecl):
-            return d
-        if d.nid in origins:
-            return HoleDecl(ids.take(), span=d.span)
-        if d.annot.nid in origins or _expr_origin_in(d.annot, origins):
-            return dataclasses.replace(
-                d, annot=HoleType(ids.take(), span=d.annot.span)
-            )
-        return d
+    def rewrite(n: Node) -> Node:
+        if isinstance(n, Decl):
+            if n.nid in origins:
+                return HoleDecl(next(ids), span=n.span)
+            if any(a.nid in origins for a, _ in iter_nodes(n.annot)):
+                return dataclasses.replace(
+                    n, annot=HoleType(next(ids), span=n.annot.span)
+                )
+            return n
+        if n.nid in origins:
+            if isinstance(n, Stmt):
+                return HoleStmt(next(ids), span=n.span)
+            if isinstance(n, Expr):
+                return HoleExpr(next(ids), span=n.span)
+        return map_children(n, rewrite)
 
-    def stmt(s: Stmt) -> Stmt:
-        if s.nid in origins:
-            return HoleStmt(ids.take(), span=s.span)
-        if isinstance(s, Assign):
-            return dataclasses.replace(s, lhs=expr(s.lhs), rhs=expr(s.rhs))
-        if isinstance(s, If):
-            return dataclasses.replace(
-                s,
-                cond=expr(s.cond),
-                then=tuple(stmt(x) for x in s.then),
-                elifs=tuple(
-                    (expr(c), tuple(stmt(x) for x in b)) for c, b in s.elifs
-                ),
-                orelse=tuple(stmt(x) for x in s.orelse),
-            )
-        if hasattr(s, "cond"):  # Assume / Assert
-            return dataclasses.replace(s, cond=expr(s.cond))
-        return s  # Havoc, HoleStmt
-
-    def expr(e: Expr) -> Expr:
-        if e.nid in origins:
-            return HoleExpr(ids.take(), span=e.span)
-        changes = {}
-        for f in dataclasses.fields(e):
-            v = getattr(e, f.name)
-            if isinstance(v, Expr):
-                changes[f.name] = expr(v)
-        return dataclasses.replace(e, **changes) if changes else e
-
-    out = dataclasses.replace(
-        program,
-        type_defs=tuple(decl(d) for d in program.type_defs),
-        locals=tuple(decl(d) for d in program.locals),
-        inputs=tuple(decl(d) for d in program.inputs),
-        outputs=tuple(decl(d) for d in program.outputs),
-        init_body=tuple(stmt(s) for s in program.init_body),
-        next_body=tuple(stmt(s) for s in program.next_body),
-        invariants_spec=tuple(
-            (name, expr(e)) for name, e in program.invariants_spec
-        ),
-    )
-    return assign_node_ids(out)
-
-
-def _expr_origin_in(annot: Annot, origins: set) -> bool:
-    if isinstance(annot, DeclValue):
-        return any(n.nid in origins for n, _ in iter_nodes(annot.expr))
-    return False
+    return assign_node_ids(rewrite(program))
 
 
 # ---------------------------------------------------------------------------
@@ -158,9 +107,9 @@ def synthesize_decls(p: ChildProgram) -> tuple[ChildProgram, tuple[str, ...]]:
             missing.append(node.name)
     if not missing:
         return p, ()
-    ids = _HoleIds(max_hole_id(p) + 1)
     extra = tuple(
-        Decl(name, HoleType(ids.take())) for name in missing
+        Decl(name, HoleType(hid))
+        for hid, name in enumerate(missing, max_hole_id(p) + 1)
     )
     out = dataclasses.replace(p, locals=p.locals + extra)
     return assign_node_ids(out), tuple(missing)
@@ -238,8 +187,11 @@ def repair_round(
     cs = generate_clauses(program, weight_mode)
     res = solver(cs)
     holed = holeify(program, cs, res.falsified)
-    cs2 = generate_clauses(holed, weight_mode)
-    res2 = solver(cs2)
+    if holed is program:
+        cs2, res2 = cs, res
+    else:
+        cs2 = generate_clauses(holed, weight_mode)
+        res2 = solver(cs2)
     repaired, filled = model_repair(holed, cs2, res2)
     return RepairOutcome(
         program=repaired,

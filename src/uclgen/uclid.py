@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .ast_core import (
     ArraySelect,
@@ -30,10 +29,12 @@ from .ast_core import (
     Expr,
     Havoc,
     HoleDecl,
+    HoleStmt,
     If,
     IntLit,
     IntType,
     Ite,
+    Node,
     RealLit,
     RealType,
     Stmt,
@@ -45,6 +46,7 @@ from .ast_core import (
     VarRef,
     count_holes,
     iter_nodes,
+    map_children,
 )
 from .constraints import generate_clauses
 from .maxsmt import Untypeable, check_sat
@@ -99,30 +101,18 @@ def _safe_name(name: str, notes: list[str]) -> str:
 
 def _assigned_names(body) -> list[str]:
     """State variables written in a statement list, in appearance order."""
-    out: list[str] = []
-
-    def base(e: Expr) -> Optional[str]:
-        while isinstance(e, ArraySelect):
-            e = e.array
-        return e.name if isinstance(e, VarRef) else None
-
-    def walk(stmts) -> None:
-        for s in stmts:
-            if isinstance(s, Assign):
-                name = base(s.lhs)
-                if name and name not in out:
-                    out.append(name)
-            elif isinstance(s, Havoc):
-                if s.name not in out:
-                    out.append(s.name)
-            elif isinstance(s, If):
-                walk(s.then)
-                for _, b in s.elifs:
-                    walk(b)
-                walk(s.orelse)
-
-    walk(body)
-    return out
+    out: dict[str, None] = {}
+    for s in body:
+        for n, _ in iter_nodes(s):
+            if isinstance(n, Havoc):
+                out[n.name] = None
+            elif isinstance(n, Assign):
+                e = n.lhs
+                while isinstance(e, ArraySelect):
+                    e = e.array
+                if isinstance(e, VarRef):
+                    out[e.name] = None
+    return list(out)
 
 
 def lower(
@@ -138,7 +128,7 @@ def lower(
             renames[name] = _safe_name(name, notes)
         return renames[name]
 
-    def decl_type(d: Decl, key: str) -> TypeTerm:
+    def decl_type(d: Decl) -> TypeTerm:
         if isinstance(d.annot, TypeAnnot):
             return d.annot.ty
         if isinstance(d.annot, DeclValue):
@@ -149,61 +139,34 @@ def lower(
             return got
         raise HoleRemaining(1)
 
-    def decls(section, key="var") -> list[tuple[str, TypeTerm]]:
+    def decls(section) -> list[tuple[str, TypeTerm]]:
         out = []
         for d in section:
             if isinstance(d, HoleDecl):
                 raise HoleRemaining(1)
-            out.append((rename(d.name), decl_type(d, key)))
+            out.append((rename(d.name), decl_type(d)))
         return out
 
-    def ren_expr(e: Expr) -> Expr:
-        if isinstance(e, VarRef):
-            return dataclasses.replace(e, name=rename(e.name))
-        changes = {}
-        for f in dataclasses.fields(e):
-            v = getattr(e, f.name)
-            if isinstance(v, Expr):
-                changes[f.name] = ren_expr(v)
-        return dataclasses.replace(e, **changes) if changes else e
-
-    def ren_stmt(s: Stmt) -> Stmt:
-        if isinstance(s, Assign):
-            return dataclasses.replace(s, lhs=ren_expr(s.lhs), rhs=ren_expr(s.rhs))
-        if isinstance(s, If):
-            return dataclasses.replace(
-                s,
-                cond=ren_expr(s.cond),
-                then=tuple(ren_stmt(x) for x in s.then),
-                elifs=tuple(
-                    (ren_expr(c), tuple(ren_stmt(x) for x in b))
-                    for c, b in s.elifs
-                ),
-                orelse=tuple(ren_stmt(x) for x in s.orelse),
-            )
-        if isinstance(s, Havoc):
-            return dataclasses.replace(s, name=rename(s.name))
-        if isinstance(s, (Assume, Assert)):
-            return dataclasses.replace(s, cond=ren_expr(s.cond))
-        raise HoleRemaining(1)
+    def ren(n: Node) -> Node:
+        if isinstance(n, HoleStmt):
+            raise HoleRemaining(1)
+        if isinstance(n, (VarRef, Havoc)):
+            return dataclasses.replace(n, name=rename(n.name))
+        return map_children(n, ren)
 
     m = UclidModule(name="main", notes=notes)
-    m.type_defs = decls(program.type_defs, "typedef")
+    m.type_defs = decls(program.type_defs)
     m.vars = decls(program.locals)
     m.inputs = decls(program.inputs)
     m.outputs = decls(program.outputs)
-    m.init_body = [ren_stmt(s) for s in program.init_body]
-    m.next_body = [ren_stmt(s) for s in program.next_body]
-    m.invariants = [
-        (name, ren_expr(e)) for name, e in program.invariants_spec
-    ]
+    m.init_body = [ren(s) for s in program.init_body]
+    m.next_body = [ren(s) for s in program.next_body]
+    m.invariants = [(name, ren(e)) for name, e in program.invariants_spec]
     m.modifies = _assigned_names(m.next_body)
     return m
 
 
-def compile_program(
-    program: ChildProgram, weight_mode: str = "depth"
-) -> UclidModule:
+def compile_program(program: ChildProgram) -> UclidModule:
     """Typecheck and lower. Raises HoleRemaining if holes are left and
     Untypeable (with an unsat core) if the clauses cannot all hold."""
     n = count_holes(program)
@@ -218,7 +181,9 @@ def compile_program(
     for node, _ in iter_nodes(program):
         if isinstance(node, VarRef) and node.name not in declared:
             raise CompileError(f"use of undeclared variable {node.name!r}")
-    cs = generate_clauses(program, weight_mode)
+    # typed here, not taken from the repair round: model repair may have
+    # changed the program after the round's solve
+    cs = generate_clauses(program)
     res = check_sat(cs.clauses)
     if not res.sat:
         raise Untypeable(res.core)

@@ -5,19 +5,36 @@ import pytest
 from uclgen.ast_core import (
     BOOL,
     INT,
+    ArraySelect,
     ArrayType,
+    Assert,
     Assign,
+    Assume,
+    Binary,
+    BoolLit,
+    BVLit,
     BVType,
     ChildProgram,
     Decl,
+    DeclValue,
+    EnumLit,
     EnumType,
+    Expr,
+    Havoc,
+    HoleDecl,
     HoleExpr,
     HoleStmt,
     HoleType,
+    If,
     IntLit,
+    Ite,
+    Node,
+    RealLit,
+    Stmt,
     SynonymType,
     TVar,
     TypeAnnot,
+    Unary,
     VarRef,
     assign_node_ids,
     count_holes,
@@ -25,7 +42,9 @@ from uclgen.ast_core import (
     format_type,
     is_ground,
     iter_nodes,
+    map_children,
     max_hole_id,
+    node_children,
     type_tvars,
 )
 from uclgen.frontend import parse_tolerant, prune_to_child
@@ -145,3 +164,67 @@ def test_literal_nodes_survive_renumbering():
     rebuilt = p.init_body[0].rhs
     assert rebuilt.value == 7
     assert rebuilt.nid != lit.nid or lit.nid >= 0
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+_A, _B, _C, _D = VarRef("a"), IntLit(1), BoolLit(True), VarRef("d")
+_S1, _S2, _S3 = Havoc("a"), Assume(_C), HoleStmt(0)
+_DECLS = tuple(Decl(n, TypeAnnot(INT)) for n in "wxyz")
+
+# one node of every class, with its children in field order
+NODES_AND_CHILDREN = [
+    (Node(), ()),
+    (Expr(), ()),
+    (BoolLit(False), ()),
+    (IntLit(2), ()),
+    (RealLit(0.5), ()),
+    (BVLit(3, 4), ()),
+    (EnumLit("GO"), ()),
+    (VarRef("v"), ()),
+    (Unary("not", _C), (_C,)),
+    (Binary("+", _A, _B), (_A, _B)),
+    (Ite(_C, _A, _B), (_C, _A, _B)),
+    (ArraySelect(_A, _B), (_A, _B)),
+    (HoleExpr(0), ()),
+    (Stmt(), ()),
+    (Assign(_A, _B), (_A, _B)),
+    (If(_C, (_S1,), ((_A, (_S2,)), (_D, ())), (_S3,)),
+     (_C, _S1, _A, _S2, _D, _S3)),
+    (Havoc("v"), ()),
+    (Assume(_C), (_C,)),
+    (Assert(_C), (_C,)),
+    (HoleStmt(0), ()),
+    (TypeAnnot(INT), ()),
+    (HoleType(0), ()),
+    (DeclValue(_B), (_B,)),
+    (Decl("v", _DECLS[0].annot), (_DECLS[0].annot,)),
+    (HoleDecl(0), ()),
+    (ChildProgram("M", _DECLS[:1], _DECLS[1:2], _DECLS[2:3], _DECLS[3:],
+                  (_S1,), (_S2,), (("inv", _C), ("other", _A)), 4),
+     (*_DECLS, _S1, _S2, _C, _A)),
+]
+
+
+def test_examples_cover_every_node_class():
+    covered = {type(n) for n, _ in NODES_AND_CHILDREN}
+    assert covered == {Node, *_subclasses(Node)}
+
+
+@pytest.mark.parametrize(
+    "node,children", NODES_AND_CHILDREN,
+    ids=[type(n).__name__ for n, _ in NODES_AND_CHILDREN],
+)
+def test_node_children_and_map_children_follow_field_order(node, children):
+    assert node_children(node) == children
+    assert map_children(node, lambda c: c) == node
+    fresh = iter(range(100, 200))
+    mapped = map_children(node, lambda c: IntLit(next(fresh)))
+    assert type(mapped) is type(node)
+    assert node_children(mapped) == tuple(
+        IntLit(i) for i in range(100, 100 + len(children))
+    )

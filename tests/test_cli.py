@@ -136,6 +136,24 @@ def test_repair_uclid_flag_compiles(tmp_path, capsys):
     assert "module main {" in capsys.readouterr().out
 
 
-def test_replay_backend_requires_transcript():
-    with pytest.raises(SystemExit):
+def test_replay_backend_requires_transcript(capsys):
+    with pytest.raises(SystemExit) as exc:
         main(["run", "task", "--backend", "replay"])
+    assert exc.value.code == EXIT_USAGE
+    assert "--transcript is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("backend,flag", [
+    ("mock", "--responses"), ("replay", "--transcript"),
+])
+@pytest.mark.parametrize("content", [None, "{not json", '"one string"'])
+def test_bad_backend_file_is_usage_error(tmp_path, capsys, backend, flag,
+                                         content):
+    path = tmp_path / "backend.json"
+    if content is not None:
+        path.write_text(content, encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "task", "--backend", backend, flag, str(path)])
+    assert exc.value.code == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and flag in err

@@ -1,4 +1,4 @@
-"""The built-in MAX-SMT solver, its theory core, and the external bridge."""
+"""The MAX-SMT solver, its theory core, and the SMT-LIB export."""
 
 import random
 from pathlib import Path
@@ -13,8 +13,6 @@ from uclgen.maxsmt import (
     Untypeable,
     check_sat,
     emit_smtlib,
-    parse_solver_output,
-    solve_external,
     solve_maxsmt,
     verify_solution,
 )
@@ -204,7 +202,7 @@ def test_solver_matches_oracle_on_random_sets():
 
 
 # ---------------------------------------------------------------------------
-# SMT-LIB bridge
+# SMT-LIB export
 # ---------------------------------------------------------------------------
 
 def test_emit_smtlib_matches_golden():
@@ -217,68 +215,3 @@ def test_emit_smtlib_matches_golden():
     got = emit_smtlib(cs)
     expect = (GOLDEN / "clauses.smt2").read_text(encoding="utf-8")
     assert got == expect
-
-
-def test_parse_solver_output():
-    text = "sat\n((b0 true)\n (b2 false)\n (b5 false))\n"
-    assert parse_solver_output(text) == (2, 5)
-
-
-def test_parse_solver_output_rejects_noise():
-    from uclgen.maxsmt import ExternalSolverError
-
-    with pytest.raises(ExternalSolverError):
-        parse_solver_output("segmentation fault")
-    with pytest.raises(ExternalSolverError):
-        parse_solver_output("unsat\n")
-
-
-def test_solve_external_uses_scripted_solver(tmp_path):
-    cs = ClauseSet()
-    x = cs.tvar(("var", "x"))
-    cs.add_soft([Lit(Eq(x, INT))], 1, origin=0, label="a")
-    cs.add_soft([Lit(Eq(x, BOOL))], 1, origin=1, label="b")
-    script = tmp_path / "fakesolver"
-    script.write_text(
-        "#!/bin/sh\nprintf 'sat\\n((b0 true) (b1 false))\\n'\n",
-        encoding="utf-8",
-    )
-    script.chmod(0o755)
-    res = solve_external(cs, command=str(script))
-    assert res.falsified == (1,)
-    assert res.model[x.tid] == INT
-
-
-def test_solve_external_falls_back_on_garbage(tmp_path):
-    cs = ClauseSet()
-    x = cs.tvar(("var", "x"))
-    cs.add_soft([Lit(Eq(x, INT))], 1, origin=0, label="a")
-    script = tmp_path / "fakesolver"
-    script.write_text("#!/bin/sh\necho kaboom\n", encoding="utf-8")
-    script.chmod(0o755)
-    res = solve_external(cs, command=str(script))
-    assert res.falsified == ()
-
-
-def test_solve_external_falls_back_on_infeasible_answer(tmp_path):
-    # the scripted answer keeps two contradictory clauses; the bridge must
-    # notice and fall back to the built-in search
-    cs = ClauseSet()
-    x = cs.tvar(("var", "x"))
-    cs.add_soft([Lit(Eq(x, INT))], 1, origin=0, label="a")
-    cs.add_soft([Lit(Eq(x, BOOL))], 1, origin=1, label="b")
-    script = tmp_path / "fakesolver"
-    script.write_text(
-        "#!/bin/sh\nprintf 'sat\\n((b0 true) (b1 true))\\n'\n",
-        encoding="utf-8",
-    )
-    script.chmod(0o755)
-    res = solve_external(cs, command=str(script))
-    assert len(res.falsified) == 1
-
-
-def test_solve_external_without_command_uses_internal(monkeypatch):
-    monkeypatch.delenv("UCLGEN_SMT_SOLVER", raising=False)
-    cs = cs_of([eq("x", INT)])
-    res = solve_external(cs)
-    assert res.falsified == ()

@@ -60,6 +60,15 @@ def test_iteration_limit_is_enforced():
     assert out.parse_ok
 
 
+def test_zero_call_budget_makes_no_backend_call():
+    backend = MockBackend([CLEAN_RESPONSE])
+    out = run_pipeline("Model a counter.", backend, max_llm_calls=0)
+    assert backend.calls == 0
+    assert out.status == STATUS_ITERATION_LIMIT
+    assert out.iterations == 0
+    assert out.diagnostics
+
+
 def test_backend_failure_is_reported():
     out = run_pipeline("Model a counter.", MockBackend([]))
     assert out.status == STATUS_BACKEND_ERROR

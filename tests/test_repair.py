@@ -42,6 +42,18 @@ class M(Module):
 '''
 
 
+CLEAN = '''
+class M(Module):
+    def locals(self):
+        self.n = int
+    def init(self):
+        self.n = 0
+    def next(self):
+        if self.n < 9:
+            self.n = self.n + 1
+'''
+
+
 def test_holeify_replaces_falsified_origins():
     p = program_of(CONFLICT)
     cs = generate_clauses(p)
@@ -137,6 +149,21 @@ def test_repair_round_drops_single_conflicting_assignment():
     assert isinstance(out.program.init_body[0], HoleStmt)
     annot = out.program.locals[0].annot
     assert isinstance(annot, TypeAnnot)
+
+
+def test_repair_round_solves_again_only_after_making_holes():
+    calls = []
+
+    def solver(cs):
+        calls.append(cs)
+        return solve_maxsmt(cs)
+
+    clean = repair_round(program_of(CLEAN), solver=solver)
+    assert (clean.falsified, clean.holes_remaining) == ((), 0)
+    assert len(calls) == 1
+    calls.clear()
+    repair_round(program_of(CONFLICT), solver=solver)
+    assert len(calls) == 2
 
 
 def test_repair_round_keeps_later_duplicate_under_tie():
