@@ -11,6 +11,7 @@ slots and dropping (and logging) everything else.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .ast_core import (
@@ -293,11 +294,35 @@ class _ParseFail(Exception):
     pass
 
 
+# Binary operators: surface spelling -> (module-language operator,
+# precedence). The order of the levels is Python's, loosest first; prefix
+# `not` sits at _NOT_PREC, between `and` and the comparisons.
+_BINOPS = {
+    "or": ("or", 1),
+    "and": ("and", 2),
+    "==": ("==", 4), "!=": ("!=", 4), "<": ("<", 4), "<=": ("<=", 4),
+    ">": (">", 4), ">=": (">=", 4),
+    "|": ("bvor", 5),
+    "^": ("xor", 6),
+    "&": ("bvand", 7),
+    "<<": ("shl", 8), ">>": ("lshr", 8),
+    "+": ("+", 9), "-": ("-", 9),
+    "*": ("*", 10), "/": ("div", 10), "//": ("div", 10), "%": ("mod", 10),
+}
+_NOT_PREC = 3
+
+# The deepest nesting of parentheses, subscripts, call arguments,
+# conditional expressions and prefix operators accepted in one line. A
+# level costs about six Python frames, so this stays well inside the
+# default recursion limit; a deeper line becomes an error node.
+MAX_NESTING = 100
+
+
 class _ExprParser:
-    def __init__(self, toks: list[Tok], src_end: int):
+    def __init__(self, toks: list[Tok]):
         self.toks = toks
         self.i = 0
-        self.src_end = src_end
+        self.depth = 0
 
     def peek(self) -> Tok | None:
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -323,75 +348,60 @@ class _ExprParser:
         end = self.toks[self.i - 1] if self.i > 0 else tok
         return Span(tok.pos, end.pos + len(end.value))
 
-    # grammar: ternary > or > and > not > comparison > bitor > bitxor >
-    #          bitand > shift > additive > multiplicative > unary > postfix
     def parse(self) -> PNode:
         return self.ternary()
 
+    @contextmanager
+    def _nested(self):
+        """Parse the body one nesting level down. A failed parse is
+        abandoned as a whole, so the level is only left on success."""
+        if self.depth == MAX_NESTING:
+            raise _ParseFail(
+                f"expression nested deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        yield
+        self.depth -= 1
+
     def ternary(self) -> PNode:
         start = self.peek()
-        body = self.or_()
+        body = self.binary()
         if self.at("if"):
             self.next()
-            cond = self.or_()
+            cond = self.binary()
             self.expect("else")
-            other = self.ternary()
+            with self._nested():
+                other = self.ternary()
             return PNode("ifexp", (body, cond, other), span=self.span_from(start))
         return body
 
-    def _binop_level(self, sub, ops: tuple[str, ...]) -> PNode:
+    def binary(self, min_prec: int = 1) -> PNode:
+        """Precedence climbing over `_BINOPS`: operands bind to operators
+        of at least `min_prec`; equal levels associate to the left."""
         start = self.peek()
-        node = sub()
+        if min_prec <= _NOT_PREC and self.at("not"):
+            self.next()
+            with self._nested():
+                operand = self.binary(_NOT_PREC)
+            node = PNode("unop", (operand,), "not", span=self.span_from(start))
+        else:
+            node = self.unary()
         while True:
             t = self.peek()
-            if t is None or t.value not in ops or t.kind not in ("OP", "NAME"):
+            if t is None or t.kind not in ("OP", "NAME"):
+                return node
+            prec = _BINOPS.get(t.value, (None, 0))[1]
+            if prec < min_prec:
                 return node
             self.next()
-            rhs = sub()
+            rhs = self.binary(prec + 1)
             node = PNode("binop", (node, rhs), t.value, span=self.span_from(start))
-
-    def or_(self) -> PNode:
-        return self._binop_level(self.and_, ("or",))
-
-    def and_(self) -> PNode:
-        return self._binop_level(self.not_, ("and",))
-
-    def not_(self) -> PNode:
-        t = self.peek()
-        if t is not None and t.kind == "NAME" and t.value == "not":
-            self.next()
-            operand = self.not_()
-            return PNode("unop", (operand,), "not", span=self.span_from(t))
-        return self.comparison()
-
-    def comparison(self) -> PNode:
-        return self._binop_level(
-            self.bitor, ("==", "!=", "<", "<=", ">", ">=")
-        )
-
-    def bitor(self) -> PNode:
-        return self._binop_level(self.bitxor, ("|",))
-
-    def bitxor(self) -> PNode:
-        return self._binop_level(self.bitand, ("^",))
-
-    def bitand(self) -> PNode:
-        return self._binop_level(self.shift, ("&",))
-
-    def shift(self) -> PNode:
-        return self._binop_level(self.additive, ("<<", ">>"))
-
-    def additive(self) -> PNode:
-        return self._binop_level(self.multiplicative, ("+", "-"))
-
-    def multiplicative(self) -> PNode:
-        return self._binop_level(self.unary, ("*", "/", "//", "%"))
 
     def unary(self) -> PNode:
         t = self.peek()
         if t is not None and t.kind == "OP" and t.value in ("-", "+", "~"):
             self.next()
-            operand = self.unary()
+            with self._nested():
+                operand = self.unary()
             if t.value == "+":
                 return operand
             return PNode("unop", (operand,), t.value, span=self.span_from(t))
@@ -415,13 +425,14 @@ class _ExprParser:
             elif t.value == "(":
                 self.next()
                 args = []
-                if not self.at(")"):
-                    args.append(self.parse())
-                    while self.at(","):
-                        self.next()
-                        if self.at(")"):
-                            break
+                with self._nested():
+                    if not self.at(")"):
                         args.append(self.parse())
+                        while self.at(","):
+                            self.next()
+                            if self.at(")"):
+                                break
+                            args.append(self.parse())
                 close = self.expect(")")
                 node = PNode(
                     "call", (node, *args), "",
@@ -429,7 +440,8 @@ class _ExprParser:
                 )
             elif t.value == "[":
                 self.next()
-                idx = self.parse()
+                with self._nested():
+                    idx = self.parse()
                 close = self.expect("]")
                 node = PNode(
                     "subscript", (node, idx), "",
@@ -456,7 +468,8 @@ class _ExprParser:
                 raise _ParseFail(f"keyword {t.value!r} in atom position")
             return PNode("name", text=t.value, span=sp)
         if t.kind == "OP" and t.value == "(":
-            inner = self.parse()
+            with self._nested():
+                inner = self.parse()
             if self.at(","):
                 raise _ParseFail("tuple expressions are not supported")
             self.expect(")")
@@ -465,7 +478,7 @@ class _ExprParser:
 
 
 def _parse_expr_tokens(toks: list[Tok]) -> PNode:
-    p = _ExprParser(toks, 0)
+    p = _ExprParser(toks)
     node = p.parse()
     if p.peek() is not None:
         raise _ParseFail(f"trailing tokens after expression: {p.peek().value!r}")
@@ -878,10 +891,7 @@ class _Pruner:
             if lhs is None:
                 self.report.drop(stmt, "assignment target is not a state variable")
                 return None
-            op = _BINOP_MAP.get(stmt.text.rstrip("="))
-            if op is None:
-                self.report.drop(stmt, "unsupported augmented assignment")
-                return None
+            op = _BINOPS[stmt.text[:-1]][0]
             rhs_inner = self._expr(stmt.children[1])
             rhs = Binary(op, lhs, rhs_inner, nid=stmt.nid, span=stmt.span)
             return Assign(lhs, rhs, nid=stmt.nid, span=stmt.span)
@@ -970,9 +980,7 @@ class _Pruner:
                 return None
             return Unary(op, operand, nid=node.nid, span=node.span)
         if k == "binop":
-            op = _BINOP_MAP.get(node.text)
-            if op is None:
-                return None
+            op = _BINOPS[node.text][0]
             left = self._expr(node.children[0])
             right = self._expr(node.children[1])
             return Binary(op, left, right, nid=node.nid, span=node.span)
@@ -997,29 +1005,6 @@ class _Pruner:
         return None
 
 
-_BINOP_MAP = {
-    "and": "and",
-    "or": "or",
-    "==": "==",
-    "!=": "!=",
-    "<": "<",
-    "<=": "<=",
-    ">": ">",
-    ">=": ">=",
-    "+": "+",
-    "-": "-",
-    "*": "*",
-    "/": "div",
-    "//": "div",
-    "%": "mod",
-    "&": "bvand",
-    "|": "bvor",
-    "^": "xor",
-    "<<": "shl",
-    ">>": "lshr",
-}
-
-
 def prune_to_child(ast: ParentAst) -> tuple[ChildProgram, PruneReport]:
     """Prune a surface AST to the maximal module-language subtree."""
     pruner = _Pruner(ast)
@@ -1033,12 +1018,8 @@ def prune_to_child(ast: ParentAst) -> tuple[ChildProgram, PruneReport]:
 # Surface printer (inverse of parse + prune; used for prompts and reports)
 # ---------------------------------------------------------------------------
 
-_EXPR_BINOP_SURFACE = {
-    "and": "and", "or": "or", "xor": "^",
-    "==": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">=",
-    "+": "+", "-": "-", "*": "*", "div": "//", "mod": "%",
-    "bvand": "&", "bvor": "|", "shl": "<<", "lshr": ">>",
-}
+# `//` comes after `/` in _BINOPS, so `div` prints as `//`
+_EXPR_BINOP_SURFACE = {op: surf for surf, (op, _) in _BINOPS.items()}
 
 
 def print_expr(e: Expr) -> str:

@@ -379,19 +379,6 @@ class SatResult:
     core: tuple[int, ...] = ()
 
 
-def _split(clauses: Sequence[Clause], negated) -> tuple[list[Lit], list[Clause]]:
-    units: list[Lit] = []
-    rest: list[Clause] = []
-    for c in clauses:
-        if c.index in negated:
-            units.extend(l.negate() for l in c.lits)
-        elif len(c.lits) == 1:
-            units.append(c.lits[0])
-        else:
-            rest.append(c)
-    return units, rest
-
-
 def _dpll(units: list[Lit], rest: list[Clause]) -> Optional[_Theory]:
     th = _theory_of(units)
     if th is None:
@@ -406,35 +393,41 @@ def _dpll(units: list[Lit], rest: list[Clause]) -> Optional[_Theory]:
     return None
 
 
-def check_sat(clauses: Sequence[Clause], negated=frozenset()) -> SatResult:
-    """Decide one conjunction: every listed clause holds, except those in
-    `negated`, which are falsified (all their literals negated)."""
-    tids = set()
-    for c in clauses:
-        tids |= clause_tvars(c)
-    units, rest = _split(clauses, negated)
-    th = _dpll(units, rest)
-    if th is None:
-        return SatResult(False, core=_shrink_core(clauses, negated))
-    return SatResult(True, model=th.model(tids), forced=th.forced(tids))
+def _solve(clauses: Sequence[Clause]) -> Optional[_Theory]:
+    """A theory in which every clause holds, or None if there is none."""
+    units = [c.lits[0] for c in clauses if len(c.lits) == 1]
+    rest = [c for c in clauses if len(c.lits) != 1]
+    return _dpll(units, rest)
 
 
-def _is_sat(clauses: Sequence[Clause], negated=frozenset()) -> bool:
-    units, rest = _split(clauses, negated)
-    return _dpll(units, rest) is not None
-
-
-def _shrink_core(clauses: Sequence[Clause], negated) -> tuple[int, ...]:
-    """Deletion-based shrink to a small unsatisfiable subset."""
-    core = list(clauses)
+def _shrink_core(
+    candidates: Sequence[Clause], fixed: Sequence[Clause] = ()
+) -> list[Clause]:
+    """Deletion-based shrink of `candidates` to a minimal subset that is
+    unsatisfiable together with `fixed` (assumes all of them together
+    are unsatisfiable)."""
+    core = list(candidates)
     i = 0
     while i < len(core):
         trial = core[:i] + core[i + 1 :]
-        if not _is_sat(trial, negated):
+        if _solve([*fixed, *trial]) is None:
             core = trial
         else:
             i += 1
-    return tuple(c.index for c in core)
+    return core
+
+
+def check_sat(clauses: Sequence[Clause]) -> SatResult:
+    """Decide whether every listed clause holds at once; if not, report a
+    minimal unsatisfiable core."""
+    th = _solve(clauses)
+    if th is None:
+        core = _shrink_core(clauses)
+        return SatResult(False, core=tuple(c.index for c in core))
+    tids = set()
+    for c in clauses:
+        tids |= clause_tvars(c)
+    return SatResult(True, model=th.model(tids), forced=th.forced(tids))
 
 
 # ---------------------------------------------------------------------------
@@ -491,30 +484,13 @@ def _solve_component(clauses: list[Clause]) -> tuple[tuple[int, ...], int, _Theo
     tuple. Whenever the active clauses are unsatisfiable, a minimal
     unsatisfiable core is extracted and the search branches on dropping
     each soft clause in the core; every minimal relaxation set hits every
-    core, so the search is complete.
+    core, so the search is complete. The hard clauses are satisfiable
+    (`solve_maxsmt` checks them first), so a best set always exists.
     """
     softs = [c for c in clauses if not c.hard]
     hards = [c for c in clauses if c.hard]
     best: Optional[tuple[int, tuple[int, ...], _Theory]] = None
     seen: set[frozenset[int]] = set()
-
-    def attempt(excluded: frozenset[int]) -> Optional[_Theory]:
-        active = hards + [c for c in softs if c.index not in excluded]
-        units, rest = _split(active, frozenset())
-        return _dpll(units, rest)
-
-    def soft_core(excluded: frozenset[int]) -> list[Clause]:
-        """Deletion-shrink the active soft clauses to a minimal core
-        (assumes the active set is unsatisfiable)."""
-        core = [c for c in softs if c.index not in excluded]
-        i = 0
-        while i < len(core):
-            trial = core[:i] + core[i + 1:]
-            if _is_sat(hards + trial):
-                i += 1
-            else:
-                core = trial
-        return core
 
     def search(excluded: frozenset[int], cost: int) -> None:
         nonlocal best
@@ -523,26 +499,25 @@ def _solve_component(clauses: list[Clause]) -> tuple[tuple[int, ...], int, _Theo
         seen.add(excluded)
         if best is not None and cost > best[0]:
             return
-        th = attempt(excluded)
+        active = [c for c in softs if c.index not in excluded]
+        th = _solve(hards + active)
         if th is not None:
             cand = (cost, tuple(sorted(excluded)))
             if best is None or cand < (best[0], best[1]):
                 best = (cost, cand[1], th)
             return
-        for c in soft_core(excluded):
+        for c in _shrink_core(active, hards):
             search(excluded | {c.index}, cost + c.weight)
 
     search(frozenset(), 0)
-    if best is None:
-        raise Untypeable(_shrink_core(hards, frozenset()))
     return best[1], best[0], best[2]
 
 
 def solve_maxsmt(cs: ClauseSet) -> MaxSmtResult:
     """Optimal soft-clause falsification for the whole clause set."""
     hard = [c for c in cs.clauses if c.hard]
-    if not _is_sat(hard):
-        raise Untypeable(_shrink_core(hard, frozenset()))
+    if _solve(hard) is None:
+        raise Untypeable(tuple(c.index for c in _shrink_core(hard)))
 
     falsified: list[int] = []
     cost = 0

@@ -123,7 +123,9 @@ def model_repair(
     program: ChildProgram, cs: ClauseSet, result: MaxSmtResult
 ) -> tuple[ChildProgram, tuple[str, ...]]:
     """Fill type holes and value declarations whose type variable is
-    forced by the solution. Returns the program and the names filled."""
+    forced by the solution. Returns the program and the names filled;
+    with nothing filled the program itself is returned (its node ids are
+    already pre-order)."""
     filled: list[str] = []
 
     def forced_value(key) -> Optional[TypeTerm]:
@@ -151,13 +153,15 @@ def model_repair(
                 )
         return d
 
-    out = dataclasses.replace(
-        program,
-        type_defs=tuple(decl(d, "typedef") for d in program.type_defs),
-        locals=tuple(decl(d, "var") for d in program.locals),
-        inputs=tuple(decl(d, "var") for d in program.inputs),
-        outputs=tuple(decl(d, "var") for d in program.outputs),
-    )
+    sections = {
+        "type_defs": tuple(decl(d, "typedef") for d in program.type_defs),
+        "locals": tuple(decl(d, "var") for d in program.locals),
+        "inputs": tuple(decl(d, "var") for d in program.inputs),
+        "outputs": tuple(decl(d, "var") for d in program.outputs),
+    }
+    if not filled:
+        return program, ()
+    out = dataclasses.replace(program, **sections)
     return assign_node_ids(out), tuple(filled)
 
 

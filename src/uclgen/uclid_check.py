@@ -18,6 +18,7 @@ contain statements directly.
 from __future__ import annotations
 
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -100,10 +101,34 @@ def _lex(text: str) -> list[tuple[str, str]]:
 # Parser
 # ---------------------------------------------------------------------------
 
+# Binary operators: token -> (operator, precedence), loosest first. `==>`,
+# looser than all of them and right-associative, is parsed by `_implies`.
+_BINOPS = {
+    "||": ("or", 1),
+    "&&": ("and", 2),
+    "==": ("==", 3), "!=": ("!=", 3), "<": ("<", 3), "<=": ("<=", 3),
+    ">": (">", 3), ">=": (">=", 3),
+    "|": ("bvor", 4),
+    "^": ("xor", 5),
+    "&": ("bvand", 6),
+    "<<": ("shl", 7), ">>": ("lshr", 7),
+    "++": ("concat", 8),
+    "+": ("+", 9), "-": ("-", 9),
+    "*": ("*", 10), "/": ("div", 10), "%": ("mod", 10),
+}
+
+# The deepest nesting of parentheses, subscripts, `ite` arguments, prefix
+# operators and `==>` right operands accepted in one expression. A level
+# costs about six Python frames, so this stays well inside the default
+# recursion limit; deeper text is a parse error.
+MAX_NESTING = 100
+
+
 class _Parser:
     def __init__(self, toks: list[tuple[str, str]]):
         self.toks = toks
         self.i = 0
+        self.depth = 0
 
     def peek(self) -> Optional[tuple[str, str]]:
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -292,66 +317,50 @@ class _Parser:
     def expr(self) -> Expr:
         return self._implies()
 
+    @contextmanager
+    def _nested(self):
+        """Parse the body one nesting level down. A failed parse is
+        abandoned as a whole, so the level is only left on success."""
+        if self.depth == MAX_NESTING:
+            raise UclidParseError(
+                f"expression nested deeper than {MAX_NESTING} levels")
+        self.depth += 1
+        yield
+        self.depth -= 1
+
     def _implies(self) -> Expr:
-        left = self._or()
+        left = self._binary()
         if self.accept("==>"):
-            return Binary("implies", left, self._implies())
+            with self._nested():
+                return Binary("implies", left, self._implies())
         return left
 
-    def _binlevel(self, sub, table: dict[str, str]) -> Expr:
-        node = sub()
+    def _binary(self, min_prec: int = 1) -> Expr:
+        """Precedence climbing over `_BINOPS`: operands bind to operators
+        of at least `min_prec`; equal levels associate to the left."""
+        node = self._unary()
         while True:
             t = self.peek()
-            if t is None or t[1] not in table:
+            op, prec = _BINOPS.get(t[1], (None, 0)) if t else (None, 0)
+            if prec < min_prec:
                 return node
             self.next()
-            node = Binary(table[t[1]], node, sub())
-
-    def _or(self) -> Expr:
-        return self._binlevel(self._and, {"||": "or"})
-
-    def _and(self) -> Expr:
-        return self._binlevel(self._cmp, {"&&": "and"})
-
-    def _cmp(self) -> Expr:
-        return self._binlevel(
-            self._bitor,
-            {"==": "==", "!=": "!=", "<": "<", "<=": "<=",
-             ">": ">", ">=": ">="},
-        )
-
-    def _bitor(self) -> Expr:
-        return self._binlevel(self._bitxor, {"|": "bvor"})
-
-    def _bitxor(self) -> Expr:
-        return self._binlevel(self._bitand, {"^": "xor"})
-
-    def _bitand(self) -> Expr:
-        return self._binlevel(self._shift, {"&": "bvand"})
-
-    def _shift(self) -> Expr:
-        return self._binlevel(self._concat, {"<<": "shl", ">>": "lshr"})
-
-    def _concat(self) -> Expr:
-        return self._binlevel(self._add, {"++": "concat"})
-
-    def _add(self) -> Expr:
-        return self._binlevel(self._mul, {"+": "+", "-": "-"})
-
-    def _mul(self) -> Expr:
-        return self._binlevel(self._unary, {"*": "*", "/": "div", "%": "mod"})
+            node = Binary(op, node, self._binary(prec + 1))
 
     def _unary(self) -> Expr:
         if self.accept("!"):
-            return Unary("not", self._unary())
+            with self._nested():
+                return Unary("not", self._unary())
         if self.accept("-"):
-            return Unary("neg", self._unary())
+            with self._nested():
+                return Unary("neg", self._unary())
         return self._postfix()
 
     def _postfix(self) -> Expr:
         node = self._atom()
         while self.accept("["):
-            idx = self.expr()
+            with self._nested():
+                idx = self.expr()
             self.expect("]")
             node = ArraySelect(node, idx)
         return node
@@ -359,7 +368,8 @@ class _Parser:
     def _atom(self) -> Expr:
         kind, value = self.next()
         if value == "(":
-            e = self.expr()
+            with self._nested():
+                e = self.expr()
             self.expect(")")
             return e
         if kind == "bv":
@@ -375,11 +385,12 @@ class _Parser:
             return BoolLit(False)
         if value == "ite":
             self.expect("(")
-            c = self.expr()
-            self.expect(",")
-            a = self.expr()
-            self.expect(",")
-            b = self.expr()
+            with self._nested():
+                c = self.expr()
+                self.expect(",")
+                a = self.expr()
+                self.expect(",")
+                b = self.expr()
             self.expect(")")
             return Ite(c, a, b)
         if kind == "name":

@@ -43,6 +43,14 @@ def test_check_rejects_invalid_file(tmp_path, capsys):
     assert capsys.readouterr().out
 
 
+def test_check_reports_too_deep_nesting_as_parse_error(tmp_path, capsys):
+    f = tmp_path / "deep.ucl"
+    f.write_text(GOOD_UCLID.replace("x + 1", "(" * 1000 + "x + 1" + ")" * 1000),
+                 encoding="utf-8")
+    assert main(["check", str(f)]) == EXIT_FAILED
+    assert capsys.readouterr().out.startswith("parse-error: ")
+
+
 def test_check_missing_file_is_usage_error(tmp_path):
     assert main(["check", str(tmp_path / "nope.ucl")]) == EXIT_USAGE
 

@@ -18,6 +18,7 @@ from uclgen.ast_core import (
     iter_nodes,
 )
 from uclgen.frontend import (
+    MAX_NESTING,
     ExtractError,
     extract_code,
     parse_tolerant,
@@ -285,3 +286,89 @@ def test_mutated_corpus_never_raises():
         p, _ = prune_to_child(parse_tolerant("".join(src)))
         for node, _ in iter_nodes(p):
             assert node is not None
+
+
+# ---------------------------------------------------------------------------
+# Expression precedence
+# ---------------------------------------------------------------------------
+
+# Binary operator levels, loosest first; prefix `not` sits between `and`
+# and the comparisons, as in Python.
+SURFACE_LEVELS = [
+    ("or",),
+    ("and",),
+    ("==", "!=", "<", "<=", ">", ">="),
+    ("|",),
+    ("^",),
+    ("&",),
+    ("<<", ">>"),
+    ("+", "-"),
+    ("*", "/", "//", "%"),
+]
+
+
+def sexp(n) -> str:
+    if n.kind in ("binop", "unop", "ifexp"):
+        head = n.text if n.kind != "ifexp" else "ifexp"
+        return "(" + " ".join([head, *map(sexp, n.children)]) + ")"
+    return n.text
+
+
+def parse_expr(text: str):
+    """The parse of `text` as an s-expression, or None for an error node."""
+    (stmt,) = parse_tolerant(f"x = {text}\n").root.children
+    return None if stmt.kind == "error" else sexp(stmt.children[1])
+
+
+@pytest.mark.parametrize(
+    "low,high", list(zip(SURFACE_LEVELS, SURFACE_LEVELS[1:])),
+    ids=[f"{lo[0]}<{hi[0]}" for lo, hi in zip(SURFACE_LEVELS, SURFACE_LEVELS[1:])],
+)
+def test_adjacent_levels_bind_in_python_order(low, high):
+    for lo in low:
+        for hi in high:
+            assert parse_expr(f"a {lo} b {hi} c") == f"({lo} a ({hi} b c))"
+            assert parse_expr(f"a {hi} b {lo} c") == f"({lo} ({hi} a b) c)"
+
+
+@pytest.mark.parametrize("level", SURFACE_LEVELS, ids=lambda lv: lv[0])
+def test_same_level_chains_are_left_associative(level):
+    for op1 in level:
+        for op2 in level:
+            assert parse_expr(f"a {op1} b {op2} c") == f"({op2} ({op1} a b) c)"
+
+
+@pytest.mark.parametrize("text,tree", [
+    ("not a == b", "(not (== a b))"),
+    ("a and not b", "(and a (not b))"),
+    ("not a and b", "(and (not a) b)"),
+    ("not not a or b", "(or (not (not a)) b)"),
+    ("a == not b", None),
+    ("a + not b", None),
+    ("-a * b", "(* (- a) b)"),
+    ("~a & b", "(& (~ a) b)"),
+    ("+a - b", "(- a b)"),
+    ("a or b if c and d else e", "(ifexp (or a b) (and c d) e)"),
+    ("a if b else c if d else e", "(ifexp a b (ifexp c d e))"),
+    ("(a + b) * c", "(* (+ a b) c)"),
+])
+def test_prefix_and_ternary_precedence(text, tree):
+    assert parse_expr(text) == tree
+
+
+@pytest.mark.parametrize("nest", [
+    lambda d: "(" * d + "a" + ")" * d,
+    lambda d: "-" * d + "a",
+    lambda d: "not " * d + "a",
+    lambda d: "f(" * d + "a" + ")" * d,
+    lambda d: "x[" * d + "a" + "]" * d,
+    lambda d: "a if b else " * d + "c",
+], ids=["paren", "minus", "not", "call", "subscript", "ternary"])
+def test_nesting_past_the_bound_is_an_error_node(nest):
+    def errors(depth: int) -> list:
+        src = f"class M(Module):\n    def next(self):\n        self.x = {nest(depth)}\n"
+        return parse_tolerant(src).error_nodes
+
+    assert not errors(MAX_NESTING)
+    assert len(errors(MAX_NESTING + 1)) == 1
+    assert len(errors(1000)) == 1

@@ -2,6 +2,8 @@
 
 from pathlib import Path
 
+import pytest
+
 from uclgen.llm import BackendError, MockBackend, ReplayBackend
 from uclgen.pipeline import (
     SCHEMA_VERSION,
@@ -12,6 +14,7 @@ from uclgen.pipeline import (
     run_bench,
     run_pipeline,
 )
+from uclgen.uclid_check import validate_uclid
 
 SUITE_PATH = Path(__file__).parent / "data" / "suite" / "suite.json"
 
@@ -117,3 +120,27 @@ def test_traffic_light_transcript_replays_in_two_calls():
     out = run_pipeline(entry["task"], backend)
     assert out.status == STATUS_SUCCESS
     assert out.iterations == 2
+
+
+def chain_response(n: int) -> str:
+    """A clean module whose next block sums n terms in one `+` chain."""
+    terms = [str(i % 9 + 1) if i % 3 == 2 else f"self.{'ab'[i % 2]}"
+             for i in range(n)]
+    return (
+        "class Chain(Module):\n"
+        "    def locals(self):\n"
+        "        self.acc = int\n        self.a = int\n        self.b = int\n"
+        "    def init(self):\n"
+        "        self.acc = 0\n        self.a = 0\n        self.b = 0\n"
+        "    def next(self):\n"
+        f"        self.acc = {' + '.join(terms)}\n"
+        "        self.a = self.a + 1\n"
+        "```\n"
+    )
+
+
+@pytest.mark.parametrize("n", [42, 50, 80])
+def test_long_sum_chain_compiles_and_validates(n):
+    out = run_pipeline("Sum a chain.", MockBackend([chain_response(n)]))
+    assert out.status == STATUS_SUCCESS, out.diagnostics
+    assert validate_uclid(out.uclid_text) == []

@@ -137,6 +137,7 @@ class M(Module):
     res = solve_maxsmt(cs)
     repaired, filled = model_repair(p, cs, res)
     assert filled == ()
+    assert repaired is p
     assert isinstance(repaired.locals[0].annot, HoleType)
 
 
@@ -158,8 +159,10 @@ def test_repair_round_solves_again_only_after_making_holes():
         calls.append(cs)
         return solve_maxsmt(cs)
 
-    clean = repair_round(program_of(CLEAN), solver=solver)
+    program = program_of(CLEAN)
+    clean = repair_round(program, solver=solver)
     assert (clean.falsified, clean.holes_remaining) == ((), 0)
+    assert clean.program is program
     assert len(calls) == 1
     calls.clear()
     repair_round(program_of(CONFLICT), solver=solver)

@@ -3,9 +3,11 @@
 import pytest
 
 from corpus import INVALID_PROGRAMS, VALID_PROGRAMS
+from uclgen.ast_core import Binary, Unary
 from uclgen.frontend import parse_tolerant, prune_to_child
 from uclgen.uclid import compile_program, lower, print_uclid
 from uclgen.uclid_check import (
+    MAX_NESTING,
     UclidParseError,
     parse_uclid,
     validate_uclid,
@@ -166,3 +168,92 @@ def test_differential_rejects_invalid_corpus(name):
     # same ill-typed program the compiler rejected
     text = print_uclid(lower(program_of(INVALID_PROGRAMS[name]), {}))
     assert validate_uclid(text)
+
+
+# ---------------------------------------------------------------------------
+# Expression precedence
+# ---------------------------------------------------------------------------
+
+# Binary operator levels, loosest first, as token -> module operator;
+# `==>` is looser than all of them and right-associative.
+UCLID_LEVELS = [
+    {"||": "or"},
+    {"&&": "and"},
+    {"==": "==", "!=": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="},
+    {"|": "bvor"},
+    {"^": "xor"},
+    {"&": "bvand"},
+    {"<<": "shl", ">>": "lshr"},
+    {"++": "concat"},
+    {"+": "+", "-": "-"},
+    {"*": "*", "/": "div", "%": "mod"},
+]
+
+
+def sexp(e) -> str:
+    if isinstance(e, Binary):
+        return f"({e.op} {sexp(e.left)} {sexp(e.right)})"
+    if isinstance(e, Unary):
+        return f"({e.op} {sexp(e.operand)})"
+    return e.name
+
+
+def parse_expr(text: str) -> str:
+    m = parse_uclid("module main {\n  invariant p: " + text + ";\n}\n")
+    return sexp(m.invariants[0][1])
+
+
+@pytest.mark.parametrize(
+    "low,high", list(zip(UCLID_LEVELS, UCLID_LEVELS[1:])),
+    ids=[f"{min(lo)}<{min(hi)}" for lo, hi in zip(UCLID_LEVELS, UCLID_LEVELS[1:])],
+)
+def test_adjacent_levels_bind_in_order(low, high):
+    for lo, lop in low.items():
+        for hi, hop in high.items():
+            assert parse_expr(f"a {lo} b {hi} c") == f"({lop} a ({hop} b c))"
+            assert parse_expr(f"a {hi} b {lo} c") == f"({lop} ({hop} a b) c)"
+
+
+@pytest.mark.parametrize("level", UCLID_LEVELS, ids=min)
+def test_same_level_chains_are_left_associative(level):
+    for op1, name1 in level.items():
+        for op2, name2 in level.items():
+            assert parse_expr(f"a {op1} b {op2} c") == \
+                f"({name2} ({name1} a b) c)"
+
+
+@pytest.mark.parametrize("text,tree", [
+    ("a ==> b ==> c", "(implies a (implies b c))"),
+    ("a ==> b || c", "(implies a (or b c))"),
+    ("a || b ==> c", "(implies (or a b) c)"),
+    ("!a && b", "(and (not a) b)"),
+    ("!a == b", "(== (not a) b)"),
+    ("-a * b", "(* (neg a) b)"),
+    ("(a + b) * c", "(* (+ a b) c)"),
+])
+def test_implies_and_prefix_precedence(text, tree):
+    assert parse_expr(text) == tree
+
+
+def nested_module(depth: int, nest) -> str:
+    return ("module main {\n  var b : boolean;\n  init { b = true; }\n"
+            f"  invariant deep: {nest(depth)};\n}}\n")
+
+
+NESTINGS = {
+    "paren": lambda d: "(" * d + "b" + ")" * d,
+    "not": lambda d: "!" * d + "b",
+    "minus": lambda d: "-" * d + "b",
+    "subscript": lambda d: "b[" * d + "b" + "]" * d,
+    "ite": lambda d: "ite(b, " * d + "b" + ", b)" * d,
+    "implies": lambda d: "b ==> " * d + "b",
+}
+
+
+@pytest.mark.parametrize("nest", NESTINGS.values(), ids=NESTINGS.keys())
+def test_nesting_past_the_bound_is_a_parse_error(nest):
+    assert "parse-error" not in codes(nested_module(MAX_NESTING, nest))
+    for depth in (MAX_NESTING + 1, 1000):
+        (diag,) = validate_uclid(nested_module(depth, nest))
+        assert diag.code == "parse-error"
+        assert f"nested deeper than {MAX_NESTING}" in diag.message
