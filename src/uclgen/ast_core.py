@@ -1,16 +1,15 @@
 """Shared tree representations.
 
 Defines the surface-language AST produced by the tolerant parser, the
-restricted module-language AST (with holes), type terms, source spans and
-stable node identities. All trees are immutable after construction; every
-transformation elsewhere in the package returns a new tree.
+restricted module-language AST (with holes), type terms and source spans.
+All trees are immutable after construction; every transformation elsewhere
+in the package returns a new tree, sharing the subtrees it leaves alone.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import functools
-import itertools
 from dataclasses import dataclass, field
 from typing import Iterator, Optional, Union
 
@@ -119,13 +118,12 @@ def type_tvars(t: TypeTerm) -> Iterator[TVar]:
 
 @dataclass(frozen=True)
 class PNode:
-    """Generic surface AST node: kind tag, children, token text, span, id."""
+    """Generic surface AST node: kind tag, children, token text, span."""
 
     kind: str
     children: tuple["PNode", ...] = ()
     text: str = ""
     span: Span = field(default=NO_SPAN, compare=False, repr=False)
-    nid: int = field(default=-1, compare=False, repr=False)
 
 
 @dataclass
@@ -142,7 +140,6 @@ class ParentAst:
 @dataclass(frozen=True)
 class Node:
     span: Span = field(default=NO_SPAN, compare=False, repr=False, kw_only=True)
-    nid: int = field(default=-1, compare=False, repr=False, kw_only=True)
 
 
 # -- expressions --
@@ -333,8 +330,8 @@ class ChildProgram(Node):
 
 @functools.cache
 def _child_fields(cls: type) -> tuple[str, ...]:
-    """The fields of a node class, in field order, except span and node
-    id (the two that take no part in comparison): child nodes live only
+    """The fields of a node class, in field order, except the span (the
+    one field that takes no part in comparison): child nodes live only
     in these."""
     return tuple(f.name for f in dataclasses.fields(cls) if f.compare)
 
@@ -347,7 +344,7 @@ def _map_value(v, fn):
         out = []
         for x in v:
             out.append(_map_value(x, fn))
-        return tuple(out)
+        return v if all(a is b for a, b in zip(out, v)) else tuple(out)
     return v
 
 
@@ -361,11 +358,15 @@ def _collect(v, out: list) -> None:
 
 def map_children(node: Node, fn) -> Node:
     """A copy of `node` in which every child node `c`, including those in
-    nested tuples such as `If.elifs` or `invariants_spec`, is `fn(c)`."""
+    nested tuples such as `If.elifs` or `invariants_spec`, is `fn(c)`;
+    `node` itself when every `fn(c)` is `c`."""
     changes = {}
     for name in _child_fields(type(node)):
-        changes[name] = _map_value(getattr(node, name), fn)
-    return dataclasses.replace(node, **changes)
+        old = getattr(node, name)
+        new = _map_value(old, fn)
+        if new is not old:
+            changes[name] = new
+    return dataclasses.replace(node, **changes) if changes else node
 
 
 def node_children(n: Node) -> tuple[Node, ...]:
@@ -375,72 +376,37 @@ def node_children(n: Node) -> tuple[Node, ...]:
     return tuple(out)
 
 
+def _preorder(root, children) -> Iterator[tuple[object, int]]:
+    # an explicit stack: the depth of a tree costs no Python frames
+    stack = [(root, 0)]
+    while stack:
+        n, d = stack.pop()
+        yield n, d
+        for c in reversed(children(n)):
+            stack.append((c, d + 1))
+
+
 def iter_nodes(tree: Node) -> Iterator[tuple[Node, int]]:
     """Pre-order traversal yielding (node, depth)."""
-
-    def walk(n: Node, d: int) -> Iterator[tuple[Node, int]]:
-        yield n, d
-        for c in node_children(n):
-            yield from walk(c, d + 1)
-
-    yield from walk(tree, 0)
+    return _preorder(tree, node_children)
 
 
 def iter_pnodes(root: PNode) -> Iterator[tuple[PNode, int]]:
-    def walk(n: PNode, d: int) -> Iterator[tuple[PNode, int]]:
-        yield n, d
-        for c in n.children:
-            yield from walk(c, d + 1)
-
-    yield from walk(root, 0)
+    """Pre-order traversal of a surface tree yielding (node, depth)."""
+    return _preorder(root, lambda p: p.children)
 
 
-# ---------------------------------------------------------------------------
-# Node-id assignment
-# ---------------------------------------------------------------------------
-
-def _with_nid(n, nid: int):
-    object.__setattr__(n, "nid", nid)
-    return n
-
-
-def assign_node_ids(tree):
-    """Return a copy of the tree with unique pre-order node ids.
-
-    Idempotent: re-running on an id-bearing tree reproduces the same ids.
-    Works on both ParentAst and module-language trees.
-    """
-    ids = itertools.count()
-    if isinstance(tree, ParentAst):
-
-        def walk(p: PNode) -> PNode:
-            nid = next(ids)
-            kids = tuple(walk(c) for c in p.children)
-            return PNode(p.kind, kids, p.text, p.span, nid)
-
-        return ParentAst(walk(tree.root), list(tree.error_nodes), tree.source)
-    if isinstance(tree, Node):
-
-        def rebuild(n: Node) -> Node:
-            nid = next(ids)
-            return _with_nid(map_children(n, rebuild), nid)
-
-        return rebuild(tree)
-    raise TypeError(f"cannot assign node ids to {type(tree).__name__}")
-
-
-def depth_map(tree) -> dict[int, int]:
-    """Map every node id in the tree to its depth (root = 0)."""
-    out: dict[int, int] = {}
-    if isinstance(tree, ParentAst):
-        for n, d in iter_pnodes(tree.root):
-            if n.nid >= 0:
-                out[n.nid] = d
-    else:
-        for n, d in iter_nodes(tree):
-            if n.nid >= 0:
-                out[n.nid] = d
-    return out
+def node_index(tree: Union[Node, PNode]) -> dict[int, int]:
+    """Map `id(node)` of every node in the tree to its pre-order position,
+    which is how clause origins and reports name a node. A node object
+    may occur only once in a tree; ValueError otherwise."""
+    walk = iter_pnodes(tree) if isinstance(tree, PNode) else iter_nodes(tree)
+    index: dict[int, int] = {}
+    for pos, (n, _) in enumerate(walk):
+        if index.setdefault(id(n), pos) != pos:
+            raise ValueError(
+                f"a {type(n).__name__} node object occurs twice in the tree")
+    return index
 
 
 def max_hole_id(tree: Node) -> int:

@@ -47,6 +47,7 @@ from .ast_core import (
     HoleType,
     If,
     INT,
+    Node,
     IntLit,
     IntType,
     Ite,
@@ -60,17 +61,18 @@ from .ast_core import (
     TypeTerm,
     Unary,
     VarRef,
-    depth_map,
     format_type,
+    iter_nodes,
+    node_index,
 )
 
 # Type-variable keys. A key identifies what a variable stands for:
 #   ("var", name)      the declared type of a state variable
 #   ("typedef", name)  the type bound by a type synonym declaration
-#   ("node", nid)      the type of an expression node
+#   ("node", i)        the type of the expression at pre-order position i
 #   ("hole", hid)      the type of a hole
-#   ("act", nid)       activation of a declaration (Bool = active)
-#   ("aux", nid, tag)  structural helper (array index/element types)
+#   ("act", i)         activation of the declaration at i (Bool = active)
+#   ("aux", i, tag)    structural helper (array index/element types)
 TVarKey = tuple
 
 
@@ -118,16 +120,14 @@ class Lit:
     atom: Atom
     positive: bool = True
 
-    def negate(self) -> "Lit":
-        return Lit(self.atom, not self.positive)
-
 
 @dataclass(frozen=True)
 class Clause:
     """A disjunction of literals.
 
-    weight is None for hard clauses. origin is the node id to hole when
-    the clause is falsified; hard clauses have no origin.
+    weight is None for hard clauses. origin is the pre-order position of
+    the node to hole when the clause is falsified; hard clauses have no
+    origin.
     """
 
     index: int
@@ -280,12 +280,11 @@ class _Gen:
             raise ValueError(f"unknown weight mode {weight_mode!r}")
         self.p = program
         self.cs = ClauseSet()
-        self.depths = depth_map(program)
-        self.max_depth = max(self.depths.values(), default=0)
+        self.pos = node_index(program)
+        self.depths = [d for _, d in iter_nodes(program)]
+        self.max_depth = max(self.depths)
         self.mode = weight_mode
-        # nid -> guard literal to prepend (duplicated declarations)
         self.input_decls: dict[str, Decl] = {}
-        self.guarded: dict[int, Lit] = {}
 
     def weight(self, origin: int) -> int:
         d = self.depths[origin]
@@ -295,8 +294,9 @@ class _Gen:
             return 1 + (self.max_depth - d)
         return 1
 
-    def soft(self, lits, origin: int, label: str) -> None:
-        self.cs.add_soft(lits, self.weight(origin), origin, label)
+    def soft(self, lits, origin: Node, label: str) -> None:
+        i = self.pos[id(origin)]
+        self.cs.add_soft(lits, self.weight(i), i, label)
 
     # -- declarations -------------------------------------------------------
 
@@ -345,25 +345,24 @@ class _Gen:
             self._stmt(stmt)
         for _, expr in self.p.invariants_spec:
             self._expr(expr)
-            self.soft([Lit(Eq(self._t(expr), BOOL))], expr.nid, "S6:spec")
+            self.soft([Lit(Eq(self._t(expr), BOOL))], expr, "S6:spec")
         return self.cs
 
     def _act(self, d: Decl) -> TypeTerm:
-        return self.cs.tvar(("act", d.nid))
+        return self.cs.tvar(("act", self.pos[id(d)]))
 
     def _decl_clauses(self, d: Decl, key: TVarKey, duplicated: bool,
                       is_input: bool) -> None:
         guard: list[Lit] = []
         if duplicated or is_input:
             act = self._act(d)
-            self.soft([Lit(Eq(act, BOOL))], d.nid, "S1:active")
+            self.soft([Lit(Eq(act, BOOL))], d, "S1:active")
             guard = [Lit(Eq(act, BOOL), positive=False)]
-            self.guarded[d.nid] = guard[0]
         t_name = self.cs.tvar(key)
         annot = d.annot
         if isinstance(annot, TypeAnnot):
             ty = self._elaborate(annot.ty)
-            self.soft(guard + [Lit(Eq(t_name, ty))], annot.nid, "S2:decl-type")
+            self.soft(guard + [Lit(Eq(t_name, ty))], annot, "S2:decl-type")
         elif isinstance(annot, HoleType):
             h = self.cs.tvar(("hole", annot.hid))
             self.cs.add_hard(guard + [Lit(Eq(t_name, h))], "S2:hole-binding")
@@ -371,7 +370,7 @@ class _Gen:
             self._expr(annot.expr)
             self.soft(
                 guard + [Lit(Eq(t_name, self._t(annot.expr)))],
-                annot.nid, "S2:decl-value",
+                annot, "S2:decl-value",
             )
 
     def _exclusion(self, decls: list[Decl]) -> None:
@@ -399,17 +398,17 @@ class _Gen:
             self._expr(s.lhs)
             self._expr(s.rhs)
             self.soft(
-                [Lit(Eq(self._t(s.lhs), self._t(s.rhs)))], s.nid, "S4:assign"
+                [Lit(Eq(self._t(s.lhs), self._t(s.rhs)))], s, "S4:assign"
             )
-            self._input_write(s.lhs, s.nid)
+            self._input_write(s.lhs, s)
         elif isinstance(s, If):
             self._expr(s.cond)
-            self.soft([Lit(Eq(self._t(s.cond), BOOL))], s.cond.nid, "S6:cond")
+            self.soft([Lit(Eq(self._t(s.cond), BOOL))], s.cond, "S6:cond")
             for sub in s.then:
                 self._stmt(sub)
             for cond, body in s.elifs:
                 self._expr(cond)
-                self.soft([Lit(Eq(self._t(cond), BOOL))], cond.nid, "S6:cond")
+                self.soft([Lit(Eq(self._t(cond), BOOL))], cond, "S6:cond")
                 for sub in body:
                     self._stmt(sub)
             for sub in s.orelse:
@@ -420,17 +419,17 @@ class _Gen:
             if d is not None:
                 self.soft(
                     [Lit(Eq(self._act(d), BOOL), positive=False)],
-                    s.nid, "S5:input-write",
+                    s, "S5:input-write",
                 )
         elif isinstance(s, (Assume, Assert)):
             self._expr(s.cond)
-            self.soft([Lit(Eq(self._t(s.cond), BOOL))], s.cond.nid, "S6:cond")
+            self.soft([Lit(Eq(self._t(s.cond), BOOL))], s.cond, "S6:cond")
         elif isinstance(s, HoleStmt):
             pass
         else:
             raise TypeError(f"unknown statement {s!r}")
 
-    def _input_write(self, lhs: Expr, origin: int) -> None:
+    def _input_write(self, lhs: Expr, origin: Stmt) -> None:
         base = lhs
         while isinstance(base, ArraySelect):
             base = base.array
@@ -445,23 +444,23 @@ class _Gen:
     # -- expressions ---------------------------------------------------------
 
     def _t(self, e: Expr) -> TVar:
-        return self.cs.tvar(("node", e.nid))
+        return self.cs.tvar(("node", self.pos[id(e)]))
 
-    def _numeric(self, t: TypeTerm, origin: int, label: str) -> None:
+    def _numeric(self, t: TypeTerm, origin: Node, label: str) -> None:
         self.soft([Lit(Tester(k, t)) for k in _NUMERIC_TESTERS], origin, label)
 
     def _expr(self, e: Expr) -> None:
         t = self._t(e)
         if isinstance(e, BoolLit):
-            self.soft([Lit(Eq(t, BOOL))], e.nid, "S3:lit")
+            self.soft([Lit(Eq(t, BOOL))], e, "S3:lit")
         elif isinstance(e, IntLit):
-            self.soft([Lit(Eq(t, INT))], e.nid, "S3:lit")
+            self.soft([Lit(Eq(t, INT))], e, "S3:lit")
         elif isinstance(e, RealLit):
-            self.soft([Lit(Eq(t, REAL))], e.nid, "S3:lit")
+            self.soft([Lit(Eq(t, REAL))], e, "S3:lit")
         elif isinstance(e, BVLit):
-            self.soft([Lit(Eq(t, BVType(e.width)))], e.nid, "S3:lit")
+            self.soft([Lit(Eq(t, BVType(e.width)))], e, "S3:lit")
         elif isinstance(e, EnumLit):
-            self.soft([Lit(HasTag(e.tag, t))], e.nid, "S3:lit")
+            self.soft([Lit(HasTag(e.tag, t))], e, "S3:lit")
         elif isinstance(e, VarRef):
             self.cs.add_hard(
                 [Lit(Eq(t, self.cs.tvar(("var", e.name))))], "S3:var"
@@ -474,11 +473,11 @@ class _Gen:
             self._expr(e.operand)
             to = self._t(e.operand)
             if e.op == "not":
-                self.soft([Lit(Eq(t, BOOL))], e.nid, "S3:op")
-                self.soft([Lit(Eq(to, BOOL))], e.nid, "S3:op")
+                self.soft([Lit(Eq(t, BOOL))], e, "S3:op")
+                self.soft([Lit(Eq(to, BOOL))], e, "S3:op")
             else:  # neg
-                self.soft([Lit(Eq(t, to))], e.nid, "S3:op")
-                self._numeric(t, e.nid, "S3:op")
+                self.soft([Lit(Eq(t, to))], e, "S3:op")
+                self._numeric(t, e, "S3:op")
         elif isinstance(e, Binary):
             self._expr(e.left)
             self._expr(e.right)
@@ -487,26 +486,25 @@ class _Gen:
             self._expr(e.cond)
             self._expr(e.then)
             self._expr(e.other)
-            self.soft([Lit(Eq(self._t(e.cond), BOOL))], e.nid, "S3:op")
-            self.soft([Lit(Eq(t, self._t(e.then)))], e.nid, "S3:op")
-            self.soft([Lit(Eq(t, self._t(e.other)))], e.nid, "S3:op")
+            self.soft([Lit(Eq(self._t(e.cond), BOOL))], e, "S3:op")
+            self.soft([Lit(Eq(t, self._t(e.then)))], e, "S3:op")
+            self.soft([Lit(Eq(t, self._t(e.other)))], e, "S3:op")
         elif isinstance(e, ArraySelect):
             self._expr(e.array)
             self._expr(e.index)
-            aux_i = self.cs.tvar(("aux", e.nid, "idx"))
-            aux_e = self.cs.tvar(("aux", e.nid, "elem"))
+            aux_i = self.cs.tvar(("aux", self.pos[id(e)], "idx"))
+            aux_e = self.cs.tvar(("aux", self.pos[id(e)], "elem"))
             self.soft(
                 [Lit(Eq(self._t(e.array), ArrayType(aux_i, aux_e)))],
-                e.nid, "S3:select",
+                e, "S3:select",
             )
             self.cs.add_hard([Lit(Eq(self._t(e.index), aux_i))], "S3:select")
             self.cs.add_hard([Lit(Eq(t, aux_e))], "S3:select")
         else:
             raise TypeError(f"unknown expression {e!r}")
 
-    def _binary(self, e: Binary, t: TVar, tl: TVar, tr: TVar) -> None:
-        op = e.op
-        n = e.nid
+    def _binary(self, n: Binary, t: TVar, tl: TVar, tr: TVar) -> None:
+        op = n.op
         if op in ("and", "or", "implies"):
             self.soft([Lit(Eq(t, BOOL))], n, "S3:op")
             self.soft([Lit(Eq(tl, BOOL))], n, "S3:op")

@@ -10,6 +10,8 @@ slots and dropping (and logging) everything else.
 
 from __future__ import annotations
 
+import copy
+import functools
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -52,9 +54,9 @@ from .ast_core import (
     Unary,
     Binary,
     VarRef,
-    assign_node_ids,
     format_type,
     iter_pnodes,
+    node_index,
 )
 
 
@@ -491,14 +493,24 @@ def _parse_expr_tokens(toks: list[Tok]) -> PNode:
 
 _AUG_OPS = ("+=", "-=", "*=", "/=", "//=", "%=", "&=", "|=", "^=")
 
+# The deepest nesting of indented blocks (class, def, if, elif, else). A
+# level costs about four Python frames on top of a line's expression
+# nesting; an opener past it becomes an error node covering its body.
+MAX_BLOCK_NESTING = 80
+
 
 class _BlockParser:
     def __init__(self, lines: list[_Line], source: str):
         self.lines = lines
         self.source = source
-        self.errors: list[PNode] = []
+        self.depth = 0  # blocks open, the top level included
 
     def parse_block(self, i: int, indent: int) -> tuple[list[PNode], int]:
+        if self.depth > MAX_BLOCK_NESTING:
+            # the opener's parse_line makes this an error node over the body
+            raise _ParseFail(
+                f"blocks nested deeper than {MAX_BLOCK_NESTING} levels")
+        self.depth += 1
         nodes: list[PNode] = []
         while i < len(self.lines):
             line = self.lines[i]
@@ -520,6 +532,7 @@ class _BlockParser:
                 nodes.append(self._as_error(node, "dangling elif/else"))
             else:
                 nodes.append(node)
+        self.depth -= 1
         return nodes, i
 
     def _skip_region(self, i: int, indent: int) -> int:
@@ -535,14 +548,10 @@ class _BlockParser:
         sp = Span(self.lines[i].span.start, last.span.end,
                   self.lines[i].span.line, self.lines[i].span.col,
                   last.span.end_line, last.span.end_col)
-        node = PNode("error", span=sp)
-        self.errors.append(node)
-        return node
+        return PNode("error", span=sp)
 
     def _as_error(self, node: PNode, reason: str) -> PNode:
-        err = PNode("error", text=reason, span=node.span)
-        self.errors.append(err)
-        return err
+        return PNode("error", text=reason, span=node.span)
 
     def parse_line(self, i: int) -> tuple[PNode, int]:
         line = self.lines[i]
@@ -668,11 +677,10 @@ def parse_tolerant(source: str) -> ParentAst:
         more, i2 = bp.parse_block(i, lines[i].indent)
         nodes.extend(more)
         i = max(i2, i + 1)
-    end = len(source)
-    root = PNode("module", tuple(nodes), span=Span(0, end))
-    ast = assign_node_ids(ParentAst(root, [], source))
-    ast.error_nodes = [n.nid for n, _ in iter_pnodes(ast.root) if n.kind == "error"]
-    return ast
+    root = PNode("module", tuple(nodes), span=Span(0, len(source)))
+    errors = [pos for pos, (n, _) in enumerate(iter_pnodes(root))
+              if n.kind == "error"]
+    return ParentAst(root, errors, source)
 
 
 # ---------------------------------------------------------------------------
@@ -684,14 +692,11 @@ class PruneReport:
     dropped: list[tuple[int, Span, str]] = field(default_factory=list)
     holes_inserted: list[tuple[int, str, Span]] = field(default_factory=list)
 
-    def drop(self, node: PNode, reason: str) -> None:
-        self.dropped.append((node.nid, node.span, reason))
-
     def to_dict(self) -> dict:
         return {
             "dropped": [
-                {"node": nid, "line": sp.line, "reason": reason}
-                for nid, sp, reason in self.dropped
+                {"node": pos, "line": sp.line, "reason": reason}
+                for pos, sp, reason in self.dropped
             ],
             "holes_inserted": [
                 {"hole": hid, "category": cat, "line": sp.line}
@@ -706,6 +711,14 @@ class _Pruner:
         self.report = PruneReport()
         self.hole_counter = 0
         self.typedef_names: set[str] = set()
+
+    @functools.cached_property
+    def positions(self) -> dict[int, int]:
+        return node_index(self.ast.root)
+
+    def drop(self, node: PNode, reason: str) -> None:
+        self.report.dropped.append(
+            (self.positions[id(node)], node.span, reason))
 
     def fresh_hole(self, category: str, span: Span) -> int:
         hid = self.hole_counter
@@ -724,22 +737,20 @@ class _Pruner:
         if cls is None:
             root = self.ast.root
             hid = self.fresh_hole("module", root.span)
-            self.report.dropped.append(
-                (root.nid, root.span, "no class extending Module")
-            )
-            return ChildProgram(module_hole=hid, nid=root.nid, span=root.span)
+            self.drop(root, "no class extending Module")
+            return ChildProgram(module_hole=hid, span=root.span)
         body = cls.children[1]
         sections: dict[str, PNode] = {}
         for item in body.children:
             if item.kind == "def" and item.text in SECTION_METHODS:
                 if item.text in sections:
-                    self.report.drop(item, "duplicate method")
+                    self.drop(item, "duplicate method")
                 else:
                     sections[item.text] = item
             elif item.kind in ("docstring", "pass"):
                 continue
             else:
-                self.report.drop(item, "not a recognized method")
+                self.drop(item, "not a recognized method")
 
         # typedef names must be known before elaborating other sections
         if "types" in sections:
@@ -765,7 +776,6 @@ class _Pruner:
             init_body=init_body,
             next_body=next_body,
             invariants_spec=invariants,
-            nid=cls.nid,
             span=cls.span,
         )
 
@@ -781,7 +791,7 @@ class _Pruner:
                     (f"spec{len(out)}", self._expr(stmt.children[0]))
                 )
             else:
-                self.report.drop(stmt, "specification must return a property")
+                self.drop(stmt, "specification must return a property")
         return tuple(out)
 
     def _find_module_class(self) -> PNode | None:
@@ -810,33 +820,33 @@ class _Pruner:
             if stmt.kind in ("pass", "docstring"):
                 continue
             if stmt.kind == "expr_stmt" and stmt.children[0].kind == "hole":
-                out.append(HoleDecl(self.carried_hole(), nid=stmt.nid, span=stmt.span))
+                out.append(HoleDecl(self.carried_hole(), span=stmt.span))
                 continue
             if stmt.kind == "error":
-                self.report.drop(stmt, "unparseable")
+                self.drop(stmt, "unparseable")
                 continue
             name = self._decl_target(stmt)
             if name is None:
-                self.report.drop(stmt, "not a declaration")
+                self.drop(stmt, "not a declaration")
                 continue
             rhs = stmt.children[1]
             annot = self._elaborate_annot(rhs, is_typedef)
-            out.append(Decl(name, annot, nid=stmt.nid, span=stmt.span))
+            out.append(Decl(name, annot, span=stmt.span))
         return tuple(out)
 
     def _elaborate_annot(self, rhs: PNode, is_typedef: bool):
         ty = self._try_type(rhs)
         if ty is not None:
-            return TypeAnnot(ty, nid=rhs.nid, span=rhs.span)
+            return TypeAnnot(ty, span=rhs.span)
         if rhs.kind == "hole":
-            return HoleType(self.carried_hole(), nid=rhs.nid, span=rhs.span)
+            return HoleType(self.carried_hole(), span=rhs.span)
         if not is_typedef:
             expr = self._expr(rhs, optional=True)
             if expr is not None:
                 return DeclValue(expr, span=rhs.span)
         hid = self.fresh_hole("type", rhs.span)
-        self.report.drop(rhs, "unrecognized type expression")
-        return HoleType(hid, nid=rhs.nid, span=rhs.span)
+        self.drop(rhs, "unrecognized type expression")
+        return HoleType(hid, span=rhs.span)
 
     def _try_type(self, node: PNode) -> TypeTerm | None:
         if node.kind == "name":
@@ -877,44 +887,45 @@ class _Pruner:
         if stmt.kind in ("pass", "docstring"):
             return None
         if stmt.kind == "error":
-            self.report.drop(stmt, "unparseable")
+            self.drop(stmt, "unparseable")
             return None
         if stmt.kind == "assign":
             lhs = self._lvalue(stmt.children[0])
             if lhs is None:
-                self.report.drop(stmt, "assignment target is not a state variable")
+                self.drop(stmt, "assignment target is not a state variable")
                 return None
             rhs = self._expr(stmt.children[1])
-            return Assign(lhs, rhs, nid=stmt.nid, span=stmt.span)
+            return Assign(lhs, rhs, span=stmt.span)
         if stmt.kind == "augassign":
             lhs = self._lvalue(stmt.children[0])
             if lhs is None:
-                self.report.drop(stmt, "assignment target is not a state variable")
+                self.drop(stmt, "assignment target is not a state variable")
                 return None
             op = _BINOPS[stmt.text[:-1]][0]
             rhs_inner = self._expr(stmt.children[1])
-            rhs = Binary(op, lhs, rhs_inner, nid=stmt.nid, span=stmt.span)
-            return Assign(lhs, rhs, nid=stmt.nid, span=stmt.span)
+            # the target's own copy: a node object occurs once in a tree
+            rhs = Binary(op, copy.deepcopy(lhs), rhs_inner, span=stmt.span)
+            return Assign(lhs, rhs, span=stmt.span)
         if stmt.kind == "if":
             return self._if_stmt(stmt)
         if stmt.kind == "assert_stmt":
-            return Assert(self._expr(stmt.children[0]), nid=stmt.nid, span=stmt.span)
+            return Assert(self._expr(stmt.children[0]), span=stmt.span)
         if stmt.kind == "expr_stmt":
             inner = stmt.children[0]
             if inner.kind == "hole":
-                return HoleStmt(self.carried_hole(), nid=stmt.nid, span=stmt.span)
+                return HoleStmt(self.carried_hole(), span=stmt.span)
             if inner.kind == "call" and inner.children[0].kind == "name":
                 fn = inner.children[0].text
                 args = inner.children[1:]
                 if fn == "assume" and len(args) == 1:
-                    return Assume(self._expr(args[0]), nid=stmt.nid, span=stmt.span)
+                    return Assume(self._expr(args[0]), span=stmt.span)
                 if fn == "havoc" and len(args) == 1:
                     target = self._lvalue(args[0])
                     if isinstance(target, VarRef):
-                        return Havoc(target.name, nid=stmt.nid, span=stmt.span)
-            self.report.drop(stmt, "statement outside the module language")
+                        return Havoc(target.name, span=stmt.span)
+            self.drop(stmt, "statement outside the module language")
             return None
-        self.report.drop(stmt, "statement outside the module language")
+        self.drop(stmt, "statement outside the module language")
         return None
 
     def _if_stmt(self, stmt: PNode) -> If:
@@ -929,18 +940,18 @@ class _Pruner:
                 )
             elif extra.kind == "else":
                 orelse = self._stmt_block(extra.children[0])
-        return If(cond, then, tuple(elifs), orelse, nid=stmt.nid, span=stmt.span)
+        return If(cond, then, tuple(elifs), orelse, span=stmt.span)
 
     def _lvalue(self, node: PNode):
         if node.kind == "attr" and node.children[0].kind == "name" \
                 and node.children[0].text == "self":
-            return VarRef(node.text, nid=node.nid, span=node.span)
+            return VarRef(node.text, span=node.span)
         if node.kind == "subscript":
             arr = self._lvalue(node.children[0])
             if arr is None:
                 return None
             idx = self._expr(node.children[1])
-            return ArraySelect(arr, idx, nid=node.nid, span=node.span)
+            return ArraySelect(arr, idx, span=node.span)
         return None
 
     def _expr(self, node: PNode, optional: bool = False):
@@ -953,54 +964,54 @@ class _Pruner:
         if optional:
             return None
         hid = self.fresh_hole("expression", node.span)
-        self.report.drop(node, "expression outside the module language")
-        return HoleExpr(hid, nid=node.nid, span=node.span)
+        self.drop(node, "expression outside the module language")
+        return HoleExpr(hid, span=node.span)
 
     def _expr_inner(self, node: PNode):
         k = node.kind
         if k == "hole":
-            return HoleExpr(self.carried_hole(), nid=node.nid, span=node.span)
+            return HoleExpr(self.carried_hole(), span=node.span)
         if k == "int":
-            return IntLit(int(node.text), nid=node.nid, span=node.span)
+            return IntLit(int(node.text), span=node.span)
         if k == "float":
-            return RealLit(float(node.text), nid=node.nid, span=node.span)
+            return RealLit(float(node.text), span=node.span)
         if k == "bool":
-            return BoolLit(node.text == "True", nid=node.nid, span=node.span)
+            return BoolLit(node.text == "True", span=node.span)
         if k == "str":
             if re.fullmatch(r"[A-Za-z_]\w*", node.text):
-                return EnumLit(node.text, nid=node.nid, span=node.span)
+                return EnumLit(node.text, span=node.span)
             return None
         if k == "attr" and node.children[0].kind == "name" \
                 and node.children[0].text == "self":
-            return VarRef(node.text, nid=node.nid, span=node.span)
+            return VarRef(node.text, span=node.span)
         if k == "unop":
             operand = self._expr(node.children[0])
             op = {"not": "not", "-": "neg"}.get(node.text)
             if op is None:
                 return None
-            return Unary(op, operand, nid=node.nid, span=node.span)
+            return Unary(op, operand, span=node.span)
         if k == "binop":
             op = _BINOPS[node.text][0]
             left = self._expr(node.children[0])
             right = self._expr(node.children[1])
-            return Binary(op, left, right, nid=node.nid, span=node.span)
+            return Binary(op, left, right, span=node.span)
         if k == "ifexp":
             body, cond, other = node.children
             return Ite(
                 self._expr(cond), self._expr(body), self._expr(other),
-                nid=node.nid, span=node.span,
+                span=node.span,
             )
         if k == "subscript":
             arr = self._expr(node.children[0])
             idx = self._expr(node.children[1])
-            return ArraySelect(arr, idx, nid=node.nid, span=node.span)
+            return ArraySelect(arr, idx, span=node.span)
         if k == "call" and node.children[0].kind == "name":
             fn = node.children[0].text
             args = node.children[1:]
             if fn == "BV" and len(args) == 2 and args[0].kind == "int" \
                     and args[1].kind == "int" and int(args[1].text) >= 1:
                 return BVLit(int(args[0].text), int(args[1].text),
-                             nid=node.nid, span=node.span)
+                             span=node.span)
             return None
         return None
 
@@ -1008,10 +1019,7 @@ class _Pruner:
 def prune_to_child(ast: ParentAst) -> tuple[ChildProgram, PruneReport]:
     """Prune a surface AST to the maximal module-language subtree."""
     pruner = _Pruner(ast)
-    # renumber so node ids are unique within the pruned program
-    # (augmented-assignment desugaring duplicates surface ids)
-    program = assign_node_ids(pruner.run())
-    return program, pruner.report
+    return pruner.run(), pruner.report
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ which preserves both the optimum and the tie-break.
 
 from __future__ import annotations
 
+from collections import ChainMap
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -271,6 +272,9 @@ class _Theory:
     def model(self, tids) -> dict[int, TypeTerm]:
         """A total ground assignment consistent with the asserted literals."""
         values: dict[int, TypeTerm] = {}
+        # a root pinned to a singleton constructor is known before its turn
+        known = ChainMap(values, {root: _SINGLETONS[c] for root, c
+                                  in self.req.items() if c in _SINGLETONS})
         fresh = [1000]
 
         def ground(t: TypeTerm) -> TypeTerm:
@@ -318,8 +322,8 @@ class _Theory:
             for a, b in self.diseqs:
                 ra = self.resolve_deep(a)
                 rb = self.resolve_deep(b)
-                ga = _partial_ground(ra, values, root, val)
-                gb = _partial_ground(rb, values, root, val)
+                ga = _partial_ground(ra, known, root, val)
+                gb = _partial_ground(rb, known, root, val)
                 if ga is not None and gb is not None and ga == gb:
                     return True
             return False
@@ -343,8 +347,8 @@ class _Theory:
 
 
 def _partial_ground(t, values, extra_root, extra_val):
-    """Ground a resolved term using already-chosen values; None if a part
-    is still unvalued."""
+    """Ground a resolved term using the values known so far; None if a
+    part has no value yet."""
     if isinstance(t, TVar):
         if t.tid == extra_root:
             return extra_val

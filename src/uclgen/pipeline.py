@@ -7,7 +7,8 @@ most `max_llm_calls` times in total, including the initial request.
 
 Compiled output must also pass the independent validator; a validation
 failure is reported like a backend failure, since it means the pipeline
-produced text it cannot stand behind.
+produced text it cannot stand behind. `run_pipeline` never raises: an
+exception no stage turns into a status ends the run as `internal_error`.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ SCHEMA_VERSION = 1
 STATUS_SUCCESS = "success"
 STATUS_ITERATION_LIMIT = "iteration_limit"
 STATUS_BACKEND_ERROR = "backend_error"
+STATUS_INTERNAL_ERROR = "internal_error"
 
 
 @dataclass
@@ -72,7 +74,16 @@ def run_pipeline(
     weight_mode: str = "depth",
 ) -> PipelineOutcome:
     out = PipelineOutcome(status=STATUS_BACKEND_ERROR)
+    try:
+        return _run(out, task, backend, max_llm_calls, weight_mode)
+    except Exception as exc:  # a defect, not an input: report, never raise
+        out.status = STATUS_INTERNAL_ERROR
+        out.diagnostics.append(f"internal: {type(exc).__name__}: {exc}")
+    return out
 
+
+def _run(out: PipelineOutcome, task: str, backend: Backend,
+         max_llm_calls: int, weight_mode: str) -> PipelineOutcome:
     def ask(prompt: str) -> Optional[str]:
         t0 = time.monotonic()
         try:

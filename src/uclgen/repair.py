@@ -34,11 +34,11 @@ from .ast_core import (
     TypeAnnot,
     TypeTerm,
     VarRef,
-    assign_node_ids,
     count_holes,
     iter_nodes,
     map_children,
     max_hole_id,
+    node_index,
 )
 from .constraints import ClauseSet, generate_clauses
 from .maxsmt import MaxSmtResult, solve_maxsmt
@@ -54,8 +54,9 @@ def holeify(
     """Replace the maximal subtree at each falsified clause's origin with
     a hole. Origins nested inside other origins are absorbed by the
     outermost replacement. A declaration whose annotation holds an origin
-    gets a type hole. Node ids are reassigned afterwards; with no origin
-    the program itself is returned."""
+    gets a type hole. Origins are pre-order positions in `program`; the
+    result shares every subtree that holds no origin, and with no origin
+    it is the program itself."""
     origins = {
         cs.clauses[i].origin
         for i in falsified
@@ -64,24 +65,25 @@ def holeify(
     if not origins:
         return program
     ids = itertools.count(max_hole_id(program) + 1)
+    index = node_index(program)
 
     def rewrite(n: Node) -> Node:
         if isinstance(n, Decl):
-            if n.nid in origins:
+            if index[id(n)] in origins:
                 return HoleDecl(next(ids), span=n.span)
-            if any(a.nid in origins for a, _ in iter_nodes(n.annot)):
+            if any(index[id(a)] in origins for a, _ in iter_nodes(n.annot)):
                 return dataclasses.replace(
                     n, annot=HoleType(next(ids), span=n.annot.span)
                 )
             return n
-        if n.nid in origins:
+        if index[id(n)] in origins:
             if isinstance(n, Stmt):
                 return HoleStmt(next(ids), span=n.span)
             if isinstance(n, Expr):
                 return HoleExpr(next(ids), span=n.span)
         return map_children(n, rewrite)
 
-    return assign_node_ids(rewrite(program))
+    return rewrite(program)
 
 
 # ---------------------------------------------------------------------------
@@ -111,8 +113,7 @@ def synthesize_decls(p: ChildProgram) -> tuple[ChildProgram, tuple[str, ...]]:
         Decl(name, HoleType(hid))
         for hid, name in enumerate(missing, max_hole_id(p) + 1)
     )
-    out = dataclasses.replace(p, locals=p.locals + extra)
-    return assign_node_ids(out), tuple(missing)
+    return dataclasses.replace(p, locals=p.locals + extra), tuple(missing)
 
 
 # ---------------------------------------------------------------------------
@@ -124,8 +125,7 @@ def model_repair(
 ) -> tuple[ChildProgram, tuple[str, ...]]:
     """Fill type holes and value declarations whose type variable is
     forced by the solution. Returns the program and the names filled;
-    with nothing filled the program itself is returned (its node ids are
-    already pre-order)."""
+    with nothing filled the program itself is returned."""
     filled: list[str] = []
 
     def forced_value(key) -> Optional[TypeTerm]:
@@ -161,8 +161,7 @@ def model_repair(
     }
     if not filled:
         return program, ()
-    out = dataclasses.replace(program, **sections)
-    return assign_node_ids(out), tuple(filled)
+    return dataclasses.replace(program, **sections), tuple(filled)
 
 
 # ---------------------------------------------------------------------------

@@ -240,6 +240,10 @@ _UCLID_BINOP = {
     "concat": "++",
 }
 
+# operators UCLID5 reads left to right within one precedence level, so a
+# chain of one of them needs no inner parentheses (not comparisons, `==>`)
+_FLAT_LEFT = frozenset(("+", "-", "*", "and", "or", "bvand", "bvor", "concat"))
+
 
 def print_expr(e: Expr) -> str:
     if isinstance(e, BoolLit):
@@ -258,8 +262,11 @@ def print_expr(e: Expr) -> str:
         op = "!" if e.op == "not" else "-"
         return f"{op}({print_expr(e.operand)})"
     if isinstance(e, Binary):
-        op = _UCLID_BINOP[e.op]
-        return f"({print_expr(e.left)} {op} {print_expr(e.right)})"
+        left = print_expr(e.left)
+        if isinstance(e.left, Binary) and e.left.op == e.op \
+                and e.op in _FLAT_LEFT:
+            left = left[1:-1]  # `(a + b) + c` prints as `(a + b + c)`
+        return f"({left} {_UCLID_BINOP[e.op]} {print_expr(e.right)})"
     if isinstance(e, Ite):
         return (
             f"ite({print_expr(e.cond)}, {print_expr(e.then)}, "

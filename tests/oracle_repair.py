@@ -24,7 +24,6 @@ from uclgen.ast_core import (
     RealLit,
     TypeAnnot,
     VarRef,
-    assign_node_ids,
     iter_nodes,
 )
 from uclgen.constraints import generate_clauses
@@ -66,10 +65,8 @@ def random_conflict_program(
                 )
                 rhs = _literal(rng, ty)
             stmts.append(Assign(VarRef(lhs), rhs))
-        p = assign_node_ids(
-            ChildProgram(
-                module_name="M", locals=decls, next_body=tuple(stmts)
-            )
+        p = ChildProgram(
+            module_name="M", locals=decls, next_body=tuple(stmts)
         )
         if sum(1 for _ in iter_nodes(p)) <= max_nodes:
             return p

@@ -1,4 +1,4 @@
-"""Core AST utilities: node identity, traversal, and type terms."""
+"""Core AST utilities: traversal, node positions, and type terms."""
 
 import pytest
 
@@ -36,15 +36,15 @@ from uclgen.ast_core import (
     TypeAnnot,
     Unary,
     VarRef,
-    assign_node_ids,
     count_holes,
-    depth_map,
     format_type,
     is_ground,
     iter_nodes,
+    iter_pnodes,
     map_children,
     max_hole_id,
     node_children,
+    node_index,
     type_tvars,
 )
 from uclgen.frontend import parse_tolerant, prune_to_child
@@ -69,35 +69,38 @@ class M(Module):
 '''
 
 
-def test_node_ids_are_unique_and_preorder():
+def test_node_index_numbers_nodes_in_preorder():
     p = program_of(SAMPLE)
-    nids = [n.nid for n, _ in iter_nodes(p)]
-    assert len(nids) == len(set(nids))
-    assert nids == sorted(nids)
-    assert nids[0] == p.nid == 0
+    walk = [n for n, _ in iter_nodes(p)]
+    index = node_index(p)
+    assert [index[id(n)] for n in walk] == list(range(len(walk)))
+    assert index[id(p)] == 0
+    assert all(id(d.annot) in index for d in p.locals)
 
 
-def test_assign_node_ids_traverses_decl_annotations():
-    p = program_of(SAMPLE)
-    annot_ids = [d.annot.nid for d in p.locals]
-    all_ids = {n.nid for n, _ in iter_nodes(p)}
-    assert set(annot_ids) <= all_ids
+def test_node_index_numbers_surface_nodes_in_preorder():
+    root = parse_tolerant(SAMPLE).root
+    walk = [n for n, _ in iter_pnodes(root)]
+    assert [node_index(root)[id(n)] for n in walk] == list(range(len(walk)))
 
 
-def test_assign_node_ids_is_stable():
-    p = program_of(SAMPLE)
-    again = assign_node_ids(p)
-    assert [n.nid for n, _ in iter_nodes(again)] == [
-        n.nid for n, _ in iter_nodes(p)
-    ]
+def test_node_index_rejects_a_shared_node_object():
+    x = VarRef("x")
+    with pytest.raises(ValueError, match="VarRef"):
+        node_index(Assign(x, Binary("+", x, IntLit(1))))
+    # equal but distinct objects are two nodes
+    assert len(node_index(Assign(VarRef("x"), VarRef("x")))) == 3
 
 
-def test_depth_map_matches_traversal_depth():
-    p = program_of(SAMPLE)
-    depths = depth_map(p)
-    for node, depth in iter_nodes(p):
-        assert depths[node.nid] == depth
-    assert depths[p.nid] == 0
+def test_iter_nodes_walks_a_deep_tree_in_preorder():
+    e = VarRef("a")
+    for i in range(5000):
+        e = Binary("+", e, IntLit(i))
+    walk = list(iter_nodes(e))
+    assert len(walk) == 10001
+    assert walk[0] == (e, 0)
+    assert walk[5000][0] == VarRef("a") and walk[5000][1] == 5000
+    assert [n.value for n, d in walk[5001:]] == list(range(5000))
 
 
 def test_count_holes_counts_every_hole_category():
@@ -111,7 +114,6 @@ def test_count_holes_counts_every_hole_category():
         next_body=(Assign(VarRef("x"), HoleExpr(2)),),
         invariants_spec=(),
     )
-    p = assign_node_ids(p)
     assert count_holes(p) == 3
     assert max_hole_id(p) == 2
 
@@ -146,24 +148,6 @@ def test_format_type_surface_spellings():
     assert format_type(EnumType(("B", "A"))) == 'Enum("A", "B")'
     assert format_type(ArrayType(INT, BOOL)) == "Array(int, bool)"
     assert format_type(SynonymType("word_t")) == "self.word_t"
-
-
-def test_literal_nodes_survive_renumbering():
-    lit = IntLit(7)
-    p = ChildProgram(
-        module_name="M",
-        type_defs=(),
-        locals=(Decl("x", TypeAnnot(INT)),),
-        inputs=(),
-        outputs=(),
-        init_body=(Assign(VarRef("x"), lit),),
-        next_body=(),
-        invariants_spec=(),
-    )
-    p = assign_node_ids(p)
-    rebuilt = p.init_body[0].rhs
-    assert rebuilt.value == 7
-    assert rebuilt.nid != lit.nid or lit.nid >= 0
 
 
 def _subclasses(cls):
@@ -221,7 +205,7 @@ def test_examples_cover_every_node_class():
 )
 def test_node_children_and_map_children_follow_field_order(node, children):
     assert node_children(node) == children
-    assert map_children(node, lambda c: c) == node
+    assert map_children(node, lambda c: c) is node
     fresh = iter(range(100, 200))
     mapped = map_children(node, lambda c: IntLit(next(fresh)))
     assert type(mapped) is type(node)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from uclgen import pipeline
 from uclgen.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, main
 
 SUITE_PATH = Path(__file__).parent / "data" / "suite" / "suite.json"
@@ -66,6 +67,23 @@ def test_run_with_mock_backend(tmp_path, capsys):
     ])
     assert code == EXIT_OK
     assert "var count : integer;" in out_file.read_text(encoding="utf-8")
+
+
+def test_run_exits_1_on_internal_error(tmp_path, monkeypatch, capsys):
+    def overflow(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(pipeline, "repair_round", overflow)
+    responses = tmp_path / "responses.json"
+    responses.write_text(json.dumps([CLEAN_RESPONSE]), encoding="utf-8")
+    code = main([
+        "run", "Model a counter.",
+        "--backend", "mock", "--responses", str(responses),
+    ])
+    assert code == EXIT_FAILED
+    err = capsys.readouterr().err
+    assert "internal: RecursionError: maximum recursion depth" in err
+    assert "status: internal_error" in err
 
 
 def test_run_records_transcript(tmp_path):

@@ -2,7 +2,8 @@
 
 import pytest
 
-from uclgen.ast_core import BOOL, INT, IntLit, iter_nodes
+from corpus import INVALID_PROGRAMS, VALID_PROGRAMS
+from uclgen.ast_core import BOOL, INT, Decl, Expr, IntLit, iter_nodes
 from uclgen.constraints import (
     Eq,
     WEIGHT_MODES,
@@ -36,9 +37,30 @@ def labels(cs):
 def test_every_soft_clause_has_an_origin_node():
     p = program_of(SIMPLE)
     cs = generate_clauses(p)
-    nids = {n.nid for n, _ in iter_nodes(p)}
+    n_nodes = sum(1 for _ in iter_nodes(p))
     for c in cs.soft:
-        assert c.origin in nids
+        assert 0 <= c.origin < n_nodes
+
+
+CORPUS = {**{f"valid/{k}": v for k, v in VALID_PROGRAMS.items()},
+          **{f"invalid/{k}": v for k, v in INVALID_PROGRAMS.items()}}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_origins_and_node_keys_are_preorder_positions(name):
+    p = program_of(CORPUS[name])
+    walk = list(iter_nodes(p))
+    depth_weights = generate_clauses(p, "depth")
+    for c in depth_weights.soft:
+        assert c.weight == 1 + walk[c.origin][1]
+    for key in depth_weights.tvar_table:
+        if key[0] in ("node", "aux"):
+            assert isinstance(walk[key[1]][0], Expr)
+        elif key[0] == "act":
+            assert isinstance(walk[key[1]][0], Decl)
+    uniform = generate_clauses(p, "uniform")
+    assert [c.origin for c in uniform.clauses] == [
+        c.origin for c in depth_weights.clauses]
 
 
 def test_generation_is_deterministic():

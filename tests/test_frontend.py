@@ -16,8 +16,10 @@ from uclgen.ast_core import (
     HoleType,
     count_holes,
     iter_nodes,
+    iter_pnodes,
 )
 from uclgen.frontend import (
+    MAX_BLOCK_NESTING,
     MAX_NESTING,
     ExtractError,
     extract_code,
@@ -183,6 +185,9 @@ def test_prune_desugars_augmented_assignment():
     stmt = p.next_body[0]
     assert isinstance(stmt, Assign)
     assert isinstance(stmt.rhs, Binary) and stmt.rhs.op == "+"
+    # the target occurs twice, as two node objects
+    assert stmt.rhs.left == stmt.lhs
+    assert stmt.rhs.left is not stmt.lhs
 
 
 def test_prune_surface_calls():
@@ -372,3 +377,35 @@ def test_nesting_past_the_bound_is_an_error_node(nest):
     assert not errors(MAX_NESTING)
     assert len(errors(MAX_NESTING + 1)) == 1
     assert len(errors(1000)) == 1
+
+
+def nested_ifs(levels: int, innermost: str = "self.x = 1") -> str:
+    """A module whose innermost line sits `levels` blocks deep (the class
+    and method bodies included), one space of indentation per level."""
+    lines = ["class M(Module):", " def next(self):"]
+    lines += [" " * k + "if self.b:" for k in range(2, levels)]
+    return "\n".join(lines + [" " * levels + innermost]) + "\n"
+
+
+def test_block_nesting_past_the_bound_is_an_error_node():
+    ast = parse_tolerant(nested_ifs(1000))
+    assert len(ast.error_nodes) == 1
+    assert not parse_tolerant(nested_ifs(MAX_BLOCK_NESTING)).error_nodes
+    # 60 nested `if`s in a method, the deepest `scaled_clean` benchmark item
+    assert not parse_tolerant(nested_ifs(62)).error_nodes
+    assert len(parse_tolerant(nested_ifs(MAX_BLOCK_NESTING + 1)).error_nodes) == 1
+
+
+def test_deepest_blocks_hold_the_deepest_expression():
+    expr = "(" * MAX_NESTING + "self.b" + ")" * MAX_NESTING
+    src = nested_ifs(MAX_BLOCK_NESTING, f"self.x = {expr}")
+    assert not parse_tolerant(src).error_nodes
+
+
+def test_long_chain_parses_without_recursion():
+    terms = " + ".join(["self.a"] * 3000)
+    src = f"class M(Module):\n    def next(self):\n        self.x = {terms}\n"
+    ast = parse_tolerant(src)
+    assert not ast.error_nodes
+    depth = max(d for _, d in iter_pnodes(ast.root))
+    assert depth > 3000

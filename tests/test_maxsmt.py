@@ -201,6 +201,56 @@ def test_solver_matches_oracle_on_random_sets():
         assert verify_solution(cs, res)
 
 
+def _vars(cs, n=3):
+    return [cs.tvar(("var", f"v{i}")) for i in range(n)]
+
+
+def _assert_optimal(cs):
+    expect = oracle_optimum(cs)
+    res = solve_maxsmt(cs)
+    assert (res.cost, res.falsified) == expect
+    assert verify_solution(cs, res)
+    relaxed = set(res.falsified)
+    kept = [c for c in cs.clauses if c.index not in relaxed]
+    assert check_sat(kept).sat
+
+
+def test_model_sees_singleton_values_before_their_turn():
+    # v1 = v2 and is-int(v2) make v1 an int; v0 is valued first and must
+    # not take int, or v1 != v0 leaves v1 without a value
+    cs = ClauseSet()
+    v0, v1, v2 = _vars(cs)
+    cs.add_soft([Lit(CtorTester("int", v2))], 1, origin=0, label="t")
+    cs.add_soft([Lit(Eq(v1, v2)), Lit(CtorTester("bv", v1), positive=False)],
+                1, origin=1, label="t")
+    cs.add_soft([Lit(Eq(v1, v0), positive=False)], 1, origin=2, label="t")
+    assert oracle_optimum(cs) == (0, ())
+    _assert_optimal(cs)
+
+
+def test_model_with_singleton_values_on_a_random_set():
+    # random_clause_set(random.Random(7), max_soft=10), set 252
+    cs = ClauseSet()
+    v0, v1, v2 = _vars(cs)
+    bc = EnumType(("B", "C"))
+    cs.add_hard([Lit(Eq(v1, v2), positive=False),
+                 Lit(CtorTester("real", v1))], "t:hard")
+    for w, lits in [
+        (7, [Lit(HasTag("B", v2))]),
+        (1, [Lit(HasTag("B", v0)), Lit(Eq(v2, bc))]),
+        (8, [Lit(Eq(v1, v0), positive=False), Lit(HasTag("A", v0)),
+             Lit(HasTag("C", v1), positive=False)]),
+        (7, [Lit(Eq(v1, v2))]),
+        (7, [Lit(HasTag("B", v0), positive=False), Lit(Eq(v1, v2)),
+             Lit(Eq(v1, v2))]),
+        (8, [Lit(Eq(v1, bc)), Lit(CtorTester("bool", v1), positive=False)]),
+        (8, [Lit(CtorTester("int", v1)), Lit(Eq(v2, v0))]),
+    ]:
+        cs.add_soft(lits, w, origin=len(cs.clauses), label="t")
+    assert oracle_optimum(cs) == (7, (4,))
+    _assert_optimal(cs)
+
+
 # ---------------------------------------------------------------------------
 # SMT-LIB export
 # ---------------------------------------------------------------------------

@@ -4,10 +4,12 @@ from pathlib import Path
 
 import pytest
 
+from uclgen import pipeline
 from uclgen.llm import BackendError, MockBackend, ReplayBackend
 from uclgen.pipeline import (
     SCHEMA_VERSION,
     STATUS_BACKEND_ERROR,
+    STATUS_INTERNAL_ERROR,
     STATUS_ITERATION_LIMIT,
     STATUS_SUCCESS,
     load_suite,
@@ -139,8 +141,20 @@ def chain_response(n: int) -> str:
     )
 
 
-@pytest.mark.parametrize("n", [42, 50, 80])
+@pytest.mark.parametrize("n", [42, 50, 80, 150])
 def test_long_sum_chain_compiles_and_validates(n):
     out = run_pipeline("Sum a chain.", MockBackend([chain_response(n)]))
     assert out.status == STATUS_SUCCESS, out.diagnostics
     assert validate_uclid(out.uclid_text) == []
+
+
+def test_unmapped_exception_becomes_internal_error(monkeypatch):
+    def overflow(*args, **kwargs):
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(pipeline, "repair_round", overflow)
+    out = run_pipeline("Model a counter.", MockBackend([CLEAN_RESPONSE]))
+    assert out.status == STATUS_INTERNAL_ERROR
+    assert out.diagnostics == [
+        "internal: RecursionError: maximum recursion depth exceeded"]
+    assert out.iterations == 1

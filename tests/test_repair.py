@@ -141,6 +141,47 @@ class M(Module):
     assert isinstance(repaired.locals[0].annot, HoleType)
 
 
+def test_rewrites_share_the_subtrees_they_leave_alone():
+    p = program_of('''
+class M(Module):
+    def locals(self):
+        self.n = int
+        self.f = bool
+        self.x = ??
+    def init(self):
+        self.n = 0
+        self.f = 3
+        self.x = self.n
+    def next(self):
+        if self.n < 9:
+            self.n = self.n + self.ghost
+''')
+    synthesized, _ = synthesize_decls(p)
+    assert synthesized.locals[:3] == p.locals
+    assert all(a is b for a, b in zip(synthesized.locals, p.locals))
+    assert synthesized.init_body is p.init_body
+    assert synthesized.next_body is p.next_body
+
+    cs = generate_clauses(synthesized)
+    res = solve_maxsmt(cs)
+    holed = holeify(synthesized, cs, res.falsified)
+    assert count_holes(holed) > count_holes(synthesized)
+    assert holed.locals is synthesized.locals
+    assert holed.next_body is synthesized.next_body
+    # `self.f = 3` becomes a hole; its siblings stay the same objects
+    first, mid, last = holed.init_body
+    assert isinstance(mid, HoleStmt)
+    assert first is synthesized.init_body[0]
+    assert last is synthesized.init_body[2]
+
+    cs2 = generate_clauses(holed)
+    repaired, filled = model_repair(holed, cs2, solve_maxsmt(cs2))
+    assert "x" in filled
+    assert repaired.init_body is holed.init_body
+    assert repaired.next_body is holed.next_body
+    assert repaired.locals[0] is holed.locals[0]
+
+
 def test_repair_round_drops_single_conflicting_assignment():
     # one shallow write conflicts with the declaration: under depth
     # weights the write is the cheapest thing to give up

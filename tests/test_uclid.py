@@ -3,6 +3,7 @@
 import pytest
 
 from corpus import VALID_PROGRAMS
+from uclgen.ast_core import Binary, VarRef
 from uclgen.frontend import parse_tolerant, prune_to_child
 from uclgen.maxsmt import Untypeable
 from uclgen.uclid import (
@@ -10,9 +11,10 @@ from uclgen.uclid import (
     HoleRemaining,
     compile_program,
     lower,
+    print_expr,
     print_uclid,
 )
-from uclgen.uclid_check import validate_uclid
+from uclgen.uclid_check import parse_uclid, validate_uclid
 
 
 def program_of(src: str):
@@ -146,3 +148,27 @@ def test_lower_without_types_defaults_to_integer():
 def test_round_trip_corpus_compiles_and_validates(name):
     text = compiled(VALID_PROGRAMS[name])
     assert validate_uclid(text) == []
+
+
+@pytest.mark.parametrize("op,sym", [
+    ("+", "+"), ("-", "-"), ("*", "*"), ("and", "&&"), ("or", "||"),
+    ("bvand", "&"), ("bvor", "|"), ("concat", "++"),
+])
+def test_left_chains_print_flat(op, sym):
+    a, b, c, d = (VarRef(n) for n in "abcd")
+    left = Binary(op, Binary(op, Binary(op, a, b), c), d)
+    flat = print_expr(left)
+    assert flat == f"(a {sym} b {sym} c {sym} d)"
+    assert print_expr(Binary(op, a, Binary(op, b, c))) == f"(a {sym} (b {sym} c))"
+
+    def parsed(e: str):
+        return parse_uclid("module main {\n  invariant p: " + e + ";\n}\n")
+
+    assert parsed(flat) == parsed(f"(((a {sym} b) {sym} c) {sym} d)")
+
+
+@pytest.mark.parametrize("op,sym", [("==", "=="), ("<", "<"), ("implies", "==>"),
+                                    ("xor", "^"), ("div", "/")])
+def test_other_chains_keep_their_parentheses(op, sym):
+    a, b, c = (VarRef(n) for n in "abc")
+    assert print_expr(Binary(op, Binary(op, a, b), c)) == f"((a {sym} b) {sym} c)"
