@@ -95,23 +95,6 @@ INT = IntType()
 REAL = RealType()
 
 
-def is_ground(t: TypeTerm) -> bool:
-    """True iff no type variable occurs in t."""
-    if isinstance(t, TVar):
-        return False
-    if isinstance(t, ArrayType):
-        return is_ground(t.index) and is_ground(t.elem)
-    return True
-
-
-def type_tvars(t: TypeTerm) -> Iterator[TVar]:
-    if isinstance(t, TVar):
-        yield t
-    elif isinstance(t, ArrayType):
-        yield from type_tvars(t.index)
-        yield from type_tvars(t.elem)
-
-
 # ---------------------------------------------------------------------------
 # Surface-language AST (output of the tolerant parser)
 # ---------------------------------------------------------------------------
@@ -226,9 +209,6 @@ class ArraySelect(Expr):
 @dataclass(frozen=True)
 class HoleExpr(Expr):
     hid: int
-
-
-LValue = Union[VarRef, ArraySelect]
 
 
 # -- statements --
@@ -417,6 +397,18 @@ def max_hole_id(tree: Node) -> int:
     if isinstance(tree, ChildProgram) and tree.module_hole is not None:
         best = max(best, tree.module_hole)
     return best
+
+
+def undeclared_names(p: ChildProgram) -> list[str]:
+    """Variables read, written or havocked but declared in no locals,
+    inputs or outputs section, in first-use order."""
+    declared = {d.name for section in (p.locals, p.inputs, p.outputs)
+                for d in section if isinstance(d, Decl)}
+    out: dict[str, None] = {}
+    for node, _ in iter_nodes(p):
+        if isinstance(node, (VarRef, Havoc)) and node.name not in declared:
+            out[node.name] = None
+    return list(out)
 
 
 def count_holes(p: ChildProgram) -> int:

@@ -177,8 +177,12 @@ def _cmd_repair(args: argparse.Namespace) -> int:
     if program.module_hole is not None:
         print("input contains no Module class", file=sys.stderr)
         return EXIT_FAILED
-    for item in report.to_dict()["dropped"]:
+    pruned = report.to_dict()
+    for item in pruned["dropped"]:
         print(f"dropped line {item['line']}: {item['reason']}", file=sys.stderr)
+    for item in pruned["holes_inserted"]:
+        print(f"hole at line {item['line']}: {item['category']}",
+              file=sys.stderr)
     outcome = repair_round(program, args.weights)
     if args.uclid:
         if outcome.holes_remaining:

@@ -20,7 +20,7 @@ Checks encoded here:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 from .ast_core import (
     ArraySelect,
@@ -41,7 +41,6 @@ from .ast_core import (
     EnumType,
     Expr,
     Havoc,
-    HoleDecl,
     HoleExpr,
     HoleStmt,
     HoleType,

@@ -17,7 +17,6 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .ast_core import (
-    NO_SPAN,
     ArraySelect,
     ArrayType,
     Assert,
@@ -121,8 +120,6 @@ class Tok:
 _MULTI_OPS = ("**=", "//=", "==", "!=", "<=", ">=", "<<", ">>", "//", "**",
               "??", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "->")
 _SINGLE_OPS = "()[]{}:,.=+-*/%<>&|^~@;"
-
-_KEYWORD_VALUES = ("True", "False", "None")
 
 
 class _TokenError(Exception):
@@ -689,17 +686,22 @@ def parse_tolerant(source: str) -> ParentAst:
 
 @dataclass
 class PruneReport:
+    source: str = field(repr=False)
     dropped: list[tuple[int, Span, str]] = field(default_factory=list)
     holes_inserted: list[tuple[int, str, Span]] = field(default_factory=list)
+
+    def line(self, sp: Span) -> int:
+        """The 1-based source line where `sp` starts."""
+        return self.source.count("\n", 0, sp.start) + 1
 
     def to_dict(self) -> dict:
         return {
             "dropped": [
-                {"node": pos, "line": sp.line, "reason": reason}
+                {"node": pos, "line": self.line(sp), "reason": reason}
                 for pos, sp, reason in self.dropped
             ],
             "holes_inserted": [
-                {"hole": hid, "category": cat, "line": sp.line}
+                {"hole": hid, "category": cat, "line": self.line(sp)}
                 for hid, cat, sp in self.holes_inserted
             ],
         }
@@ -708,7 +710,7 @@ class PruneReport:
 class _Pruner:
     def __init__(self, ast: ParentAst):
         self.ast = ast
-        self.report = PruneReport()
+        self.report = PruneReport(ast.source)
         self.hole_counter = 0
         self.typedef_names: set[str] = set()
 
@@ -790,6 +792,10 @@ class _Pruner:
                 out.append(
                     (f"spec{len(out)}", self._expr(stmt.children[0]))
                 )
+            elif stmt.kind == "error":
+                self.drop(stmt, "unparseable")
+                hid = self.fresh_hole("invariant", stmt.span)
+                out.append((f"spec{len(out)}", HoleExpr(hid, span=stmt.span)))
             else:
                 self.drop(stmt, "specification must return a property")
         return tuple(out)
@@ -824,6 +830,8 @@ class _Pruner:
                 continue
             if stmt.kind == "error":
                 self.drop(stmt, "unparseable")
+                hid = self.fresh_hole("declaration", stmt.span)
+                out.append(HoleDecl(hid, span=stmt.span))
                 continue
             name = self._decl_target(stmt)
             if name is None:
@@ -888,7 +896,8 @@ class _Pruner:
             return None
         if stmt.kind == "error":
             self.drop(stmt, "unparseable")
-            return None
+            return HoleStmt(self.fresh_hole("statement", stmt.span),
+                            span=stmt.span)
         if stmt.kind == "assign":
             lhs = self._lvalue(stmt.children[0])
             if lhs is None:

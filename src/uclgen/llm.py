@@ -19,12 +19,9 @@ import time
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import Optional, Protocol
+from typing import Protocol
 
 PARENT_LANGUAGE = "Python"
-
-#: bump when the child-language description changes
-CHILD_LANGUAGE_VERSION = 1
 
 
 def child_language_description() -> str:

@@ -1,7 +1,11 @@
 """Weighted partial MAX-SMT over the type-term algebra.
 
 The theory is unification over type terms extended with constructor
-testers and enum-tag membership. The solver is a branch and bound search
+testers and enum-tag membership. Each unbound union-find root keeps one
+record of what it may still be: the constructors left to it, the tags its
+enum must hold and the tags its enum must not hold. Testers, tag literals
+and unification all narrow a record in one place, `_Theory._narrow`, and
+the model reads it back. The solver is a branch and bound search
 over which soft clauses to falsify. `emit_smtlib` renders a clause set
 as SMT-LIB 2 with `assert-soft` weights, for inspection or for another
 MAX-SMT solver.
@@ -52,6 +56,16 @@ _CTOR_OF = {
     EnumType: "enum",
     ArrayType: "arr",
 }
+_CTOR_ORDER = ("int", "bool", "real", "bv", "enum", "arr")  # model's order
+_NONE: frozenset[str] = frozenset()
+_ALL = frozenset(_CTOR_ORDER)
+_ENUM = frozenset({"enum"})
+_FREE = (_ALL, _NONE, _NONE)  # the record of a root nothing narrowed
+# the constructors a tester literal leaves, by constructor and polarity
+_TESTED = {(c, pos): frozenset({c}) if pos else _ALL - {c}
+           for c in _CTOR_ORDER for pos in (True, False)}
+# the value of a root whose record leaves one singleton constructor
+_PINNED = {frozenset({c}): t for c, t in _SINGLETONS.items()}
 
 
 class _Conflict(Exception):
@@ -59,15 +73,18 @@ class _Conflict(Exception):
 
 
 class _Theory:
-    """A conjunction of theory literals, decided by unification."""
+    """A conjunction of theory literals, decided by unification.
+
+    A union-find root is bound to a term (`binding`) or unbound; an
+    unbound root may hold one record (`record`), a triple (ctors, tags,
+    bad): the constructors it may still take, the tags its enum must hold
+    and the tags it must not hold. Negative equalities wait in `diseqs`.
+    """
 
     def __init__(self) -> None:
         self.parent: dict[int, int] = {}
         self.binding: dict[int, TypeTerm] = {}
-        self.req: dict[int, str] = {}
-        self.forbid: dict[int, set[str]] = {}
-        self.req_tags: dict[int, set[str]] = {}
-        self.forbid_tags: dict[int, set[str]] = {}
+        self.record: dict[int, tuple[frozenset, frozenset, frozenset]] = {}
         self.diseqs: list[tuple[TypeTerm, TypeTerm]] = []
 
     # -- union-find ---------------------------------------------------------
@@ -107,117 +124,57 @@ class _Theory:
 
     # -- assertion ----------------------------------------------------------
 
-    def _check_record(self, root: int) -> None:
-        req = self.req.get(root)
-        if req is not None and req in self.forbid.get(root, ()):
-            raise _Conflict
-        tags = self.req_tags.get(root)
-        if tags:
-            if req is not None and req != "enum":
+    def _narrow(self, t: TypeTerm, ctors: frozenset[str],
+                tags: frozenset[str], bad: frozenset[str]) -> None:
+        """Assert that `t` takes one of `ctors`, holds every tag in `tags`
+        and no tag in `bad`; only an enum holds tags. A ground term is
+        checked; a root's record is intersected with the new facts, which
+        conflicts when no constructor is left or a tag is both required
+        and forbidden."""
+        t = self.resolve(t)
+        if isinstance(t, TVar):
+            old = self.record.get(t.tid)
+            if old is not None:
+                ctors = ctors & old[0]
+                tags = tags | old[1]
+                bad = bad | old[2]
+            if tags:
+                ctors = ctors & _ENUM
+            if not ctors or tags & bad:
                 raise _Conflict
-            if tags & self.forbid_tags.get(root, set()):
-                raise _Conflict
-
-    def _merge_roots(self, a: int, b: int) -> None:
-        self.parent[b] = a
-        rb = self.req.pop(b, None)
-        if rb is not None:
-            ra = self.req.get(a)
-            if ra is not None and ra != rb:
-                raise _Conflict
-            self.req[a] = rb
-        for table in (self.forbid, self.forbid_tags, self.req_tags):
-            got = table.pop(b, None)
-            if got:
-                table.setdefault(a, set()).update(got)
-        self._check_record(a)
-
-    def _apply_record_to_ground(self, root: int, t: TypeTerm) -> None:
-        ctor = _CTOR_OF[type(t)]
-        req = self.req.pop(root, None)
-        if req is not None and req != ctor:
-            raise _Conflict
-        if ctor in self.forbid.pop(root, set()):
-            raise _Conflict
-        tags = self.req_tags.pop(root, set())
-        bad = self.forbid_tags.pop(root, set())
-        if tags or bad:
-            if not isinstance(t, EnumType):
-                if tags:
-                    raise _Conflict
-            else:
-                if not tags <= set(t.tags):
-                    raise _Conflict
-                if bad & set(t.tags):
-                    raise _Conflict
-
-    def _bind(self, root: int, t: TypeTerm) -> None:
-        if self._occurs(root, t):
-            raise _Conflict
-        resolved = self.resolve(t)
-        if isinstance(resolved, TVar):
-            self._merge_roots(resolved.tid, root)
+            self.record[t.tid] = (ctors, tags, bad)
             return
-        self._apply_record_to_ground(root, resolved)
-        self.binding[root] = resolved
+        if _CTOR_OF[type(t)] not in ctors:
+            raise _Conflict
+        if tags or bad:
+            have = frozenset(t.tags) if isinstance(t, EnumType) else _NONE
+            if not tags <= have or bad & have:
+                raise _Conflict
 
     def unify(self, a: TypeTerm, b: TypeTerm) -> None:
         a = self.resolve(a)
         b = self.resolve(b)
         if a == b:
             return
-        if isinstance(a, TVar) and isinstance(b, TVar):
-            self._merge_roots(a.tid, b.tid)
-            return
-        if isinstance(a, TVar):
-            self._bind(a.tid, b)
-            return
-        if isinstance(b, TVar):
-            self._bind(b.tid, a)
-            return
         if isinstance(a, ArrayType) and isinstance(b, ArrayType):
             self.unify(a.index, b.index)
             self.unify(a.elem, b.elem)
             return
-        raise _Conflict
-
-    def assert_tester(self, ctor: str, term: TypeTerm, positive: bool) -> None:
-        t = self.resolve(term)
-        if not isinstance(t, TVar):
-            actual = _CTOR_OF[type(t)]
-            if (actual == ctor) != positive:
-                raise _Conflict
-            return
-        root = t.tid
-        if positive:
-            old = self.req.get(root)
-            if old is not None and old != ctor:
-                raise _Conflict
-            self.req[root] = ctor
+        if isinstance(b, TVar):
+            a, b = b, a
+        elif not isinstance(a, TVar):
+            raise _Conflict
+        # a is a root; bind it to b, or merge it into b if b is a root
+        root = a.tid
+        if isinstance(b, TVar):
+            self.parent[root] = b.tid
+        elif self._occurs(root, b):
+            raise _Conflict
         else:
-            self.forbid.setdefault(root, set()).add(ctor)
-        self._check_record(root)
-        if not positive and self.req.get(root) is None:
-            if self.forbid[root] >= set(_CTOR_OF.values()):
-                raise _Conflict
-
-    def assert_has_tag(self, tag: str, term: TypeTerm, positive: bool) -> None:
-        t = self.resolve(term)
-        if not isinstance(t, TVar):
-            holds = isinstance(t, EnumType) and tag in t.tags
-            if holds != positive:
-                raise _Conflict
-            return
-        root = t.tid
-        if positive:
-            old = self.req.get(root)
-            if old is not None and old != "enum":
-                raise _Conflict
-            self.req[root] = "enum"
-            self.req_tags.setdefault(root, set()).add(tag)
-        else:
-            self.forbid_tags.setdefault(root, set()).add(tag)
-        self._check_record(root)
+            self.binding[root] = b
+        rec = self.record.pop(root, None)
+        if rec is not None:
+            self._narrow(b, *rec)
 
     def assert_lit(self, lit: Lit) -> None:
         a = lit.atom
@@ -227,9 +184,11 @@ class _Theory:
             else:
                 self.diseqs.append((a.left, a.right))
         elif isinstance(a, Tester):
-            self.assert_tester(a.ctor, a.term, lit.positive)
+            self._narrow(a.term, _TESTED[a.ctor, lit.positive], _NONE, _NONE)
+        elif lit.positive:
+            self._narrow(a.term, _ALL, frozenset((a.tag,)), _NONE)
         else:
-            self.assert_has_tag(a.tag, a.term, lit.positive)
+            self._narrow(a.term, _ALL, _NONE, frozenset((a.tag,)))
 
     # -- final consistency ---------------------------------------------------
 
@@ -237,11 +196,12 @@ class _Theory:
         """The unique value of a term if it has one, else None.
 
         Variables are determined when bound to a determined term or when
-        required to be a singleton scalar constructor.
+        their record leaves one singleton scalar constructor.
         """
         t = self.resolve(t)
         if isinstance(t, TVar):
-            return _SINGLETONS.get(self.req.get(t.tid, ""))
+            rec = self.record.get(t.tid)
+            return None if rec is None else _PINNED.get(rec[0])
         if isinstance(t, ArrayType):
             i = self.determined(t.index)
             e = self.determined(t.elem)
@@ -273,8 +233,8 @@ class _Theory:
         """A total ground assignment consistent with the asserted literals."""
         values: dict[int, TypeTerm] = {}
         # a root pinned to a singleton constructor is known before its turn
-        known = ChainMap(values, {root: _SINGLETONS[c] for root, c
-                                  in self.req.items() if c in _SINGLETONS})
+        known = ChainMap(values, {root: _PINNED[rec[0]] for root, rec
+                                  in self.record.items() if rec[0] in _PINNED})
         fresh = [1000]
 
         def ground(t: TypeTerm) -> TypeTerm:
@@ -286,15 +246,11 @@ class _Theory:
             return t
 
         def candidates(root: int):
-            req = self.req.get(root)
-            forbid = self.forbid.get(root, set())
-            tags = sorted(self.req_tags.get(root, set()))
-            bad_tags = self.forbid_tags.get(root, set())
-            order = [req] if req else [
-                c for c in ("int", "bool", "real", "bv", "enum", "arr")
-                if c not in forbid
-            ]
-            for ctor in order:
+            ctors, tags, bad = self.record.get(root, _FREE)
+            tags = tuple(sorted(tags))
+            for ctor in _CTOR_ORDER:
+                if ctor not in ctors:
+                    continue
                 if ctor in _SINGLETONS:
                     yield _SINGLETONS[ctor]
                 elif ctor == "bv":
@@ -305,13 +261,12 @@ class _Theory:
                         yield BVType(fresh[0])
                 elif ctor == "enum":
                     if tags:
-                        yield EnumType(tuple(tags))
-                    base = tuple(tags)
+                        yield EnumType(tags)
                     while True:
                         fresh[0] += 1
                         extra = f"TAG{fresh[0]}"
-                        if extra not in bad_tags:
-                            yield EnumType(base + (extra,))
+                        if extra not in bad:
+                            yield EnumType(tags + (extra,))
                 elif ctor == "arr":
                     yield ArrayType(INT, INT)
                     while True:
@@ -444,7 +399,6 @@ class MaxSmtResult:
     cost: int
     model: dict[int, TypeTerm]
     forced: dict[int, TypeTerm]
-    defaulted: frozenset[int] = frozenset()
 
 
 class Untypeable(Exception):
@@ -536,11 +490,9 @@ def solve_maxsmt(cs: ClauseSet) -> MaxSmtResult:
             tids |= clause_tvars(c)
         model.update(th.model(tids))
         forced.update(th.forced(tids))
-    all_tids = {tv.tid for tv in cs.tvar_table.values()}
-    defaulted = frozenset(all_tids - set(forced))
-    for tid in all_tids - set(model):
-        model[tid] = INT
-    return MaxSmtResult(tuple(sorted(falsified)), cost, model, forced, defaulted)
+    for tv in cs.tvar_table.values():
+        model.setdefault(tv.tid, INT)
+    return MaxSmtResult(tuple(sorted(falsified)), cost, model, forced)
 
 
 # ---------------------------------------------------------------------------

@@ -33,12 +33,12 @@ from .ast_core import (
     Stmt,
     TypeAnnot,
     TypeTerm,
-    VarRef,
     count_holes,
     iter_nodes,
     map_children,
     max_hole_id,
     node_index,
+    undeclared_names,
 )
 from .constraints import ClauseSet, generate_clauses
 from .maxsmt import MaxSmtResult, solve_maxsmt
@@ -90,23 +90,10 @@ def holeify(
 # Declaration synthesis
 # ---------------------------------------------------------------------------
 
-def declared_names(p: ChildProgram) -> set[str]:
-    out = set()
-    for d in (*p.locals, *p.inputs, *p.outputs):
-        if isinstance(d, Decl):
-            out.add(d.name)
-    return out
-
-
 def synthesize_decls(p: ChildProgram) -> tuple[ChildProgram, tuple[str, ...]]:
     """Append ``self.x = ??`` to locals for every variable that is used
     but never declared, in first-use order."""
-    known = declared_names(p)
-    missing: list[str] = []
-    for node, _ in iter_nodes(p):
-        if isinstance(node, VarRef) and node.name not in known:
-            known.add(node.name)
-            missing.append(node.name)
+    missing = undeclared_names(p)
     if not missing:
         return p, ()
     extra = tuple(

@@ -41,12 +41,12 @@ from .ast_core import (
     SynonymType,
     TypeAnnot,
     TypeTerm,
-    TVar,
     Unary,
     VarRef,
     count_holes,
     iter_nodes,
     map_children,
+    undeclared_names,
 )
 from .constraints import generate_clauses
 from .maxsmt import Untypeable, check_sat
@@ -172,15 +172,9 @@ def compile_program(program: ChildProgram) -> UclidModule:
     n = count_holes(program)
     if n:
         raise HoleRemaining(n)
-    declared = {
-        d.name
-        for section in (program.locals, program.inputs, program.outputs)
-        for d in section
-        if isinstance(d, Decl)
-    }
-    for node, _ in iter_nodes(program):
-        if isinstance(node, VarRef) and node.name not in declared:
-            raise CompileError(f"use of undeclared variable {node.name!r}")
+    missing = undeclared_names(program)
+    if missing:
+        raise CompileError(f"use of undeclared variable {missing[0]!r}")
     # typed here, not taken from the repair round: model repair may have
     # changed the program after the round's solve
     cs = generate_clauses(program)

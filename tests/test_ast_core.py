@@ -32,20 +32,17 @@ from uclgen.ast_core import (
     RealLit,
     Stmt,
     SynonymType,
-    TVar,
     TypeAnnot,
     Unary,
     VarRef,
     count_holes,
     format_type,
-    is_ground,
     iter_nodes,
     iter_pnodes,
     map_children,
     max_hole_id,
     node_children,
     node_index,
-    type_tvars,
 )
 from uclgen.frontend import parse_tolerant, prune_to_child
 
@@ -132,13 +129,6 @@ def test_enum_type_sorts_tags_and_rejects_duplicates():
 def test_bv_width_must_be_positive():
     with pytest.raises(ValueError):
         BVType(0)
-
-
-def test_is_ground_and_type_tvars():
-    t = ArrayType(INT, TVar(3))
-    assert not is_ground(t)
-    assert [tv.tid for tv in type_tvars(t)] == [3]
-    assert is_ground(ArrayType(INT, BOOL))
 
 
 def test_format_type_surface_spellings():

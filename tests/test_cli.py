@@ -148,6 +148,25 @@ def test_repair_emits_child_source(tmp_path, capsys):
     assert "self.w = int" in capsys.readouterr().out
 
 
+def test_repair_reports_one_based_lines(tmp_path, capsys):
+    f = tmp_path / "prog.py"
+    f.write_text(
+        "class M(Module):\n"
+        "    def locals(self):\n"
+        "        self.x = int\n"
+        "        self.y = foo(1)\n"
+        "    def next(self):\n"
+        "        self.x = bar(2)\n"
+        "        print(3)\n",
+        encoding="utf-8",
+    )
+    assert main(["repair", str(f)]) == EXIT_OK
+    err = capsys.readouterr().err.splitlines()
+    assert [line.split(":")[0] for line in err] == [
+        "dropped line 4", "dropped line 6", "dropped line 7",
+        "hole at line 4", "hole at line 6"]
+
+
 def test_repair_uclid_flag_compiles(tmp_path, capsys):
     f = tmp_path / "prog.py"
     f.write_text(

@@ -3,7 +3,7 @@
 import pytest
 
 from corpus import INVALID_PROGRAMS, VALID_PROGRAMS
-from uclgen.ast_core import BOOL, INT, Decl, Expr, IntLit, iter_nodes
+from uclgen.ast_core import BOOL, INT, Decl, Expr, iter_nodes
 from uclgen.constraints import (
     Eq,
     WEIGHT_MODES,

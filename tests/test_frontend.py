@@ -80,7 +80,8 @@ def test_parse_records_error_regions_but_keeps_going():
     assert ast.error_nodes
     p, _ = prune_to_child(ast)
     assert [d.name for d in p.locals] == ["x"]
-    assert len(p.init_body) == 1
+    # the unparseable line leaves a statement hole in its place
+    assert [type(s) for s in p.init_body] == [HoleStmt, Assign]
 
 
 def test_parse_handles_docstrings_and_comments():
@@ -142,6 +143,46 @@ def test_prune_unparseable_type_becomes_hole_type():
     p, rep = pruned(src)
     assert isinstance(p.locals[0].annot, HoleType)
     assert rep.holes_inserted
+
+
+def test_prune_unparseable_lines_become_recorded_holes():
+    src = (
+        "class M(Module):\n"
+        "    def locals(self):\n"
+        "        self.x = int\n"
+        "        self.y = int $\n"
+        "    def next(self):\n"
+        "        self.x = self.x +\n"
+        "    def specification(self):\n"
+        "        return $$\n"
+    )
+    p, rep = pruned(src)
+    assert isinstance(p.locals[1], HoleDecl)
+    assert [type(s) for s in p.next_body] == [HoleStmt]
+    [(name, inv)] = p.invariants_spec
+    assert name == "spec0" and isinstance(inv, HoleExpr)
+    assert [(h["category"], h["line"])
+            for h in rep.to_dict()["holes_inserted"]] == [
+        ("declaration", 4), ("statement", 6), ("invariant", 8)]
+    assert [hid for hid, _, _ in rep.holes_inserted] == [
+        p.locals[1].hid, p.next_body[0].hid, inv.hid]
+    assert count_holes(p) == 3
+
+
+def test_prune_report_lines_are_one_based():
+    src = (
+        "class M(Module):\n"
+        "    def locals(self):\n"
+        "        self.x = int\n"
+        "        self.y = foo(1)\n"
+        "    def next(self):\n"
+        "        self.x = bar(2)\n"
+        "        print(3)\n"
+    )
+    _, rep = pruned(src)
+    got = rep.to_dict()
+    assert [d["line"] for d in got["dropped"]] == [4, 6, 7]
+    assert [h["line"] for h in got["holes_inserted"]] == [4, 6]
 
 
 def test_prune_value_declaration_is_kept_as_decl_value():

@@ -6,11 +6,13 @@ from pathlib import Path
 import pytest
 
 from oracle_maxsmt import oracle_optimum, random_clause_set
-from uclgen.ast_core import BOOL, INT, REAL, ArrayType, BVType, EnumType
+from uclgen.ast_core import BOOL, INT, REAL, ArrayType, BVType, EnumType, TVar
 from uclgen.constraints import ClauseSet, Eq, HasTag, Lit
 from uclgen.constraints import Tester as CtorTester
 from uclgen.maxsmt import (
     Untypeable,
+    _Conflict,
+    _Theory,
     check_sat,
     emit_smtlib,
     solve_maxsmt,
@@ -108,6 +110,54 @@ def test_check_sat_disjunction_splits():
 
 
 # ---------------------------------------------------------------------------
+# The theory's per-root record: allowed constructors, required and
+# forbidden enum tags
+# ---------------------------------------------------------------------------
+
+def test_record_ground_int_with_a_required_tag_conflicts():
+    th = _Theory()
+    with pytest.raises(_Conflict):
+        th._narrow(INT, frozenset({"int"}), frozenset({"A"}), frozenset())
+
+
+def test_record_merging_disjoint_constructors_conflicts():
+    th = _Theory()
+    x, y = TVar(0), TVar(1)
+    for ctor in ("int", "bool", "real"):
+        th.assert_lit(Lit(CtorTester(ctor, x), positive=False))
+    for ctor in ("bv", "enum", "arr"):
+        th.assert_lit(Lit(CtorTester(ctor, y), positive=False))
+    with pytest.raises(_Conflict):
+        th.unify(x, y)
+
+
+def test_record_merging_a_required_and_a_forbidden_tag_conflicts():
+    th = _Theory()
+    x, y = TVar(0), TVar(1)
+    th.assert_lit(Lit(HasTag("A", x)))
+    th.assert_lit(Lit(HasTag("A", y), positive=False))
+    with pytest.raises(_Conflict):
+        th.unify(x, y)
+
+
+def test_record_five_negative_testers_force_the_last_scalar():
+    th = _Theory()
+    x = TVar(0)
+    for ctor in ("bool", "real", "bv", "enum", "arr"):
+        th.assert_lit(Lit(CtorTester(ctor, x), positive=False))
+    assert th.determined(x) == INT
+    assert th.forced([0]) == {0: INT}
+
+
+def test_record_binding_to_an_enum_without_a_required_tag_conflicts():
+    th = _Theory()
+    x = TVar(0)
+    th.assert_lit(Lit(HasTag("A", x)))
+    with pytest.raises(_Conflict):
+        th.unify(x, EnumType(("B",)))
+
+
+# ---------------------------------------------------------------------------
 # solve_maxsmt
 # ---------------------------------------------------------------------------
 
@@ -164,7 +214,6 @@ def test_unconstrained_variables_default_to_int():
     res = solve_maxsmt(cs)
     tid = cs.tvar(("var", "loose")).tid
     assert res.model[tid] == INT
-    assert tid in res.defaulted
 
 
 def test_forced_variables_are_reported():

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 from uclgen import pipeline
-from uclgen.llm import BackendError, MockBackend, ReplayBackend
+from uclgen.llm import MockBackend, ReplayBackend
 from uclgen.pipeline import (
     SCHEMA_VERSION,
     STATUS_BACKEND_ERROR,
@@ -54,6 +54,47 @@ def test_second_call_fills_holes():
     )
     assert out.status == STATUS_SUCCESS
     assert out.iterations == 2
+
+
+def test_unparseable_lines_are_sent_back_as_holes():
+    broken = (
+        "class Counter(Module):\n"
+        "    def locals(self):\n"
+        "        self.count = int\n"
+        "        self.step = int $\n"
+        "    def init(self):\n"
+        "        self.count = 0\n"
+        "    def next(self):\n"
+        "        self.count = self.count +\n"
+        "```\n"
+    )
+    fixed = CLEAN_RESPONSE.replace(
+        "        self.count = int\n",
+        "        self.count = int\n        self.step = int\n")
+    backend = MockBackend([broken, fixed])
+    out = run_pipeline("Model a counter.", backend)
+    assert out.status == STATUS_SUCCESS
+    assert backend.calls == 2
+    assert "var step : integer;" in out.uclid_text
+    assert "count = (count + 1);" in out.uclid_text
+
+
+def test_undeclared_havoc_target_is_declared_through_a_hole():
+    draft = (
+        "class M(Module):\n"
+        "    def locals(self):\n"
+        "        self.x = int\n"
+        "    def next(self):\n"
+        "        havoc(self.y)\n"
+        "```\n"
+    )
+    fixed = draft.replace("        self.x = int\n",
+                          "        self.x = int\n        self.y = bool\n")
+    backend = MockBackend([draft, fixed])
+    out = run_pipeline("Havoc a flag.", backend)
+    assert out.status == STATUS_SUCCESS
+    assert backend.calls == 2
+    assert "var y : boolean;" in out.uclid_text
 
 
 def test_iteration_limit_is_enforced():

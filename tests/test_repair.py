@@ -15,12 +15,12 @@ from uclgen.ast_core import (
     HoleType,
     TypeAnnot,
     count_holes,
+    undeclared_names,
 )
 from uclgen.constraints import generate_clauses
 from uclgen.frontend import parse_tolerant, prune_to_child
 from uclgen.maxsmt import solve_maxsmt
 from uclgen.repair import (
-    declared_names,
     holeify,
     model_repair,
     repair_round,
@@ -93,15 +93,29 @@ class M(Module):
     def next(self):
         self.x = self.ghost + self.other
 ''')
-    assert declared_names(p) == {"x"}
+    assert undeclared_names(p) == ["ghost", "other"]  # first-use order
     p2, synthesized = synthesize_decls(p)
-    assert synthesized == ("ghost", "other")  # first-use order
-    assert declared_names(p2) == {"x", "ghost", "other"}
+    assert synthesized == ("ghost", "other")
+    assert undeclared_names(p2) == []
     assert all(
         isinstance(d.annot, HoleType)
         for d in p2.locals
         if d.name in synthesized
     )
+
+
+def test_havoc_target_counts_as_a_use():
+    p = program_of('''
+class M(Module):
+    def locals(self):
+        self.x = int
+    def next(self):
+        havoc(self.y)
+        self.x = self.z
+''')
+    assert undeclared_names(p) == ["y", "z"]
+    _, synthesized = synthesize_decls(p)
+    assert synthesized == ("y", "z")
 
 
 def test_synthesize_decls_is_idempotent_when_complete():

@@ -70,6 +70,18 @@ def test_undeclared_variables_are_rejected():
         compile_program(p)
 
 
+def test_havoc_of_an_undeclared_variable_is_rejected():
+    p = program_of(
+        "class M(Module):\n"
+        "    def locals(self):\n"
+        "        self.x = int\n"
+        "    def next(self):\n"
+        "        havoc(self.ghost)\n"
+    )
+    with pytest.raises(CompileError, match="ghost"):
+        compile_program(p)
+
+
 def test_value_declarations_are_materialized():
     text = compiled(VALID_PROGRAMS["value_decls"])
     assert "var count : integer;" in text
