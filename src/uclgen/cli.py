@@ -105,9 +105,20 @@ def _add_backend_args(p: argparse.ArgumentParser) -> None:
     _add_weights_arg(p)
 
 
+def _read_file(path: str) -> str | None:
+    """The file's text, or None after printing why it cannot be read."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        print(f"cannot read {path}: {exc}", file=sys.stderr)
+        return None
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.task_file:
-        task = Path(args.task_file).read_text(encoding="utf-8")
+        task = _read_file(args.task_file)
+        if task is None:
+            return EXIT_USAGE
     elif args.task:
         task = args.task
     else:
@@ -137,10 +148,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    try:
-        text = Path(args.file).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"cannot read {args.file}: {exc}", file=sys.stderr)
+    text = _read_file(args.file)
+    if text is None:
         return EXIT_USAGE
     diags = validate_uclid(text)
     for d in diags:
@@ -168,10 +177,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_repair(args: argparse.Namespace) -> int:
-    try:
-        source = Path(args.file).read_text(encoding="utf-8")
-    except OSError as exc:
-        print(f"cannot read {args.file}: {exc}", file=sys.stderr)
+    source = _read_file(args.file)
+    if source is None:
         return EXIT_USAGE
     program, report = prune_to_child(parse_tolerant(source))
     if program.module_hole is not None:

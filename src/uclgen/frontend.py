@@ -3,9 +3,13 @@
 The surface syntax is an indentation-delimited, class-based scripting
 notation (a Python subset). `parse_tolerant` is total: anything it cannot
 parse becomes an error node and recovery re-synchronizes on the next line
-at the same or lower indentation. `prune_to_child` keeps the maximal
-subtree expressible in the module language, inserting holes in mandatory
-slots and dropping (and logging) everything else.
+at the same or lower indentation. A line holding a character outside the
+surface alphabet (an emoji, a stray `?`, a non-decimal digit such as `²`)
+is such an error node, so pruning turns it into a hole. `prune_to_child`
+keeps the maximal subtree expressible in the module language, inserting
+holes in mandatory slots and dropping (and logging) everything else. In
+`specification`, `return e` and `assert e` both state the invariant `e`;
+any other statement becomes a hole invariant.
 """
 
 from __future__ import annotations
@@ -107,7 +111,7 @@ def extract_code(llm_response: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Tokenizer
+# Lexer
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -117,102 +121,31 @@ class Tok:
     pos: int  # byte offset into the source
 
 
-_MULTI_OPS = ("**=", "//=", "==", "!=", "<=", ">=", "<<", ">>", "//", "**",
-              "??", "+=", "-=", "*=", "/=", "%=", "&=", "|=", "^=", "->")
-_SINGLE_OPS = "()[]{}:,.=+-*/%<>&|^~@;"
+# One token per match, tried in this order. Only decimal digits make a
+# number. NAME also admits a leading non-decimal digit such as `²`, which
+# the scan rejects: a name starts with a letter or `_`. A quoted string
+# ends on its line; an unterminated triple-quoted one matches OPEN, and
+# any other character that starts no token matches BAD.
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<NL>\n)
+  | (?P<SKIP>[ \t\r]+|\#[^\n]*)
+  | (?P<TRIPLE>'{3}.*?'{3}|"{3}.*?"{3})
+  | (?P<OPEN>'{3}|"{3})
+  | (?P<QUOTED>'(?:[^'\\\n]|\\[^\n])*'|"(?:[^"\\\n]|\\[^\n])*")
+  | (?P<FLOAT>\d*\.\d+)
+  | (?P<INT>\d+)
+  | (?P<NAME>[^\W\d]\w*)
+  | (?P<HOLE>\?\?)
+  | (?P<OP>\*\*=|//=|==|!=|<=|>=|<<|>>|//|\*\*|\+=|-=|\*=|/=|%=|&=|\|=|\^=|->
+          |[()\[\]{}:,.=+\-*/%<>&|^~@;])
+  | (?P<BAD>.)
+    """,
+    re.VERBOSE | re.DOTALL,
+)
+_ESCAPE_RE = re.compile(r"\\(.)")
 
-
-class _TokenError(Exception):
-    pass
-
-
-class _UnterminatedTriple(_TokenError):
-    """A triple-quoted string continues past the region being tokenized."""
-
-
-def _tokenize(source: str, start: int, end: int) -> list[Tok]:
-    """Tokenize one physical line region [start, end)."""
-    toks: list[Tok] = []
-    i = start
-    while i < end:
-        c = source[i]
-        if c in " \t\r\n":
-            i += 1
-            continue
-        if c == "#":
-            nl = source.find("\n", i, end)
-            if nl == -1:
-                break
-            i = nl + 1
-            continue
-        if c.isalpha() or c == "_":
-            j = i
-            while j < end and (source[j].isalnum() or source[j] == "_"):
-                j += 1
-            toks.append(Tok("NAME", source[i:j], i))
-            i = j
-            continue
-        if c.isdigit() or (c == "." and i + 1 < end and source[i + 1].isdigit()):
-            j = i
-            seen_dot = False
-            while j < end and (source[j].isdigit() or (source[j] == "." and not seen_dot)):
-                if source[j] == ".":
-                    # attribute access on an int literal is not a float
-                    if j + 1 >= end or not source[j + 1].isdigit():
-                        break
-                    seen_dot = True
-                j += 1
-            text = source[i:j]
-            toks.append(Tok("FLOAT" if "." in text else "INT", text, i))
-            i = j
-            continue
-        if c in "\"'":
-            quote = c
-            if source.startswith(quote * 3, i):
-                close = source.find(quote * 3, i + 3, end)
-                if close == -1:
-                    raise _UnterminatedTriple(f"unterminated string at {i}")
-                toks.append(Tok("STR", source[i + 3 : close], i))
-                i = close + 3
-                continue
-            j = i + 1
-            buf = []
-            closed = False
-            while j < end:
-                if source[j] == "\n":
-                    break
-                if source[j] == "\\" and j + 1 < end:
-                    buf.append(source[j + 1])
-                    j += 2
-                    continue
-                if source[j] == quote:
-                    closed = True
-                    j += 1
-                    break
-                buf.append(source[j])
-                j += 1
-            if not closed:
-                raise _TokenError(f"unterminated string at {i}")
-            toks.append(Tok("STR", "".join(buf), i))
-            i = j
-            continue
-        matched = False
-        for op in _MULTI_OPS:
-            if source.startswith(op, i):
-                toks.append(Tok("HOLE" if op == "??" else "OP", op, i))
-                i += len(op)
-                matched = True
-                break
-        if matched:
-            continue
-        if c == "?":
-            raise _TokenError(f"stray '?' at {i}")
-        if c in _SINGLE_OPS:
-            toks.append(Tok("OP", c, i))
-            i += 1
-            continue
-        raise _TokenError(f"unexpected character {c!r} at {i}")
-    return toks
+_ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "//=", "%=", "&=", "|=", "^=")
 
 
 @dataclass
@@ -220,68 +153,64 @@ class _Line:
     indent: int
     toks: list[Tok]
     span: Span
-    bad: bool = False  # tokenizer failed; treat as an error line
+    bad: bool = False  # an unknown character or an unterminated string
+    assign: int | None = None  # index of the first depth-0 `=` or `op=`
+
+
+def _line_end(source: str, pos: int) -> int:
+    end = source.find("\n", pos)
+    return len(source) if end < 0 else end
 
 
 def _logical_lines(source: str) -> list[_Line]:
-    """Split into logical lines; joins lines while brackets are open."""
+    """Tokenize in one forward scan. A logical line starts at a physical
+    line that is neither blank nor a comment, and ends at a newline where
+    no bracket is open. A bad character empties its logical line and ends
+    it at its physical line; an unterminated triple-quoted string makes
+    the rest of the source one bad line."""
     out: list[_Line] = []
-    phys: list[tuple[int, int, int]] = []  # (start, end, lineno)
-    pos = 0
-    lineno = 0
-    for raw in source.split("\n"):
-        phys.append((pos, pos + len(raw), lineno))
-        pos += len(raw) + 1
-        lineno += 1
-
-    i = 0
-    while i < len(phys):
-        start, end, ln = phys[i]
-        text = source[start:end]
+    start = lineno = 0
+    while start <= len(source):
+        text = source[start : _line_end(source, start)]
         stripped = text.strip()
         if not stripped or stripped.startswith("#"):
-            i += 1
+            start += len(text) + 1
+            lineno += 1
             continue
-        indent = 0
-        for ch in text:
-            if ch == " ":
-                indent += 1
-            elif ch == "\t":
-                indent += 4
-            else:
-                break
+        lead = text[: len(text) - len(text.lstrip(" \t"))]
+        indent = len(lead) + 3 * lead.count("\t")  # a tab counts as four
         toks: list[Tok] = []
-        bad = False
-        j = i
-        while True:
-            _, e2, _ = phys[j]
-            try:
-                toks = _tokenize(source, start, e2)
-                bad = False
-            except _UnterminatedTriple:
-                bad = True
-                if j + 1 < len(phys):
-                    j += 1
-                    continue
-                toks = []
+        depth, assign, bad = 0, None, False
+        pos = start
+        while pos < len(source):
+            m = _TOKEN_RE.match(source, pos)
+            kind, value = m.lastgroup, m.group()
+            if kind == "NL" and depth <= 0:
                 break
-            except _TokenError:
-                bad = True
-                toks = []
+            if kind in ("OPEN", "BAD") or (
+                    kind == "NAME" and not (value[0].isalpha() or value[0] == "_")):
+                toks, assign, bad = [], None, True
+                pos = len(source) if kind == "OPEN" else _line_end(source, pos)
                 break
-            depth = 0
-            for t in toks:
-                if t.kind == "OP" and t.value in "([{":
+            if kind == "TRIPLE":
+                kind, value = "STR", value[3:-3]
+            elif kind == "QUOTED":
+                kind, value = "STR", _ESCAPE_RE.sub(r"\1", value[1:-1])
+            elif kind == "OP":
+                if value in ("(", "[", "{"):
                     depth += 1
-                elif t.kind == "OP" and t.value in ")]}":
+                elif value in (")", "]", "}"):
                     depth -= 1
-            if depth <= 0 or j + 1 >= len(phys):
-                break
-            j += 1
-        last_end = phys[j][1]
-        span = Span(start, last_end, ln, indent, phys[j][2], last_end - phys[j][0])
-        out.append(_Line(indent, toks, span, bad))
-        i = j + 1
+                elif depth == 0 and assign is None and value in _ASSIGN_OPS:
+                    assign = len(toks)
+            if kind not in ("NL", "SKIP"):
+                toks.append(Tok(kind, value, pos))
+            pos = m.end()
+        end_line = lineno + source.count("\n", start, pos)
+        span = Span(start, pos, lineno, indent, end_line,
+                    pos - source.rfind("\n", 0, pos) - 1)
+        out.append(_Line(indent, toks, span, bad, assign))
+        start, lineno = pos + 1, end_line + 1
     return out
 
 
@@ -488,8 +417,6 @@ def _parse_expr_tokens(toks: list[Tok]) -> PNode:
 # Statement / block parsing
 # ---------------------------------------------------------------------------
 
-_AUG_OPS = ("+=", "-=", "*=", "/=", "//=", "%=", "&=", "|=", "^=")
-
 # The deepest nesting of indented blocks (class, def, if, elif, else). A
 # level costs about four Python frames on top of a line's expression
 # nesting; an opener past it becomes an error node covering its body.
@@ -591,9 +518,9 @@ class _BlockParser:
         if head.kind == "STR" and len(toks) == 1:
             return PNode("docstring", text=head.value, span=line.span), i + 1
         # assignment, augmented assignment, or expression statement
-        eq = self._top_level_assign_index(toks)
-        if eq is not None:
-            idx, opval = eq
+        idx = line.assign
+        if idx is not None:
+            opval = toks[idx].value
             lhs = _parse_expr_tokens(toks[:idx])
             rhs = _parse_expr_tokens(toks[idx + 1 :])
             if opval == "=":
@@ -604,21 +531,6 @@ class _BlockParser:
 
     def _line_text(self, line: _Line) -> str:
         return self.source[line.span.start : line.span.end].strip()
-
-    def _top_level_assign_index(self, toks: list[Tok]):
-        depth = 0
-        for idx, t in enumerate(toks):
-            if t.kind != "OP":
-                continue
-            if t.value in "([{":
-                depth += 1
-            elif t.value in ")]}":
-                depth -= 1
-            elif depth == 0 and t.value == "=" :
-                return idx, "="
-            elif depth == 0 and t.value in _AUG_OPS:
-                return idx, t.value
-        return None
 
     def _body_indent(self, i: int) -> int:
         line = self.lines[i]
@@ -707,6 +619,15 @@ class PruneReport:
         }
 
 
+def _int_literal(text: str) -> int | None:
+    """The value of a decimal literal, or None for one longer than Python
+    converts (`sys.get_int_max_str_digits`)."""
+    try:
+        return int(text)
+    except ValueError:
+        return None
+
+
 class _Pruner:
     def __init__(self, ast: ParentAst):
         self.ast = ast
@@ -788,16 +709,14 @@ class _Pruner:
         for stmt in method.children[1].children:
             if stmt.kind in ("pass", "docstring"):
                 continue
-            if stmt.kind == "return" and stmt.children:
-                out.append(
-                    (f"spec{len(out)}", self._expr(stmt.children[0]))
-                )
-            elif stmt.kind == "error":
-                self.drop(stmt, "unparseable")
-                hid = self.fresh_hole("invariant", stmt.span)
-                out.append((f"spec{len(out)}", HoleExpr(hid, span=stmt.span)))
+            if stmt.kind in ("return", "assert_stmt") and stmt.children:
+                prop = self._expr(stmt.children[0])
             else:
-                self.drop(stmt, "specification must return a property")
+                self.drop(stmt, "unparseable" if stmt.kind == "error"
+                          else "specification must return or assert a property")
+                prop = HoleExpr(self.fresh_hole("invariant", stmt.span),
+                                span=stmt.span)
+            out.append((f"spec{len(out)}", prop))
         return tuple(out)
 
     def _find_module_class(self) -> PNode | None:
@@ -868,8 +787,8 @@ class _Pruner:
             fn = node.children[0].text
             args = node.children[1:]
             if fn == "BitVector" and len(args) == 1 and args[0].kind == "int":
-                width = int(args[0].text)
-                return BVType(width) if width >= 1 else None
+                width = _int_literal(args[0].text)
+                return BVType(width) if width is not None and width >= 1 else None
             if fn == "Enum" and args and all(a.kind == "str" for a in args):
                 tags = [a.text for a in args]
                 if len(set(tags)) != len(tags):
@@ -981,7 +900,8 @@ class _Pruner:
         if k == "hole":
             return HoleExpr(self.carried_hole(), span=node.span)
         if k == "int":
-            return IntLit(int(node.text), span=node.span)
+            value = _int_literal(node.text)
+            return None if value is None else IntLit(value, span=node.span)
         if k == "float":
             return RealLit(float(node.text), span=node.span)
         if k == "bool":
@@ -1018,9 +938,11 @@ class _Pruner:
             fn = node.children[0].text
             args = node.children[1:]
             if fn == "BV" and len(args) == 2 and args[0].kind == "int" \
-                    and args[1].kind == "int" and int(args[1].text) >= 1:
-                return BVLit(int(args[0].text), int(args[1].text),
-                             span=node.span)
+                    and args[1].kind == "int":
+                value = _int_literal(args[0].text)
+                width = _int_literal(args[1].text)
+                if value is not None and width is not None and width >= 1:
+                    return BVLit(value, width, span=node.span)
             return None
         return None
 

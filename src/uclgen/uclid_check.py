@@ -124,6 +124,14 @@ _BINOPS = {
 MAX_NESTING = 100
 
 
+def _int(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # past Python's int-string digit limit
+        raise UclidParseError(
+            f"integer literal of {len(text)} digits is too long") from None
+
+
 class _Parser:
     def __init__(self, toks: list[tuple[str, str]]):
         self.toks = toks
@@ -309,7 +317,7 @@ class _Parser:
             raise UclidParseError(f"expected a type, got {value!r}")
         m = re.fullmatch(r"bv(\d+)", value)
         if m:
-            return BVType(int(m.group(1)))
+            return BVType(_int(m.group(1)))
         return SynonymType(value)
 
     # -- expressions ------------------------------------------------------------
@@ -374,9 +382,9 @@ class _Parser:
             return e
         if kind == "bv":
             v, w = value.split("bv")
-            return BVLit(int(v), int(w))
+            return BVLit(_int(v), _int(w))
         if kind == "int":
-            return IntLit(int(value))
+            return IntLit(_int(value))
         if kind == "real":
             return RealLit(float(value))
         if value == "true":

@@ -56,6 +56,28 @@ def test_check_missing_file_is_usage_error(tmp_path):
     assert main(["check", str(tmp_path / "nope.ucl")]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize("command", [
+    ["check"], ["repair"], ["run", "--backend", "mock", "--task-file"],
+], ids=["check", "repair", "run"])
+@pytest.mark.parametrize("content", [None, b"\xff\xfe not utf-8\n"],
+                         ids=["missing", "not-utf-8"])
+def test_unreadable_file_is_usage_error(tmp_path, capsys, command, content):
+    path = tmp_path / "input.txt"
+    if content is not None:
+        path.write_bytes(content)
+    assert main([*command, str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"cannot read {path}")
+
+
+def test_check_overlong_literal_is_parse_error(tmp_path, capsys):
+    f = tmp_path / "long.ucl"
+    f.write_text(GOOD_UCLID.replace("x = 0;", f"x = {'9' * 5000};"),
+                 encoding="utf-8")
+    assert main(["check", str(f)]) == EXIT_FAILED
+    assert capsys.readouterr().out.startswith("parse-error: ")
+
+
 def test_run_with_mock_backend(tmp_path, capsys):
     responses = tmp_path / "responses.json"
     responses.write_text(json.dumps([CLEAN_RESPONSE]), encoding="utf-8")
@@ -165,6 +187,22 @@ def test_repair_reports_one_based_lines(tmp_path, capsys):
     assert [line.split(":")[0] for line in err] == [
         "dropped line 4", "dropped line 6", "dropped line 7",
         "hole at line 4", "hole at line 6"]
+
+
+def test_repair_non_decimal_digit_is_a_hole(tmp_path, capsys):
+    f = tmp_path / "prog.py"
+    f.write_text(
+        "class M(Module):\n"
+        "    def locals(self):\n"
+        "        self.x = BitVector(²)\n"
+        "    def init(self):\n"
+        "        self.x = BV(1, ²)\n",
+        encoding="utf-8",
+    )
+    assert main(["repair", str(f)]) == EXIT_OK
+    assert capsys.readouterr().err.splitlines() == [
+        "dropped line 3: unparseable", "dropped line 5: unparseable",
+        "hole at line 3: declaration", "hole at line 5: statement"]
 
 
 def test_repair_uclid_flag_compiles(tmp_path, capsys):

@@ -14,6 +14,7 @@ from uclgen.ast_core import (
     HoleExpr,
     HoleStmt,
     HoleType,
+    Span,
     count_holes,
     iter_nodes,
     iter_pnodes,
@@ -26,6 +27,7 @@ from uclgen.frontend import (
     parse_tolerant,
     print_child,
     prune_to_child,
+    _logical_lines,
 )
 
 
@@ -110,6 +112,76 @@ def test_parse_joins_bracket_continuations():
     )
     p, _ = pruned(src)
     assert len(p.locals) == 1
+
+
+LEXER_CASES = {
+    "triple-quoted string across lines": ('x = """a\nb"""\ny', [
+        (0, [("NAME", "x", 0), ("OP", "=", 2), ("STR", "a\nb", 4)],
+         Span(0, 13, 0, 0, 1, 4), False),
+        (0, [("NAME", "y", 14)], Span(14, 15, 2, 0, 2, 1), False),
+    ]),
+    "unterminated triple-quoted string": ('x = 1\ny = """abc\nz = 2', [
+        (0, [("NAME", "x", 0), ("OP", "=", 2), ("INT", "1", 4)],
+         Span(0, 5, 0, 0, 0, 5), False),
+        (0, [], Span(6, 22, 1, 0, 2, 5), True),
+    ]),
+    "backslash before a newline in a string": ("x = 'a\\\ny", [
+        (0, [], Span(0, 7, 0, 0, 0, 7), True),
+        (0, [("NAME", "y", 8)], Span(8, 9, 1, 0, 1, 1), False),
+    ]),
+    "bracket across a comment line": ("f(1,\n# note\n2)\ny", [
+        (0, [("NAME", "f", 0), ("OP", "(", 1), ("INT", "1", 2), ("OP", ",", 3),
+             ("INT", "2", 12), ("OP", ")", 13)],
+         Span(0, 14, 0, 0, 2, 2), False),
+        (0, [("NAME", "y", 15)], Span(15, 16, 3, 0, 3, 1), False),
+    ]),
+    "stray closing bracket": ("x = )\ny", [
+        (0, [("NAME", "x", 0), ("OP", "=", 2), ("OP", ")", 4)],
+         Span(0, 5, 0, 0, 0, 5), False),
+        (0, [("NAME", "y", 6)], Span(6, 7, 1, 0, 1, 1), False),
+    ]),
+    "number forms": ("1.2.3 12. .5", [
+        (0, [("FLOAT", "1.2", 0), ("FLOAT", ".3", 3), ("INT", "12", 6),
+             ("OP", ".", 8), ("FLOAT", ".5", 10)],
+         Span(0, 12, 0, 0, 0, 12), False),
+    ]),
+    "operators and holes": ("x **= y <<= ??\n?", [
+        (0, [("NAME", "x", 0), ("OP", "**=", 2), ("NAME", "y", 6),
+             ("OP", "<<", 8), ("OP", "=", 10), ("HOLE", "??", 12)],
+         Span(0, 14, 0, 0, 0, 14), False),
+        (0, [], Span(15, 16, 1, 0, 1, 1), True),
+    ]),
+    "non-ASCII letters": ("é世 = 1", [
+        (0, [("NAME", "é世", 0), ("OP", "=", 3), ("INT", "1", 5)],
+         Span(0, 6, 0, 0, 0, 6), False),
+    ]),
+    "emoji": ("x = \U0001f600\ny", [
+        (0, [], Span(0, 5, 0, 0, 0, 5), True),
+        (0, [("NAME", "y", 6)], Span(6, 7, 1, 0, 1, 1), False),
+    ]),
+    "form feed line": ("\x0c\nx", [
+        (0, [("NAME", "x", 2)], Span(2, 3, 1, 0, 1, 1), False),
+    ]),
+    "tab indent": ("\tx = 1", [
+        (4, [("NAME", "x", 1), ("OP", "=", 3), ("INT", "1", 5)],
+         Span(0, 6, 0, 4, 0, 6), False),
+    ]),
+    "decimal digits beyond ASCII": ("x = ١٢", [
+        (0, [("NAME", "x", 0), ("OP", "=", 2), ("INT", "١٢", 4)],
+         Span(0, 6, 0, 0, 0, 6), False),
+    ]),
+    "non-decimal digit": ("x = ²\ny", [
+        (0, [], Span(0, 5, 0, 0, 0, 5), True),
+        (0, [("NAME", "y", 6)], Span(6, 7, 1, 0, 1, 1), False),
+    ]),
+}
+
+
+@pytest.mark.parametrize("source,lines", LEXER_CASES.values(), ids=LEXER_CASES)
+def test_lexer_edge_cases(source, lines):
+    got = [(line.indent, [(t.kind, t.value, t.pos) for t in line.toks],
+            line.span, line.bad) for line in _logical_lines(source)]
+    assert got == lines
 
 
 def test_no_module_class_reports_module_hole():
@@ -270,6 +342,50 @@ def test_prune_specification_collects_invariants():
     )
     p, _ = pruned(src)
     assert [name for name, _ in p.invariants_spec] == ["spec0", "spec1"]
+
+
+def test_prune_specification_statement_becomes_invariant_hole():
+    src = (
+        "class M(Module):\n"
+        "    def locals(self):\n"
+        "        self.y = int\n"
+        "    def specification(self):\n"
+        "        self.y = 1\n"
+    )
+    p, rep = pruned(src)
+    assert [type(e) for _, e in p.invariants_spec] == [HoleExpr]
+    assert [(d["line"], d["reason"]) for d in rep.to_dict()["dropped"]] == [
+        (5, "specification must return or assert a property")]
+    assert [h["category"] for h in rep.to_dict()["holes_inserted"]] == [
+        "invariant"]
+
+
+@pytest.mark.parametrize("rhs", [
+    "9" * 5000, "BV(" + "9" * 5000 + ", 8)", "BV(1, " + "9" * 5000 + ")",
+], ids=["int", "bv-value", "bv-width"])
+def test_prune_overlong_literal_is_a_hole(rhs):
+    src = (
+        "class M(Module):\n"
+        "    def init(self):\n"
+        f"        self.x = {rhs}\n"
+    )
+    p, rep = pruned(src)
+    assert isinstance(p.init_body[0].rhs, HoleExpr)
+    assert [h["category"] for h in rep.to_dict()["holes_inserted"]] == [
+        "expression"]
+    assert len(rep.dropped) == 1
+
+
+def test_prune_overlong_bitvector_width_is_a_type_hole():
+    src = (
+        "class M(Module):\n"
+        "    def locals(self):\n"
+        f"        self.x = BitVector({'9' * 5000})\n"
+    )
+    p, rep = pruned(src)
+    assert isinstance(p.locals[0].annot, HoleType)
+    assert [h["category"] for h in rep.to_dict()["holes_inserted"]] == ["type"]
+    assert len(rep.dropped) == 1
 
 
 def test_prune_synonym_requires_prior_typedef():

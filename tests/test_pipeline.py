@@ -97,6 +97,42 @@ def test_undeclared_havoc_target_is_declared_through_a_hole():
     assert "var y : boolean;" in out.uclid_text
 
 
+@pytest.mark.parametrize("old,new", [
+    ("self.count = 0", "self.count = ²"),
+    ("self.count = int", "self.count = BitVector(²)"),
+    ("self.count = 0", "self.count = BV(1, ²)"),
+], ids=["statement", "bitvector-width", "bv-width"])
+def test_non_decimal_digit_line_is_sent_back_as_a_hole(old, new):
+    backend = MockBackend([CLEAN_RESPONSE.replace(old, new), CLEAN_RESPONSE])
+    out = run_pipeline("Model a counter.", backend)
+    assert out.status == STATUS_SUCCESS, out.diagnostics
+    assert backend.calls == 2
+
+
+def with_spec(response: str, *lines: str) -> str:
+    spec = "".join(f"        {line}\n" for line in lines)
+    return response.replace("```", "    def specification(self):\n" + spec
+                            + "```")
+
+
+def test_asserted_specification_is_an_invariant():
+    backend = MockBackend([with_spec(CLEAN_RESPONSE, "assert self.count >= 0")])
+    out = run_pipeline("Model a counter.", backend)
+    assert out.status == STATUS_SUCCESS
+    assert backend.calls == 1
+    assert "invariant spec0: (count >= 0);" in out.uclid_text
+
+
+def test_specification_statement_is_sent_back_as_a_hole():
+    draft = with_spec(CLEAN_RESPONSE, "self.count = 1")
+    fixed = with_spec(CLEAN_RESPONSE, "return self.count >= 0")
+    backend = MockBackend([draft, fixed])
+    out = run_pipeline("Model a counter.", backend)
+    assert out.status == STATUS_SUCCESS
+    assert backend.calls == 2
+    assert "invariant spec0: (count >= 0);" in out.uclid_text
+
+
 def test_iteration_limit_is_enforced():
     backend = MockBackend([HOLEY_RESPONSE] * 10)
     out = run_pipeline("Model a counter.", backend, max_llm_calls=5)

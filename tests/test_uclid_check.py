@@ -72,6 +72,18 @@ def test_parse_uclid_raises_on_garbage():
         parse_uclid("this is not a module")
 
 
+@pytest.mark.parametrize("literal", [
+    "9" * 5000, "9" * 5000 + "bv8", "1bv" + "9" * 5000,
+], ids=["int", "bv-value", "bv-width"])
+def test_overlong_integer_literal_is_a_parse_error(literal):
+    text = f"module main {{ var x : integer; init {{ x = {literal}; }} }}"
+    assert codes(text) == {"parse-error"}
+
+
+def test_overlong_bitvector_type_width_is_a_parse_error():
+    assert codes(f"module main {{ var x : bv{'9' * 5000}; }}") == {"parse-error"}
+
+
 def test_duplicate_declaration():
     text = GOOD.replace(
         "var count : integer;",
