@@ -5,10 +5,11 @@ testers and enum-tag membership. Each unbound union-find root keeps one
 record of what it may still be: the constructors left to it, the tags its
 enum must hold and the tags its enum must not hold. Testers, tag literals
 and unification all narrow a record in one place, `_Theory._narrow`, and
-the model reads it back. The solver is a branch and bound search
-over which soft clauses to falsify. `emit_smtlib` renders a clause set
-as SMT-LIB 2 with `assert-soft` weights, for inspection or for another
-MAX-SMT solver.
+the model reads it back. Satisfiability is a depth-first search in
+which each step copies a theory and asserts one literal of the next
+clause; over it, a branch and bound search picks the soft clauses to
+falsify. `emit_smtlib` renders a clause set as SMT-LIB 2 with
+`assert-soft` weights, for inspection or for another MAX-SMT solver.
 
 Optimum selection: minimal total weight of falsified soft clauses;
 ties go to the lexicographically smallest set of falsified clause
@@ -86,6 +87,12 @@ class _Theory:
         self.binding: dict[int, TypeTerm] = {}
         self.record: dict[int, tuple[frozenset, frozenset, frozenset]] = {}
         self.diseqs: list[tuple[TypeTerm, TypeTerm]] = []
+
+    def copy(self) -> _Theory:
+        th = _Theory()
+        th.parent, th.binding = dict(self.parent), dict(self.binding)
+        th.record, th.diseqs = dict(self.record), list(self.diseqs)
+        return th
 
     # -- union-find ---------------------------------------------------------
 
@@ -315,19 +322,8 @@ def _partial_ground(t, values, extra_root, extra_val):
     return t
 
 
-def _theory_of(lits: Sequence[Lit]) -> Optional[_Theory]:
-    th = _Theory()
-    try:
-        for lit in lits:
-            th.assert_lit(lit)
-        th.check_diseqs()
-    except _Conflict:
-        return None
-    return th
-
-
 # ---------------------------------------------------------------------------
-# Satisfiability of a clause set (DPLL over non-unit clauses)
+# Satisfiability of a clause set (depth-first search over non-unit clauses)
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -338,25 +334,26 @@ class SatResult:
     core: tuple[int, ...] = ()
 
 
-def _dpll(units: list[Lit], rest: list[Clause]) -> Optional[_Theory]:
-    th = _theory_of(units)
-    if th is None:
-        return None
-    if not rest:
-        return th
-    clause = rest[0]
-    for lit in clause.lits:
-        got = _dpll(units + [lit], rest[1:])
-        if got is not None:
-            return got
-    return None
-
-
 def _solve(clauses: Sequence[Clause]) -> Optional[_Theory]:
-    """A theory in which every clause holds, or None if there is none."""
+    """A theory in which every clause holds, or None if there is none: the
+    root asserts the unit clauses, and each depth-first step copies the
+    theory it extends and asserts one literal of the next non-unit clause."""
     units = [c.lits[0] for c in clauses if len(c.lits) == 1]
     rest = [c for c in clauses if len(c.lits) != 1]
-    return _dpll(units, rest)
+    stack = [(_Theory(), units, 0)]  # (base, literals, rest[:i] then held)
+    while stack:
+        base, lits, i = stack.pop()
+        th = base.copy()
+        try:
+            for lit in lits:
+                th.assert_lit(lit)
+            th.check_diseqs()
+        except _Conflict:
+            continue
+        if i == len(rest):
+            return th
+        stack.extend((th, (lit,), i + 1) for lit in reversed(rest[i].lits))
+    return None
 
 
 def _shrink_core(
@@ -449,25 +446,23 @@ def _solve_component(clauses: list[Clause]) -> tuple[tuple[int, ...], int, _Theo
     hards = [c for c in clauses if c.hard]
     best: Optional[tuple[int, tuple[int, ...], _Theory]] = None
     seen: set[frozenset[int]] = set()
-
-    def search(excluded: frozenset[int], cost: int) -> None:
-        nonlocal best
+    stack: list[tuple[frozenset[int], int]] = [(frozenset(), 0)]
+    while stack:  # depth first, a core's clauses in order
+        excluded, cost = stack.pop()
         if excluded in seen:
-            return
+            continue
         seen.add(excluded)
         if best is not None and cost > best[0]:
-            return
+            continue
         active = [c for c in softs if c.index not in excluded]
         th = _solve(hards + active)
         if th is not None:
             cand = (cost, tuple(sorted(excluded)))
-            if best is None or cand < (best[0], best[1]):
-                best = (cost, cand[1], th)
-            return
-        for c in _shrink_core(active, hards):
-            search(excluded | {c.index}, cost + c.weight)
-
-    search(frozenset(), 0)
+            if best is None or cand < best[:2]:
+                best = (*cand, th)
+            continue
+        stack.extend((excluded | {c.index}, cost + c.weight)
+                     for c in reversed(_shrink_core(active, hards)))
     return best[1], best[0], best[2]
 
 
