@@ -1,36 +1,48 @@
 """Brute-force oracle for the weighted partial MAX-SMT solver.
 
-The oracle enumerates total ground assignments over a fixed finite
+The oracle scores every total ground assignment over a fixed finite
 universe of type terms and reports the cheapest falsification pattern
 directly, without unification, cores, or branch and bound. The random
 clause generator below only emits constraint shapes for which the finite
 universe is as expressive as the unbounded term algebra, so the oracle
-optimum equals the true optimum:
+optimum equals the true optimum. The generator writes only the ground
+terms in ``GROUND`` and the tags in ``TAGS``, over at most ``MAX_TVARS``
+variables, with at most two negative equalities between variables per
+clause set. Take any assignment over the whole term algebra and group the
+variables into classes of equal value. A class whose value is in
+``GROUND`` keeps it. Any other class takes a witness with the same
+constructor and, for an enum, the same tags from ``TAGS``: ``BVType(5)``
+or ``BVType(6)``, one of two arrays, or the enum of its tags plus ``D`` or
+plus ``E``. No witness is in ``GROUND``, and no literal names ``D`` or
+``E``. At most two disequalities join the classes, so they form a forest,
+and two colours keep every joined pair of classes apart. Every literal the
+assignment satisfies then still holds: testers, tags and equalities with
+ground terms are kept exactly, equal variables stay equal and variables
+that must differ still differ.
 
-* every constructor class that can be forced apart by disequalities has
-  at least as many universe members as there can be mutually-disequal
-  variables (at most ``MAX_TVARS`` variables, and at most two negative
-  equality literals per clause set);
-* negative equalities never mention enum or array ground terms, and
-  arrays are not generated at all, so no constraint can demand a term
-  outside the universe;
-* at most two negative tag-membership literals appear per clause set,
-  and the universe carries every nonempty subset of the tag alphabet,
-  so excluded tags always leave a universe witness.
+The oracle is exhaustive but works on sets of assignments: for each
+literal, the assignments in which it holds are one bit mask, and the
+assignments are split by which soft clauses they falsify.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 from typing import Optional
 
-from uclgen.ast_core import BOOL, INT, REAL, BVType, EnumType, TypeTerm
-from uclgen.constraints import ClauseSet, Eq, HasTag, Lit, Tester, eval_clause
+from uclgen.ast_core import (
+    BOOL, INT, REAL, ArrayType, BVType, EnumType, TVar, TypeTerm,
+)
+from uclgen.constraints import (
+    Clause, ClauseSet, Eq, HasTag, Lit, Tester, eval_atom,
+)
 
 TAGS = ("A", "B", "C")
 
-UNIVERSE: tuple[TypeTerm, ...] = (
+#: the ground terms literals are built from
+GROUND: tuple[TypeTerm, ...] = (
     BOOL,
     INT,
     REAL,
@@ -46,9 +58,22 @@ UNIVERSE: tuple[TypeTerm, ...] = (
     EnumType(("A", "B", "C")),
 )
 
+#: GROUND and two witnesses outside it for each constructor and tag set
+UNIVERSE: tuple[TypeTerm, ...] = GROUND + (
+    BVType(5),
+    BVType(6),
+    ArrayType(INT, INT),
+    ArrayType(INT, BOOL),
+) + tuple(
+    EnumType(tags + (fresh,))
+    for fresh in ("D", "E")
+    for n in range(len(TAGS) + 1)
+    for tags in itertools.combinations(TAGS, n)
+)
+
 MAX_TVARS = 3
 
-#: generated tester constructors (arrays are excluded, see module doc)
+#: generated tester constructors
 _CTORS = ("bool", "int", "real", "bv", "enum")
 
 
@@ -63,7 +88,7 @@ def random_clause_set(rng: random.Random, max_soft: int = 14) -> ClauseSet:
         kind = rng.choice(("eq_ground", "eq_tvar", "tester", "tag"))
         negative = rng.random() < 0.3
         if kind == "eq_ground":
-            ground = rng.choice(UNIVERSE)
+            ground = rng.choice(GROUND)
             if negative:
                 if budget["neg_ground_eq"] == 0 or isinstance(ground, EnumType):
                     negative = False
@@ -105,23 +130,58 @@ def random_clause_set(rng: random.Random, max_soft: int = 14) -> ClauseSet:
     return cs
 
 
+# Assignments to n variables are numbered in `itertools.product` order over
+# UNIVERSE; bit k of a mask stands for assignment k.
+
+@functools.cache
+def _where(n: int, pos: int, value: int) -> int:
+    """The assignments in which variable `pos` of `n` takes UNIVERSE[value]."""
+    size = len(UNIVERSE)
+    run = size ** (n - 1 - pos)  # consecutive assignments sharing the value
+    period = run * size
+    repeats = size ** pos
+    block = ((1 << run) - 1) << (value * run)
+    return block * (((1 << period * repeats) - 1) // ((1 << period) - 1))
+
+
+@functools.cache
+def _holds(tids: tuple[int, ...], lit: Lit) -> int:
+    """The assignments to `tids` in which `lit` holds."""
+    atom = lit.atom
+    terms = (atom.left, atom.right) if isinstance(atom, Eq) else (atom.term,)
+    used = [i for i, tid in enumerate(tids) if TVar(tid) in terms]
+    mask = 0
+    for values in itertools.product(range(len(UNIVERSE)), repeat=len(used)):
+        assignment = {tids[i]: UNIVERSE[v] for i, v in zip(used, values)}
+        if eval_atom(lit.atom, assignment) == lit.positive:
+            where = (1 << len(UNIVERSE) ** len(tids)) - 1
+            for i, v in zip(used, values):
+                where &= _where(len(tids), i, v)
+            mask |= where
+    return mask
+
+
 def oracle_optimum(cs: ClauseSet) -> Optional[tuple[int, tuple[int, ...]]]:
     """(cost, lexicographically smallest falsified index tuple) over every
     universe assignment, or None when no assignment satisfies the hard
     clauses."""
-    tids = sorted(tv.tid for tv in cs.tvar_table.values())
-    hard = cs.hard
-    soft = cs.soft
-    best: Optional[tuple[int, tuple[int, ...]]] = None
-    for combo in itertools.product(UNIVERSE, repeat=len(tids)):
-        assignment = dict(zip(tids, combo))
-        if not all(eval_clause(c, assignment) for c in hard):
-            continue
-        falsified = tuple(
-            c.index for c in soft if not eval_clause(c, assignment)
-        )
-        cost = sum(c.weight for c in soft if c.index in set(falsified))
-        cand = (cost, falsified)
-        if best is None or cand < best:
-            best = cand
-    return best
+    tids = tuple(sorted(tv.tid for tv in cs.tvar_table.values()))
+
+    def satisfying(c: Clause) -> int:
+        return functools.reduce(int.__or__, (_holds(tids, l) for l in c.lits), 0)
+
+    allowed = (1 << len(UNIVERSE) ** len(tids)) - 1
+    for c in cs.hard:
+        allowed &= satisfying(c)
+    if not allowed:
+        return None
+    # the allowed assignments, split by the soft clauses they falsify
+    cells = [(allowed, ())]
+    for c in cs.soft:
+        sat = satisfying(c)
+        cells = [(part, falsified) for mask, fals in cells
+                 for part, falsified in ((mask & sat, fals),
+                                         (mask & ~sat, fals + (c.index,)))
+                 if part]
+    weight = {c.index: c.weight for c in cs.soft}
+    return min((sum(weight[i] for i in f), f) for _, f in cells)

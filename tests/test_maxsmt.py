@@ -7,8 +7,9 @@ import pytest
 
 from oracle_maxsmt import oracle_optimum, random_clause_set
 from uclgen.ast_core import BOOL, INT, REAL, ArrayType, BVType, EnumType, TVar
-from uclgen.constraints import ClauseSet, Eq, HasTag, Lit
+from uclgen.constraints import ClauseSet, Eq, HasTag, Lit, generate_clauses
 from uclgen.constraints import Tester as CtorTester
+from uclgen.frontend import parse_tolerant, prune_to_child
 from uclgen.maxsmt import (
     Untypeable,
     _Conflict,
@@ -18,6 +19,7 @@ from uclgen.maxsmt import (
     solve_maxsmt,
     verify_solution,
 )
+from uclgen.repair import synthesize_decls
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -264,6 +266,44 @@ def _assert_optimal(cs):
     assert check_sat(kept).sat
 
 
+@pytest.mark.parametrize("seed, max_soft, index", [
+    (1131, 10, 483), (7, 14, 768), (1131, 14, 653), (2, 14, 389),
+])
+def test_solver_matches_oracle_where_an_enum_needs_a_fresh_tag(
+        seed, max_soft, index):
+    # the optimum gives an enum the tags of another plus one no literal
+    # names; an oracle with enums over {A, B, C} only reports a dearer one
+    rng = random.Random(seed)
+    for _ in range(index + 1):
+        cs = random_clause_set(rng, max_soft=max_soft)
+    _assert_optimal(cs)
+
+
+def test_oracle_has_a_width_outside_the_ground_terms():
+    # v0 is a bit-vector apart from v1 = bv2, v2 = bv3 and bv4
+    cs = ClauseSet()
+    v0, v1, v2 = _vars(cs)
+    for i, lit in enumerate([
+        Lit(Eq(v1, BVType(2))), Lit(Eq(v2, BVType(3))),
+        Lit(Eq(v0, BVType(4)), positive=False),
+        Lit(Eq(v0, v1), positive=False), Lit(Eq(v0, v2), positive=False),
+        Lit(CtorTester("bv", v0)),
+    ]):
+        cs.add_soft([lit], 1, origin=i, label="t")
+    assert oracle_optimum(cs) == (0, ())
+    _assert_optimal(cs)
+
+
+def test_oracle_has_an_array():
+    cs = ClauseSet()
+    (v0,) = _vars(cs, 1)
+    for i, ctor in enumerate(("bool", "int", "real", "bv", "enum")):
+        cs.add_soft([Lit(CtorTester(ctor, v0), positive=False)], 1,
+                    origin=i, label="t")
+    assert oracle_optimum(cs) == (0, ())
+    _assert_optimal(cs)
+
+
 def test_model_sees_singleton_values_before_their_turn():
     # v1 = v2 and is-int(v2) make v1 an int; v0 is valued first and must
     # not take int, or v1 != v0 leaves v1 without a value
@@ -298,6 +338,74 @@ def test_model_with_singleton_values_on_a_random_set():
         cs.add_soft(lits, w, origin=len(cs.clauses), label="t")
     assert oracle_optimum(cs) == (7, (4,))
     _assert_optimal(cs)
+
+
+# ---------------------------------------------------------------------------
+# Search effort: theory literals asserted per clause
+# ---------------------------------------------------------------------------
+
+def _chain_source(n):
+    """`acc = a + 1 + b + ...` over integers: n terms, a third literals."""
+    terms = [("self.a", "self.b")[i % 2] for i in range(n - n // 3)]
+    terms += [str(1 + i % 9) for i in range(n // 3)]
+    random.Random(n).shuffle(terms)
+    return "\n".join([
+        "class Chain(Module):",
+        "    def locals(self):",
+        "        self.acc = int", "        self.a = int", "        self.b = int",
+        "    def init(self):",
+        "        self.acc = 0", "        self.a = 0", "        self.b = 0",
+        "    def next(self):",
+        "        self.acc = " + " + ".join(terms),
+        "        self.a = self.a + 1",
+    ]) + "\n"
+
+
+def _nest_source(depth):
+    """`depth` nested `if`s on a counter around one assignment."""
+    ops = ("<", ">", "<=", ">=", "!=")
+    body = [" " * (8 + 4 * i) + f"if self.ctr {ops[i % 5]} {7 * i % 100}:"
+            for i in range(depth)]
+    return "\n".join([
+        "class Nest(Module):",
+        "    def locals(self):",
+        "        self.ctr = int", "        self.hits = int",
+        "    def outputs(self):",
+        "        self.flag = bool",
+        "    def init(self):",
+        "        self.ctr = 0", "        self.hits = 0", "        self.flag = False",
+        "    def next(self):",
+        *body,
+        " " * (8 + 4 * depth) + "self.hits = self.hits + 1",
+        "        self.ctr = self.ctr + 1",
+        "        self.flag = self.hits > 3",
+        "    def specification(self):",
+        "        return self.hits >= 0",
+    ]) + "\n"
+
+
+@pytest.mark.parametrize("source", [
+    *(_chain_source(n) for n in (25, 50, 100, 200)),
+    *(_nest_source(d) for d in (10, 30, 60)),
+], ids=[*(f"chain{n}" for n in (25, 50, 100, 200)),
+        *(f"nest{d}" for d in (10, 30, 60))])
+def test_search_asserts_a_bounded_number_of_literals_per_clause(
+        monkeypatch, source):
+    program, _ = prune_to_child(parse_tolerant(source))
+    cs = generate_clauses(synthesize_decls(program)[0], "depth")
+    asserted = [0]
+    assert_lit = _Theory.assert_lit
+
+    def counting(self, lit):
+        asserted[0] += 1
+        assert_lit(self, lit)
+
+    monkeypatch.setattr(_Theory, "assert_lit", counting)
+    assert check_sat(cs.clauses).sat
+    assert asserted[0] <= len(cs.clauses)
+    asserted[0] = 0
+    assert solve_maxsmt(cs).falsified == ()
+    assert asserted[0] <= 2 * len(cs.clauses)
 
 
 # ---------------------------------------------------------------------------
