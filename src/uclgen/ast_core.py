@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import Iterator, Optional, Union
 
 
@@ -445,3 +446,10 @@ def format_type(t: TypeTerm) -> str:
     if isinstance(t, TVar):
         return f"?t{t.tid}"
     raise TypeError(f"unknown type term {t!r}")
+
+
+def format_real(value: float) -> str:
+    """Positional decimal spelling of a real literal, always with a `.`:
+    the shortest digits that read back as `value`, never an exponent."""
+    text = format(Decimal(repr(value)), "f")
+    return text if "." in text else text + ".0"

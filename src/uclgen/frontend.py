@@ -16,9 +16,11 @@ from __future__ import annotations
 
 import copy
 import functools
+import math
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 from .ast_core import (
     ArraySelect,
@@ -57,6 +59,7 @@ from .ast_core import (
     Unary,
     Binary,
     VarRef,
+    format_real,
     format_type,
     iter_pnodes,
     node_index,
@@ -628,6 +631,15 @@ def _int_literal(text: str) -> int | None:
         return None
 
 
+def _real_literal(text: str) -> float | None:
+    """The value of a decimal literal with a point, or None for one that no
+    float holds: past the largest, or nonzero and below the smallest."""
+    value = float(text)
+    if math.isinf(value) or (value == 0.0 and Decimal(text) != 0):
+        return None
+    return value
+
+
 class _Pruner:
     def __init__(self, ast: ParentAst):
         self.ast = ast
@@ -903,7 +915,8 @@ class _Pruner:
             value = _int_literal(node.text)
             return None if value is None else IntLit(value, span=node.span)
         if k == "float":
-            return RealLit(float(node.text), span=node.span)
+            value = _real_literal(node.text)
+            return None if value is None else RealLit(value, span=node.span)
         if k == "bool":
             return BoolLit(node.text == "True", span=node.span)
         if k == "str":
@@ -967,7 +980,7 @@ def print_expr(e: Expr) -> str:
     if isinstance(e, IntLit):
         return str(e.value)
     if isinstance(e, RealLit):
-        return repr(e.value)
+        return format_real(e.value)
     if isinstance(e, BVLit):
         return f"BV({e.value}, {e.width})"
     if isinstance(e, EnumLit):

@@ -44,6 +44,7 @@ from .ast_core import (
     Unary,
     VarRef,
     count_holes,
+    format_real,
     iter_nodes,
     map_children,
     undeclared_names,
@@ -245,7 +246,7 @@ def print_expr(e: Expr) -> str:
     if isinstance(e, IntLit):
         return str(e.value)
     if isinstance(e, RealLit):
-        return repr(e.value)
+        return format_real(e.value)
     if isinstance(e, BVLit):
         return f"{e.value}bv{e.width}"
     if isinstance(e, EnumLit):

@@ -1,5 +1,7 @@
 """Core AST utilities: traversal, node positions, and type terms."""
 
+import re
+
 import pytest
 
 from uclgen.ast_core import (
@@ -36,6 +38,7 @@ from uclgen.ast_core import (
     Unary,
     VarRef,
     count_holes,
+    format_real,
     format_type,
     iter_nodes,
     iter_pnodes,
@@ -129,6 +132,16 @@ def test_enum_type_sorts_tags_and_rejects_duplicates():
 def test_bv_width_must_be_positive():
     with pytest.raises(ValueError):
         BVType(0)
+
+
+@pytest.mark.parametrize("value", [
+    0.5, 1e-05, 12345678901234567.0, 1e16, 100.0, 0.0, 0.1 + 0.2,
+    5e-324, 1.7976931348623157e308,
+])
+def test_format_real_is_positional_and_reads_back(value):
+    text = format_real(value)
+    assert re.fullmatch(r"\d+\.\d+", text), text
+    assert float(text) == value
 
 
 def test_format_type_surface_spellings():

@@ -14,6 +14,7 @@ from uclgen.ast_core import (
     HoleExpr,
     HoleStmt,
     HoleType,
+    RealLit,
     Span,
     count_holes,
     iter_nodes,
@@ -376,6 +377,23 @@ def test_prune_overlong_literal_is_a_hole(rhs):
     assert len(rep.dropped) == 1
 
 
+@pytest.mark.parametrize("rhs", ["9" * 400 + ".5", "0." + "0" * 400 + "1"],
+                         ids=["overflow", "underflow"])
+def test_prune_real_literal_no_float_holds_is_a_hole(rhs):
+    src = (
+        "class M(Module):\n"
+        "    def init(self):\n"
+        f"        self.x = {rhs}\n"
+        "        self.y = 0.000\n"
+    )
+    p, rep = pruned(src)
+    assert isinstance(p.init_body[0].rhs, HoleExpr)
+    assert p.init_body[1].rhs == RealLit(0.0)
+    assert [h["category"] for h in rep.to_dict()["holes_inserted"]] == [
+        "expression"]
+    assert len(rep.dropped) == 1
+
+
 def test_prune_overlong_bitvector_width_is_a_type_hole():
     src = (
         "class M(Module):\n"
@@ -411,6 +429,19 @@ def test_print_child_is_prune_fixpoint_on_corpus(name):
     p, _ = pruned(VALID_PROGRAMS[name])
     text = print_child(p)
     p2, rep2 = prune_to_child(parse_tolerant(text))
+    assert print_child(p2) == text
+    assert not rep2.dropped
+
+
+@pytest.mark.parametrize("literal", [
+    "0.00001", "12345678901234567.0", ".5", "100.0", "0." + "0" * 300 + "1",
+])
+def test_print_child_real_literal_round_trips(literal):
+    src = f"class M(Module):\n    def init(self):\n        self.x = {literal}\n"
+    p, _ = pruned(src)
+    text = print_child(p)
+    p2, rep2 = pruned(text)
+    assert p2.init_body[0].rhs == p.init_body[0].rhs == RealLit(float(literal))
     assert print_child(p2) == text
     assert not rep2.dropped
 

@@ -109,6 +109,26 @@ def test_non_decimal_digit_line_is_sent_back_as_a_hole(old, new):
     assert backend.calls == 2
 
 
+REAL_RESPONSE = CLEAN_RESPONSE.replace("int", "real").replace(
+    "self.count = 0", "self.count = LITERAL").replace("+ 1", "+ 0.5")
+
+
+@pytest.mark.parametrize("literal, printed, calls", [
+    ("0.00001", "0.00001", 1),
+    ("12345678901234567.0", "12345678901234568.0", 1),
+    ("9" * 400 + ".5", "0.0", 2),
+    ("0." + "0" * 400 + "1", "0.0", 2),
+], ids=["small", "large", "overflow", "underflow"])
+def test_real_literals_compile_or_are_sent_back_as_holes(literal, printed,
+                                                          calls):
+    draft = REAL_RESPONSE.replace("LITERAL", literal)
+    backend = MockBackend([draft, REAL_RESPONSE.replace("LITERAL", "0.0")])
+    out = run_pipeline("Model a counter.", backend)
+    assert out.status == STATUS_SUCCESS, out.diagnostics
+    assert backend.calls == calls
+    assert f"count = {printed};" in out.uclid_text
+
+
 def with_spec(response: str, *lines: str) -> str:
     spec = "".join(f"        {line}\n" for line in lines)
     return response.replace("```", "    def specification(self):\n" + spec

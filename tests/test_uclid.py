@@ -162,6 +162,21 @@ def test_round_trip_corpus_compiles_and_validates(name):
     assert validate_uclid(text) == []
 
 
+def test_real_literals_print_positional():
+    text = compiled(
+        "class M(Module):\n"
+        "    def locals(self):\n"
+        "        self.x = real\n"
+        "    def init(self):\n"
+        "        self.x = 0.00001\n"
+        "    def next(self):\n"
+        "        self.x = 12345678901234567.0\n"
+    )
+    assert "x = 0.00001;" in text
+    assert "x = 12345678901234568.0;" in text
+    assert validate_uclid(text) == []
+
+
 @pytest.mark.parametrize("op,sym", [
     ("+", "+"), ("-", "-"), ("*", "*"), ("and", "&&"), ("or", "||"),
     ("bvand", "&"), ("bvor", "|"), ("concat", "++"),
