@@ -114,6 +114,21 @@ def _read_file(path: str) -> str | None:
         return None
 
 
+def _write_file(path: str, write) -> bool:
+    """Run `write(path)`; False after printing why the file cannot be
+    written."""
+    try:
+        write(path)
+    except OSError as exc:
+        print(f"uclgen: cannot write {path}: {exc}", file=sys.stderr)
+        return False
+    return True
+
+
+def _write_text(path: str, text: str) -> bool:
+    return _write_file(path, lambda p: Path(p).write_text(text, encoding="utf-8"))
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.task_file:
         task = _read_file(args.task_file)
@@ -133,15 +148,16 @@ def _cmd_run(args: argparse.Namespace) -> int:
         task, backend, max_llm_calls=args.max_llm_calls,
         weight_mode=args.weights,
     )
-    if transcript is not None:
-        transcript.save(args.record)
+    if transcript is not None and not _write_file(args.record, transcript.save):
+        return EXIT_USAGE
     for d in outcome.diagnostics:
         print(d, file=sys.stderr)
     if outcome.status != STATUS_SUCCESS:
         print(f"status: {outcome.status}", file=sys.stderr)
         return EXIT_FAILED
     if args.output:
-        Path(args.output).write_text(outcome.uclid_text, encoding="utf-8")
+        if not _write_text(args.output, outcome.uclid_text):
+            return EXIT_USAGE
     else:
         sys.stdout.write(outcome.uclid_text)
     return EXIT_OK
@@ -169,7 +185,8 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     )
     text = json.dumps(report, indent=2)
     if args.output:
-        Path(args.output).write_text(text + "\n", encoding="utf-8")
+        if not _write_text(args.output, text + "\n"):
+            return EXIT_USAGE
     else:
         print(text)
     ok = all(t["status"] == STATUS_SUCCESS for t in report["tasks"])

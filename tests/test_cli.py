@@ -70,6 +70,22 @@ def test_unreadable_file_is_usage_error(tmp_path, capsys, command, content):
     assert err.count("\n") == 1 and err.startswith(f"cannot read {path}")
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "Model a counter.", "--record"],
+    ["run", "Model a counter.", "-o"],
+    ["bench", "--suite", str(SUITE_PATH), "-o"],
+], ids=["run-record", "run-output", "bench-output"])
+def test_unwritable_file_is_usage_error(tmp_path, capsys, command):
+    responses = tmp_path / "responses.json"
+    responses.write_text(json.dumps([CLEAN_RESPONSE]), encoding="utf-8")
+    path = tmp_path / "missing" / "out.txt"
+    backend = ["--backend", "mock", "--responses", str(responses)]
+    argv = [*command, str(path), *(backend if command[0] == "run" else [])]
+    assert main(argv) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"uclgen: cannot write {path}")
+
+
 def test_check_overlong_literal_is_parse_error(tmp_path, capsys):
     f = tmp_path / "long.ucl"
     f.write_text(GOOD_UCLID.replace("x = 0;", f"x = {'9' * 5000};"),
