@@ -12,7 +12,6 @@ list. All calls can be recorded to a JSONL transcript.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import time
@@ -71,6 +70,10 @@ def holefill_prompt(task: str, code: str) -> str:
 
 
 def prompt_sha256(prompt: str) -> str:
+    # imported here: loading OpenSSL adds about 3.6 MiB of resident memory,
+    # and only recording and strict replay hash prompts
+    import hashlib
+
     return hashlib.sha256(prompt.encode("utf-8")).hexdigest()
 
 
