@@ -340,7 +340,7 @@ def _solve(clauses: Sequence[Clause]) -> Optional[_Theory]:
     theory it extends and asserts one literal of the next non-unit clause."""
     units = [c.lits[0] for c in clauses if len(c.lits) == 1]
     rest = [c for c in clauses if len(c.lits) != 1]
-    stack = [(_Theory(), units, 0)]  # (base, literals, rest[:i] then held)
+    stack = [(_Theory(), units, 0)]  # (theory, literals to add, rest[:i] holds)
     while stack:
         base, lits, i = stack.pop()
         th = base.copy()
