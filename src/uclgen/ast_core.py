@@ -17,14 +17,11 @@ from typing import Iterator, Optional, Union
 
 @dataclass(frozen=True)
 class Span:
-    """Byte range plus line/column pair for diagnostics."""
+    """Source range [start, end) in characters; lines are derived from the
+    source where a report needs them."""
 
     start: int = 0
     end: int = 0
-    line: int = 0
-    col: int = 0
-    end_line: int = 0
-    end_col: int = 0
 
 
 NO_SPAN = Span()

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 from typing import NoReturn
@@ -114,6 +115,28 @@ def _read_file(path: str) -> str | None:
         return None
 
 
+def _writable(path: str | None) -> bool:
+    """False after printing why `path` cannot be written: its directory
+    is missing or not writable, or it is a directory or an unwritable
+    file. Checked before any work, so a mistyped path costs no LLM call."""
+    if not path:
+        return True
+    target = Path(path)
+    folder = target.parent
+    if not folder.is_dir():
+        reason = f"no directory {str(folder)!r}"
+    elif not os.access(folder, os.W_OK):
+        reason = f"directory {str(folder)!r} is not writable"
+    elif target.is_dir():
+        reason = "it is a directory"
+    elif target.exists() and not os.access(target, os.W_OK):
+        reason = "the file is not writable"
+    else:
+        return True
+    print(f"uclgen: cannot write {path}: {reason}", file=sys.stderr)
+    return False
+
+
 def _write_file(path: str, write) -> bool:
     """Run `write(path)`; False after printing why the file cannot be
     written."""
@@ -138,6 +161,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
         task = args.task
     else:
         print("a task string or --task-file is required", file=sys.stderr)
+        return EXIT_USAGE
+    if not (_writable(args.record) and _writable(args.output)):
         return EXIT_USAGE
     backend = _build_backend(args)
     transcript = None
@@ -174,6 +199,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_bench(args: argparse.Namespace) -> int:
+    if not _writable(args.output):
+        return EXIT_USAGE
     try:
         suite = load_suite(args.suite)
     except (OSError, json.JSONDecodeError, KeyError) as exc:

@@ -172,13 +172,12 @@ def _logical_lines(source: str) -> list[_Line]:
     it at its physical line; an unterminated triple-quoted string makes
     the rest of the source one bad line."""
     out: list[_Line] = []
-    start = lineno = 0
+    start = 0
     while start <= len(source):
         text = source[start : _line_end(source, start)]
         stripped = text.strip()
         if not stripped or stripped.startswith("#"):
             start += len(text) + 1
-            lineno += 1
             continue
         lead = text[: len(text) - len(text.lstrip(" \t"))]
         indent = len(lead) + 3 * lead.count("\t")  # a tab counts as four
@@ -209,11 +208,8 @@ def _logical_lines(source: str) -> list[_Line]:
             if kind not in ("NL", "SKIP"):
                 toks.append(Tok(kind, value, pos))
             pos = m.end()
-        end_line = lineno + source.count("\n", start, pos)
-        span = Span(start, pos, lineno, indent, end_line,
-                    pos - source.rfind("\n", 0, pos) - 1)
-        out.append(_Line(indent, toks, span, bad, assign))
-        start, lineno = pos + 1, end_line + 1
+        out.append(_Line(indent, toks, Span(start, pos), bad, assign))
+        start = pos + 1
     return out
 
 
@@ -452,8 +448,7 @@ class _BlockParser:
             if node.kind in ("elif", "else") and nodes and nodes[-1].kind == "if":
                 nodes[-1] = PNode(
                     "if", nodes[-1].children + (node,), "",
-                    span=Span(nodes[-1].span.start, node.span.end,
-                              nodes[-1].span.line, nodes[-1].span.col),
+                    span=Span(nodes[-1].span.start, node.span.end),
                 )
             elif node.kind in ("elif", "else"):
                 nodes.append(self._as_error(node, "dangling elif/else"))
@@ -472,10 +467,8 @@ class _BlockParser:
     def _error_region(self, i: int, indent: int) -> PNode:
         j = self._skip_region(i, indent)
         last = self.lines[j - 1]
-        sp = Span(self.lines[i].span.start, last.span.end,
-                  self.lines[i].span.line, self.lines[i].span.col,
-                  last.span.end_line, last.span.end_col)
-        return PNode("error", span=sp)
+        return PNode("error",
+                     span=Span(self.lines[i].span.start, last.span.end))
 
     def _as_error(self, node: PNode, reason: str) -> PNode:
         return PNode("error", text=reason, span=node.span)
@@ -933,10 +926,15 @@ class _Pruner:
                 return None
             return Unary(op, operand, span=node.span)
         if k == "binop":
-            op = _BINOPS[node.text][0]
-            left = self._expr(node.children[0])
-            right = self._expr(node.children[1])
-            return Binary(op, left, right, span=node.span)
+            # down the left spine in a loop: no stack frame per chain link
+            spine = [node]
+            while spine[-1].children[0].kind == "binop":
+                spine.append(spine[-1].children[0])
+            e = self._expr(spine[-1].children[0])
+            for n in reversed(spine):
+                e = Binary(_BINOPS[n.text][0], e, self._expr(n.children[1]),
+                           span=n.span)
+            return e
         if k == "ifexp":
             body, cond, other = node.children
             return Ite(

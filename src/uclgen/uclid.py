@@ -7,7 +7,6 @@ separate so tests can compare against independently parsed modules.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 from .ast_core import (
@@ -29,12 +28,10 @@ from .ast_core import (
     Expr,
     Havoc,
     HoleDecl,
-    HoleStmt,
     If,
     IntLit,
     IntType,
     Ite,
-    Node,
     RealLit,
     RealType,
     Stmt,
@@ -46,7 +43,6 @@ from .ast_core import (
     count_holes,
     format_real,
     iter_nodes,
-    map_children,
     undeclared_names,
 )
 from .constraints import generate_clauses
@@ -75,8 +71,16 @@ UCLID_KEYWORDS = frozenset(
 )
 
 
+def uclid_name(name: str) -> str:
+    """How a module-language name is spelled in UCLID5: a reserved word
+    gets the suffix `_v`."""
+    return name + "_v" if name in UCLID_KEYWORDS else name
+
+
 @dataclass
 class UclidModule:
+    """A module in module-language names; `print_uclid` spells them."""
+
     name: str
     type_defs: list[tuple[str, TypeTerm]] = field(default_factory=list)
     vars: list[tuple[str, TypeTerm]] = field(default_factory=list)
@@ -92,13 +96,6 @@ class UclidModule:
 # ---------------------------------------------------------------------------
 # Lowering
 # ---------------------------------------------------------------------------
-
-def _safe_name(name: str, notes: list[str]) -> str:
-    if name in UCLID_KEYWORDS:
-        notes.append(f"renamed {name!r} to {name + '_v'!r} (reserved word)")
-        return name + "_v"
-    return name
-
 
 def _assigned_names(body) -> list[str]:
     """State variables written in a statement list, in appearance order."""
@@ -122,12 +119,7 @@ def lower(
     """Lower a hole-free program given the resolved type of every
     variable that was declared by value rather than by type."""
     notes: list[str] = []
-    renames: dict[str, str] = {}
-
-    def rename(name: str) -> str:
-        if name not in renames:
-            renames[name] = _safe_name(name, notes)
-        return renames[name]
+    renamed: set[str] = set()
 
     def decl_type(d: Decl) -> TypeTerm:
         if isinstance(d.annot, TypeAnnot):
@@ -145,24 +137,22 @@ def lower(
         for d in section:
             if isinstance(d, HoleDecl):
                 raise HoleRemaining(1)
-            out.append((rename(d.name), decl_type(d)))
+            spelled = uclid_name(d.name)
+            if spelled != d.name and d.name not in renamed:
+                renamed.add(d.name)
+                notes.append(
+                    f"renamed {d.name!r} to {spelled!r} (reserved word)")
+            out.append((d.name, decl_type(d)))
         return out
-
-    def ren(n: Node) -> Node:
-        if isinstance(n, HoleStmt):
-            raise HoleRemaining(1)
-        if isinstance(n, (VarRef, Havoc)):
-            return dataclasses.replace(n, name=rename(n.name))
-        return map_children(n, ren)
 
     m = UclidModule(name="main", notes=notes)
     m.type_defs = decls(program.type_defs)
     m.vars = decls(program.locals)
     m.inputs = decls(program.inputs)
     m.outputs = decls(program.outputs)
-    m.init_body = [ren(s) for s in program.init_body]
-    m.next_body = [ren(s) for s in program.next_body]
-    m.invariants = [(name, ren(e)) for name, e in program.invariants_spec]
+    m.init_body = list(program.init_body)
+    m.next_body = list(program.next_body)
+    m.invariants = list(program.invariants_spec)
     m.modifies = _assigned_names(m.next_body)
     return m
 
@@ -203,11 +193,11 @@ def print_type(t: TypeTerm) -> str:
     if isinstance(t, BVType):
         return f"bv{t.width}"
     if isinstance(t, EnumType):
-        return "enum { " + ", ".join(t.tags) + " }"
+        return "enum { " + ", ".join(map(uclid_name, t.tags)) + " }"
     if isinstance(t, ArrayType):
         return f"[{print_type(t.index)}]{print_type(t.elem)}"
     if isinstance(t, SynonymType):
-        return t.name
+        return uclid_name(t.name)
     raise CompileError(f"cannot print type {t!r}")
 
 
@@ -250,9 +240,9 @@ def print_expr(e: Expr) -> str:
     if isinstance(e, BVLit):
         return f"{e.value}bv{e.width}"
     if isinstance(e, EnumLit):
-        return e.tag
+        return uclid_name(e.tag)
     if isinstance(e, VarRef):
-        return e.name
+        return uclid_name(e.name)
     if isinstance(e, Unary):
         op = "!" if e.op == "not" else "-"
         return f"{op}({print_expr(e.operand)})"
@@ -277,7 +267,7 @@ def _print_stmt(s: Stmt, indent: int, out: list[str]) -> None:
     if isinstance(s, Assign):
         out.append(f"{pad}{print_expr(s.lhs)} = {print_expr(s.rhs)};")
     elif isinstance(s, Havoc):
-        out.append(f"{pad}havoc {s.name};")
+        out.append(f"{pad}havoc {uclid_name(s.name)};")
     elif isinstance(s, Assume):
         out.append(f"{pad}assume({print_expr(s.cond)});")
     elif isinstance(s, Assert):
@@ -313,12 +303,12 @@ def _print_if(s: If, indent: int, out: list[str]) -> None:
 def print_uclid(m: UclidModule) -> str:
     out: list[str] = [f"module {m.name} {{"]
     for name, ty in m.type_defs:
-        out.append(f"  type {name} = {print_type(ty)};")
+        out.append(f"  type {uclid_name(name)} = {print_type(ty)};")
     for kw, section in (
         ("var", m.vars), ("input", m.inputs), ("output", m.outputs)
     ):
         for name, ty in section:
-            out.append(f"  {kw} {name} : {print_type(ty)};")
+            out.append(f"  {kw} {uclid_name(name)} : {print_type(ty)};")
     out.append("")
     out.append("  init {")
     for s in m.init_body:
@@ -327,7 +317,7 @@ def print_uclid(m: UclidModule) -> str:
     out.append("")
     out.append("  procedure step()")
     for name in m.modifies:
-        out.append(f"    modifies {name};")
+        out.append(f"    modifies {uclid_name(name)};")
     out.append("  {")
     for s in m.next_body:
         _print_stmt(s, 2, out)

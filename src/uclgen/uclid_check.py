@@ -307,6 +307,8 @@ class _Parser:
             while self.accept(","):
                 tags.append(self.name())
             self.expect("}")
+            if len(set(tags)) != len(tags):
+                raise UclidParseError(f"enum lists a tag twice: {tags}")
             return EnumType(tuple(tags))
         if self.accept("["):
             idx = self.type_()
@@ -317,7 +319,10 @@ class _Parser:
             raise UclidParseError(f"expected a type, got {value!r}")
         m = re.fullmatch(r"bv(\d+)", value)
         if m:
-            return BVType(_int(m.group(1)))
+            width = _int(m.group(1))
+            if width < 1:
+                raise UclidParseError(f"bitvector type {value!r} has no bits")
+            return BVType(width)
         return SynonymType(value)
 
     # -- expressions ------------------------------------------------------------
@@ -442,6 +447,16 @@ TyTuple = tuple
 
 _NUMERIC = ("int", "real", "bv")
 
+# UCLID5 reserved words, kept apart from the compiler's list so that a
+# name the compiler forgets to respell is caught here
+_RESERVED = frozenset(
+    """module init next var input output type const function define
+    procedure returns modifies requires ensures call havoc assume assert
+    invariant property axiom control if else case esac for while skip
+    forall exists boolean integer real true false enum record instance
+    sharedvar synthesis grammar parameter group""".split()
+)
+
 
 class _Checker:
     def __init__(self, m: UclidModule):
@@ -475,8 +490,13 @@ class _Checker:
 
     # -- checks ------------------------------------------------------------
 
+    def reserved(self, what: str, name: str) -> None:
+        if name in _RESERVED:
+            self.err("reserved-word", f"{what} {name!r} is a reserved word")
+
     def run(self) -> list[Diagnostic]:
         for name, ty in self.m.type_defs:
+            self.reserved("type", name)
             if name in self.typedefs:
                 self.err("duplicate-type", f"type {name!r} declared twice")
             got = self.tuple_of(ty)
@@ -487,6 +507,7 @@ class _Checker:
             ("output", self.m.outputs),
         ):
             for name, ty in names:
+                self.reserved(section, name)
                 if name in self.env:
                     self.err(
                         "duplicate-declaration",
@@ -518,7 +539,9 @@ class _Checker:
     def _register_tags(self, ty: TyTuple) -> None:
         if ty[0] == "enum":
             for tag in ty[1:]:
-                if tag in self.enum_tags and self.enum_tags[tag] != ty:
+                if tag not in self.enum_tags:
+                    self.reserved("enum tag", tag)
+                elif self.enum_tags[tag] != ty:
                     self.err(
                         "ambiguous-tag",
                         f"enum tag {tag!r} belongs to two types",
@@ -629,7 +652,14 @@ class _Checker:
                 return None
             return ty
         if isinstance(e, Binary):
-            return self.binary_type(e)
+            # down the left spine in a loop: no stack frame per chain link
+            spine = [e]
+            while isinstance(spine[-1].left, Binary):
+                spine.append(spine[-1].left)
+            ty = self.expr_type(spine[-1].left)
+            for b in reversed(spine):
+                ty = self.binary_type(b.op, ty, self.expr_type(b.right))
+            return ty
         if isinstance(e, Ite):
             ct = self.expr_type(e.cond)
             if ct is not None and ct != ("bool",):
@@ -656,10 +686,8 @@ class _Checker:
         self.err("unsupported", f"unsupported expression {e!r}")
         return None
 
-    def binary_type(self, e: Binary) -> Optional[TyTuple]:
-        lt = self.expr_type(e.left)
-        rt = self.expr_type(e.right)
-        op = e.op
+    def binary_type(self, op: str, lt: Optional[TyTuple],
+                    rt: Optional[TyTuple]) -> Optional[TyTuple]:
         if lt is None or rt is None:
             return ("bool",) if op in (
                 "and", "or", "implies", "==", "!=", "<", "<=", ">", ">="

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from uclgen import pipeline
+from uclgen import cli, pipeline
 from uclgen.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, main
 
 SUITE_PATH = Path(__file__).parent / "data" / "suite" / "suite.json"
@@ -75,15 +75,20 @@ def test_unreadable_file_is_usage_error(tmp_path, capsys, command, content):
     ["run", "Model a counter.", "-o"],
     ["bench", "--suite", str(SUITE_PATH), "-o"],
 ], ids=["run-record", "run-output", "bench-output"])
-def test_unwritable_file_is_usage_error(tmp_path, capsys, command):
+def test_unwritable_file_is_usage_error(tmp_path, capsys, monkeypatch, command):
+    def never(*args, **kwargs):
+        raise AssertionError("the pipeline ran")
+
+    monkeypatch.setattr(cli, "run_pipeline", never)
+    monkeypatch.setattr(cli, "run_bench", never)
     responses = tmp_path / "responses.json"
     responses.write_text(json.dumps([CLEAN_RESPONSE]), encoding="utf-8")
-    path = tmp_path / "missing" / "out.txt"
     backend = ["--backend", "mock", "--responses", str(responses)]
-    argv = [*command, str(path), *(backend if command[0] == "run" else [])]
-    assert main(argv) == EXIT_USAGE
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith(f"uclgen: cannot write {path}")
+    for path in (tmp_path / "missing" / "out.txt", tmp_path):
+        argv = [*command, str(path), *(backend if command[0] == "run" else [])]
+        assert main(argv) == EXIT_USAGE
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith(f"uclgen: cannot write {path}")
 
 
 def test_check_overlong_literal_is_parse_error(tmp_path, capsys):

@@ -238,11 +238,53 @@ def chain_response(n: int) -> str:
     )
 
 
-@pytest.mark.parametrize("n", [42, 50, 80, 150])
+@pytest.mark.parametrize("n", [42, 50, 80, 150, 480, 900])
 def test_long_sum_chain_compiles_and_validates(n):
     out = run_pipeline("Sum a chain.", MockBackend([chain_response(n)]))
     assert out.status == STATUS_SUCCESS, out.diagnostics
     assert validate_uclid(out.uclid_text) == []
+
+
+KEYWORD_RESPONSES = {
+    "type synonym": (
+        "    def types(self):\n"
+        "        self.next = int\n"
+        "    def locals(self):\n"
+        "        self.x = self.next\n"
+        "    def init(self):\n"
+        "        self.x = 0\n",
+        ["type next_v = integer;", "var x : next_v;"],
+    ),
+    "enum tag": (
+        "    def locals(self):\n"
+        '        self.x = Enum("init", "go")\n'
+        "    def init(self):\n"
+        '        self.x = "init"\n'
+        "    def next(self):\n"
+        '        self.x = "go"\n',
+        ["var x : enum { go, init_v };", "x = init_v;"],
+    ),
+    "variable": (
+        "    def inputs(self):\n"
+        "        self.input = int\n"
+        "    def locals(self):\n"
+        "        self.x = int\n"
+        "    def next(self):\n"
+        "        self.x = self.input\n",
+        ["input input_v : integer;", "x = input_v;"],
+    ),
+}
+
+
+@pytest.mark.parametrize("body,lines", KEYWORD_RESPONSES.values(),
+                         ids=KEYWORD_RESPONSES)
+def test_reserved_words_are_respelled_everywhere(body, lines):
+    reply = "class M(Module):\n" + body + "```\n"
+    out = run_pipeline("Use a reserved word.", MockBackend([reply]))
+    assert out.status == STATUS_SUCCESS, out.diagnostics
+    assert validate_uclid(out.uclid_text) == []
+    for line in lines:
+        assert line in out.uclid_text
 
 
 def test_unmapped_exception_becomes_internal_error(monkeypatch):

@@ -3,7 +3,7 @@
 import pytest
 
 from corpus import VALID_PROGRAMS
-from uclgen.ast_core import Binary, VarRef
+from uclgen.ast_core import Binary, IntType, VarRef
 from uclgen.frontend import parse_tolerant, prune_to_child
 from uclgen.maxsmt import Untypeable
 from uclgen.uclid import (
@@ -96,10 +96,11 @@ def test_keyword_names_get_renamed_with_note():
         "    def init(self):\n"
         "        self.next = 0\n"
     ))
+    assert module.vars == [("next", IntType())]  # spelled by the printer
     text = print_uclid(module)
     assert "var next_v : integer;" in text
     assert "next_v = 0;" in text
-    assert module.notes
+    assert module.notes == ["renamed 'next' to 'next_v' (reserved word)"]
 
 
 def test_modifies_in_first_write_order():

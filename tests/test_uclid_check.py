@@ -5,8 +5,9 @@ import pytest
 from corpus import INVALID_PROGRAMS, VALID_PROGRAMS
 from uclgen.ast_core import Binary, Unary
 from uclgen.frontend import parse_tolerant, prune_to_child
-from uclgen.uclid import compile_program, lower, print_uclid
+from uclgen.uclid import UCLID_KEYWORDS, compile_program, lower, print_uclid
 from uclgen.uclid_check import (
+    _RESERVED,
     MAX_NESTING,
     UclidParseError,
     parse_uclid,
@@ -82,6 +83,32 @@ def test_overlong_integer_literal_is_a_parse_error(literal):
 
 def test_overlong_bitvector_type_width_is_a_parse_error():
     assert codes(f"module main {{ var x : bv{'9' * 5000}; }}") == {"parse-error"}
+
+
+@pytest.mark.parametrize("decl", [
+    "var x : enum { a, b, a };", "var x : bv0;",
+], ids=["duplicate-tag", "zero-width"])
+def test_unrepresentable_type_is_a_parse_error(decl):
+    assert codes(f"module main {{ {decl} }}") == {"parse-error"}
+
+
+@pytest.mark.parametrize("decl", [
+    "var next : integer;", "type input = integer;",
+    "var x : enum { go, init };", "output assume : boolean;",
+], ids=["var", "type", "enum-tag", "output"])
+def test_reserved_word_as_a_name(decl):
+    assert codes(f"module main {{ {decl} }}") == {"reserved-word"}
+
+
+def test_long_chain_is_typed_without_recursion():
+    chain = " + ".join(["x"] * 3000)
+    text = f"module main {{ var x : integer; init {{ x = {chain}; }} }}"
+    assert validate_uclid(text) == []
+    assert codes(text.replace(" + x;", " + true;")) == {"arith-mismatch"}
+
+
+def test_reserved_words_match_the_compiler():
+    assert _RESERVED == UCLID_KEYWORDS
 
 
 def test_duplicate_declaration():
