@@ -191,6 +191,15 @@ class Binary(Expr):
             raise ValueError(f"bad binary op {self.op!r}")
 
 
+def left_spine(e: Binary) -> list[Binary]:
+    """`e` and the Binary nodes down its left children, top first, so a
+    walker follows a left-nested chain in a loop, not a frame per link."""
+    spine = [e]
+    while isinstance(spine[-1].left, Binary):
+        spine.append(spine[-1].left)
+    return spine
+
+
 @dataclass(frozen=True)
 class Ite(Expr):
     cond: Expr

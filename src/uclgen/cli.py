@@ -203,7 +203,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
         return EXIT_USAGE
     try:
         suite = load_suite(args.suite)
-    except (OSError, json.JSONDecodeError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"cannot load suite {args.suite}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     report = run_bench(

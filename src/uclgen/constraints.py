@@ -62,6 +62,7 @@ from .ast_core import (
     VarRef,
     format_type,
     iter_nodes,
+    left_spine,
     node_index,
 )
 
@@ -478,9 +479,14 @@ class _Gen:
                 self.soft([Lit(Eq(t, to))], e, "S3:op")
                 self._numeric(t, e, "S3:op")
         elif isinstance(e, Binary):
-            self._expr(e.left)
-            self._expr(e.right)
-            self._binary(e, t, self._t(e.left), self._t(e.right))
+            spine = left_spine(e)
+            # the spine's type variables top-down, then the leaf's
+            for n in spine[1:]:
+                self._t(n)
+            self._expr(spine[-1].left)
+            for n in reversed(spine):
+                self._expr(n.right)
+                self._binary(n, self._t(n), self._t(n.left), self._t(n.right))
         elif isinstance(e, Ite):
             self._expr(e.cond)
             self._expr(e.then)

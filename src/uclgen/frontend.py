@@ -62,6 +62,7 @@ from .ast_core import (
     format_real,
     format_type,
     iter_pnodes,
+    left_spine,
     node_index,
 )
 
@@ -989,10 +990,14 @@ def print_expr(e: Expr) -> str:
         op = "not" if e.op == "not" else "-"
         return f"({op} {print_expr(e.operand)})"
     if isinstance(e, Binary):
-        surf = _EXPR_BINOP_SURFACE.get(e.op)
-        if surf is None:
-            raise ValueError(f"operator {e.op!r} has no surface form")
-        return f"({print_expr(e.left)} {surf} {print_expr(e.right)})"
+        spine = left_spine(e)
+        text = print_expr(spine[-1].left)
+        for n in reversed(spine):
+            surf = _EXPR_BINOP_SURFACE.get(n.op)
+            if surf is None:
+                raise ValueError(f"operator {n.op!r} has no surface form")
+            text = f"({text} {surf} {print_expr(n.right)})"
+        return text
     if isinstance(e, Ite):
         return f"({print_expr(e.then)} if {print_expr(e.cond)} else {print_expr(e.other)})"
     if isinstance(e, ArraySelect):

@@ -32,6 +32,7 @@ from .llm import (
     Backend,
     BackendError,
     ReplayBackend,
+    Transcript,
     holefill_prompt,
     initial_prompt,
 )
@@ -152,14 +153,30 @@ def _run(out: PipelineOutcome, task: str, backend: Backend,
 # ---------------------------------------------------------------------------
 
 def load_suite(path: str | Path) -> list[dict]:
-    """A suite file is JSON: [{"id": ..., "task": ..., "transcript": ...}].
-    Transcript paths are relative to the suite file."""
+    """A suite file is JSON: [{"id": ..., "task": ..., "transcript": ...}]
+    with string values. Transcript paths are relative to the suite file;
+    each entry comes back with its path resolved and the loaded transcript
+    under "replay". Raises OSError if the suite file cannot be read and
+    ValueError if it or a transcript is malformed."""
     path = Path(path)
     raw = json.loads(path.read_text(encoding="utf-8"))
+    if not isinstance(raw, list):
+        raise ValueError("a suite is a JSON list of entries")
     tasks = []
-    for entry in raw:
+    for i, entry in enumerate(raw):
+        if not isinstance(entry, dict) or not all(
+                isinstance(entry.get(k), str)
+                for k in ("id", "task", "transcript")):
+            raise ValueError(
+                f"entry {i} is not an object with string id, task and "
+                "transcript")
         entry = dict(entry)
         entry["transcript"] = str((path.parent / entry["transcript"]).resolve())
+        try:
+            entry["replay"] = Transcript.load(entry["transcript"])
+        except (OSError, ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"entry {i}: cannot load transcript: "
+                             f"{type(exc).__name__}: {exc}") from exc
         tasks.append(entry)
     return tasks
 
@@ -170,12 +187,13 @@ def run_bench(
     weight_mode: str = "depth",
     loose: bool = False,
 ) -> dict:
-    """Run every suite task against its recorded transcript and aggregate."""
+    """Run every `load_suite` task against its recorded transcript and
+    aggregate."""
     results = []
     repair_rounds: list[float] = []
     llm_times: list[float] = []
     for entry in suite:
-        backend = ReplayBackend.from_file(entry["transcript"], loose=loose)
+        backend = ReplayBackend(entry["replay"], loose=loose)
         t0 = time.monotonic()
         outcome = run_pipeline(
             entry["task"], backend, max_llm_calls, weight_mode

@@ -43,6 +43,7 @@ from .ast_core import (
     count_holes,
     format_real,
     iter_nodes,
+    left_spine,
     undeclared_names,
 )
 from .constraints import generate_clauses
@@ -72,9 +73,13 @@ UCLID_KEYWORDS = frozenset(
 
 
 def uclid_name(name: str) -> str:
-    """How a module-language name is spelled in UCLID5: a reserved word
-    gets the suffix `_v`."""
-    return name + "_v" if name in UCLID_KEYWORDS else name
+    """How a module-language name is spelled in UCLID5: one more `_v` if
+    the name is a reserved word once its trailing `_v`s are stripped, so
+    no spelling is reserved and no two names share one."""
+    base = name
+    while base.endswith("_v"):
+        base = base[:-2]
+    return name + "_v" if base in UCLID_KEYWORDS else name
 
 
 @dataclass
@@ -140,8 +145,9 @@ def lower(
             spelled = uclid_name(d.name)
             if spelled != d.name and d.name not in renamed:
                 renamed.add(d.name)
-                notes.append(
-                    f"renamed {d.name!r} to {spelled!r} (reserved word)")
+                why = "reserved word" if d.name in UCLID_KEYWORDS \
+                    else "keeps clear of a reserved word's spelling"
+                notes.append(f"renamed {d.name!r} to {spelled!r} ({why})")
             out.append((d.name, decl_type(d)))
         return out
 
@@ -247,11 +253,13 @@ def print_expr(e: Expr) -> str:
         op = "!" if e.op == "not" else "-"
         return f"{op}({print_expr(e.operand)})"
     if isinstance(e, Binary):
-        left = print_expr(e.left)
-        if isinstance(e.left, Binary) and e.left.op == e.op \
-                and e.op in _FLAT_LEFT:
-            left = left[1:-1]  # `(a + b) + c` prints as `(a + b + c)`
-        return f"({left} {_UCLID_BINOP[e.op]} {print_expr(e.right)})"
+        spine = left_spine(e)
+        text = print_expr(spine[-1].left)
+        for n in reversed(spine):
+            if n is not spine[-1] and n.left.op == n.op and n.op in _FLAT_LEFT:
+                text = text[1:-1]  # `(a + b) + c` prints as `(a + b + c)`
+            text = f"({text} {_UCLID_BINOP[n.op]} {print_expr(n.right)})"
+        return text
     if isinstance(e, Ite):
         return (
             f"ite({print_expr(e.cond)}, {print_expr(e.then)}, "

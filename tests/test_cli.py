@@ -261,3 +261,28 @@ def test_bad_backend_file_is_usage_error(tmp_path, capsys, backend, flag,
     assert exc.value.code == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and flag in err
+
+
+@pytest.mark.parametrize("suite,transcript", [
+    ({"id": "a"}, None),
+    ([1], None),
+    ([{"id": "a", "transcript": "counter.jsonl"}], None),
+    ([{"id": "a", "task": "t", "transcript": "missing.jsonl"}], None),
+    ([{"id": "a", "task": "t", "transcript": "t.jsonl"}], "not json\n"),
+], ids=["object", "not-an-entry", "no-task", "missing-transcript",
+        "not-json-lines"])
+def test_malformed_suite_is_usage_error(tmp_path, capsys, monkeypatch,
+                                        suite, transcript):
+    def never(*args, **kwargs):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(cli, "run_bench", never)
+    path = tmp_path / "suite.json"
+    path.write_text(json.dumps(suite), encoding="utf-8")
+    (tmp_path / "counter.jsonl").write_bytes(
+        (SUITE_PATH.parent / "counter.jsonl").read_bytes())
+    if transcript is not None:
+        (tmp_path / "t.jsonl").write_text(transcript, encoding="utf-8")
+    assert main(["bench", "--suite", str(path)]) == EXIT_USAGE
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"cannot load suite {path}")

@@ -238,7 +238,7 @@ def chain_response(n: int) -> str:
     )
 
 
-@pytest.mark.parametrize("n", [42, 50, 80, 150, 480, 900])
+@pytest.mark.parametrize("n", [42, 50, 80, 150, 480, 900, 2000])
 def test_long_sum_chain_compiles_and_validates(n):
     out = run_pipeline("Sum a chain.", MockBackend([chain_response(n)]))
     assert out.status == STATUS_SUCCESS, out.diagnostics
@@ -272,6 +272,24 @@ KEYWORD_RESPONSES = {
         "    def next(self):\n"
         "        self.x = self.input\n",
         ["input input_v : integer;", "x = input_v;"],
+    ),
+    "variable and its respelling": (
+        "    def locals(self):\n"
+        "        self.next = int\n"
+        "        self.next_v = bool\n"
+        "    def init(self):\n"
+        "        self.next = 0\n"
+        "        self.next_v = True\n",
+        ["var next_v : integer;", "var next_v_v : boolean;"],
+    ),
+    "enum tag and its respelling": (
+        "    def locals(self):\n"
+        '        self.x = Enum("init", "init_v")\n'
+        "    def init(self):\n"
+        '        self.x = "init"\n'
+        "    def next(self):\n"
+        '        self.x = "init_v"\n',
+        ["var x : enum { init_v, init_v_v };", "x = init_v_v;"],
     ),
 }
 

@@ -7,12 +7,14 @@ from uclgen.ast_core import Binary, IntType, VarRef
 from uclgen.frontend import parse_tolerant, prune_to_child
 from uclgen.maxsmt import Untypeable
 from uclgen.uclid import (
+    UCLID_KEYWORDS,
     CompileError,
     HoleRemaining,
     compile_program,
     lower,
     print_expr,
     print_uclid,
+    uclid_name,
 )
 from uclgen.uclid_check import parse_uclid, validate_uclid
 
@@ -101,6 +103,33 @@ def test_keyword_names_get_renamed_with_note():
     assert "var next_v : integer;" in text
     assert "next_v = 0;" in text
     assert module.notes == ["renamed 'next' to 'next_v' (reserved word)"]
+
+
+def test_name_respelled_clear_of_a_reserved_spelling_says_so():
+    module = compile_program(program_of(
+        "class M(Module):\n"
+        "    def locals(self):\n"
+        "        self.next = int\n"
+        "        self.next_v = bool\n"
+        "    def init(self):\n"
+        "        self.next = 0\n"
+        "        self.next_v = True\n"
+    ))
+    assert module.notes == [
+        "renamed 'next' to 'next_v' (reserved word)",
+        "renamed 'next_v' to 'next_v_v' (keeps clear of a reserved word's "
+        "spelling)",
+    ]
+
+
+def test_uclid_name_is_injective_and_never_reserved():
+    assert [uclid_name(n) for n in ("next", "next_v", "next_v_v", "x_v")] \
+        == ["next_v", "next_v_v", "next_v_v_v", "x_v"]
+    names = [n + suffix for n in [*UCLID_KEYWORDS, "x", "", "v", "nextv"]
+             for suffix in ("", "_v", "_v_v")]
+    spelled = [uclid_name(n) for n in names]
+    assert len(set(spelled)) == len(names)
+    assert not UCLID_KEYWORDS & set(spelled)
 
 
 def test_modifies_in_first_write_order():
