@@ -4,7 +4,8 @@ Subcommands:
   run     task text -> UCLID5 module, via an LLM backend
   check   validate an existing UCLID5 file
   bench   run a replay suite and report timing/rate aggregates
-  repair  one repair round over module-language source, no LLM involved
+  repair  one repair round over module-language source, no LLM involved;
+          with --smt2, the round's clause set as SMT-LIB 2 instead
 
 Exit codes: 0 on success, 1 when the work product is bad (pipeline did
 not converge, validation failed), 2 on usage or input errors.
@@ -19,7 +20,7 @@ import sys
 from pathlib import Path
 from typing import NoReturn
 
-from .constraints import WEIGHT_MODES
+from .constraints import WEIGHT_MODES, generate_clauses
 from .frontend import parse_tolerant, print_child, prune_to_child
 from .llm import (
     HttpBackend,
@@ -28,14 +29,14 @@ from .llm import (
     ReplayBackend,
     Transcript,
 )
-from .maxsmt import Untypeable
+from .maxsmt import Untypeable, emit_smtlib
 from .pipeline import (
     STATUS_SUCCESS,
     load_suite,
     run_bench,
     run_pipeline,
 )
-from .repair import repair_round
+from .repair import repair_round, synthesize_decls
 from .uclid import CompileError, compile_program, print_uclid
 from .uclid_check import validate_uclid
 
@@ -234,6 +235,11 @@ def _cmd_repair(args: argparse.Namespace) -> int:
     for item in pruned["holes_inserted"]:
         print(f"hole at line {item['line']}: {item['category']}",
               file=sys.stderr)
+    if args.smt2:
+        # the clause set the round solves first, for an external solver
+        cs = generate_clauses(synthesize_decls(program)[0], args.weights)
+        sys.stdout.write(emit_smtlib(cs))
+        return EXIT_OK
     outcome = repair_round(program, args.weights)
     if args.uclid:
         if outcome.holes_remaining:
@@ -283,9 +289,15 @@ def build_parser() -> argparse.ArgumentParser:
         "repair", help="repair module-language source without an LLM"
     )
     p_rep.add_argument("file")
-    p_rep.add_argument(
+    emit = p_rep.add_mutually_exclusive_group()
+    emit.add_argument(
         "--uclid", action="store_true",
         help="compile to UCLID5 when no holes remain",
+    )
+    emit.add_argument(
+        "--smt2", action="store_true",
+        help="print the round's MAX-SMT problem as SMT-LIB 2 with "
+        "assert-soft weights, after declaration synthesis",
     )
     _add_weights_arg(p_rep)
     p_rep.set_defaults(func=_cmd_repair)

@@ -8,7 +8,10 @@ and unification all narrow a record in one place, `_Theory._narrow`, and
 the model reads it back. Satisfiability is a depth-first search in
 which each step copies a theory and asserts one literal of the next
 clause; over it, a branch and bound search picks the soft clauses to
-falsify. `emit_smtlib` renders a clause set as SMT-LIB 2 with
+falsify. The search branches on minimal unsatisfiable cores, which
+QuickXplain extracts in a few solves, and keeps them: a node that has
+relaxed no clause of a known core branches on it without a solve.
+`emit_smtlib` renders a clause set as SMT-LIB 2 with
 `assert-soft` weights, for inspection or for another MAX-SMT solver.
 
 Optimum selection: minimal total weight of falsified soft clauses;
@@ -359,18 +362,41 @@ def _solve(clauses: Sequence[Clause]) -> Optional[_Theory]:
 def _shrink_core(
     candidates: Sequence[Clause], fixed: Sequence[Clause] = ()
 ) -> list[Clause]:
-    """Deletion-based shrink of `candidates` to a minimal subset that is
-    unsatisfiable together with `fixed` (assumes all of them together
-    are unsatisfiable)."""
-    core = list(candidates)
-    i = 0
-    while i < len(core):
-        trial = core[:i] + core[i + 1 :]
-        if _solve([*fixed, *trial]) is None:
-            core = trial
-        else:
-            i += 1
-    return core
+    """A minimal subset of `candidates` that is unsatisfiable together
+    with `fixed` (assumes all of them together are unsatisfiable), in
+    candidate order; [] when `fixed` alone is unsatisfiable.
+
+    QuickXplain (Junker, AAAI 2004) over the candidates in reverse order.
+    Its core keeps a candidate exactly when `fixed`, the kept candidates
+    before it and all candidates after it are satisfiable: the core that
+    deletion from the front keeps. A core of k out of n candidates costs
+    at most about 2k log2(n/k) + 2k solves, not n. Recursion depth is
+    ceil(log2 n) + 1.
+    """
+
+    def qx(base: list[Clause], grew: bool, order: list[int]) -> list[int]:
+        # the positions of a minimal subset of `order` that is
+        # unsatisfiable with `base`, preferring earlier positions; `base`
+        # is solved first only if it `grew` since a solve found it
+        # satisfiable (the top call's case is settled below)
+        if grew and _solve(base) is None:
+            return []
+        if len(order) == 1:
+            return order
+        first, second = order[: len(order) // 2], order[len(order) // 2 :]
+        kept2 = qx(base + [candidates[i] for i in first], True, second)
+        kept1 = qx(base + [candidates[i] for i in kept2], bool(kept2), first)
+        return kept1 + kept2
+
+    if not candidates:
+        return []
+    order = list(reversed(range(len(candidates))))
+    kept = qx(list(fixed), False, order)
+    # when `fixed` alone is unsatisfiable every solve fails and qx keeps
+    # its first clause only; one solve of `fixed` tells the two apart
+    if kept == order[:1] and fixed and _solve(fixed) is None:
+        return []
+    return [candidates[i] for i in sorted(kept)]
 
 
 def check_sat(clauses: Sequence[Clause]) -> SatResult:
@@ -436,16 +462,21 @@ def _solve_component(clauses: list[Clause]) -> tuple[tuple[int, ...], int, _Theo
     A falsified soft clause is simply dropped (not negated): the reported
     set is the cheapest set of soft clauses whose removal leaves the rest
     satisfiable, tie-broken by the lexicographically smallest sorted index
-    tuple. Whenever the active clauses are unsatisfiable, a minimal
-    unsatisfiable core is extracted and the search branches on dropping
-    each soft clause in the core; every minimal relaxation set hits every
-    core, so the search is complete. The hard clauses are satisfiable
-    (`solve_maxsmt` checks them first), so a best set always exists.
+    tuple. Whenever the active clauses are unsatisfiable, the search
+    branches on dropping each soft clause of a minimal unsatisfiable core;
+    every minimal relaxation set hits every core, so the search is
+    complete. Cores are kept: a node whose excluded set misses a known
+    core branches on that core without solving, since the core lies
+    wholly among the active clauses. Only a node that hits every known
+    core is solved, and shrunk to a new core when unsatisfiable. The
+    hard clauses are satisfiable (`solve_maxsmt` checks them first), so
+    a best set always exists.
     """
     softs = [c for c in clauses if not c.hard]
     hards = [c for c in clauses if c.hard]
     best: Optional[tuple[int, tuple[int, ...], _Theory]] = None
     seen: set[frozenset[int]] = set()
+    cores: list[list[Clause]] = []
     stack: list[tuple[frozenset[int], int]] = [(frozenset(), 0)]
     while stack:  # depth first, a core's clauses in order
         excluded, cost = stack.pop()
@@ -454,15 +485,20 @@ def _solve_component(clauses: list[Clause]) -> tuple[tuple[int, ...], int, _Theo
         seen.add(excluded)
         if best is not None and cost > best[0]:
             continue
-        active = [c for c in softs if c.index not in excluded]
-        th = _solve(hards + active)
-        if th is not None:
-            cand = (cost, tuple(sorted(excluded)))
-            if best is None or cand < best[:2]:
-                best = (*cand, th)
-            continue
+        core = next((k for k in cores
+                     if excluded.isdisjoint(c.index for c in k)), None)
+        if core is None:
+            active = [c for c in softs if c.index not in excluded]
+            th = _solve(hards + active)
+            if th is not None:
+                cand = (cost, tuple(sorted(excluded)))
+                if best is None or cand < best[:2]:
+                    best = (*cand, th)
+                continue
+            core = _shrink_core(active, hards)
+            cores.append(core)
         stack.extend((excluded | {c.index}, cost + c.weight)
-                     for c in reversed(_shrink_core(active, hards)))
+                     for c in reversed(core))
     return best[1], best[0], best[2]
 
 

@@ -23,6 +23,10 @@ that must differ still differ.
 The oracle is exhaustive but works on sets of assignments: for each
 literal, the assignments in which it holds are one bit mask, and the
 assignments are split by which soft clauses they falsify.
+
+``deletion_core`` is the reference for the solver's core shrinking: the
+plain deletion-based shrink, over the solver's own satisfiability check,
+one solve per candidate.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-from typing import Optional
+from typing import Optional, Sequence
 
 from uclgen.ast_core import (
     BOOL, INT, REAL, ArrayType, BVType, EnumType, TVar, TypeTerm,
@@ -38,6 +42,7 @@ from uclgen.ast_core import (
 from uclgen.constraints import (
     Clause, ClauseSet, Eq, HasTag, Lit, Tester, eval_atom,
 )
+from uclgen.maxsmt import _solve
 
 TAGS = ("A", "B", "C")
 
@@ -185,3 +190,19 @@ def oracle_optimum(cs: ClauseSet) -> Optional[tuple[int, tuple[int, ...]]]:
                  if part]
     weight = {c.index: c.weight for c in cs.soft}
     return min((sum(weight[i] for i in f), f) for _, f in cells)
+
+
+def deletion_core(candidates: Sequence[Clause],
+                  fixed: Sequence[Clause] = ()) -> list[Clause]:
+    """The minimal core that deletion from the front keeps: each candidate
+    in turn is left out when the rest, with `fixed`, stay unsatisfiable.
+    Assumes `candidates` and `fixed` together are unsatisfiable."""
+    core = list(candidates)
+    i = 0
+    while i < len(core):
+        trial = core[:i] + core[i + 1:]
+        if _solve([*fixed, *trial]) is None:
+            core = trial
+        else:
+            i += 1
+    return core

@@ -7,6 +7,10 @@ import pytest
 
 from uclgen import cli, pipeline
 from uclgen.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, main
+from uclgen.constraints import generate_clauses
+from uclgen.frontend import parse_tolerant, prune_to_child
+from uclgen.maxsmt import emit_smtlib
+from uclgen.repair import synthesize_decls
 
 SUITE_PATH = Path(__file__).parent / "data" / "suite" / "suite.json"
 
@@ -286,3 +290,44 @@ def test_malformed_suite_is_usage_error(tmp_path, capsys, monkeypatch,
     assert main(["bench", "--suite", str(path)]) == EXIT_USAGE
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith(f"cannot load suite {path}")
+
+
+SMT2_SOURCE = (
+    "class M(Module):\n"
+    "    def locals(self):\n"
+    "        self.x = int\n"
+    "    def init(self):\n"
+    "        self.x = True\n"
+    "        self.y = 0\n"
+    "    def next(self):\n"
+    "        self.x = self.x + self.y\n"
+)
+
+
+@pytest.mark.parametrize("weights", ["depth", "uniform"])
+def test_repair_smt2_prints_the_rounds_clause_set(tmp_path, capsys, weights):
+    # `y` is used but never declared: the clauses include its synthesized
+    # declaration
+    f = tmp_path / "prog.py"
+    f.write_text(SMT2_SOURCE, encoding="utf-8")
+    assert main(["repair", str(f), "--smt2", "--weights", weights]) == EXIT_OK
+    program = synthesize_decls(prune_to_child(parse_tolerant(SMT2_SOURCE))[0])[0]
+    expect = emit_smtlib(generate_clauses(program, weights))
+    out = capsys.readouterr().out
+    assert out == expect
+    assert "(assert-soft " in out
+
+
+def test_repair_smt2_and_uclid_together_is_usage_error(tmp_path):
+    f = tmp_path / "prog.py"
+    f.write_text(SMT2_SOURCE, encoding="utf-8")
+    with pytest.raises(SystemExit) as exc:
+        main(["repair", str(f), "--smt2", "--uclid"])
+    assert exc.value.code == EXIT_USAGE
+
+
+def test_repair_smt2_without_a_module_fails(tmp_path, capsys):
+    f = tmp_path / "prog.py"
+    f.write_text("x = 1\n", encoding="utf-8")
+    assert main(["repair", str(f), "--smt2"]) == EXIT_FAILED
+    assert capsys.readouterr().out == ""

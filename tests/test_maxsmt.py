@@ -5,7 +5,8 @@ from pathlib import Path
 
 import pytest
 
-from oracle_maxsmt import oracle_optimum, random_clause_set
+from oracle_maxsmt import deletion_core, oracle_optimum, random_clause_set
+from uclgen import maxsmt
 from uclgen.ast_core import BOOL, INT, REAL, ArrayType, BVType, EnumType, TVar
 from uclgen.constraints import ClauseSet, Eq, HasTag, Lit, generate_clauses
 from uclgen.constraints import Tester as CtorTester
@@ -14,6 +15,8 @@ from uclgen.maxsmt import (
     Untypeable,
     _Conflict,
     _Theory,
+    _shrink_core,
+    _solve,
     check_sat,
     emit_smtlib,
     solve_maxsmt,
@@ -344,11 +347,14 @@ def test_model_with_singleton_values_on_a_random_set():
 # Search effort: theory literals asserted per clause
 # ---------------------------------------------------------------------------
 
-def _chain_source(n):
-    """`acc = a + 1 + b + ...` over integers: n terms, a third literals."""
+def _chain_source(n, wrong=False):
+    """`acc = a + 1 + b + ...` over integers: n terms, a third literals;
+    with `wrong`, the last term is `True`."""
     terms = [("self.a", "self.b")[i % 2] for i in range(n - n // 3)]
     terms += [str(1 + i % 9) for i in range(n // 3)]
     random.Random(n).shuffle(terms)
+    if wrong:
+        terms[-1] = "True"
     return "\n".join([
         "class Chain(Module):",
         "    def locals(self):",
@@ -406,6 +412,132 @@ def test_search_asserts_a_bounded_number_of_literals_per_clause(
     asserted[0] = 0
     assert solve_maxsmt(cs).falsified == ()
     assert asserted[0] <= 2 * len(cs.clauses)
+
+
+# ---------------------------------------------------------------------------
+# Core shrinking and core reuse: solves per clause set
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("seed", [7, 1131])
+def test_shrink_core_keeps_the_core_deletion_keeps(seed):
+    rng = random.Random(seed)
+    compared = {"check_sat": 0, "hards fixed": 0}
+    for _ in range(1500):
+        cs = random_clause_set(rng, max_soft=10)
+        if _solve(cs.clauses) is not None:
+            continue
+        assert _shrink_core(cs.clauses) == deletion_core(cs.clauses)
+        compared["check_sat"] += 1
+        hards, softs = list(cs.hard), list(cs.soft)
+        if hards and _solve(hards) is not None:
+            got = _shrink_core(softs, hards)
+            assert got == deletion_core(softs, hards)
+            assert _solve(hards + got) is None
+            compared["hards fixed"] += 1
+    assert min(compared.values()) >= 100, compared
+
+
+def test_shrink_core_is_empty_when_the_fixed_clauses_conflict():
+    cs = cs_of([eq("y", INT)], [eq("y", BOOL)], [eq("z", REAL)],
+               hard=[[eq("x", INT)], [eq("x", BOOL)]])
+    hards, softs = list(cs.hard), list(cs.soft)
+    assert _shrink_core(softs, hards) == []
+    assert deletion_core(softs, hards) == []
+
+
+def _count_solves(monkeypatch):
+    calls = []
+    solve = maxsmt._solve
+
+    def counting(clauses):
+        calls.append(tuple(c.index for c in clauses))
+        return solve(clauses)
+
+    monkeypatch.setattr(maxsmt, "_solve", counting)
+    return calls
+
+
+def _clauses_of(source):
+    program, _ = prune_to_child(parse_tolerant(source))
+    return generate_clauses(synthesize_decls(program)[0], "depth")
+
+
+@pytest.mark.parametrize("n", [25, 50, 100, 200])
+def test_a_wrong_literal_in_a_chain_costs_a_bounded_number_of_solves(
+        monkeypatch, n):
+    # the core is the few clauses at the top of the chain; deletion solved
+    # the whole chain once per clause to find it: 196 / 362 / 696 / 1362
+    # solves, against 30 / 35 / 35 / 37
+    cs = _clauses_of(_chain_source(n, wrong=True))
+    calls = _count_solves(monkeypatch)
+    assert len(solve_maxsmt(cs).falsified) == 1
+    assert len(calls) <= 50
+
+
+_OTHER_TYPES = ("int", "real", "BitVector(4)", 'Enum("LO", "HI")')
+
+
+def _duplicates_source(k):
+    """`flag` declared k times: bool, then other types spread over the
+    inputs, outputs and locals sections."""
+    sections = {"locals": ["self.ctr = int", "self.flag = bool"],
+                "inputs": ["self.go = bool"], "outputs": ["self.out = bool"]}
+    for j, other in enumerate(_OTHER_TYPES[:k - 1]):
+        sections[("inputs", "outputs", "locals")[j % 3]].append(
+            f"self.flag = {other}")
+    sections["init"] = ["self.ctr = 0", "self.flag = False",
+                        "self.out = False"]
+    sections["next"] = ["if self.go:", "    self.ctr = self.ctr + 1",
+                        "self.flag = self.ctr > 5",
+                        "self.out = self.flag and self.go"]
+    lines = ["class Dups(Module):"]
+    for name, body in sections.items():
+        lines.append(f"    def {name}(self):")
+        lines += ["        " + stmt for stmt in body]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("k, solves, falsified", [
+    (2, 25, (5,)),
+    (3, 36, (5, 8)),
+    (4, 59, (3, 7, 10)),
+    (5, 99, (3, 7, 9, 12)),
+])
+def test_duplicate_declarations_cost_pinned_solves(
+        monkeypatch, k, solves, falsified):
+    # deletion with no core kept took 28 / 70 / 204 / 500 solves
+    cs = _clauses_of(_duplicates_source(k))
+    calls = _count_solves(monkeypatch)
+    assert solve_maxsmt(cs).falsified == falsified
+    assert len(calls) == solves
+
+
+def test_a_known_core_is_branched_on_without_a_solve(monkeypatch):
+    # x and y conflict apart; z = array(x, y) joins them in one component
+    cs = ClauseSet()
+    x, y, z = (cs.tvar(("var", n)) for n in "xyz")
+    cs.add_hard([Lit(Eq(z, ArrayType(x, y)))], "t:join")
+    for i, lit in enumerate([Lit(Eq(x, INT)), Lit(Eq(x, BOOL)),
+                             Lit(Eq(y, INT)), Lit(Eq(y, BOOL))]):
+        cs.add_soft([lit], 1, origin=i, label="t")
+    shrunk = []
+    shrink = maxsmt._shrink_core
+
+    def recording(candidates, fixed=()):
+        core = shrink(candidates, fixed)
+        shrunk.append(tuple(c.index for c in core))
+        return core
+
+    monkeypatch.setattr(maxsmt, "_shrink_core", recording)
+    calls = _count_solves(monkeypatch)
+    res = solve_maxsmt(cs)
+    assert (res.falsified, res.cost) == ((1, 3), 2)
+    # the first core is {y = int, y = bool}; dropping y = int finds the
+    # second, {x = int, x = bool}; dropping y = bool then branches on the
+    # second without solving x = int, x = bool, y = int
+    assert shrunk == [(3, 4), (1, 2)]
+    assert (0, 1, 2, 3) not in calls
+    assert (0, 1, 2, 4) in calls
 
 
 # ---------------------------------------------------------------------------

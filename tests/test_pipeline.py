@@ -5,6 +5,7 @@ from pathlib import Path
 import pytest
 
 from uclgen import pipeline
+from uclgen.ast_core import count_holes
 from uclgen.llm import MockBackend, ReplayBackend
 from uclgen.pipeline import (
     SCHEMA_VERSION,
@@ -221,10 +222,13 @@ def test_traffic_light_transcript_replays_in_two_calls():
     assert out.iterations == 2
 
 
-def chain_response(n: int) -> str:
-    """A clean module whose next block sums n terms in one `+` chain."""
+def chain_response(n: int, wrong: bool = False) -> str:
+    """A clean module whose next block sums n terms in one `+` chain; with
+    `wrong`, its last term is `True`."""
     terms = [str(i % 9 + 1) if i % 3 == 2 else f"self.{'ab'[i % 2]}"
              for i in range(n)]
+    if wrong:
+        terms[-1] = "True"
     return (
         "class Chain(Module):\n"
         "    def locals(self):\n"
@@ -242,6 +246,20 @@ def chain_response(n: int) -> str:
 def test_long_sum_chain_compiles_and_validates(n):
     out = run_pipeline("Sum a chain.", MockBackend([chain_response(n)]))
     assert out.status == STATUS_SUCCESS, out.diagnostics
+    assert validate_uclid(out.uclid_text) == []
+
+
+def test_long_chain_with_a_wrong_literal_repairs_in_bounded_time():
+    # each core shrink costs a few solves of the chain, not one per clause
+    # (31 s at 1000 terms when it did)
+    draft = chain_response(1000, wrong=True)
+    out = run_pipeline("Sum a chain.", MockBackend([draft]), max_llm_calls=1)
+    assert out.status == STATUS_ITERATION_LIMIT
+    assert count_holes(out.program) == 1
+    out = run_pipeline("Sum a chain.",
+                       MockBackend([draft, chain_response(1000)]))
+    assert out.status == STATUS_SUCCESS, out.diagnostics
+    assert out.iterations == 2
     assert validate_uclid(out.uclid_text) == []
 
 
