@@ -166,7 +166,7 @@ BINARY_OPS = (
     "and", "or", "xor", "implies",
     "==", "!=", "<", "<=", ">", ">=",
     "+", "-", "*", "div", "mod",
-    "bvand", "bvor", "bvxor", "shl", "lshr", "concat",
+    "bvand", "bvor", "shl", "lshr", "concat",
 )
 
 
@@ -396,14 +396,17 @@ def node_index(tree: Union[Node, PNode]) -> dict[int, int]:
     return index
 
 
-def max_hole_id(tree: Node) -> int:
-    best = -1
-    for n, _ in iter_nodes(tree):
-        if isinstance(n, (HoleExpr, HoleStmt, HoleType, HoleDecl)):
-            best = max(best, n.hid)
+def _hole_ids(tree: Node) -> list[int]:
+    """The id of every hole in `tree`, a program's module hole included."""
+    ids = [n.hid for n, _ in iter_nodes(tree)
+           if isinstance(n, (HoleExpr, HoleStmt, HoleType, HoleDecl))]
     if isinstance(tree, ChildProgram) and tree.module_hole is not None:
-        best = max(best, tree.module_hole)
-    return best
+        ids.append(tree.module_hole)
+    return ids
+
+
+def max_hole_id(tree: Node) -> int:
+    return max(_hole_ids(tree), default=-1)
 
 
 def undeclared_names(p: ChildProgram) -> list[str]:
@@ -419,14 +422,7 @@ def undeclared_names(p: ChildProgram) -> list[str]:
 
 
 def count_holes(p: ChildProgram) -> int:
-    n = sum(
-        1
-        for node, _ in iter_nodes(p)
-        if isinstance(node, (HoleExpr, HoleStmt, HoleType, HoleDecl))
-    )
-    if p.module_hole is not None:
-        n += 1
-    return n
+    return len(_hole_ids(p))
 
 
 # ---------------------------------------------------------------------------

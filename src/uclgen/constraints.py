@@ -165,7 +165,7 @@ def _fmt_lit(lit: Lit, names: dict[int, TVarKey]) -> str:
 # Clause sets
 # ---------------------------------------------------------------------------
 
-WEIGHT_MODES = ("depth", "inverse-depth", "uniform")
+WEIGHT_MODES = ("depth", "uniform")
 
 
 @dataclass
@@ -282,17 +282,11 @@ class _Gen:
         self.cs = ClauseSet()
         self.pos = node_index(program)
         self.depths = [d for _, d in iter_nodes(program)]
-        self.max_depth = max(self.depths)
         self.mode = weight_mode
         self.input_decls: dict[str, Decl] = {}
 
     def weight(self, origin: int) -> int:
-        d = self.depths[origin]
-        if self.mode == "depth":
-            return 1 + d
-        if self.mode == "inverse-depth":
-            return 1 + (self.max_depth - d)
-        return 1
+        return 1 + self.depths[origin] if self.mode == "depth" else 1
 
     def soft(self, lits, origin: Node, label: str) -> None:
         i = self.pos[id(origin)]
@@ -535,7 +529,7 @@ class _Gen:
             self.soft(
                 [Lit(Tester("bool", t)), Lit(Tester("bv", t))], n, "S3:op"
             )
-        elif op in ("bvand", "bvor", "bvxor", "shl", "lshr"):
+        elif op in ("bvand", "bvor", "shl", "lshr"):
             self.soft([Lit(Eq(t, tl))], n, "S3:op")
             self.soft([Lit(Eq(t, tr))], n, "S3:op")
             self.soft([Lit(Tester("bv", t))], n, "S3:op")

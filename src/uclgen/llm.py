@@ -15,7 +15,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 from typing import Protocol
@@ -101,16 +101,7 @@ class TranscriptEntry:
     backend: str
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "seq": self.seq,
-                "prompt_sha256": self.prompt_sha256,
-                "prompt": self.prompt,
-                "response": self.response,
-                "ms": self.ms,
-                "backend": self.backend,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 @dataclass

@@ -418,6 +418,10 @@ def check_sat(clauses: Sequence[Clause]) -> SatResult:
 
 @dataclass
 class MaxSmtResult:
+    """`forced` is what the theory at each component's search leaf happens
+    to determine, not what the kept clauses entail: it depends on the
+    search order."""
+
     falsified: tuple[int, ...]
     cost: int
     model: dict[int, TypeTerm]

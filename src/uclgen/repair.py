@@ -18,9 +18,9 @@ import dataclasses
 import itertools
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 from .ast_core import (
+    Binary,
     ChildProgram,
     Decl,
     DeclValue,
@@ -32,7 +32,6 @@ from .ast_core import (
     Node,
     Stmt,
     TypeAnnot,
-    TypeTerm,
     count_holes,
     iter_nodes,
     map_children,
@@ -81,6 +80,20 @@ def holeify(
                 return HoleStmt(next(ids), span=n.span)
             if isinstance(n, Expr):
                 return HoleExpr(next(ids), span=n.span)
+        if isinstance(n, Binary):
+            # a left-nested chain in a loop, not a frame per link: down
+            # to the first origin or leaf, then up; pre-order all the same
+            spine = [n]
+            while (isinstance(spine[-1].left, Binary)
+                   and index[id(spine[-1].left)] not in origins):
+                spine.append(spine[-1].left)
+            e = rewrite(spine[-1].left)
+            for b in reversed(spine):
+                right = rewrite(b.right)
+                if e is not b.left or right is not b.right:
+                    b = dataclasses.replace(b, left=e, right=right)
+                e = b
+            return e
         return map_children(n, rewrite)
 
     return rewrite(program)
@@ -111,44 +124,26 @@ def model_repair(
     program: ChildProgram, cs: ClauseSet, result: MaxSmtResult
 ) -> tuple[ChildProgram, tuple[str, ...]]:
     """Fill type holes and value declarations whose type variable is
-    forced by the solution. Returns the program and the names filled;
-    with nothing filled the program itself is returned."""
+    forced by the solution. `result.forced` is what the solver's search
+    leaf happens to determine, so it depends on the search order. Returns
+    the program and the names filled; with nothing filled the program
+    itself is returned."""
     filled: list[str] = []
 
-    def forced_value(key) -> Optional[TypeTerm]:
-        tv = cs.tvar_table.get(key)
-        if tv is None:
-            return None
-        return result.forced.get(tv.tid)
+    def fill(n: Node) -> Node:
+        if isinstance(n, Decl) and isinstance(n.annot, (HoleType, DeclValue)):
+            # a DeclValue is a variable's: `_elaborate_annot` builds none
+            # for a type definition
+            tv = cs.tvar_table.get(("hole", n.annot.hid)
+                                   if isinstance(n.annot, HoleType)
+                                   else ("var", n.name))
+            if tv is not None and tv.tid in result.forced:
+                filled.append(n.name)
+                return dataclasses.replace(n, annot=TypeAnnot(
+                    result.forced[tv.tid], span=n.annot.span))
+        return n
 
-    def decl(d, var_key: str):
-        if isinstance(d, HoleDecl):
-            return d
-        if isinstance(d.annot, HoleType):
-            val = forced_value(("hole", d.annot.hid))
-            if val is not None:
-                filled.append(d.name)
-                return dataclasses.replace(
-                    d, annot=TypeAnnot(val, span=d.annot.span)
-                )
-        elif isinstance(d.annot, DeclValue):
-            val = forced_value((var_key, d.name))
-            if val is not None:
-                filled.append(d.name)
-                return dataclasses.replace(
-                    d, annot=TypeAnnot(val, span=d.annot.span)
-                )
-        return d
-
-    sections = {
-        "type_defs": tuple(decl(d, "typedef") for d in program.type_defs),
-        "locals": tuple(decl(d, "var") for d in program.locals),
-        "inputs": tuple(decl(d, "var") for d in program.inputs),
-        "outputs": tuple(decl(d, "var") for d in program.outputs),
-    }
-    if not filled:
-        return program, ()
-    return dataclasses.replace(program, **sections), tuple(filled)
+    return map_children(program, fill), tuple(filled)
 
 
 # ---------------------------------------------------------------------------

@@ -225,7 +225,6 @@ _UCLID_BINOP = {
     "mod": "%",
     "bvand": "&",
     "bvor": "|",
-    "bvxor": "^",
     "shl": "<<",
     "lshr": ">>",
     "concat": "++",
@@ -291,21 +290,14 @@ def _print_if(s: If, indent: int, out: list[str]) -> None:
     out.append(f"{pad}if ({print_expr(s.cond)}) {{")
     for sub in s.then:
         _print_stmt(sub, indent + 1, out)
-    rest: Stmt | None = None
-    if s.elifs:
-        head = s.elifs[0]
-        rest = If(head[0], head[1], s.elifs[1:], s.orelse)
-    if rest is not None:
+    if s.elifs:  # an `elif` prints as an `if` alone in the `else` block
         out.append(f"{pad}}} else {{")
-        _print_if(rest, indent + 1, out)
-        out.append(f"{pad}}}")
+        _print_if(If(*s.elifs[0], s.elifs[1:], s.orelse), indent + 1, out)
     elif s.orelse:
         out.append(f"{pad}}} else {{")
         for sub in s.orelse:
             _print_stmt(sub, indent + 1, out)
-        out.append(f"{pad}}}")
-    else:
-        out.append(f"{pad}}}")
+    out.append(f"{pad}}}")
 
 
 def print_uclid(m: UclidModule) -> str:

@@ -48,6 +48,7 @@ from .ast_core import (
     TypeTerm,
     Unary,
     VarRef,
+    left_spine,
 )
 from .uclid import UclidModule
 
@@ -168,7 +169,7 @@ class _Parser:
 
     # -- module ---------------------------------------------------------------
 
-    def module(self) -> tuple[UclidModule, dict[str, list[str]]]:
+    def module(self) -> UclidModule:
         self.expect("module")
         m = UclidModule(name=self.name())
         procedures: dict[str, list[str]] = {}
@@ -229,7 +230,7 @@ class _Parser:
         if not next_calls:
             # the effective write set is whatever next writes directly
             m.modifies.extend(_written(m.next_body))
-        return m, procedures
+        return m
 
     def next_block(self) -> tuple[list[Stmt], list[str]]:
         self.expect("{")
@@ -435,8 +436,7 @@ def _written(body) -> list[str]:
 
 def parse_uclid(text: str) -> UclidModule:
     """Parse UCLID5 module text; raises UclidParseError on malformed input."""
-    m, _ = _Parser(_lex(text)).module()
-    return m
+    return _Parser(_lex(text)).module()
 
 
 # ---------------------------------------------------------------------------
@@ -652,10 +652,7 @@ class _Checker:
                 return None
             return ty
         if isinstance(e, Binary):
-            # down the left spine in a loop: no stack frame per chain link
-            spine = [e]
-            while isinstance(spine[-1].left, Binary):
-                spine.append(spine[-1].left)
+            spine = left_spine(e)
             ty = self.expr_type(spine[-1].left)
             for b in reversed(spine):
                 ty = self.binary_type(b.op, ty, self.expr_type(b.right))

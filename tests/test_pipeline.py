@@ -1,5 +1,6 @@
 """The end-to-end loop and the bench harness."""
 
+import sys
 from pathlib import Path
 
 import pytest
@@ -261,6 +262,62 @@ def test_long_chain_with_a_wrong_literal_repairs_in_bounded_time():
     assert out.status == STATUS_SUCCESS, out.diagnostics
     assert out.iterations == 2
     assert validate_uclid(out.uclid_text) == []
+
+
+def ladder_response(n: int) -> str:
+    """A clean module whose next block is an `if` with n - 1 `elif`s."""
+    arms = "".join(f"        elif self.x == {i}:\n            self.y = {i}\n"
+                   for i in range(1, n))
+    return (
+        "class Ladder(Module):\n"
+        "    def locals(self):\n"
+        "        self.x = int\n        self.y = int\n"
+        "    def init(self):\n"
+        "        self.x = 0\n        self.y = 0\n"
+        "    def next(self):\n"
+        "        if self.x == 0:\n            self.y = 0\n"
+        f"{arms}"
+        "        else:\n            self.y = 0\n"
+        "```\n"
+    )
+
+
+def _frames_in_use() -> int:
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    return depth
+
+
+#: frames any one pipeline run may take above its caller; a stage that
+#: takes a frame per level of its input runs out at about 150 levels
+FRAME_BUDGET = 150
+
+_LADDER_WALL = pytest.mark.xfail(
+    strict=True, reason="the validator parses `else if` as a nested block "
+    "and `uclid._print_if` takes a frame per `elif`")
+
+
+@pytest.mark.parametrize("draft, status", [
+    pytest.param(chain_response(50), STATUS_SUCCESS, id="chain-50"),
+    pytest.param(chain_response(1000), STATUS_SUCCESS, id="chain-1000"),
+    pytest.param(chain_response(150, wrong=True), STATUS_ITERATION_LIMIT,
+                 id="chain-150-last-term-wrong"),
+    pytest.param(chain_response(150).replace("self.acc = self.a +",
+                                             "self.acc = True +"),
+                 STATUS_ITERATION_LIMIT, id="chain-150-first-term-wrong"),
+    pytest.param(ladder_response(150), STATUS_SUCCESS, id="elif-150",
+                 marks=_LADDER_WALL),
+])
+def test_deep_inputs_fit_a_frame_budget(draft, status):
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames_in_use() + FRAME_BUDGET)
+    try:
+        out = run_pipeline("Deep input.", MockBackend([draft]),
+                           max_llm_calls=1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert out.status == status, out.diagnostics
 
 
 KEYWORD_RESPONSES = {

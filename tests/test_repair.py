@@ -11,10 +11,14 @@ from uclgen.ast_core import (
     BOOL,
     INT,
     HoleDecl,
+    HoleExpr,
     HoleStmt,
     HoleType,
     TypeAnnot,
     count_holes,
+    iter_nodes,
+    left_spine,
+    node_index,
     undeclared_names,
 )
 from uclgen.constraints import generate_clauses
@@ -66,6 +70,29 @@ def test_holeify_on_empty_falsified_is_identity():
     p = program_of(CONFLICT)
     cs = generate_clauses(p)
     assert holeify(p, cs, ()) is p
+
+
+def test_holeify_follows_a_long_chain_in_a_loop():
+    # far deeper than the stack allows at one frame per link
+    terms = " + ".join(["True"] + [f"self.{'ab'[i % 2]}" for i in range(1999)])
+    p = program_of(f'''
+class M(Module):
+    def locals(self):
+        self.acc = int
+        self.a = int
+        self.b = int
+    def next(self):
+        self.acc = {terms}
+''')
+    leaf = left_spine(p.next_body[0].rhs)[-1].left
+    origin = node_index(p)[id(leaf)]
+    cs = generate_clauses(p)
+    lit = [c.index for c in cs.clauses
+           if c.label == "S3:lit" and c.origin == origin]
+    holed = holeify(p, cs, tuple(lit))
+    holes = [n for n, _ in iter_nodes(holed) if isinstance(n, HoleExpr)]
+    assert len(lit) == 1 and len(holes) == 1
+    assert left_spine(holed.next_body[0].rhs)[-1].left is holes[0]
 
 
 def test_holeify_statement_origin_becomes_hole_stmt():
