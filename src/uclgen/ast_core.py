@@ -233,9 +233,11 @@ class Assign(Stmt):
 
 @dataclass(frozen=True)
 class If(Stmt):
-    cond: Expr
-    then: tuple[Stmt, ...]
-    elifs: tuple[tuple[Expr, tuple[Stmt, ...]], ...] = ()
+    """`if`/`elif`/`else`: the first arm `(cond, body)` whose condition
+    holds runs, `orelse` when none does. The `if` and each `elif` are one
+    arm, so a ladder is one node whose arms every stage walks in a loop."""
+
+    arms: tuple[tuple[Expr, tuple[Stmt, ...]], ...]
     orelse: tuple[Stmt, ...] = ()
 
 
@@ -345,7 +347,7 @@ def _collect(v, out: list) -> None:
 
 def map_children(node: Node, fn) -> Node:
     """A copy of `node` in which every child node `c`, including those in
-    nested tuples such as `If.elifs` or `invariants_spec`, is `fn(c)`;
+    nested tuples such as `If.arms` or `invariants_spec`, is `fn(c)`;
     `node` itself when every `fn(c)` is `c`."""
     changes = {}
     for name in _child_fields(type(node)):

@@ -60,7 +60,6 @@ from .ast_core import (
     TypeTerm,
     Unary,
     VarRef,
-    format_type,
     iter_nodes,
     left_spine,
     node_index,
@@ -141,26 +140,6 @@ class Clause:
         return self.weight is None
 
 
-def _fmt_term(t: TypeTerm, names: dict[int, TVarKey]) -> str:
-    if isinstance(t, TVar):
-        key = names.get(t.tid)
-        return "?" + ".".join(str(p) for p in key) if key else f"?t{t.tid}"
-    if isinstance(t, ArrayType):
-        return f"arr({_fmt_term(t.index, names)}, {_fmt_term(t.elem, names)})"
-    return format_type(t)
-
-
-def _fmt_lit(lit: Lit, names: dict[int, TVarKey]) -> str:
-    a = lit.atom
-    if isinstance(a, Eq):
-        body = f"{_fmt_term(a.left, names)} = {_fmt_term(a.right, names)}"
-    elif isinstance(a, Tester):
-        body = f"is-{a.ctor}({_fmt_term(a.term, names)})"
-    else:
-        body = f"has-tag({a.tag!r}, {_fmt_term(a.term, names)})"
-    return body if lit.positive else f"!({body})"
-
-
 # ---------------------------------------------------------------------------
 # Clause sets
 # ---------------------------------------------------------------------------
@@ -199,18 +178,6 @@ class ClauseSet:
     @property
     def hard(self) -> list[Clause]:
         return [c for c in self.clauses if c.hard]
-
-    def key_names(self) -> dict[int, TVarKey]:
-        return {tv.tid: key for key, tv in self.tvar_table.items()}
-
-    def dump(self) -> str:
-        names = self.key_names()
-        lines = []
-        for c in self.clauses:
-            kind = "hard" if c.hard else f"soft w={c.weight} origin={c.origin}"
-            body = " | ".join(_fmt_lit(l, names) for l in c.lits)
-            lines.append(f"[{c.index:3}] ({kind}) {c.label}: {body}")
-        return "\n".join(lines)
 
 
 def clause_tvars(c: Clause) -> set[int]:
@@ -396,11 +363,7 @@ class _Gen:
             )
             self._input_write(s.lhs, s)
         elif isinstance(s, If):
-            self._expr(s.cond)
-            self.soft([Lit(Eq(self._t(s.cond), BOOL))], s.cond, "S6:cond")
-            for sub in s.then:
-                self._stmt(sub)
-            for cond, body in s.elifs:
+            for cond, body in s.arms:
                 self._expr(cond)
                 self.soft([Lit(Eq(self._t(cond), BOOL))], cond, "S6:cond")
                 for sub in body:

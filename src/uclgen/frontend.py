@@ -863,18 +863,16 @@ class _Pruner:
         return None
 
     def _if_stmt(self, stmt: PNode) -> If:
-        cond = self._expr(stmt.children[0])
-        then = self._stmt_block(stmt.children[1])
-        elifs: list[tuple[Expr, tuple[Stmt, ...]]] = []
+        arms = [(self._expr(stmt.children[0]), self._stmt_block(stmt.children[1]))]
         orelse: tuple[Stmt, ...] = ()
         for extra in stmt.children[2:]:
             if extra.kind == "elif":
-                elifs.append(
+                arms.append(
                     (self._expr(extra.children[0]), self._stmt_block(extra.children[1]))
                 )
             elif extra.kind == "else":
                 orelse = self._stmt_block(extra.children[0])
-        return If(cond, then, tuple(elifs), orelse, span=stmt.span)
+        return If(tuple(arms), orelse, span=stmt.span)
 
     def _lvalue(self, node: PNode):
         if node.kind == "attr" and node.children[0].kind == "name" \
@@ -1012,10 +1010,8 @@ def _print_stmt(s: Stmt, indent: int, out: list[str]) -> None:
     if isinstance(s, Assign):
         out.append(f"{pad}{print_expr(s.lhs)} = {print_expr(s.rhs)}")
     elif isinstance(s, If):
-        out.append(f"{pad}if {print_expr(s.cond)}:")
-        _print_body(s.then, indent + 1, out)
-        for cond, body in s.elifs:
-            out.append(f"{pad}elif {print_expr(cond)}:")
+        for k, (cond, body) in enumerate(s.arms):
+            out.append(f"{pad}{'elif' if k else 'if'} {print_expr(cond)}:")
             _print_body(body, indent + 1, out)
         if s.orelse:
             out.append(f"{pad}else:")

@@ -286,18 +286,19 @@ def _print_stmt(s: Stmt, indent: int, out: list[str]) -> None:
 
 
 def _print_if(s: If, indent: int, out: list[str]) -> None:
-    pad = "  " * indent
-    out.append(f"{pad}if ({print_expr(s.cond)}) {{")
-    for sub in s.then:
-        _print_stmt(sub, indent + 1, out)
-    if s.elifs:  # an `elif` prints as an `if` alone in the `else` block
-        out.append(f"{pad}}} else {{")
-        _print_if(If(*s.elifs[0], s.elifs[1:], s.orelse), indent + 1, out)
-    elif s.orelse:
-        out.append(f"{pad}}} else {{")
+    # arm k prints as an `if` alone in the `else` block of arm k - 1
+    for k, (cond, body) in enumerate(s.arms, indent):
+        if k > indent:
+            out.append(f"{'  ' * (k - 1)}}} else {{")
+        out.append(f"{'  ' * k}if ({print_expr(cond)}) {{")
+        for sub in body:
+            _print_stmt(sub, k + 1, out)
+    if s.orelse:
+        out.append(f"{'  ' * k}}} else {{")
         for sub in s.orelse:
-            _print_stmt(sub, indent + 1, out)
-    out.append(f"{pad}}}")
+            _print_stmt(sub, k + 1, out)
+    for level in range(k, indent - 1, -1):
+        out.append(f"{'  ' * level}}}")
 
 
 def print_uclid(m: UclidModule) -> str:

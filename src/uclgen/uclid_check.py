@@ -248,6 +248,9 @@ class _Parser:
 
     def block(self) -> list[Stmt]:
         self.expect("{")
+        return self.block_rest()
+
+    def block_rest(self) -> list[Stmt]:
         out: list[Stmt] = []
         while not self.accept("}"):
             out.append(self.stmt())
@@ -271,18 +274,35 @@ class _Parser:
             self.expect(";")
             return Assert(e)
         if self.accept("if"):
-            self.expect("(")
-            cond = self.expr()
-            self.expect(")")
-            then = tuple(self.block())
+            # a chain is read in a loop, not a frame per arm: `else if` and
+            # an `else {` block that opens with `if` each add an arm
+            arms: list[tuple[Expr, tuple[Stmt, ...]]] = []
+            opened: list[int] = []  # where each open block's arms start
             orelse: tuple[Stmt, ...] = ()
-            if self.accept("else"):
-                if self.peek() is not None and self.peek()[1] == "if":
-                    # "else if" becomes a one-statement else block
-                    orelse = (self.stmt(),)
-                else:
-                    orelse = tuple(self.block())
-            return If(cond, then, (), orelse)
+            while True:
+                self.expect("(")
+                cond = self.expr()
+                self.expect(")")
+                self.expect("{")
+                arms.append((cond, tuple(self.block_rest())))
+                if not self.accept("else"):
+                    break
+                if self.accept("if"):
+                    continue
+                self.expect("{")
+                if not self.accept("if"):
+                    orelse = tuple(self.block_rest())
+                    break
+                opened.append(len(arms))
+            # close the open blocks innermost first; statements after the
+            # `if` in one make its arms an `If` of their own, followed by them
+            while opened:
+                start = opened.pop()
+                rest = self.block_rest()
+                if rest:
+                    orelse = (If(tuple(arms[start:]), orelse), *rest)
+                    del arms[start:]
+            return If(tuple(arms), orelse)
         lhs: Expr = VarRef(self.name())
         while self.accept("["):
             idx = self.expr()
@@ -427,7 +447,8 @@ def _written(body) -> list[str]:
                 if s.name not in out:
                     out.append(s.name)
             elif isinstance(s, If):
-                walk(s.then)
+                for _, then in s.arms:
+                    walk(then)
                 walk(s.orelse)
 
     walk(body)
@@ -585,17 +606,12 @@ class _Checker:
                 self.err("condition-not-boolean",
                          f"condition in {where} has type {ty}")
         elif isinstance(s, If):
-            ty = self.expr_type(s.cond)
-            if ty is not None and ty != ("bool",):
-                self.err("condition-not-boolean",
-                         f"if condition in {where} has type {ty}")
-            self.check_body(s.then, where)
-            for c, b in s.elifs:
-                cty = self.expr_type(c)
-                if cty is not None and cty != ("bool",):
+            for cond, body in s.arms:
+                ty = self.expr_type(cond)
+                if ty is not None and ty != ("bool",):
                     self.err("condition-not-boolean",
-                             f"elif condition in {where} has type {cty}")
-                self.check_body(b, where)
+                             f"if condition in {where} has type {ty}")
+                self.check_body(body, where)
             self.check_body(s.orelse, where)
         else:
             self.err("unsupported", f"unsupported statement {s!r}")

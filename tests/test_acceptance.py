@@ -65,15 +65,15 @@ def _dispatch_values(stmt, acc):
     along the top-level if/else-if chain."""
     if not isinstance(stmt, If):
         return
-    cond = stmt.cond
-    if (
-        isinstance(cond, Binary)
-        and cond.op == "=="
-        and isinstance(cond.left, VarRef)
-        and cond.left.name == "state"
-        and isinstance(cond.right, IntLit)
-    ):
-        acc.add(cond.right.value)
+    for cond, _ in stmt.arms:
+        if (
+            isinstance(cond, Binary)
+            and cond.op == "=="
+            and isinstance(cond.left, VarRef)
+            and cond.left.name == "state"
+            and isinstance(cond.right, IntLit)
+        ):
+            acc.add(cond.right.value)
     for inner in stmt.orelse:
         _dispatch_values(inner, acc)
 

@@ -180,7 +180,7 @@ NODES_AND_CHILDREN = [
     (HoleExpr(0), ()),
     (Stmt(), ()),
     (Assign(_A, _B), (_A, _B)),
-    (If(_C, (_S1,), ((_A, (_S2,)), (_D, ())), (_S3,)),
+    (If(((_C, (_S1,)), (_A, (_S2,)), (_D, ())), (_S3,)),
      (_C, _S1, _A, _S2, _D, _S3)),
     (Havoc("v"), ()),
     (Assume(_C), (_C,)),

@@ -3,7 +3,7 @@
 import pytest
 
 from corpus import INVALID_PROGRAMS, VALID_PROGRAMS
-from uclgen.ast_core import Binary, Unary
+from uclgen.ast_core import Assign, Binary, If, IntLit, Unary, VarRef
 from uclgen.frontend import parse_tolerant, prune_to_child
 from uclgen.uclid import UCLID_KEYWORDS, compile_program, lower, print_uclid
 from uclgen.uclid_check import (
@@ -207,6 +207,64 @@ def test_differential_rejects_invalid_corpus(name):
     # same ill-typed program the compiler rejected
     text = print_uclid(lower(program_of(INVALID_PROGRAMS[name]), {}))
     assert validate_uclid(text)
+
+
+# ---------------------------------------------------------------------------
+# If chains
+# ---------------------------------------------------------------------------
+
+def chain_module(body: str) -> str:
+    return ("module main {\n  var x : integer;\n  init { x = 0; }\n"
+            "  next { " + body + " }\n}\n")
+
+
+def chain_next(body: str) -> list:
+    return parse_uclid(chain_module(body)).next_body
+
+
+def arm(i: int) -> tuple:
+    """`if (x == i) { x = i + 1; }` as an arm."""
+    return (Binary("==", VarRef("x"), IntLit(i)),
+            (Assign(VarRef("x"), IntLit(i + 1)),))
+
+
+RESET = (Assign(VarRef("x"), IntLit(0)),)
+
+
+@pytest.mark.parametrize("chain", [
+    "if (x == 0) { x = 1; } else if (x == 1) { x = 2; } "
+    "else if (x == 2) { x = 3; } else { x = 0; }",
+    # an `else` block holding only an `if` adds an arm too
+    "if (x == 0) { x = 1; } else { if (x == 1) { x = 2; } "
+    "else { if (x == 2) { x = 3; } else { x = 0; } } }",
+], ids=["else-if", "else-block"])
+def test_if_chain_is_one_if(chain):
+    assert chain_next(chain) == [If((arm(0), arm(1), arm(2)), RESET)]
+
+
+def test_statements_after_an_if_in_an_else_block_follow_it():
+    assert chain_next(
+        "if (x == 0) { x = 1; } else { if (x == 1) { x = 2; } x = 0; }"
+    ) == [If((arm(0),), (If((arm(1),)), *RESET))]
+    # only the block with trailing statements splits off its arms
+    assert chain_next(
+        "if (x == 0) { x = 1; } else { if (x == 1) { x = 2; } "
+        "else { if (x == 2) { x = 3; } x = 0; } }"
+    ) == [If((arm(0), arm(1)), (If((arm(2),)), *RESET))]
+
+
+@pytest.mark.parametrize("chain", [
+    "if (x == 0) { x = 1; } else if (x + 1) { x = 2; }",
+    "if (x == 0) { x = 1; } else { if (x == 1) { x = 2; } "
+    "else { if (x + 1) { x = 3; } } }",
+])
+def test_later_arm_condition_must_be_boolean(chain):
+    assert codes(chain_module(chain)) == {"condition-not-boolean"}
+
+
+def test_printed_ladder_reads_back_as_the_compiled_if():
+    m = compile_program(program_of(VALID_PROGRAMS["ladder"]))
+    assert parse_uclid(print_uclid(m)).next_body == m.next_body
 
 
 # ---------------------------------------------------------------------------
