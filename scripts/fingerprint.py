@@ -10,7 +10,9 @@ The output is one JSON document, so two checkouts compare with `cmp`:
     cmp a.json b.json
 
 It reads `perfbench/run.py` and `perfbench/workloads.py` and writes
-nothing.
+nothing. `tests/golden/fingerprint.json` holds its output for the current
+code, and CI compares the two; overwrite it only with a change meant to
+move outputs.
 """
 
 from __future__ import annotations

@@ -29,15 +29,15 @@ from .llm import (
     ReplayBackend,
     Transcript,
 )
-from .maxsmt import Untypeable, emit_smtlib
+from .maxsmt import emit_smtlib
 from .pipeline import (
     STATUS_SUCCESS,
+    compile_checked,
     load_suite,
     run_bench,
     run_pipeline,
 )
 from .repair import repair_round, synthesize_decls
-from .uclid import CompileError, compile_program, print_uclid
 from .uclid_check import validate_uclid
 
 EXIT_OK = 0
@@ -249,11 +249,12 @@ def _cmd_repair(args: argparse.Namespace) -> int:
             )
             sys.stdout.write(print_child(outcome.program))
             return EXIT_FAILED
-        try:
-            sys.stdout.write(print_uclid(compile_program(outcome.program)))
-        except (CompileError, Untypeable) as exc:
-            print(f"compile failed: {exc}", file=sys.stderr)
+        text, diags = compile_checked(outcome.program)
+        for d in diags:
+            print(d, file=sys.stderr)
+        if text is None:
             return EXIT_FAILED
+        sys.stdout.write(text)
     else:
         sys.stdout.write(print_child(outcome.program))
     return EXIT_OK

@@ -197,7 +197,7 @@ def clause_tvars(c: Clause) -> set[int]:
 
 
 # ---------------------------------------------------------------------------
-# Ground evaluation (used by the solver and by tests as an oracle)
+# Ground evaluation (used by `maxsmt.verify_solution` and by test oracles)
 # ---------------------------------------------------------------------------
 
 _TESTER_CLASSES = {

@@ -23,7 +23,6 @@ which preserves both the optimum and the tie-break.
 
 from __future__ import annotations
 
-from collections import ChainMap
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
@@ -83,6 +82,8 @@ class _Theory:
     unbound root may hold one record (`record`), a triple (ctors, tags,
     bad): the constructors it may still take, the tags its enum must hold
     and the tags it must not hold. Negative equalities wait in `diseqs`.
+    `ground` is the one walk that grounds a term: `determined`, the
+    model and its disequality check differ only in the root values.
     """
 
     def __init__(self) -> None:
@@ -202,21 +203,25 @@ class _Theory:
 
     # -- final consistency ---------------------------------------------------
 
-    def determined(self, t: TypeTerm) -> Optional[TypeTerm]:
-        """The unique value of a term if it has one, else None.
-
-        Variables are determined when bound to a determined term or when
-        their record leaves one singleton scalar constructor.
-        """
+    def ground(self, t: TypeTerm, value) -> Optional[TypeTerm]:
+        """`t` with each unbound root `r` replaced by `value(r)`; None if
+        any `value(r)` is None."""
         t = self.resolve(t)
         if isinstance(t, TVar):
-            rec = self.record.get(t.tid)
-            return None if rec is None else _PINNED.get(rec[0])
+            return value(t.tid)
         if isinstance(t, ArrayType):
-            i = self.determined(t.index)
-            e = self.determined(t.elem)
+            i = self.ground(t.index, value)
+            e = self.ground(t.elem, value)
             return ArrayType(i, e) if i is not None and e is not None else None
         return t
+
+    def pinned(self, root: int) -> Optional[TypeTerm]:
+        """The singleton value the root's record pins it to, else None."""
+        return _PINNED.get(self.record.get(root, _FREE)[0])
+
+    def determined(self, t: TypeTerm) -> Optional[TypeTerm]:
+        """The unique value of a term if it has one, else None."""
+        return self.ground(t, self.pinned)
 
     def check_diseqs(self) -> None:
         for a, b in self.diseqs:
@@ -241,19 +246,8 @@ class _Theory:
 
     def model(self, tids) -> dict[int, TypeTerm]:
         """A total ground assignment consistent with the asserted literals."""
-        values: dict[int, TypeTerm] = {}
-        # a root pinned to a singleton constructor is known before its turn
-        known = ChainMap(values, {root: _PINNED[rec[0]] for root, rec
-                                  in self.record.items() if rec[0] in _PINNED})
+        values: dict[int, TypeTerm] = {}  # chosen for unbound roots
         fresh = [1000]
-
-        def ground(t: TypeTerm) -> TypeTerm:
-            t = self.resolve(t)
-            if isinstance(t, TVar):
-                return value_of(t.tid)
-            if isinstance(t, ArrayType):
-                return ArrayType(ground(t.index), ground(t.elem))
-            return t
 
         def candidates(root: int):
             ctors, tags, bad = self.record.get(root, _FREE)
@@ -284,45 +278,28 @@ class _Theory:
                         yield ArrayType(INT, BVType(fresh[0]))
 
         def violates(root: int, val: TypeTerm) -> bool:
+            # a root pinned to a singleton constructor is known before its turn
+            def value(r: int) -> Optional[TypeTerm]:
+                if r == root:
+                    return val
+                return values[r] if r in values else self.pinned(r)
+
             for a, b in self.diseqs:
-                ra = self.resolve_deep(a)
-                rb = self.resolve_deep(b)
-                ga = _partial_ground(ra, known, root, val)
-                gb = _partial_ground(rb, known, root, val)
-                if ga is not None and gb is not None and ga == gb:
+                ga = self.ground(a, value)
+                if ga is not None and ga == self.ground(b, value):
                     return True
             return False
 
-        def value_of(tid: int) -> TypeTerm:
-            root = self.find(tid)
+        def value_of(root: int) -> TypeTerm:
             if root in values:
                 return values[root]
-            bound = self.binding.get(root)
-            if bound is not None:
-                val = ground(bound)
-                values[root] = val
-                return val
             for cand in candidates(root):
                 if not violates(root, cand):
                     values[root] = cand
                     return cand
             raise _Conflict  # should be unreachable after check_diseqs
 
-        return {tid: value_of(tid) for tid in sorted(tids)}
-
-
-def _partial_ground(t, values, extra_root, extra_val):
-    """Ground a resolved term using the values known so far; None if a
-    part has no value yet."""
-    if isinstance(t, TVar):
-        if t.tid == extra_root:
-            return extra_val
-        return values.get(t.tid)
-    if isinstance(t, ArrayType):
-        i = _partial_ground(t.index, values, extra_root, extra_val)
-        e = _partial_ground(t.elem, values, extra_root, extra_val)
-        return ArrayType(i, e) if i is not None and e is not None else None
-    return t
+        return {tid: self.ground(TVar(tid), value_of) for tid in sorted(tids)}
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +413,8 @@ class Untypeable(Exception):
         self.core = core
 
 
-def _components(cs: ClauseSet) -> list[list[Clause]]:
+def _components(cs: ClauseSet) -> list[tuple[list[Clause], set[int]]]:
+    """Clauses grouped by shared type variables, each with its variables."""
     parent: dict[int, int] = {}
 
     def find(x: int) -> int:
@@ -452,11 +430,13 @@ def _components(cs: ClauseSet) -> list[list[Clause]]:
     for tvs in clause_vars.values():
         for t in tvs[1:]:
             union(tvs[0], t)
-    groups: dict[int, list[Clause]] = {}
+    groups: dict[int, tuple[list[Clause], set[int]]] = {}
     for c in cs.clauses:
         tvs = clause_vars[c.index]
-        key = find(tvs[0]) if tvs else -1
-        groups.setdefault(key, []).append(c)
+        clauses, tids = groups.setdefault(find(tvs[0]) if tvs else -1,
+                                          ([], set()))
+        clauses.append(c)
+        tids.update(tvs)
     return [groups[k] for k in sorted(groups)]
 
 
@@ -516,13 +496,10 @@ def solve_maxsmt(cs: ClauseSet) -> MaxSmtResult:
     cost = 0
     model: dict[int, TypeTerm] = {}
     forced: dict[int, TypeTerm] = {}
-    for comp in _components(cs):
+    for comp, tids in _components(cs):
         f, w, th = _solve_component(comp)
         falsified.extend(f)
         cost += w
-        tids = set()
-        for c in comp:
-            tids |= clause_tvars(c)
         model.update(th.model(tids))
         forced.update(th.forced(tids))
     for tv in cs.tvar_table.values():

@@ -122,18 +122,11 @@ def _run(out: PipelineOutcome, task: str, backend: Backend,
         out.program = repaired.program
 
         if repaired.holes_remaining == 0:
-            try:
-                module = compile_program(repaired.program)
-            except (CompileError, Untypeable) as exc:
-                out.diagnostics.append(f"compile: {exc}")
-                return out
-            text = print_uclid(module)
-            diags = validate_uclid(text)
-            if diags:
-                out.diagnostics.extend(f"validate: {d}" for d in diags)
-                return out
-            out.status = STATUS_SUCCESS
-            out.uclid_text = text
+            text, diags = compile_checked(repaired.program)
+            out.diagnostics.extend(diags)
+            if text is not None:
+                out.status = STATUS_SUCCESS
+                out.uclid_text = text
             return out
 
         if out.iterations >= max_llm_calls:
@@ -146,6 +139,20 @@ def _run(out: PipelineOutcome, task: str, backend: Backend,
         response = ask(holefill_prompt(task, print_child(repaired.program)))
         if response is None:
             return out
+
+
+def compile_checked(program: ChildProgram) -> tuple[Optional[str], list[str]]:
+    """Compile a hole-free program, print it and validate the text: the
+    UCLID5 text and no diagnostics, or None and the reasons it failed."""
+    try:
+        module = compile_program(program)
+    except (CompileError, Untypeable) as exc:
+        return None, [f"compile: {exc}"]
+    text = print_uclid(module)
+    diags = validate_uclid(text)
+    if diags:
+        return None, [f"validate: {d}" for d in diags]
+    return text, []
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,13 @@ _BINOPS = {
 # recursion limit; deeper text is a parse error.
 MAX_NESTING = 100
 
+# The deepest nesting of `if` bodies accepted in one block. The parser and
+# the checker each take about two frames per level; `else if` and an
+# `else {` block that opens with `if` are read in a loop and count no
+# level. The frontend nests blocks at most 80 deep, so compiled output
+# never reaches this; deeper text is a parse error.
+MAX_IF_NESTING = 100
+
 
 def _int(text: str) -> int:
     try:
@@ -138,6 +145,7 @@ class _Parser:
         self.toks = toks
         self.i = 0
         self.depth = 0
+        self.if_depth = 0
 
     def peek(self) -> Optional[tuple[str, str]]:
         return self.toks[self.i] if self.i < len(self.toks) else None
@@ -274,6 +282,10 @@ class _Parser:
             self.expect(";")
             return Assert(e)
         if self.accept("if"):
+            if self.if_depth == MAX_IF_NESTING:
+                raise UclidParseError(
+                    f"if statements nested deeper than {MAX_IF_NESTING} levels")
+            self.if_depth += 1
             # a chain is read in a loop, not a frame per arm: `else if` and
             # an `else {` block that opens with `if` each add an arm
             arms: list[tuple[Expr, tuple[Stmt, ...]]] = []
@@ -302,6 +314,7 @@ class _Parser:
                 if rest:
                     orelse = (If(tuple(arms[start:]), orelse), *rest)
                     del arms[start:]
+            self.if_depth -= 1
             return If(tuple(arms), orelse)
         lhs: Expr = VarRef(self.name())
         while self.accept("["):

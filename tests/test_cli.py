@@ -244,6 +244,25 @@ def test_repair_uclid_flag_compiles(tmp_path, capsys):
     assert "module main {" in capsys.readouterr().out
 
 
+def test_repair_uclid_flag_validates_its_output(tmp_path, capsys):
+    # the tag "x" belongs to two enums, so the compiled text is ambiguous
+    f = tmp_path / "prog.py"
+    f.write_text(
+        "class M(Module):\n"
+        "    def locals(self):\n"
+        '        self.a = Enum("x", "y")\n'
+        '        self.b = Enum("x", "z")\n'
+        "    def next(self):\n"
+        '        self.a = "x"\n',
+        encoding="utf-8",
+    )
+    assert main(["repair", str(f), "--uclid"]) == EXIT_FAILED
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [line.split(":")[:2] for line in err.splitlines()] == [
+        ["validate", " ambiguous-tag"], ["validate", " assign-mismatch"]]
+
+
 def test_replay_backend_requires_transcript(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["run", "task", "--backend", "replay"])

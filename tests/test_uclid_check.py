@@ -1,13 +1,17 @@
 """The independent verifier-text parser and type checker."""
 
+import sys
+
 import pytest
 
 from corpus import INVALID_PROGRAMS, VALID_PROGRAMS
+from test_pipeline import _frames_in_use
 from uclgen.ast_core import Assign, Binary, If, IntLit, Unary, VarRef
 from uclgen.frontend import parse_tolerant, prune_to_child
 from uclgen.uclid import UCLID_KEYWORDS, compile_program, lower, print_uclid
 from uclgen.uclid_check import (
     _RESERVED,
+    MAX_IF_NESTING,
     MAX_NESTING,
     UclidParseError,
     parse_uclid,
@@ -354,3 +358,49 @@ def test_nesting_past_the_bound_is_a_parse_error(nest):
         (diag,) = validate_uclid(nested_module(depth, nest))
         assert diag.code == "parse-error"
         assert f"nested deeper than {MAX_NESTING}" in diag.message
+
+
+def nested_if_module(depth: int, nest: int = 0) -> str:
+    # `depth` nested `if` bodies around one assignment whose right side is
+    # `nest` parentheses deep
+    return ("module main {\n  var x : integer;\n  init { x = 0; }\n"
+            "  next {\n" + "if (x < 1) {\n" * depth
+            + f"x = {'(' * nest}x + 1{')' * nest};\n" + "}\n" * depth
+            + "  }\n}\n")
+
+
+def test_if_nesting_past_the_bound_is_a_parse_error():
+    assert validate_uclid(nested_if_module(MAX_IF_NESTING)) == []
+    for depth in (MAX_IF_NESTING + 1, 600):
+        (diag,) = validate_uclid(nested_if_module(depth))
+        assert diag.code == "parse-error"
+        assert f"nested deeper than {MAX_IF_NESTING}" in diag.message
+
+
+@pytest.mark.parametrize("opens, closes", [
+    ("} else if (x < 1) { x = x + 1; ", ""),
+    ("} else { if (x < 1) { x = x + 1; ", "}"),
+], ids=["else-if", "else-block-if"])
+def test_a_chain_of_arms_counts_no_if_nesting(opens, closes):
+    # a chain of 2 * MAX_IF_NESTING arms inside the deepest `if` body the
+    # bound allows
+    arms = 2 * MAX_IF_NESTING
+    chain = ("if (x < 1) { x = x + 1; " + opens * arms + "}" + closes * arms
+             + "\n")
+    module = nested_if_module(MAX_IF_NESTING - 1).replace("x = x + 1;\n",
+                                                          chain)
+    assert validate_uclid(module) == []
+
+
+def test_both_nesting_bounds_fit_a_frame_budget():
+    # the parser and the checker take about 2 frames per `if` level, the
+    # expression parser about 6 per level, plus a few to reach them
+    budget = 2 * MAX_IF_NESTING + 6 * MAX_NESTING + 30
+    text = nested_if_module(MAX_IF_NESTING, MAX_NESTING)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_frames_in_use() + budget)
+    try:
+        diags = validate_uclid(text)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert diags == []
