@@ -1,0 +1,76 @@
+#!/usr/bin/env python3
+"""Print the solver's scaling curve on drafts that declare one name k times.
+
+The draft is the benchmark's `typing_conflicts` item (`conflict_item` in
+`perfbench/workloads.py`) with k = 2 to 8 declarations of its flag; past
+the four other types the benchmark draws from, it takes `BitVector(8)`,
+`BitVector(2)` and `Array(int, bool)`. For each k it prints one line:
+
+    k  solves  nodes  solve_ms  pipeline_ms
+
+`solves` counts `_solve` calls and `nodes` counts search nodes (`_Theory`
+copies), both inside one `solve_maxsmt` of the draft's clauses, which
+`solve_ms` times. `pipeline_ms` times `run_pipeline` on the item, whose
+second reply is the corrected module. Run it with no arguments:
+
+    python3 scripts/solver_curve.py
+"""
+
+from __future__ import annotations
+
+import random
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
+from uclgen import maxsmt  # noqa: E402
+from uclgen.constraints import generate_clauses  # noqa: E402
+from uclgen.frontend import extract_code, parse_tolerant, prune_to_child  # noqa: E402
+from uclgen.llm import MockBackend  # noqa: E402
+from uclgen.pipeline import STATUS_SUCCESS, run_pipeline  # noqa: E402
+from uclgen.repair import synthesize_decls  # noqa: E402
+
+DUPLICATES = range(2, 9)
+EXTRA_TYPES = ("BitVector(8)", "BitVector(2)", "Array(int, bool)")
+
+
+def counting(counter: list[int], fn):
+    def counted(*args):
+        counter[0] += 1
+        return fn(*args)
+    return counted
+
+
+def main() -> int:
+    workloads._OTHER_TYPES += EXTRA_TYPES
+    solves, nodes = [0], [0]
+    maxsmt._solve = counting(solves, maxsmt._solve)
+    maxsmt._Theory.copy = counting(nodes, maxsmt._Theory.copy)
+    print("k  solves  nodes  solve_ms  pipeline_ms")
+    for k in DUPLICATES:
+        item = workloads.conflict_item(random.Random(k), (f"dup{k}",), "int")
+        program, _ = prune_to_child(parse_tolerant(extract_code(item.replies[0])))
+        cs = generate_clauses(synthesize_decls(program)[0], "depth")
+        solves[0] = nodes[0] = 0
+        t0 = time.perf_counter()
+        maxsmt.solve_maxsmt(cs)
+        solve_ms = (time.perf_counter() - t0) * 1000
+        counts = solves[0], nodes[0]
+        t0 = time.perf_counter()
+        outcome = run_pipeline(item.task, MockBackend(list(item.replies)))
+        pipeline_ms = (time.perf_counter() - t0) * 1000
+        if outcome.status != STATUS_SUCCESS:
+            print(f"k={k}: run_pipeline ended as {outcome.status}",
+                  file=sys.stderr)
+            return 1
+        print(f"{k}  {counts[0]}  {counts[1]}  {solve_ms:.0f}  {pipeline_ms:.0f}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -446,7 +446,9 @@ class _BlockParser:
                 i = self._skip_region(i, line.indent)
                 continue
             node, i = self.parse_line(i)
-            if node.kind in ("elif", "else") and nodes and nodes[-1].kind == "if":
+            # an `if` takes further arms until its `else`, and none after it
+            if node.kind in ("elif", "else") and nodes and nodes[-1].kind == "if" \
+                    and nodes[-1].children[-1].kind != "else":
                 nodes[-1] = PNode(
                     "if", nodes[-1].children + (node,), "",
                     span=Span(nodes[-1].span.start, node.span.end),

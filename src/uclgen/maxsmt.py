@@ -7,7 +7,9 @@ enum must hold and the tags its enum must not hold. Testers, tag literals
 and unification all narrow a record in one place, `_Theory._narrow`, and
 the model reads it back. Satisfiability is a depth-first search in
 which each step copies a theory and asserts one literal of the next
-clause; over it, a branch and bound search picks the soft clauses to
+clause, skipping each clause the theory already entails (a positive
+equality whose sides resolve to one term, or a disequality stored as it
+stands); over it, a branch and bound search picks the soft clauses to
 falsify. The search branches on minimal unsatisfiable cores, which
 QuickXplain extracts in a few solves, and keeps them: a node that has
 relaxed no clause of a known core branches on it without a solve.
@@ -201,6 +203,17 @@ class _Theory:
         else:
             self._narrow(a.term, _ALL, _NONE, frozenset((a.tag,)))
 
+    def entails(self, lit: Lit) -> bool:
+        """Whether `lit` holds in every extension of this theory: a
+        positive `Eq` whose sides resolve to one term, or a negative `Eq`
+        stored as it stands. Testers and tag literals are never entailed."""
+        a = lit.atom
+        if not isinstance(a, Eq):
+            return False
+        if lit.positive:
+            return self.resolve_deep(a.left) == self.resolve_deep(a.right)
+        return (a.left, a.right) in self.diseqs
+
     # -- final consistency ---------------------------------------------------
 
     def ground(self, t: TypeTerm, value) -> Optional[TypeTerm]:
@@ -308,6 +321,10 @@ class _Theory:
 
 @dataclass
 class SatResult:
+    """`forced` is what the theory at the search leaf happens to
+    determine, not what the clauses entail: it depends on the search
+    order."""
+
     sat: bool
     model: dict[int, TypeTerm] = field(default_factory=dict)
     forced: dict[int, TypeTerm] = field(default_factory=dict)
@@ -317,7 +334,10 @@ class SatResult:
 def _solve(clauses: Sequence[Clause]) -> Optional[_Theory]:
     """A theory in which every clause holds, or None if there is none: the
     root asserts the unit clauses, and each depth-first step copies the
-    theory it extends and asserts one literal of the next non-unit clause."""
+    theory it extends and asserts one literal of the next non-unit clause.
+    A step first passes over each next clause with a literal the theory
+    entails; that clause holds at every leaf below, since a branch only
+    adds merges and disequalities, and never takes one back."""
     units = [c.lits[0] for c in clauses if len(c.lits) == 1]
     rest = [c for c in clauses if len(c.lits) != 1]
     stack = [(_Theory(), units, 0)]  # (theory, literals to add, rest[:i] holds)
@@ -330,6 +350,8 @@ def _solve(clauses: Sequence[Clause]) -> Optional[_Theory]:
             th.check_diseqs()
         except _Conflict:
             continue
+        while i < len(rest) and any(th.entails(l) for l in rest[i].lits):
+            i += 1
         if i == len(rest):
             return th
         stack.extend((th, (lit,), i + 1) for lit in reversed(rest[i].lits))

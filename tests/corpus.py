@@ -3,9 +3,13 @@
 ``VALID_PROGRAMS`` are hole-free sources that should compile and print to
 verifier text the independent checker accepts.  ``INVALID_PROGRAMS`` contain
 type errors that both the compiler and the checker must reject.
+``fuzz_inputs`` yields the frontend fuzz inputs of acceptance criterion 8.
 """
 
 from __future__ import annotations
+
+import random
+from typing import Iterator
 
 VALID_PROGRAMS: dict[str, str] = {
     "counter": '''
@@ -619,3 +623,39 @@ class M(Module):
         self.f = 5
 ''',
 }
+
+
+FUZZ_ALPHABET = (
+    "abcdefghijklmnopqrstuvwxyz"
+    "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
+    "0123456789"
+    " \t\n\"'#().:=<>+-*/%&|^?!,[]{}@\\é世\U0001f600"
+)
+
+
+def fuzz_inputs(count: int = 10_000, seed: int = 0xF00D) -> Iterator[str]:
+    """Seeded fuzz inputs, in turn random text over `FUZZ_ALPHABET` and a
+    valid program with 1-10 characters replaced, inserted or deleted."""
+    rng = random.Random(seed)
+    sources = [VALID_PROGRAMS[k] for k in sorted(VALID_PROGRAMS)]
+
+    def random_text() -> str:
+        return "".join(
+            rng.choice(FUZZ_ALPHABET) for _ in range(rng.randint(0, 300))
+        )
+
+    def mutated() -> str:
+        src = list(rng.choice(sources))
+        for _ in range(rng.randint(1, 10)):
+            pos = rng.randrange(max(1, len(src)))
+            roll = rng.random()
+            if roll < 0.4 and src:
+                src[pos % len(src)] = rng.choice(FUZZ_ALPHABET)
+            elif roll < 0.7:
+                src.insert(pos, rng.choice(FUZZ_ALPHABET))
+            elif src:
+                del src[pos % len(src)]
+        return "".join(src)
+
+    for i in range(count):
+        yield random_text() if i % 2 == 0 else mutated()

@@ -10,7 +10,7 @@ import statistics
 import time
 from pathlib import Path
 
-from corpus import INVALID_PROGRAMS, VALID_PROGRAMS
+from corpus import INVALID_PROGRAMS, VALID_PROGRAMS, fuzz_inputs
 from oracle_maxsmt import oracle_optimum, random_clause_set
 from oracle_repair import (
     holes_introduced,
@@ -259,35 +259,7 @@ def test_criterion_7_budget_enforcement():
 # ---------------------------------------------------------------------------
 
 def test_criterion_8_frontend_totality_fuzz():
-    rng = random.Random(0xF00D)
-    sources = [VALID_PROGRAMS[k] for k in sorted(VALID_PROGRAMS)]
-    alphabet = (
-        "abcdefghijklmnopqrstuvwxyz"
-        "ABCDEFGHIJKLMNOPQRSTUVWXYZ"
-        "0123456789"
-        " \t\n\"'#().:=<>+-*/%&|^?!,[]{}@\\é世\U0001f600"
-    )
-
-    def random_text() -> str:
-        return "".join(
-            rng.choice(alphabet) for _ in range(rng.randint(0, 300))
-        )
-
-    def mutated() -> str:
-        src = list(rng.choice(sources))
-        for _ in range(rng.randint(1, 10)):
-            pos = rng.randrange(max(1, len(src)))
-            roll = rng.random()
-            if roll < 0.4 and src:
-                src[pos % len(src)] = rng.choice(alphabet)
-            elif roll < 0.7:
-                src.insert(pos, rng.choice(alphabet))
-            elif src:
-                del src[pos % len(src)]
-        return "".join(src)
-
-    for i in range(10_000):
-        text = random_text() if i % 2 == 0 else mutated()
+    for text in fuzz_inputs():
         program, _ = prune_to_child(parse_tolerant(text))  # must not raise
         printed = print_child(program)
         again, _ = prune_to_child(parse_tolerant(printed))

@@ -1,10 +1,13 @@
 """Extraction, error-tolerant parsing, pruning, and the surface printer."""
 
+import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
-from corpus import VALID_PROGRAMS
+from corpus import INVALID_PROGRAMS, VALID_PROGRAMS, fuzz_inputs
 from uclgen.ast_core import (
     Assign,
     BVLit,
@@ -14,13 +17,16 @@ from uclgen.ast_core import (
     HoleExpr,
     HoleStmt,
     HoleType,
+    If,
     RealLit,
     Span,
     count_holes,
     iter_nodes,
     iter_pnodes,
+    node_index,
 )
 from uclgen.frontend import (
+    BASE_CLASS,
     MAX_BLOCK_NESTING,
     MAX_NESTING,
     ExtractError,
@@ -30,6 +36,12 @@ from uclgen.frontend import (
     prune_to_child,
     _logical_lines,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+SUITE_DIR = ROOT / "tests" / "data" / "suite"
+sys.path.append(str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
 
 
 def pruned(src: str):
@@ -479,6 +491,142 @@ def test_mutated_corpus_never_raises():
         p, _ = prune_to_child(parse_tolerant("".join(src)))
         for node, _ in iter_nodes(p):
             assert node is not None
+
+
+# ---------------------------------------------------------------------------
+# No silent loss: each statement of a section is kept, a hole, or a
+# reported drop
+# ---------------------------------------------------------------------------
+
+# the section methods and the program field each one fills
+SECTION_FIELDS = {
+    "types": "type_defs", "locals": "locals", "inputs": "inputs",
+    "outputs": "outputs", "init": "init_body", "next": "next_body",
+    "specification": "invariants_spec",
+}
+
+
+def _statements(block, nested: bool):
+    """The statements of a surface block, `pass` and docstrings aside; with
+    `nested`, those in the blocks of each `if`, `elif` and `else` too."""
+    for stmt in block.children:
+        if stmt.kind in ("pass", "docstring"):
+            continue
+        yield stmt
+        if nested and stmt.kind == "if":
+            for arm in (stmt.children[1], *stmt.children[2:]):
+                yield from _statements(arm if arm.kind == "block"
+                                       else arm.children[-1], nested)
+
+
+def _entries(entries):
+    """Program entries, with the statements in each `If`'s arms."""
+    for e in entries:
+        yield e
+        if isinstance(e, If):
+            for _, body in e.arms:
+                yield from _entries(body)
+            yield from _entries(e.orelse)
+
+
+def section_accounts(source: str) -> dict[str, tuple[int, int, int, int]]:
+    """For each section the pruner reads: its statement count, and how many
+    of them it kept, made holes and reported as dropped with no hole in
+    their place. Statements of `init` and `next` are counted at every `if`
+    depth; elsewhere an `if` is one statement, dropped whole."""
+    ast = parse_tolerant(source)
+    program, report = prune_to_child(ast)
+    cls = next((n for n in ast.root.children if n.kind == "class"
+                and BASE_CLASS in [b.text for b in n.children[0].children]),
+               None)
+    if cls is None:
+        return {}
+    position = node_index(ast.root)
+    dropped = {pos for pos, _, _ in report.dropped}
+    replaced = {span for _, category, span in report.holes_inserted
+                if category in ("declaration", "statement", "invariant")}
+    out: dict[str, tuple[int, int, int, int]] = {}
+    for method in cls.children[1].children:
+        if method.kind != "def" or method.text not in SECTION_FIELDS \
+                or method.text in out:
+            continue
+        stmts = list(_statements(method.children[1],
+                                 method.text in ("init", "next")))
+        entries = getattr(program, SECTION_FIELDS[method.text])
+        if method.text == "specification":
+            entries = [prop for _, prop in entries]
+        entries = list(_entries(entries))
+        holes = sum(isinstance(e, (HoleDecl, HoleStmt, HoleExpr))
+                    for e in entries)
+        drops = sum(position[id(s)] in dropped and s.span not in replaced
+                    for s in stmts)
+        out[method.text] = (len(stmts), len(entries) - holes, holes, drops)
+    return out
+
+
+def _transcript_replies():
+    for path in sorted(SUITE_DIR.glob("*.jsonl")):
+        for i, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
+            try:
+                yield f"{path.stem}/{i}", extract_code(json.loads(line)["response"])
+            except ExtractError:
+                continue
+
+
+def _workload_replies():
+    for workload in workloads.WORKLOADS:
+        for seed in (0, 1, 2):
+            for item in workloads.pool(workload, seed, SUITE_DIR / "suite.json"):
+                for i, reply in enumerate(item.replies):
+                    yield f"{workload}/{seed}/{item.key}/{i}", extract_code(reply)
+
+
+LOSS_FAMILIES = {
+    "corpus": lambda: [*VALID_PROGRAMS.items(), *INVALID_PROGRAMS.items()],
+    "transcripts": _transcript_replies,
+    "workloads": _workload_replies,
+    "criterion8": lambda: (
+        (f"fuzz/{i}", text) for i, text in enumerate(fuzz_inputs())),
+}
+
+
+@pytest.mark.parametrize("family", LOSS_FAMILIES)
+def test_no_statement_is_lost_silently(family):
+    sections = 0
+    lost = []
+    for name, source in LOSS_FAMILIES[family]():
+        for section, (count, kept, holes, drops) in \
+                section_accounts(source).items():
+            sections += 1
+            if count != kept + holes + drops:
+                lost.append((name, section, count, kept, holes, drops))
+    assert sections > 0
+    assert not lost, lost
+
+
+def test_an_else_closes_its_if():
+    # a second `else`, or an `elif` after the `else`, is no arm of the
+    # `if`: each is an unparseable line and a hole, never a lost `else`
+    # block or an arm moved ahead of it
+    src = (
+        "class M(Module):\n"
+        "    def next(self):\n"
+        "        if self.x > 0:\n"
+        "            self.x = 1\n"
+        "        else:\n"
+        "            self.x = 2\n"
+        "        else:\n"
+        "            self.x = 3\n"
+        "        elif self.x < 0:\n"
+        "            self.x = 4\n"
+    )
+    p, rep = pruned(src)
+    (stmt, *rest) = p.next_body
+    assert isinstance(stmt, If) and len(stmt.arms) == 1
+    assert [s.rhs.value for s in stmt.orelse] == [2]
+    assert [type(s) for s in rest] == [HoleStmt, HoleStmt]
+    assert [d["line"] for d in rep.to_dict()["dropped"]] == [7, 9]
+    assert section_accounts(src) == {"next": (5, 3, 2, 0)}
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,14 @@ import pytest
 from oracle_maxsmt import deletion_core, oracle_optimum, random_clause_set
 from uclgen import maxsmt
 from uclgen.ast_core import BOOL, INT, REAL, ArrayType, BVType, EnumType, TVar
-from uclgen.constraints import ClauseSet, Eq, HasTag, Lit, generate_clauses
+from uclgen.constraints import (
+    ClauseSet,
+    Eq,
+    HasTag,
+    Lit,
+    eval_clause,
+    generate_clauses,
+)
 from uclgen.constraints import Tester as CtorTester
 from uclgen.frontend import parse_tolerant, prune_to_child
 from uclgen.maxsmt import (
@@ -160,6 +167,74 @@ def test_record_binding_to_an_enum_without_a_required_tag_conflicts():
     th.assert_lit(Lit(HasTag("A", x)))
     with pytest.raises(_Conflict):
         th.unify(x, EnumType(("B",)))
+
+
+# ---------------------------------------------------------------------------
+# Entailment: the clauses `_solve` skips
+# ---------------------------------------------------------------------------
+
+def test_entails_an_equality_through_a_union_find_chain():
+    th = _Theory()
+    x, y, z = TVar(0), TVar(1), TVar(2)
+    assert not th.entails(Lit(Eq(x, z)))
+    th.unify(x, y)
+    th.unify(y, z)
+    assert th.entails(Lit(Eq(x, z)))
+    assert th.entails(Lit(Eq(z, x)))
+    assert not th.entails(Lit(Eq(x, z), positive=False))
+
+
+def test_entails_an_equality_through_an_arrays_parts():
+    th = _Theory()
+    a, i, e, j = TVar(0), TVar(1), TVar(2), TVar(3)
+    th.unify(a, ArrayType(i, e))
+    th.unify(e, BOOL)
+    assert not th.entails(Lit(Eq(a, ArrayType(j, BOOL))))
+    th.unify(i, j)
+    assert th.entails(Lit(Eq(a, ArrayType(j, BOOL))))
+    assert not th.entails(Lit(Eq(a, ArrayType(j, INT))))
+
+
+def test_entails_a_stored_disequality_as_it_stands():
+    th = _Theory()
+    x, y = TVar(0), TVar(1)
+    th.assert_lit(Lit(Eq(x, INT), positive=False))
+    assert th.entails(Lit(Eq(x, INT), positive=False))
+    # checked syntactically: sides swapped, a merged side, or sides that
+    # are ground and differ do not match a stored disequality
+    th.unify(x, y)
+    assert not th.entails(Lit(Eq(INT, x), positive=False))
+    assert not th.entails(Lit(Eq(y, INT), positive=False))
+    th.unify(y, BOOL)
+    assert not th.entails(Lit(Eq(x, REAL), positive=False))
+
+
+def test_entails_no_tester_or_tag_literal():
+    th = _Theory()
+    x = TVar(0)
+    for lit in (Lit(CtorTester("enum", x)), Lit(HasTag("A", x)),
+                Lit(HasTag("B", x), positive=False)):
+        th.assert_lit(lit)
+        assert not th.entails(lit)
+
+
+def test_a_skipped_clause_holds_in_the_model_of_the_leaf():
+    # the units make x = y and x != int; the second literal of each
+    # non-unit clause is then entailed, so `_solve` asserts neither z = bool
+    # nor z = real and leaves z free
+    cs = ClauseSet()
+    x, y, z = (cs.tvar(("var", n)) for n in "xyz")
+    cs.add_hard([Lit(Eq(x, y))], "t:unit")
+    cs.add_hard([Lit(Eq(x, INT), positive=False)], "t:unit")
+    cs.add_hard([Lit(Eq(z, BOOL)), Lit(Eq(y, x))], "t:skipped")
+    cs.add_hard([Lit(Eq(z, REAL)), Lit(Eq(x, INT), positive=False)],
+                "t:skipped")
+    th = _solve(cs.clauses)
+    assert th is not None
+    assert th.determined(z) is None
+    model = th.model({x.tid, y.tid, z.tid})
+    assert model[z.tid] == INT
+    assert all(eval_clause(c, model) for c in cs.clauses)
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +549,8 @@ def test_a_wrong_literal_in_a_chain_costs_a_bounded_number_of_solves(
     assert len(calls) <= 50
 
 
-_OTHER_TYPES = ("int", "real", "BitVector(4)", 'Enum("LO", "HI")')
+_OTHER_TYPES = ("int", "real", "BitVector(4)", 'Enum("LO", "HI")',
+                "BitVector(8)", "BitVector(2)", "Array(int, bool)")
 
 
 def _duplicates_source(k):
@@ -497,19 +573,43 @@ def _duplicates_source(k):
     return "\n".join(lines) + "\n"
 
 
+def _count_nodes(monkeypatch):
+    """Search nodes, one `_Theory.copy` call each."""
+    nodes = [0]
+    copy = _Theory.copy
+
+    def counting(self):
+        nodes[0] += 1
+        return copy(self)
+
+    monkeypatch.setattr(_Theory, "copy", counting)
+    return nodes
+
+
+# search nodes with each clause the theory entails skipped; branching on
+# every literal of every clause took 46 / 162 / 992 / 13,845 / 345,188
+# nodes for 2 to 6 duplicates
+_DUPLICATE_NODES = {2: 33, 3: 94, 4: 278, 5: 851, 6: 2271, 7: 5281, 8: 11437}
+
+
 @pytest.mark.parametrize("k, solves, falsified", [
     (2, 25, (5,)),
     (3, 36, (5, 8)),
     (4, 59, (3, 7, 10)),
     (5, 99, (3, 7, 9, 12)),
+    (6, 153, (3, 7, 9, 12, 14)),
+    (7, 221, (3, 5, 9, 11, 14, 16)),
+    (8, 300, (3, 5, 9, 11, 13, 16, 18)),
 ])
 def test_duplicate_declarations_cost_pinned_solves(
         monkeypatch, k, solves, falsified):
     # deletion with no core kept took 28 / 70 / 204 / 500 solves
     cs = _clauses_of(_duplicates_source(k))
     calls = _count_solves(monkeypatch)
+    nodes = _count_nodes(monkeypatch)
     assert solve_maxsmt(cs).falsified == falsified
     assert len(calls) == solves
+    assert nodes[0] == _DUPLICATE_NODES[k]
 
 
 def test_a_known_core_is_branched_on_without_a_solve(monkeypatch):
