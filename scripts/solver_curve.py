@@ -6,11 +6,12 @@ The draft is the benchmark's `typing_conflicts` item (`conflict_item` in
 the four other types the benchmark draws from, it takes `BitVector(8)`,
 `BitVector(2)` and `Array(int, bool)`. For each k it prints one line:
 
-    k  solves  nodes  solve_ms  pipeline_ms
+    k  solves  nodes  asserts  solve_ms  pipeline_ms
 
-`solves` counts `_solve` calls and `nodes` counts search nodes (`_Theory`
-copies), both inside one `solve_maxsmt` of the draft's clauses, which
-`solve_ms` times. `pipeline_ms` times `run_pipeline` on the item, whose
+`solves` counts satisfiability searches (`_Base.search` calls, as
+`tests/test_maxsmt.py` counts them), `nodes` counts search nodes
+(`_Theory` copies) and `asserts` counts `_Theory.assert_lit` calls, all
+inside one `solve_maxsmt` of the draft's clauses, which `solve_ms` times. `pipeline_ms` times `run_pipeline` on the item, whose
 second reply is the corrected module. Run it with no arguments:
 
     python3 scripts/solver_curve.py
@@ -48,19 +49,20 @@ def counting(counter: list[int], fn):
 
 def main() -> int:
     workloads._OTHER_TYPES += EXTRA_TYPES
-    solves, nodes = [0], [0]
-    maxsmt._solve = counting(solves, maxsmt._solve)
+    solves, nodes, asserts = [0], [0], [0]
+    maxsmt._Base.search = counting(solves, maxsmt._Base.search)
     maxsmt._Theory.copy = counting(nodes, maxsmt._Theory.copy)
-    print("k  solves  nodes  solve_ms  pipeline_ms")
+    maxsmt._Theory.assert_lit = counting(asserts, maxsmt._Theory.assert_lit)
+    print("k  solves  nodes  asserts  solve_ms  pipeline_ms")
     for k in DUPLICATES:
         item = workloads.conflict_item(random.Random(k), (f"dup{k}",), "int")
         program, _ = prune_to_child(parse_tolerant(extract_code(item.replies[0])))
         cs = generate_clauses(synthesize_decls(program)[0], "depth")
-        solves[0] = nodes[0] = 0
+        solves[0] = nodes[0] = asserts[0] = 0
         t0 = time.perf_counter()
         maxsmt.solve_maxsmt(cs)
         solve_ms = (time.perf_counter() - t0) * 1000
-        counts = solves[0], nodes[0]
+        counts = solves[0], nodes[0], asserts[0]
         t0 = time.perf_counter()
         outcome = run_pipeline(item.task, MockBackend(list(item.replies)))
         pipeline_ms = (time.perf_counter() - t0) * 1000
@@ -68,7 +70,8 @@ def main() -> int:
             print(f"k={k}: run_pipeline ended as {outcome.status}",
                   file=sys.stderr)
             return 1
-        print(f"{k}  {counts[0]}  {counts[1]}  {solve_ms:.0f}  {pipeline_ms:.0f}")
+        print(f"{k}  {counts[0]}  {counts[1]}  {counts[2]}  {solve_ms:.0f}  "
+              f"{pipeline_ms:.0f}")
     return 0
 
 

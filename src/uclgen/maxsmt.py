@@ -5,14 +5,18 @@ testers and enum-tag membership. Each unbound union-find root keeps one
 record of what it may still be: the constructors left to it, the tags its
 enum must hold and the tags its enum must not hold. Testers, tag literals
 and unification all narrow a record in one place, `_Theory._narrow`, and
-the model reads it back. Satisfiability is a depth-first search in
-which each step copies a theory and asserts one literal of the next
-clause, skipping each clause the theory already entails (a positive
-equality whose sides resolve to one term, or a disequality stored as it
-stands); over it, a branch and bound search picks the soft clauses to
-falsify. The search branches on minimal unsatisfiable cores, which
-QuickXplain extracts in a few solves, and keeps them: a node that has
-relaxed no clause of a known core branches on it without a solve.
+the model reads it back. Satisfiability is a depth-first search from a
+base, a theory with the unit clauses asserted, in which each step copies
+a theory and asserts one literal of the next clause, skipping each clause
+the theory already entails (a positive equality whose sides resolve to
+one term, or a disequality stored as it stands). Searches that share
+clauses extend one base rather than each asserting them again: a
+component's hard clauses are asserted once, and each QuickXplain call
+extends its parent's base. Over the searches, a branch and bound search
+picks the soft clauses to falsify. It branches on minimal unsatisfiable
+cores, which QuickXplain extracts in a few solves, and keeps them: a
+node that has relaxed no clause of a known core branches on it without
+a solve.
 `emit_smtlib` renders a clause set as SMT-LIB 2 with
 `assert-soft` weights, for inspection or for another MAX-SMT solver.
 
@@ -331,69 +335,114 @@ class SatResult:
     core: tuple[int, ...] = ()
 
 
+class _Base:
+    """Where searches start: `theory` has the unit clauses of `clauses`
+    asserted in order and passes `check_diseqs`, or is None when they
+    conflict, and a search from it branches on the other clauses.
+    `extend` asserts only the added units, on a copy, so a fact that many
+    searches share is asserted once; a base's theory is never asserted
+    to again."""
+
+    __slots__ = ("theory", "clauses")
+
+    def __init__(self, theory: Optional[_Theory], clauses: tuple[Clause, ...]):
+        self.theory = theory
+        self.clauses = clauses
+
+    @staticmethod
+    def of(clauses: Sequence[Clause]) -> _Base:
+        return _Base(_Theory(), ()).extend(clauses)
+
+    def extend(self, clauses: Sequence[Clause]) -> _Base:
+        th = self.theory
+        units = [c.lits[0] for c in clauses if len(c.lits) == 1]
+        if th is not None and units:
+            th = th.copy()
+            try:
+                for lit in units:
+                    th.assert_lit(lit)
+                th.check_diseqs()
+            except _Conflict:
+                th = None
+        return _Base(th, self.clauses + tuple(clauses))
+
+    def search(self) -> Optional[_Theory]:
+        """A theory in which every clause holds, or None if there is none:
+        a depth-first search from the base's theory, in which each step
+        copies the theory it extends and asserts one literal of the next
+        non-unit clause. A step first passes over each next clause with a
+        literal the theory entails; that clause holds at every leaf below,
+        since a branch only adds merges and disequalities, and never takes
+        one back. The base's theory is the one that asserting the units
+        of `clauses` in order on a fresh theory gives, so how a base was
+        built does not change what its search finds."""
+        if self.theory is None:
+            return None
+        rest = [c for c in self.clauses if len(c.lits) != 1]
+        # (theory, literal to add to a copy of it, rest[:i] holds)
+        stack: list[tuple[_Theory, Optional[Lit], int]] = [(self.theory, None, 0)]
+        while stack:
+            th, lit, i = stack.pop()
+            if lit is not None:
+                th = th.copy()
+                try:
+                    th.assert_lit(lit)
+                    th.check_diseqs()
+                except _Conflict:
+                    continue
+            while i < len(rest) and any(th.entails(l) for l in rest[i].lits):
+                i += 1
+            if i == len(rest):
+                return th
+            stack.extend((th, l, i + 1) for l in reversed(rest[i].lits))
+        return None
+
+
 def _solve(clauses: Sequence[Clause]) -> Optional[_Theory]:
-    """A theory in which every clause holds, or None if there is none: the
-    root asserts the unit clauses, and each depth-first step copies the
-    theory it extends and asserts one literal of the next non-unit clause.
-    A step first passes over each next clause with a literal the theory
-    entails; that clause holds at every leaf below, since a branch only
-    adds merges and disequalities, and never takes one back."""
-    units = [c.lits[0] for c in clauses if len(c.lits) == 1]
-    rest = [c for c in clauses if len(c.lits) != 1]
-    stack = [(_Theory(), units, 0)]  # (theory, literals to add, rest[:i] holds)
-    while stack:
-        base, lits, i = stack.pop()
-        th = base.copy()
-        try:
-            for lit in lits:
-                th.assert_lit(lit)
-            th.check_diseqs()
-        except _Conflict:
-            continue
-        while i < len(rest) and any(th.entails(l) for l in rest[i].lits):
-            i += 1
-        if i == len(rest):
-            return th
-        stack.extend((th, (lit,), i + 1) for lit in reversed(rest[i].lits))
-    return None
+    """A theory in which every clause holds, or None if there is none."""
+    return _Base.of(clauses).search()
 
 
 def _shrink_core(
-    candidates: Sequence[Clause], fixed: Sequence[Clause] = ()
+    candidates: Sequence[Clause], fixed: Sequence[Clause] | _Base = ()
 ) -> list[Clause]:
     """A minimal subset of `candidates` that is unsatisfiable together
     with `fixed` (assumes all of them together are unsatisfiable), in
-    candidate order; [] when `fixed` alone is unsatisfiable.
+    candidate order; [] when `fixed` alone is unsatisfiable. `fixed` may
+    be a `_Base` that already asserts it.
 
     QuickXplain (Junker, AAAI 2004) over the candidates in reverse order.
     Its core keeps a candidate exactly when `fixed`, the kept candidates
     before it and all candidates after it are satisfiable: the core that
     deletion from the front keeps. A core of k out of n candidates costs
-    at most about 2k log2(n/k) + 2k solves, not n. Recursion depth is
-    ceil(log2 n) + 1.
+    at most about 2k log2(n/k) + 2k solves, not n. Each call extends its
+    parent's base, so a clause is asserted once on a path down the
+    recursion, not once per solve. Recursion depth is ceil(log2 n) + 1.
     """
 
-    def qx(base: list[Clause], grew: bool, order: list[int]) -> list[int]:
+    def qx(base: _Base, grew: bool, order: list[int]) -> list[int]:
         # the positions of a minimal subset of `order` that is
         # unsatisfiable with `base`, preferring earlier positions; `base`
-        # is solved first only if it `grew` since a solve found it
+        # is searched first only if it `grew` since a search found it
         # satisfiable (the top call's case is settled below)
-        if grew and _solve(base) is None:
+        if grew and base.search() is None:
             return []
         if len(order) == 1:
             return order
         first, second = order[: len(order) // 2], order[len(order) // 2 :]
-        kept2 = qx(base + [candidates[i] for i in first], True, second)
-        kept1 = qx(base + [candidates[i] for i in kept2], bool(kept2), first)
+        kept2 = qx(base.extend([candidates[i] for i in first]), True, second)
+        kept1 = qx(base.extend([candidates[i] for i in kept2]), bool(kept2),
+                   first)
         return kept1 + kept2
 
     if not candidates:
         return []
+    base = fixed if isinstance(fixed, _Base) else _Base.of(fixed)
     order = list(reversed(range(len(candidates))))
-    kept = qx(list(fixed), False, order)
-    # when `fixed` alone is unsatisfiable every solve fails and qx keeps
-    # its first clause only; one solve of `fixed` tells the two apart
-    if kept == order[:1] and fixed and _solve(fixed) is None:
+    kept = qx(base, False, order)
+    # when `fixed` alone is unsatisfiable every search fails and qx keeps
+    # its first clause only; one search of `fixed` tells the two apart
+    if kept == order[:1] and base.clauses and base.search() is None:
         return []
     return [candidates[i] for i in sorted(kept)]
 
@@ -462,8 +511,11 @@ def _components(cs: ClauseSet) -> list[tuple[list[Clause], set[int]]]:
     return [groups[k] for k in sorted(groups)]
 
 
-def _solve_component(clauses: list[Clause]) -> tuple[tuple[int, ...], int, _Theory]:
-    """Core-guided hitting-set search.
+def _solve_component(
+    clauses: list[Clause],
+) -> Optional[tuple[tuple[int, ...], int, _Theory]]:
+    """Core-guided hitting-set search; None when the hard clauses alone
+    are unsatisfiable.
 
     A falsified soft clause is simply dropped (not negated): the reported
     set is the cheapest set of soft clauses whose removal leaves the rest
@@ -474,12 +526,15 @@ def _solve_component(clauses: list[Clause]) -> tuple[tuple[int, ...], int, _Theo
     complete. Cores are kept: a node whose excluded set misses a known
     core branches on that core without solving, since the core lies
     wholly among the active clauses. Only a node that hits every known
-    core is solved, and shrunk to a new core when unsatisfiable. The
-    hard clauses are satisfiable (`solve_maxsmt` checks them first), so
-    a best set always exists.
+    core is solved, and shrunk to a new core when unsatisfiable.
+
+    The hard clauses are asserted once, in `hard_base`; each node's
+    search and each core's QuickXplain extend it. They are searched
+    alone only when the root node (nothing excluded) is unsatisfiable;
+    when they hold, a best set always exists.
     """
     softs = [c for c in clauses if not c.hard]
-    hards = [c for c in clauses if c.hard]
+    hard_base = _Base.of([c for c in clauses if c.hard])
     best: Optional[tuple[int, tuple[int, ...], _Theory]] = None
     seen: set[frozenset[int]] = set()
     cores: list[list[Clause]] = []
@@ -495,13 +550,15 @@ def _solve_component(clauses: list[Clause]) -> tuple[tuple[int, ...], int, _Theo
                      if excluded.isdisjoint(c.index for c in k)), None)
         if core is None:
             active = [c for c in softs if c.index not in excluded]
-            th = _solve(hards + active)
+            th = hard_base.extend(active).search()
             if th is not None:
                 cand = (cost, tuple(sorted(excluded)))
                 if best is None or cand < best[:2]:
                     best = (*cand, th)
                 continue
-            core = _shrink_core(active, hards)
+            if not excluded and hard_base.search() is None:
+                return None
+            core = _shrink_core(active, hard_base)
             cores.append(core)
         stack.extend((excluded | {c.index}, cost + c.weight)
                      for c in reversed(core))
@@ -509,17 +566,25 @@ def _solve_component(clauses: list[Clause]) -> tuple[tuple[int, ...], int, _Theo
 
 
 def solve_maxsmt(cs: ClauseSet) -> MaxSmtResult:
-    """Optimal soft-clause falsification for the whole clause set."""
-    hard = [c for c in cs.clauses if c.hard]
-    if _solve(hard) is None:
-        raise Untypeable(tuple(c.index for c in _shrink_core(hard)))
+    """Optimal soft-clause falsification for the whole clause set.
 
+    Raises `Untypeable` when the hard clauses alone are unsatisfiable.
+    They are not solved up front: a component finds out only when its
+    root node is unsatisfiable, and then the core is the one QuickXplain
+    keeps among all hard clauses, whichever component conflicts. The
+    hard clauses `generate_clauses` emits all hold when every type
+    variable is `int`, which is why a repair round never raises it.
+    """
     falsified: list[int] = []
     cost = 0
     model: dict[int, TypeTerm] = {}
     forced: dict[int, TypeTerm] = {}
     for comp, tids in _components(cs):
-        f, w, th = _solve_component(comp)
+        solved = _solve_component(comp)
+        if solved is None:
+            hard = [c for c in cs.clauses if c.hard]
+            raise Untypeable(tuple(c.index for c in _shrink_core(hard)))
+        f, w, th = solved
         falsified.extend(f)
         cost += w
         model.update(th.model(tids))

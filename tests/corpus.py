@@ -3,13 +3,21 @@
 ``VALID_PROGRAMS`` are hole-free sources that should compile and print to
 verifier text the independent checker accepts.  ``INVALID_PROGRAMS`` contain
 type errors that both the compiler and the checker must reject.
-``fuzz_inputs`` yields the frontend fuzz inputs of acceptance criterion 8.
+``fuzz_inputs`` yields the frontend fuzz inputs of acceptance criterion 8,
+and ``mutate`` makes the character edits its mutated inputs carry.
+``transcript_replies`` yields the code of every recorded LLM reply.
 """
 
 from __future__ import annotations
 
+import json
 import random
+from pathlib import Path
 from typing import Iterator
+
+from uclgen.frontend import ExtractError, extract_code
+
+SUITE_DIR = Path(__file__).parent / "data" / "suite"
 
 VALID_PROGRAMS: dict[str, str] = {
     "counter": '''
@@ -644,18 +652,30 @@ def fuzz_inputs(count: int = 10_000, seed: int = 0xF00D) -> Iterator[str]:
             rng.choice(FUZZ_ALPHABET) for _ in range(rng.randint(0, 300))
         )
 
-    def mutated() -> str:
-        src = list(rng.choice(sources))
-        for _ in range(rng.randint(1, 10)):
-            pos = rng.randrange(max(1, len(src)))
-            roll = rng.random()
-            if roll < 0.4 and src:
-                src[pos % len(src)] = rng.choice(FUZZ_ALPHABET)
-            elif roll < 0.7:
-                src.insert(pos, rng.choice(FUZZ_ALPHABET))
-            elif src:
-                del src[pos % len(src)]
-        return "".join(src)
-
     for i in range(count):
-        yield random_text() if i % 2 == 0 else mutated()
+        yield random_text() if i % 2 == 0 else mutate(rng, rng.choice(sources))
+
+
+def mutate(rng: random.Random, text: str) -> str:
+    """`text` with 1-10 characters replaced, inserted or deleted."""
+    src = list(text)
+    for _ in range(rng.randint(1, 10)):
+        pos = rng.randrange(max(1, len(src)))
+        roll = rng.random()
+        if roll < 0.4 and src:
+            src[pos % len(src)] = rng.choice(FUZZ_ALPHABET)
+        elif roll < 0.7:
+            src.insert(pos, rng.choice(FUZZ_ALPHABET))
+        elif src:
+            del src[pos % len(src)]
+    return "".join(src)
+
+
+def transcript_replies() -> Iterator[tuple[str, str]]:
+    """(name, code) for each recorded reply whose code can be extracted."""
+    for path in sorted(SUITE_DIR.glob("*.jsonl")):
+        for i, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
+            try:
+                yield f"{path.stem}/{i}", extract_code(json.loads(line)["response"])
+            except ExtractError:
+                continue

@@ -1,13 +1,17 @@
 """Extraction, error-tolerant parsing, pruning, and the surface printer."""
 
-import json
 import random
 import sys
 from pathlib import Path
 
 import pytest
 
-from corpus import INVALID_PROGRAMS, VALID_PROGRAMS, fuzz_inputs
+from corpus import (
+    INVALID_PROGRAMS,
+    VALID_PROGRAMS,
+    fuzz_inputs,
+    transcript_replies,
+)
 from uclgen.ast_core import (
     Assign,
     BVLit,
@@ -564,15 +568,6 @@ def section_accounts(source: str) -> dict[str, tuple[int, int, int, int]]:
     return out
 
 
-def _transcript_replies():
-    for path in sorted(SUITE_DIR.glob("*.jsonl")):
-        for i, line in enumerate(path.read_text(encoding="utf-8").splitlines()):
-            try:
-                yield f"{path.stem}/{i}", extract_code(json.loads(line)["response"])
-            except ExtractError:
-                continue
-
-
 def _workload_replies():
     for workload in workloads.WORKLOADS:
         for seed in (0, 1, 2):
@@ -583,7 +578,7 @@ def _workload_replies():
 
 LOSS_FAMILIES = {
     "corpus": lambda: [*VALID_PROGRAMS.items(), *INVALID_PROGRAMS.items()],
-    "transcripts": _transcript_replies,
+    "transcripts": transcript_replies,
     "workloads": _workload_replies,
     "criterion8": lambda: (
         (f"fuzz/{i}", text) for i, text in enumerate(fuzz_inputs())),

@@ -288,6 +288,33 @@ def test_unsatisfiable_hard_clauses_raise_with_core():
     assert set(exc.value.core) == {0, 1}
 
 
+def test_a_later_components_hard_conflict_raises_the_global_hard_core(
+        monkeypatch):
+    # component x needs a relaxation and is solved first; component y's
+    # hard clauses conflict, which only its root node finds out
+    cs = ClauseSet()
+    x, y = cs.tvar(("var", "x")), cs.tvar(("var", "y"))
+    cs.add_hard([Lit(Eq(x, INT)), Lit(Eq(x, REAL))], "x:hard")
+    cs.add_soft([Lit(Eq(x, BOOL))], 1, origin=0, label="x:soft")
+    cs.add_soft([Lit(Eq(x, INT))], 1, origin=1, label="x:soft")
+    cs.add_hard([Lit(Eq(y, BOOL))], "y:hard")
+    cs.add_hard([Lit(Eq(y, INT))], "y:hard")
+    solved = []
+    solve_component = maxsmt._solve_component
+
+    def recording(clauses):
+        got = solve_component(clauses)
+        solved.append(got and got[0])
+        return got
+
+    monkeypatch.setattr(maxsmt, "_solve_component", recording)
+    with pytest.raises(Untypeable) as exc:
+        solve_maxsmt(cs)
+    assert solved == [(1,), None]
+    assert exc.value.core == tuple(c.index for c in _shrink_core(cs.hard))
+    assert exc.value.core == (3, 4)
+
+
 def test_unconstrained_variables_default_to_int():
     cs = ClauseSet()
     cs.tvar(("var", "loose"))
@@ -474,19 +501,12 @@ def test_search_asserts_a_bounded_number_of_literals_per_clause(
         monkeypatch, source):
     program, _ = prune_to_child(parse_tolerant(source))
     cs = generate_clauses(synthesize_decls(program)[0], "depth")
-    asserted = [0]
-    assert_lit = _Theory.assert_lit
-
-    def counting(self, lit):
-        asserted[0] += 1
-        assert_lit(self, lit)
-
-    monkeypatch.setattr(_Theory, "assert_lit", counting)
+    asserted = _count_asserts(monkeypatch)
     assert check_sat(cs.clauses).sat
-    assert asserted[0] <= len(cs.clauses)
-    asserted[0] = 0
+    assert len(asserted) <= len(cs.clauses)
+    asserted.clear()
     assert solve_maxsmt(cs).falsified == ()
-    assert asserted[0] <= 2 * len(cs.clauses)
+    assert len(asserted) <= 2 * len(cs.clauses)
 
 
 # ---------------------------------------------------------------------------
@@ -521,14 +541,17 @@ def test_shrink_core_is_empty_when_the_fixed_clauses_conflict():
 
 
 def _count_solves(monkeypatch):
+    """Satisfiability decisions, recorded as the indices of the clauses
+    searched: each is one `_Base.search` call, whether through `_solve`
+    or on a base the solver extended."""
     calls = []
-    solve = maxsmt._solve
+    search = maxsmt._Base.search
 
-    def counting(clauses):
-        calls.append(tuple(c.index for c in clauses))
-        return solve(clauses)
+    def counting(base):
+        calls.append(tuple(c.index for c in base.clauses))
+        return search(base)
 
-    monkeypatch.setattr(maxsmt, "_solve", counting)
+    monkeypatch.setattr(maxsmt._Base, "search", counting)
     return calls
 
 
@@ -586,10 +609,29 @@ def _count_nodes(monkeypatch):
     return nodes
 
 
+def _count_asserts(monkeypatch):
+    """Every literal `_Theory.assert_lit` is called with, in order."""
+    asserted = []
+    assert_lit = _Theory.assert_lit
+
+    def counting(self, lit):
+        asserted.append(lit)
+        assert_lit(self, lit)
+
+    monkeypatch.setattr(_Theory, "assert_lit", counting)
+    return asserted
+
+
 # search nodes with each clause the theory entails skipped; branching on
 # every literal of every clause took 46 / 162 / 992 / 13,845 / 345,188
-# nodes for 2 to 6 duplicates
-_DUPLICATE_NODES = {2: 33, 3: 94, 4: 278, 5: 851, 6: 2271, 7: 5281, 8: 11437}
+# nodes for 2 to 6 duplicates. A base's copy counts as a node: building a
+# base copies once where every solve's root once did
+_DUPLICATE_NODES = {2: 36, 3: 96, 4: 274, 5: 838, 6: 2251, 7: 5250, 8: 11393}
+# literals asserted with each search extending a base; re-asserting every
+# unit clause in every solve took 209 / 358 / 728 / 1,593 / 3,411 / 6,928 /
+# 13,667
+_DUPLICATE_ASSERTS = {2: 90, 3: 168, 4: 383, 5: 1008, 6: 2495, 7: 5596,
+                      8: 11842}
 
 
 @pytest.mark.parametrize("k, solves, falsified", [
@@ -607,9 +649,25 @@ def test_duplicate_declarations_cost_pinned_solves(
     cs = _clauses_of(_duplicates_source(k))
     calls = _count_solves(monkeypatch)
     nodes = _count_nodes(monkeypatch)
+    asserted = _count_asserts(monkeypatch)
     assert solve_maxsmt(cs).falsified == falsified
     assert len(calls) == solves
     assert nodes[0] == _DUPLICATE_NODES[k]
+    assert len(asserted) == _DUPLICATE_ASSERTS[k]
+
+
+def test_a_component_asserts_each_hard_unit_once(monkeypatch):
+    # four declarations of one name: one component, relaxed three times
+    # over many searches and QuickXplain calls, all on one hard base
+    comp = max((comp for comp, _ in maxsmt._components(
+        _clauses_of(_duplicates_source(4)))), key=len)
+    hard_units = [c.lits[0] for c in comp if c.hard and len(c.lits) == 1]
+    calls = _count_solves(monkeypatch)
+    asserted = _count_asserts(monkeypatch)
+    assert len(maxsmt._solve_component(comp)[0]) == 3
+    assert (len(calls), len(hard_units)) == (56, 3)
+    assert [sum(l is u for l in asserted) for u in hard_units] == \
+        [1] * len(hard_units)
 
 
 def test_a_known_core_is_branched_on_without_a_solve(monkeypatch):

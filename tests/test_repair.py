@@ -2,6 +2,9 @@
 
 import random
 
+import pytest
+
+from corpus import INVALID_PROGRAMS, VALID_PROGRAMS, transcript_replies
 from oracle_repair import (
     holes_introduced,
     min_hole_count,
@@ -21,7 +24,7 @@ from uclgen.ast_core import (
     node_index,
     undeclared_names,
 )
-from uclgen.constraints import generate_clauses
+from uclgen.constraints import eval_clause, generate_clauses
 from uclgen.frontend import parse_tolerant, prune_to_child
 from uclgen.maxsmt import solve_maxsmt
 from uclgen.repair import (
@@ -307,3 +310,27 @@ def test_uniform_weights_make_minimal_edits():
         p = random_conflict_program(rng)
         out = repair_round(p, weight_mode="uniform")
         assert holes_introduced(p, out.falsified) == min_hole_count(p)
+
+
+@pytest.mark.parametrize("family", ["corpus", "transcripts"])
+def test_every_hard_clause_holds_when_every_type_is_int(family):
+    # so the hard clauses of a round never conflict, and `solve_maxsmt`,
+    # which finds a hard conflict only when one exists, never raises
+    # `Untypeable` inside `repair_round`; both of a round's solves checked
+    sources = (transcript_replies() if family == "transcripts" else
+               [*VALID_PROGRAMS.items(), *INVALID_PROGRAMS.items()])
+    checked, violated = [0], []
+
+    def checking(cs):
+        at_int = {tv.tid: INT for tv in cs.tvar_table.values()}
+        for c in cs.hard:
+            checked[0] += 1
+            if not eval_clause(c, at_int):
+                violated.append((name, c.index, c.label))
+        return solve_maxsmt(cs)
+
+    for name, source in sources:
+        repair_round(program_of(source), solver=checking)
+    assert checked[0] > 100
+    assert not violated, violated
+
