@@ -3,8 +3,11 @@
 
 For each item of the three `perfbench` workloads at seeds 0-2 this runs
 `run_pipeline` once, as the benchmark does, and records the status, the
-sha256 of the UCLID5 text, the number of LLM calls and the diagnostics.
-The output is one JSON document, so two checkouts compare with `cmp`:
+sha256 of the UCLID5 text, the number of LLM calls, the diagnostics and
+the sha256 of every prompt the backend received, in order. The prompt
+hashes pin what the mock-backed items send back to the model too: the
+hole-fill prompt, and so `print_child`. The output is one JSON document,
+so two checkouts compare with `cmp`:
 
     python3 scripts/fingerprint.py > a.json   # in each checkout
     cmp a.json b.json
@@ -30,6 +33,20 @@ import workloads  # noqa: E402
 SEEDS = (0, 1, 2)
 
 
+def _record_prompts(backend) -> list[str]:
+    """Wrap `backend.complete` so that each prompt's sha256 is appended
+    to the returned list before the backend answers."""
+    hashes: list[str] = []
+    complete = backend.complete
+
+    def recording(prompt: str) -> str:
+        hashes.append(hashlib.sha256(prompt.encode()).hexdigest())
+        return complete(prompt)
+
+    backend.complete = recording
+    return hashes
+
+
 def fingerprint() -> dict[str, dict]:
     out = {}
     for workload in workloads.WORKLOADS:
@@ -37,6 +54,7 @@ def fingerprint() -> dict[str, dict]:
             setup = run.set_up(workload, seed)
             for i, item in enumerate(setup.items):
                 backend = run.make_backend(setup, item)
+                prompts = _record_prompts(backend)
                 outcome = setup.uclgen.pipeline.run_pipeline(item.task,
                                                              backend)
                 text = outcome.uclid_text
@@ -46,6 +64,7 @@ def fingerprint() -> dict[str, dict]:
                     else hashlib.sha256(text.encode()).hexdigest(),
                     "llm_calls": backend.calls,
                     "diagnostics": outcome.diagnostics,
+                    "prompt_sha256": prompts,
                 }
     return out
 

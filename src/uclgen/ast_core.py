@@ -9,10 +9,11 @@ in the package returns a new tree, sharing the subtrees it leaves alone.
 from __future__ import annotations
 
 import dataclasses
-import functools
+import re
+import typing
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Iterator, Optional, Union
+from typing import Optional, Union
 
 
 @dataclass(frozen=True)
@@ -25,6 +26,29 @@ class Span:
 
 
 NO_SPAN = Span()
+
+
+# ---------------------------------------------------------------------------
+# Identifiers
+# ---------------------------------------------------------------------------
+
+#: An identifier, alike in the frontend lexer, an enum tag and the
+#: validator: a letter (`str.isalpha`, which is UCLID5's `isLetter`) or
+#: `_`, then letters, digits and `_`. The pattern also takes a leading
+#: non-decimal digit such as `²`; a lexer that matches it rejects such a
+#: token with `identifier_head`.
+IDENTIFIER_PATTERN = r"[^\W\d]\w*"
+_IDENTIFIER_RE = re.compile(IDENTIFIER_PATTERN)
+
+
+def identifier_head(c: str) -> bool:
+    """Whether the character `c` may start an identifier."""
+    return c.isalpha() or c == "_"
+
+
+def is_identifier(text: str) -> bool:
+    return (_IDENTIFIER_RE.fullmatch(text) is not None
+            and identifier_head(text[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -317,12 +341,30 @@ class ChildProgram(Node):
 # Traversal helpers
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _child_fields(cls: type) -> tuple[str, ...]:
-    """The fields of a node class, in field order, except the span (the
-    one field that takes no part in comparison): child nodes live only
-    in these."""
-    return tuple(f.name for f in dataclasses.fields(cls) if f.compare)
+def _can_hold_node(t) -> bool:
+    # arguments first: before Python 3.11 `tuple[Stmt, ...]` passes
+    # `isinstance(t, type)` and then fails `issubclass`
+    args = typing.get_args(t)
+    if args:
+        return any(_can_hold_node(a) for a in args)
+    return isinstance(t, type) and issubclass(t, Node)
+
+
+class _FieldTable(dict):
+    """Node class -> the names of its fields whose declared type can hold
+    a `Node`, in field order. `str`, `int`, `bool`, type-term and span
+    fields are left out, so no walk or rewrite looks into them. Filled on
+    first use of a class."""
+
+    def __missing__(self, cls: type) -> tuple[str, ...]:
+        hints = typing.get_type_hints(cls)
+        names = tuple(f.name for f in dataclasses.fields(cls)
+                      if _can_hold_node(hints[f.name]))
+        self[cls] = names
+        return names
+
+
+_NODE_FIELDS = _FieldTable()
 
 
 def _map_value(v, fn):
@@ -337,20 +379,12 @@ def _map_value(v, fn):
     return v
 
 
-def _collect(v, out: list) -> None:
-    if isinstance(v, Node):
-        out.append(v)
-    elif isinstance(v, tuple):
-        for x in v:
-            _collect(x, out)
-
-
 def map_children(node: Node, fn) -> Node:
     """A copy of `node` in which every child node `c`, including those in
     nested tuples such as `If.arms` or `invariants_spec`, is `fn(c)`;
     `node` itself when every `fn(c)` is `c`."""
     changes = {}
-    for name in _child_fields(type(node)):
+    for name in _NODE_FIELDS[type(node)]:
         old = getattr(node, name)
         new = _map_value(old, fn)
         if new is not old:
@@ -358,44 +392,69 @@ def map_children(node: Node, fn) -> Node:
     return dataclasses.replace(node, **changes) if changes else node
 
 
-def node_children(n: Node) -> tuple[Node, ...]:
-    out: list[Node] = []
-    for name in _child_fields(type(n)):
-        _collect(getattr(n, name), out)
-    return tuple(out)
-
-
-def _preorder(root, children) -> Iterator[tuple[object, int]]:
-    # an explicit stack: the depth of a tree costs no Python frames
+def _preorder(root) -> list[tuple[object, int]]:
+    # One loop over an explicit stack, so the depth of a tree costs no
+    # Python frames. The stack holds (value, depth). A surface node pushes
+    # its `children`, a module-language node the values of its
+    # `_NODE_FIELDS`; a tuple is spread when it is popped, so nested
+    # tuples such as `If.arms` need no helper, and anything else (the
+    # `str` naming an invariant, a `None`) is passed over.
+    fields = _NODE_FIELDS
+    out: list[tuple[object, int]] = []
+    append = out.append
     stack = [(root, 0)]
+    pop, push = stack.pop, stack.append
     while stack:
-        n, d = stack.pop()
-        yield n, d
-        for c in reversed(children(n)):
-            stack.append((c, d + 1))
+        v, d = pop()
+        cls = type(v)
+        if cls is PNode:
+            append((v, d))
+            d += 1
+            for c in reversed(v.children):
+                push((c, d))
+        elif cls is tuple:
+            for x in reversed(v):
+                push((x, d))
+        elif isinstance(v, Node):
+            append((v, d))
+            d += 1
+            for name in reversed(fields[cls]):
+                push((getattr(v, name), d))
+    return out
 
 
-def iter_nodes(tree: Node) -> Iterator[tuple[Node, int]]:
-    """Pre-order traversal yielding (node, depth)."""
-    return _preorder(tree, node_children)
+def iter_nodes(tree: Node) -> list[tuple[Node, int]]:
+    """Every node of `tree` with its depth, in pre-order, as a list. The
+    walk visits only the fields that can hold a node (see `_FieldTable`),
+    including nodes in nested tuples such as `If.arms`."""
+    return _preorder(tree)
 
 
-def iter_pnodes(root: PNode) -> Iterator[tuple[PNode, int]]:
-    """Pre-order traversal of a surface tree yielding (node, depth)."""
-    return _preorder(root, lambda p: p.children)
+def iter_pnodes(root: PNode) -> list[tuple[PNode, int]]:
+    """Every node of a surface tree with its depth, in pre-order, as a
+    list; a surface node's children are its `children`."""
+    return _preorder(root)
+
+
+def walk_index(walk: list[tuple[object, int]]) -> dict[int, int]:
+    """Map `id(node)` of every node of a pre-order walk to its position.
+    A node object may occur only once in a tree; ValueError otherwise."""
+    index = {id(n): pos for pos, (n, _) in enumerate(walk)}
+    if len(index) != len(walk):
+        seen: set[int] = set()
+        for n, _ in walk:
+            if id(n) in seen:
+                raise ValueError(f"a {type(n).__name__} node object "
+                                 "occurs twice in the tree")
+            seen.add(id(n))
+    return index
 
 
 def node_index(tree: Union[Node, PNode]) -> dict[int, int]:
     """Map `id(node)` of every node in the tree to its pre-order position,
     which is how clause origins and reports name a node. A node object
     may occur only once in a tree; ValueError otherwise."""
-    walk = iter_pnodes(tree) if isinstance(tree, PNode) else iter_nodes(tree)
-    index: dict[int, int] = {}
-    for pos, (n, _) in enumerate(walk):
-        if index.setdefault(id(n), pos) != pos:
-            raise ValueError(
-                f"a {type(n).__name__} node object occurs twice in the tree")
-    return index
+    return walk_index(_preorder(tree))
 
 
 def _hole_ids(tree: Node) -> list[int]:

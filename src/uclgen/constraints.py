@@ -62,7 +62,7 @@ from .ast_core import (
     VarRef,
     iter_nodes,
     left_spine,
-    node_index,
+    walk_index,
 )
 
 # Type-variable keys. A key identifies what a variable stands for:
@@ -247,8 +247,9 @@ class _Gen:
             raise ValueError(f"unknown weight mode {weight_mode!r}")
         self.p = program
         self.cs = ClauseSet()
-        self.pos = node_index(program)
-        self.depths = [d for _, d in iter_nodes(program)]
+        walk = iter_nodes(program)
+        self.pos = walk_index(walk)
+        self.depths = [d for _, d in walk]
         self.mode = weight_mode
         self.input_decls: dict[str, Decl] = {}
 

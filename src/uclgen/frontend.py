@@ -21,6 +21,7 @@ import re
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from decimal import Decimal
+from typing import NamedTuple
 
 from .ast_core import (
     ArraySelect,
@@ -59,8 +60,11 @@ from .ast_core import (
     Unary,
     Binary,
     VarRef,
+    IDENTIFIER_PATTERN,
     format_real,
     format_type,
+    identifier_head,
+    is_identifier,
     iter_pnodes,
     left_spine,
     node_index,
@@ -118,32 +122,37 @@ def extract_code(llm_response: str) -> str:
 # Lexer
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Tok:
+class Tok(NamedTuple):
     kind: str  # NAME, INT, FLOAT, STR, OP, HOLE
     value: str
     pos: int  # byte offset into the source
 
 
-# One token per match, tried in this order. Only decimal digits make a
-# number. NAME also admits a leading non-decimal digit such as `²`, which
-# the scan rejects: a name starts with a letter or `_`. A quoted string
-# ends on its line; an unterminated triple-quoted one matches OPEN, and
-# any other character that starts no token matches BAD.
+# One token per match: a match first passes over blanks and a `#`
+# comment, then takes the first of these that fits. Only decimal digits
+# make a number. NAME is the identifier pattern, which also admits a
+# leading non-decimal digit such as `²`; the scan rejects that. A quoted
+# string ends on its line; an unterminated triple-quoted one matches
+# OPEN, any other character that starts no token matches BAD, and END
+# matches only at the end of the source, so a match never fails and
+# never backtracks into the blanks.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<NL>\n)
-  | (?P<SKIP>[ \t\r]+|\#[^\n]*)
-  | (?P<TRIPLE>'{3}.*?'{3}|"{3}.*?"{3})
-  | (?P<OPEN>'{3}|"{3})
-  | (?P<QUOTED>'(?:[^'\\\n]|\\[^\n])*'|"(?:[^"\\\n]|\\[^\n])*")
-  | (?P<FLOAT>\d*\.\d+)
-  | (?P<INT>\d+)
-  | (?P<NAME>[^\W\d]\w*)
-  | (?P<HOLE>\?\?)
-  | (?P<OP>\*\*=|//=|==|!=|<=|>=|<<|>>|//|\*\*|\+=|-=|\*=|/=|%=|&=|\|=|\^=|->
-          |[()\[\]{}:,.=+\-*/%<>&|^~@;])
-  | (?P<BAD>.)
+    [ \t\r]*(?:\#[^\n]*)?
+    (?:
+      (?P<NL>\n)
+    | (?P<TRIPLE>'{3}.*?'{3}|"{3}.*?"{3})
+    | (?P<OPEN>'{3}|"{3})
+    | (?P<QUOTED>'(?:[^'\\\n]|\\[^\n])*'|"(?:[^"\\\n]|\\[^\n])*")
+    | (?P<FLOAT>\d*\.\d+)
+    | (?P<INT>\d+)
+    | (?P<NAME>""" + IDENTIFIER_PATTERN + r""")
+    | (?P<HOLE>\?\?)
+    | (?P<OP>\*\*=|//=|==|!=|<=|>=|<<|>>|//|\*\*|\+=|-=|\*=|/=|%=|&=|\|=|\^=|->
+            |[()\[\]{}:,.=+\-*/%<>&|^~@;])
+    | (?P<BAD>.)
+    | (?P<END>\Z)
+    )
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -173,6 +182,7 @@ def _logical_lines(source: str) -> list[_Line]:
     it at its physical line; an unterminated triple-quoted string makes
     the rest of the source one bad line."""
     out: list[_Line] = []
+    finditer = _TOKEN_RE.finditer
     start = 0
     while start <= len(source):
         text = source[start : _line_end(source, start)]
@@ -184,17 +194,18 @@ def _logical_lines(source: str) -> list[_Line]:
         indent = len(lead) + 3 * lead.count("\t")  # a tab counts as four
         toks: list[Tok] = []
         depth, assign, bad = 0, None, False
-        pos = start
-        while pos < len(source):
-            m = _TOKEN_RE.match(source, pos)
-            kind, value = m.lastgroup, m.group()
-            if kind == "NL" and depth <= 0:
+        # every line ends in a break: END matches at the end of the source
+        for m in finditer(source, start):
+            kind = m.lastgroup
+            at, end = m.span(m.lastindex)
+            if kind == "END" or (kind == "NL" and depth <= 0):
                 break
             if kind in ("OPEN", "BAD") or (
-                    kind == "NAME" and not (value[0].isalpha() or value[0] == "_")):
+                    kind == "NAME" and not identifier_head(source[at])):
                 toks, assign, bad = [], None, True
-                pos = len(source) if kind == "OPEN" else _line_end(source, pos)
+                at = len(source) if kind == "OPEN" else _line_end(source, at)
                 break
+            value = source[at:end]
             if kind == "TRIPLE":
                 kind, value = "STR", value[3:-3]
             elif kind == "QUOTED":
@@ -206,11 +217,10 @@ def _logical_lines(source: str) -> list[_Line]:
                     depth -= 1
                 elif depth == 0 and assign is None and value in _ASSIGN_OPS:
                     assign = len(toks)
-            if kind not in ("NL", "SKIP"):
-                toks.append(Tok(kind, value, pos))
-            pos = m.end()
-        out.append(_Line(indent, toks, Span(start, pos), bad, assign))
-        start = pos + 1
+            if kind != "NL":
+                toks.append(Tok(kind, value, at))
+        out.append(_Line(indent, toks, Span(start, at), bad, assign))
+        start = at + 1
     return out
 
 
@@ -914,7 +924,7 @@ class _Pruner:
         if k == "bool":
             return BoolLit(node.text == "True", span=node.span)
         if k == "str":
-            if re.fullmatch(r"[A-Za-z_]\w*", node.text):
+            if is_identifier(node.text):
                 return EnumLit(node.text, span=node.span)
             return None
         if k == "attr" and node.children[0].kind == "name" \

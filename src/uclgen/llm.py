@@ -12,6 +12,7 @@ list. All calls can be recorded to a JSONL transcript.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -23,7 +24,10 @@ from typing import Protocol
 PARENT_LANGUAGE = "Python"
 
 
+@functools.cache
 def child_language_description() -> str:
+    """The child-language section of every prompt, read from the package
+    resource once per process: the text is a constant of the install."""
     ref = resources.files("uclgen.resources").joinpath("child_language.md")
     return ref.read_text(encoding="utf-8").strip()
 

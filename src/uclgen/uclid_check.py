@@ -37,6 +37,7 @@ from .ast_core import (
     EnumType,
     Expr,
     Havoc,
+    IDENTIFIER_PATTERN,
     If,
     INT,
     IntLit,
@@ -48,6 +49,7 @@ from .ast_core import (
     TypeTerm,
     Unary,
     VarRef,
+    identifier_head,
     left_spine,
 )
 from .uclid import UclidModule
@@ -70,14 +72,24 @@ class Diagnostic:
 # Tokenizer
 # ---------------------------------------------------------------------------
 
+# One token per match: a match first passes over any whitespace and
+# comments, then takes the first of these that fits. A name is an
+# identifier (`IDENTIFIER_PATTERN`, whose head `identifier_head` checks);
+# `bad` takes a character that starts no token and `end` matches only at
+# the end of the text, so a match never fails and never backtracks into
+# the whitespace.
 _TOKEN_RE = re.compile(
     r"""
-    (?P<ws>\s+|//[^\n]*|/\*.*?\*/)
-  | (?P<bv>\d+bv\d+)
-  | (?P<real>\d+\.\d+)
-  | (?P<int>\d+)
-  | (?P<name>[A-Za-z_]\w*)
-  | (?P<op>==>|==|!=|<=|>=|<<|>>|\+\+|&&|\|\||[-+*/%&|^!<>=:;,(){}\[\]])
+    \s*(?:(?://[^\n]*|/\*.*?\*/)\s*)*
+    (?:
+      (?P<bv>\d+bv\d+)
+    | (?P<real>\d+\.\d+)
+    | (?P<int>\d+)
+    | (?P<name>""" + IDENTIFIER_PATTERN + r""")
+    | (?P<op>==>|==|!=|<=|>=|<<|>>|\+\+|&&|\|\||[-+*/%&|^!<>=:;,(){}\[\]])
+    | (?P<bad>.)
+    | (?P<end>\Z)
+    )
     """,
     re.VERBOSE | re.DOTALL,
 )
@@ -85,16 +97,15 @@ _TOKEN_RE = re.compile(
 
 def _lex(text: str) -> list[tuple[str, str]]:
     toks: list[tuple[str, str]] = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise UclidParseError(f"cannot tokenize at offset {pos}: "
-                                  f"{text[pos:pos + 20]!r}")
-        pos = m.end()
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind != "ws":
-            toks.append((kind, m.group()))
+        at, end = m.span(m.lastindex)
+        if kind == "end":
+            break
+        if kind == "bad" or (kind == "name" and not identifier_head(text[at])):
+            raise UclidParseError(f"cannot tokenize at offset {at}: "
+                                  f"{text[at:at + 20]!r}")
+        toks.append((kind, text[at:end]))
     return toks
 
 

@@ -1,9 +1,11 @@
 """Core AST utilities: traversal, node positions, and type terms."""
 
+import dataclasses
 import re
 
 import pytest
 
+from corpus import INVALID_PROGRAMS, VALID_PROGRAMS
 from uclgen.ast_core import (
     BOOL,
     INT,
@@ -31,6 +33,7 @@ from uclgen.ast_core import (
     IntLit,
     Ite,
     Node,
+    PNode,
     RealLit,
     Stmt,
     SynonymType,
@@ -44,9 +47,9 @@ from uclgen.ast_core import (
     iter_pnodes,
     map_children,
     max_hole_id,
-    node_children,
     node_index,
 )
+from uclgen.ast_core import _NODE_FIELDS
 from uclgen.frontend import parse_tolerant, prune_to_child
 
 
@@ -101,6 +104,57 @@ def test_iter_nodes_walks_a_deep_tree_in_preorder():
     assert walk[0] == (e, 0)
     assert walk[5000][0] == VarRef("a") and walk[5000][1] == 5000
     assert [n.value for n, d in walk[5001:]] == list(range(5000))
+
+
+CORPUS = {**VALID_PROGRAMS, **INVALID_PROGRAMS}
+
+
+def _reference_walk(v, depth: int, out: list) -> list:
+    """Pre-order by plain recursion through every dataclass field and
+    tuple, the node-field table not consulted."""
+    if isinstance(v, (Node, PNode)):
+        out.append((v, depth))
+        for f in dataclasses.fields(v):
+            _reference_walk(getattr(v, f.name), depth + 1, out)
+    elif isinstance(v, tuple):
+        for x in v:
+            _reference_walk(x, depth, out)
+    return out
+
+
+def _holds_a_node(v) -> bool:
+    if isinstance(v, Node):
+        return True
+    if isinstance(v, tuple):
+        return any(_holds_a_node(x) for x in v)
+    if dataclasses.is_dataclass(v) and not isinstance(v, type):
+        return any(_holds_a_node(getattr(v, f.name))
+                   for f in dataclasses.fields(v))
+    return False
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_walks_equal_a_recursive_reference_walk(name):
+    ast = parse_tolerant(CORPUS[name])
+    p = program_of(CORPUS[name])
+    assert iter_pnodes(ast.root) == _reference_walk(ast.root, 0, [])
+    assert iter_nodes(p) == _reference_walk(p, 0, [])
+    assert len(iter_nodes(p)) > 5
+
+
+def test_no_field_outside_the_node_field_table_holds_a_node():
+    seen: set[type] = set()
+    for source in CORPUS.values():
+        for n, _ in iter_nodes(program_of(source)):
+            seen.add(type(n))
+            for f in dataclasses.fields(n):
+                if f.name not in _NODE_FIELDS[type(n)]:
+                    assert not _holds_a_node(getattr(n, f.name)), \
+                        (type(n).__name__, f.name)
+    assert len(seen) >= 15
+    assert _NODE_FIELDS[If] == ("arms", "orelse")
+    assert _NODE_FIELDS[VarRef] == ()
+    assert _NODE_FIELDS[TypeAnnot] == ()
 
 
 def test_count_holes_counts_every_hole_category():
@@ -207,6 +261,9 @@ def test_examples_cover_every_node_class():
     ids=[type(n).__name__ for n, _ in NODES_AND_CHILDREN],
 )
 def test_node_children_and_map_children_follow_field_order(node, children):
+    def node_children(n):
+        return tuple(c for c, depth in iter_nodes(n) if depth == 1)
+
     assert node_children(node) == children
     assert map_children(node, lambda c: c) is node
     fresh = iter(range(100, 200))

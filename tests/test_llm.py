@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from uclgen import llm
 from uclgen.llm import (
     BackendError,
     HttpBackend,
@@ -39,6 +40,28 @@ def test_holefill_prompt_embeds_partial_code():
     assert "Make sure that your code completes the following task." in p
     assert "> Model a counter." in p
     assert p.endswith("```")
+
+
+def test_prompts_read_the_language_description_once(monkeypatch):
+    reads = []
+    files = llm.resources.files
+
+    class CountingResources:
+        @staticmethod
+        def files(package):
+            reads.append(package)
+            return files(package)
+
+    child_language_description.cache_clear()
+    monkeypatch.setattr(llm, "resources", CountingResources)
+    try:
+        first = initial_prompt("Model a counter.")
+        second = holefill_prompt("Model a counter.", "class M(Module):\n    ??")
+    finally:
+        child_language_description.cache_clear()
+    assert reads == ["uclgen.resources"]
+    assert child_language_description() in first
+    assert child_language_description() in second
 
 
 def test_prompt_sha256_is_stable():

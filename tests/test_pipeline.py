@@ -115,6 +115,34 @@ def test_non_decimal_digit_line_is_sent_back_as_a_hole(old, new):
     assert backend.calls == 2
 
 
+ENUM_RESPONSE = '''\
+class Light(Module):
+    def types(self):
+        self.Color = Enum("Ä", "b")
+    def locals(self):
+        self.c = self.Color
+    def init(self):
+        self.c = "Ä"
+    def next(self):
+        if self.c == "Ä":
+            self.c = "b"
+```
+'''
+
+
+@pytest.mark.parametrize("response, printed", [
+    (CLEAN_RESPONSE.replace("count", "ärger"), "var ärger : integer;"),
+    (ENUM_RESPONSE, "type Color = enum { b, Ä };"),
+], ids=["state-variable", "enum-tag"])
+def test_a_name_starting_with_a_non_ascii_letter_compiles(response, printed):
+    backend = MockBackend([response])
+    out = run_pipeline("Model it.", backend)
+    assert out.status == STATUS_SUCCESS, out.diagnostics
+    assert backend.calls == 1
+    assert printed in out.uclid_text
+    assert validate_uclid(out.uclid_text) == []
+
+
 REAL_RESPONSE = CLEAN_RESPONSE.replace("int", "real").replace(
     "self.count = 0", "self.count = LITERAL").replace("+ 1", "+ 0.5")
 

@@ -77,6 +77,33 @@ def test_parse_uclid_raises_on_garbage():
         parse_uclid("this is not a module")
 
 
+@pytest.mark.parametrize("before", [
+    "  // a comment\n  ",
+    "\t/* a block\n comment */ ",
+    "  /* one */ // two\n\n   ",
+], ids=["line-comment", "block-comment", "both"])
+def test_tokenize_error_names_the_offset_after_whitespace_and_comments(before):
+    text = "module main {\n" + before + "$ }"
+    offset = text.index("$")
+    with pytest.raises(UclidParseError,
+                       match=rf"^cannot tokenize at offset {offset}: '\$ }}'$"):
+        parse_uclid(text)
+
+
+@pytest.mark.parametrize("name", ["ärger", "Ä", "_x", "世界", "é2"])
+def test_a_name_starts_with_any_letter_or_underscore(name):
+    text = f"module main {{ var {name} : integer; init {{ {name} = 0; }} }}"
+    assert validate_uclid(text) == []
+
+
+def test_a_name_cannot_start_with_a_non_decimal_digit():
+    text = "module main { var ²x : integer; }"
+    offset = text.index("²")
+    with pytest.raises(UclidParseError,
+                       match=f"^cannot tokenize at offset {offset}: "):
+        parse_uclid(text)
+
+
 @pytest.mark.parametrize("literal", [
     "9" * 5000, "9" * 5000 + "bv8", "1bv" + "9" * 5000,
 ], ids=["int", "bv-value", "bv-width"])
