@@ -1,18 +1,31 @@
 #!/usr/bin/env python3
-"""Print the solver's scaling curve on drafts that declare one name k times.
+"""Print the solver's scaling curves.
 
-The draft is the benchmark's `typing_conflicts` item (`conflict_item` in
-`perfbench/workloads.py`) with k = 2 to 8 declarations of its flag; past
-the four other types the benchmark draws from, it takes `BitVector(8)`,
-`BitVector(2)` and `Array(int, bool)`. For each k it prints one line:
+The first table is drafts that declare one name k times: the benchmark's
+`typing_conflicts` item (`conflict_item` in `perfbench/workloads.py`) with
+k = 2 to 8 declarations of its flag; past the four other types the
+benchmark draws from, it takes `BitVector(8)`, `BitVector(2)` and
+`Array(int, bool)`. For each k it prints one line:
 
     k  solves  nodes  asserts  solve_ms  pipeline_ms
 
 `solves` counts satisfiability searches (`_Base.search` calls, as
 `tests/test_maxsmt.py` counts them), `nodes` counts search nodes
 (`_Theory` copies) and `asserts` counts `_Theory.assert_lit` calls, all
-inside one `solve_maxsmt` of the draft's clauses, which `solve_ms` times. `pipeline_ms` times `run_pipeline` on the item, whose
-second reply is the corrected module. Run it with no arguments:
+inside one `solve_maxsmt` of the draft's clauses, which `solve_ms` times.
+`pipeline_ms` times `run_pipeline` on the item, whose second reply is the
+corrected module.
+
+The second table is two families of long `+` chains over integers: one
+whose first term is `True` (50, 100 and 200 terms), and one whose second
+`+` is a `|` (10, 20 and 40 terms), which makes both halves bit-vectors
+against their `int` terms. For each it prints one line:
+
+    family  terms  searches  nodes  ms
+
+counting searches and nodes as above over one `run_pipeline` call with
+one reply and no second round, which `ms` times. Run it with no
+arguments:
 
     python3 scripts/solver_curve.py
 """
@@ -33,11 +46,40 @@ from uclgen import maxsmt  # noqa: E402
 from uclgen.constraints import generate_clauses  # noqa: E402
 from uclgen.frontend import extract_code, parse_tolerant, prune_to_child  # noqa: E402
 from uclgen.llm import MockBackend  # noqa: E402
-from uclgen.pipeline import STATUS_SUCCESS, run_pipeline  # noqa: E402
+from uclgen.pipeline import (  # noqa: E402
+    STATUS_INTERNAL_ERROR,
+    STATUS_SUCCESS,
+    run_pipeline,
+)
 from uclgen.repair import synthesize_decls  # noqa: E402
 
 DUPLICATES = range(2, 9)
 EXTRA_TYPES = ("BitVector(8)", "BitVector(2)", "Array(int, bool)")
+CHAINS = (("first-term-wrong", (50, 100, 200)), ("one-bar", (10, 20, 40)))
+
+
+def chain_draft(family: str, n: int) -> str:
+    """A module whose next block sums n terms in one `+` chain, with the
+    fault of `family`."""
+    terms = [str(i % 9 + 1) if i % 3 == 2 else f"self.{'ab'[i % 2]}"
+             for i in range(n)]
+    ops = [" + "] * (n - 1)
+    if family == "first-term-wrong":
+        terms[0] = "True"
+    else:
+        ops[1] = " | "
+    chain = terms[0] + "".join(op + t for op, t in zip(ops, terms[1:]))
+    return (
+        "class Chain(Module):\n"
+        "    def locals(self):\n"
+        "        self.acc = int\n        self.a = int\n        self.b = int\n"
+        "    def init(self):\n"
+        "        self.acc = 0\n        self.a = 0\n        self.b = 0\n"
+        "    def next(self):\n"
+        f"        self.acc = {chain}\n"
+        "        self.a = self.a + 1\n"
+        "```\n"
+    )
 
 
 def counting(counter: list[int], fn):
@@ -72,6 +114,20 @@ def main() -> int:
             return 1
         print(f"{k}  {counts[0]}  {counts[1]}  {counts[2]}  {solve_ms:.0f}  "
               f"{pipeline_ms:.0f}")
+    print()
+    print("family  terms  searches  nodes  ms")
+    for family, sizes in CHAINS:
+        for n in sizes:
+            solves[0] = nodes[0] = 0
+            t0 = time.perf_counter()
+            outcome = run_pipeline("Sum a chain.",
+                                   MockBackend([chain_draft(family, n)]),
+                                   max_llm_calls=1)
+            ms = (time.perf_counter() - t0) * 1000
+            if outcome.status == STATUS_INTERNAL_ERROR:
+                print(f"{family} {n}: {outcome.diagnostics}", file=sys.stderr)
+                return 1
+            print(f"{family}  {n}  {solves[0]}  {nodes[0]}  {ms:.0f}")
     return 0
 
 

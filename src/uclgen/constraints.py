@@ -186,13 +186,16 @@ def clause_tvars(c: Clause) -> set[int]:
         a = lit.atom
         terms = (a.left, a.right) if isinstance(a, Eq) else (a.term,)
         for t in terms:
-            stack = [t]
-            while stack:
-                cur = stack.pop()
-                if isinstance(cur, TVar):
-                    out.add(cur.tid)
-                elif isinstance(cur, ArrayType):
-                    stack.extend((cur.index, cur.elem))
+            if isinstance(t, TVar):
+                out.add(t.tid)
+            elif isinstance(t, ArrayType):
+                stack = [t.index, t.elem]
+                while stack:
+                    cur = stack.pop()
+                    if isinstance(cur, TVar):
+                        out.add(cur.tid)
+                    elif isinstance(cur, ArrayType):
+                        stack.extend((cur.index, cur.elem))
     return out
 
 

@@ -9,14 +9,17 @@ the model reads it back. Satisfiability is a depth-first search from a
 base, a theory with the unit clauses asserted, in which each step copies
 a theory and asserts one literal of the next clause, skipping each clause
 the theory already entails (a positive equality whose sides resolve to
-one term, or a disequality stored as it stands). Searches that share
-clauses extend one base rather than each asserting them again: a
-component's hard clauses are asserted once, and each QuickXplain call
-extends its parent's base. Over the searches, a branch and bound search
-picks the soft clauses to falsify. It branches on minimal unsatisfiable
-cores, which QuickXplain extracts in a few solves, and keeps them: a
-node that has relaxed no clause of a known core branches on it without
-a solve.
+one term, or a disequality stored as it stands). A step re-checks only
+the disequalities it can break: those it added, those whose roots it
+merged, bound or narrowed, and those that reach an array. The model and
+the values the theory forces come from one grounding walk per variable.
+Searches that share clauses extend one base rather than each asserting
+them again: a component's hard clauses are asserted once, and each
+QuickXplain call extends its parent's base. Over the searches, a branch
+and bound search picks the soft clauses to falsify. It branches on
+minimal unsatisfiable cores, which QuickXplain extracts in a few solves,
+and keeps them: a node that has relaxed no clause of a known core
+branches on it without a solve.
 `emit_smtlib` renders a clause set as SMT-LIB 2 with
 `assert-soft` weights, for inspection or for another MAX-SMT solver.
 
@@ -87,21 +90,31 @@ class _Theory:
     A union-find root is bound to a term (`binding`) or unbound; an
     unbound root may hold one record (`record`), a triple (ctors, tags,
     bad): the constructors it may still take, the tags its enum must hold
-    and the tags it must not hold. Negative equalities wait in `diseqs`.
-    `ground` is the one walk that grounds a term: `determined`, the
-    model and its disequality check differ only in the root values.
+    and the tags it must not hold. Negative equalities wait in `diseqs`,
+    each with the roots its sides resolved to when it was last checked;
+    `changed` holds the roots merged, bound or narrowed since then, so
+    `check_diseqs` re-checks only what a step can break. `ground` is the
+    one walk that grounds a term: `determined`, `solution` and the
+    model's disequality scan differ only in the root values.
     """
+
+    __slots__ = ("parent", "binding", "record", "diseqs", "changed")
 
     def __init__(self) -> None:
         self.parent: dict[int, int] = {}
         self.binding: dict[int, TypeTerm] = {}
         self.record: dict[int, tuple[frozenset, frozenset, frozenset]] = {}
-        self.diseqs: list[tuple[TypeTerm, TypeTerm]] = []
+        # each stored disequality, with the roots its sides resolved to
+        # when it was last checked; None if it is new or reaches an array
+        self.diseqs: dict[tuple[TypeTerm, TypeTerm],
+                          Optional[tuple[int, ...]]] = {}
+        self.changed: set[int] = set()  # roots merged, bound or narrowed
 
     def copy(self) -> _Theory:
-        th = _Theory()
-        th.parent, th.binding = dict(self.parent), dict(self.binding)
-        th.record, th.diseqs = dict(self.record), list(self.diseqs)
+        th = _Theory.__new__(_Theory)
+        th.parent, th.binding = self.parent.copy(), self.binding.copy()
+        th.record, th.diseqs = self.record.copy(), self.diseqs.copy()
+        th.changed = self.changed.copy()
         return th
 
     # -- union-find ---------------------------------------------------------
@@ -121,7 +134,7 @@ class _Theory:
             root = self.find(t.tid)
             bound = self.binding.get(root)
             if bound is None:
-                return TVar(root)
+                return t if t.tid == root else TVar(root)
             t = bound
         return t
 
@@ -159,7 +172,10 @@ class _Theory:
                 ctors = ctors & _ENUM
             if not ctors or tags & bad:
                 raise _Conflict
-            self.record[t.tid] = (ctors, tags, bad)
+            new = (ctors, tags, bad)
+            if new != old:
+                self.record[t.tid] = new
+                self.changed.add(t.tid)
             return
         if _CTOR_OF[type(t)] not in ctors:
             raise _Conflict
@@ -183,6 +199,7 @@ class _Theory:
             raise _Conflict
         # a is a root; bind it to b, or merge it into b if b is a root
         root = a.tid
+        self.changed.add(root)
         if isinstance(b, TVar):
             self.parent[root] = b.tid
         elif self._occurs(root, b):
@@ -199,7 +216,7 @@ class _Theory:
             if lit.positive:
                 self.unify(a.left, a.right)
             else:
-                self.diseqs.append((a.left, a.right))
+                self.diseqs.setdefault((a.left, a.right), None)
         elif isinstance(a, Tester):
             self._narrow(a.term, _TESTED[a.ctor, lit.positive], _NONE, _NONE)
         elif lit.positive:
@@ -241,29 +258,48 @@ class _Theory:
         return self.ground(t, self.pinned)
 
     def check_diseqs(self) -> None:
-        for a, b in self.diseqs:
-            ra = self.resolve_deep(a)
-            rb = self.resolve_deep(b)
-            if ra == rb:
+        """Raise `_Conflict` if a stored disequality fails: its sides
+        resolve to one term, or both have the same determined value.
+        Only a disequality that is new, reaches an array, or resolved to
+        a root changed since the last check is checked again; the others
+        resolve as they did then."""
+        changed = self.changed
+        for pair, roots in self.diseqs.items():
+            if roots is None or not changed.isdisjoint(roots):
+                self.diseqs[pair] = self._check_diseq(*pair)
+        changed.clear()
+
+    def _check_diseq(self, a: TypeTerm,
+                     b: TypeTerm) -> Optional[tuple[int, ...]]:
+        """Check one disequality; the roots its sides resolve to, or None
+        when a side resolves to an array."""
+        ra = self.resolve(a)
+        rb = self.resolve(b)
+        if isinstance(ra, ArrayType) or isinstance(rb, ArrayType):
+            if self.resolve_deep(a) == self.resolve_deep(b):
                 raise _Conflict
             da = self.determined(a)
-            db = self.determined(b)
-            if da is not None and db is not None and da == db:
+            if da is not None and da == self.determined(b):
                 raise _Conflict
+            return None
+        if ra == rb:
+            raise _Conflict
+        da = self.pinned(ra.tid) if isinstance(ra, TVar) else ra
+        if da is not None and da == (
+                self.pinned(rb.tid) if isinstance(rb, TVar) else rb):
+            raise _Conflict
+        return tuple(r.tid for r in (ra, rb) if isinstance(r, TVar))
 
     # -- models ---------------------------------------------------------------
 
-    def forced(self, tids) -> dict[int, TypeTerm]:
-        out: dict[int, TypeTerm] = {}
-        for tid in tids:
-            val = self.determined(TVar(tid))
-            if val is not None:
-                out[tid] = val
-        return out
-
-    def model(self, tids) -> dict[int, TypeTerm]:
-        """A total ground assignment consistent with the asserted literals."""
+    def solution(self, tids) -> tuple[dict[int, TypeTerm],
+                                      dict[int, TypeTerm]]:
+        """A total ground assignment consistent with the asserted literals,
+        and the part of it the theory determines, from one grounding walk
+        per variable: a value is determined when every root it grounds
+        through is pinned."""
         values: dict[int, TypeTerm] = {}  # chosen for unbound roots
+        free: set[int] = set()  # the valued roots no record pins
         fresh = [1000]
 
         def candidates(root: int):
@@ -307,16 +343,33 @@ class _Theory:
                     return True
             return False
 
-        def value_of(root: int) -> TypeTerm:
-            if root in values:
-                return values[root]
-            for cand in candidates(root):
-                if not violates(root, cand):
-                    values[root] = cand
-                    return cand
-            raise _Conflict  # should be unreachable after check_diseqs
+        walked_free = False
 
-        return {tid: self.ground(TVar(tid), value_of) for tid in sorted(tids)}
+        def value_of(root: int) -> TypeTerm:
+            nonlocal walked_free
+            val = values.get(root)
+            if val is None:
+                # a pinned value never violates a disequality that
+                # `check_diseqs` passed, as the unpinned roots see it first
+                val = self.pinned(root)
+                if val is None:
+                    free.add(root)
+                    val = next((c for c in candidates(root)
+                                if not violates(root, c)), None)
+                    if val is None:
+                        raise _Conflict  # unreachable after check_diseqs
+                values[root] = val
+            walked_free = walked_free or root in free
+            return val
+
+        model: dict[int, TypeTerm] = {}
+        forced: dict[int, TypeTerm] = {}
+        for tid in sorted(tids):
+            walked_free = False
+            model[tid] = self.ground(TVar(tid), value_of)
+            if not walked_free:
+                forced[tid] = model[tid]
+        return model, forced
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +510,8 @@ def check_sat(clauses: Sequence[Clause]) -> SatResult:
     tids = set()
     for c in clauses:
         tids |= clause_tvars(c)
-    return SatResult(True, model=th.model(tids), forced=th.forced(tids))
+    model, forced = th.solution(tids)
+    return SatResult(True, model=model, forced=forced)
 
 
 # ---------------------------------------------------------------------------
@@ -485,7 +539,8 @@ class Untypeable(Exception):
 
 
 def _components(cs: ClauseSet) -> list[tuple[list[Clause], set[int]]]:
-    """Clauses grouped by shared type variables, each with its variables."""
+    """Clauses grouped by shared type variables, each with its variables,
+    in the order of each group's first clause."""
     parent: dict[int, int] = {}
 
     def find(x: int) -> int:
@@ -494,21 +549,22 @@ def _components(cs: ClauseSet) -> list[tuple[list[Clause], set[int]]]:
             x = parent[x]
         return x
 
-    def union(a: int, b: int) -> None:
-        parent[find(a)] = find(b)
-
-    clause_vars = {c.index: sorted(clause_tvars(c)) for c in cs.clauses}
-    for tvs in clause_vars.values():
-        for t in tvs[1:]:
-            union(tvs[0], t)
+    clause_vars = [(c, clause_tvars(c)) for c in cs.clauses]
+    for _, tvs in clause_vars:
+        if tvs:
+            it = iter(tvs)
+            root = find(next(it))
+            for t in it:
+                r = find(t)
+                if r != root:
+                    parent[r] = root
     groups: dict[int, tuple[list[Clause], set[int]]] = {}
-    for c in cs.clauses:
-        tvs = clause_vars[c.index]
-        clauses, tids = groups.setdefault(find(tvs[0]) if tvs else -1,
-                                          ([], set()))
+    for c, tvs in clause_vars:
+        clauses, tids = groups.setdefault(
+            find(next(iter(tvs))) if tvs else -1, ([], set()))
         clauses.append(c)
-        tids.update(tvs)
-    return [groups[k] for k in sorted(groups)]
+        tids |= tvs
+    return list(groups.values())
 
 
 def _solve_component(
@@ -587,8 +643,9 @@ def solve_maxsmt(cs: ClauseSet) -> MaxSmtResult:
         f, w, th = solved
         falsified.extend(f)
         cost += w
-        model.update(th.model(tids))
-        forced.update(th.forced(tids))
+        comp_model, comp_forced = th.solution(tids)
+        model.update(comp_model)
+        forced.update(comp_forced)
     for tv in cs.tvar_table.values():
         model.setdefault(tv.tid, INT)
     return MaxSmtResult(tuple(sorted(falsified)), cost, model, forced)

@@ -158,7 +158,7 @@ def test_record_five_negative_testers_force_the_last_scalar():
     for ctor in ("bool", "real", "bv", "enum", "arr"):
         th.assert_lit(Lit(CtorTester(ctor, x), positive=False))
     assert th.determined(x) == INT
-    assert th.forced([0]) == {0: INT}
+    assert th.solution([0])[1] == {0: INT}
 
 
 def test_record_binding_to_an_enum_without_a_required_tag_conflicts():
@@ -232,7 +232,7 @@ def test_a_skipped_clause_holds_in_the_model_of_the_leaf():
     th = _solve(cs.clauses)
     assert th is not None
     assert th.determined(z) is None
-    model = th.model({x.tid, y.tid, z.tid})
+    model = th.solution({x.tid, y.tid, z.tid})[0]
     assert model[z.tid] == INT
     assert all(eval_clause(c, model) for c in cs.clauses)
 
@@ -609,6 +609,19 @@ def _count_nodes(monkeypatch):
     return nodes
 
 
+def _count_diseq_checks(monkeypatch):
+    """Disequalities resolved, one `_Theory._check_diseq` call each."""
+    checks = [0]
+    check = _Theory._check_diseq
+
+    def counting(self, a, b):
+        checks[0] += 1
+        return check(self, a, b)
+
+    monkeypatch.setattr(_Theory, "_check_diseq", counting)
+    return checks
+
+
 def _count_asserts(monkeypatch):
     """Every literal `_Theory.assert_lit` is called with, in order."""
     asserted = []
@@ -632,6 +645,11 @@ _DUPLICATE_NODES = {2: 36, 3: 96, 4: 274, 5: 838, 6: 2251, 7: 5250, 8: 11393}
 # 13,667
 _DUPLICATE_ASSERTS = {2: 90, 3: 168, 4: 383, 5: 1008, 6: 2495, 7: 5596,
                       8: 11842}
+# disequalities resolved, each step checking only those it can break;
+# re-checking every stored one after every step resolved 28 / 154 / 668 /
+# 2,711 / 9,032 / 25,067 / 63,518
+_DUPLICATE_DISEQ_CHECKS = {2: 20, 3: 68, 4: 216, 5: 690, 6: 1925, 7: 4591,
+                           8: 10129}
 
 
 @pytest.mark.parametrize("k, solves, falsified", [
@@ -650,10 +668,12 @@ def test_duplicate_declarations_cost_pinned_solves(
     calls = _count_solves(monkeypatch)
     nodes = _count_nodes(monkeypatch)
     asserted = _count_asserts(monkeypatch)
+    diseq_checks = _count_diseq_checks(monkeypatch)
     assert solve_maxsmt(cs).falsified == falsified
     assert len(calls) == solves
     assert nodes[0] == _DUPLICATE_NODES[k]
     assert len(asserted) == _DUPLICATE_ASSERTS[k]
+    assert diseq_checks[0] == _DUPLICATE_DISEQ_CHECKS[k]
 
 
 def test_a_component_asserts_each_hard_unit_once(monkeypatch):
@@ -696,6 +716,184 @@ def test_a_known_core_is_branched_on_without_a_solve(monkeypatch):
     assert shrunk == [(3, 4), (1, 2)]
     assert (0, 1, 2, 3) not in calls
     assert (0, 1, 2, 4) in calls
+
+
+# ---------------------------------------------------------------------------
+# Bookkeeping done once: incremental disequality checks, one-walk models
+# ---------------------------------------------------------------------------
+
+_WIDE_GROUND = (BOOL, INT, REAL, BVType(2), BVType(4), EnumType(("A",)),
+                EnumType(("A", "B")), ArrayType(INT, BOOL),
+                ArrayType(INT, INT))
+
+
+def _random_set_with_arrays(rng):
+    """Soft clauses over four variables with arrays of variables, enums,
+    bit-vectors and disequalities of any shape: outside the oracle's
+    fragment, for checks that need no oracle."""
+    cs = ClauseSet()
+    v = _vars(cs, 4)
+
+    def term():
+        r = rng.random()
+        if r < 0.4:
+            return rng.choice(v)
+        if r < 0.6:
+            return ArrayType(rng.choice(v + [INT]), rng.choice(v + [BOOL]))
+        return rng.choice(_WIDE_GROUND)
+
+    def lit():
+        kind = rng.choice(("eq", "eq", "tester", "tag"))
+        positive = rng.random() >= 0.35
+        x = rng.choice(v)
+        if kind == "eq":
+            return Lit(Eq(x, term()), positive)
+        if kind == "tester":
+            return Lit(CtorTester(rng.choice(
+                ("bool", "int", "real", "bv", "enum", "arr")), x), positive)
+        return Lit(HasTag(rng.choice("AB"), x), positive)
+
+    for i in range(rng.randint(2, 10)):
+        cs.add_soft([lit() for _ in range(rng.randint(1, 3))], 1, origin=i,
+                    label="t")
+    return cs
+
+
+def _solver_corpus():
+    """The random oracle sets, the wider sets with arrays and the duplicate
+    drafts for 2 to 8 declarations."""
+    rng = random.Random(29)
+    sets = [random_clause_set(rng, max_soft=10) for _ in range(300)]
+    sets += [_random_set_with_arrays(rng) for _ in range(300)]
+    sets += [_clauses_of(_duplicates_source(k)) for k in range(2, 9)]
+    return sets
+
+
+def _solve_all(cs):
+    try:
+        solve_maxsmt(cs)
+    except Untypeable:
+        pass
+    check_sat(cs.clauses)
+
+
+def _determined_ref(th, t):
+    t = th.resolve(t)
+    if isinstance(t, TVar):
+        ctors = th.record.get(t.tid, (frozenset(),))[0]
+        return {frozenset({"int"}): INT, frozenset({"bool"}): BOOL,
+                frozenset({"real"}): REAL}.get(ctors)
+    if isinstance(t, ArrayType):
+        i, e = _determined_ref(th, t.index), _determined_ref(th, t.elem)
+        return ArrayType(i, e) if i is not None and e is not None else None
+    return t
+
+
+def _diseqs_hold(th):
+    """Reference: every stored disequality checked from scratch."""
+    for a, b in th.diseqs:
+        if th.resolve_deep(a) == th.resolve_deep(b):
+            return False
+        da = _determined_ref(th, a)
+        if da is not None and da == _determined_ref(th, b):
+            return False
+    return True
+
+
+def test_incremental_diseq_check_raises_exactly_when_a_full_recheck_would(
+        monkeypatch):
+    outcomes = {True: 0, False: 0}
+    check = _Theory.check_diseqs
+
+    def compared(th):
+        expect = _diseqs_hold(th)
+        try:
+            check(th)
+        except _Conflict:
+            assert not expect
+            outcomes[False] += 1
+            raise
+        assert expect
+        outcomes[True] += 1
+
+    monkeypatch.setattr(_Theory, "check_diseqs", compared)
+    for cs in _solver_corpus():
+        _solve_all(cs)
+    assert min(outcomes.values()) >= 5000, outcomes
+
+
+def _two_walk_solution(th, tids):
+    """Reference: the model as a walk that scans the disequalities for
+    every root found it, and forced as a second walk through the pinned
+    roots only."""
+    values = {}
+    fresh = [1000]
+
+    def candidates(root):
+        ctors, tags, bad = th.record.get(root, maxsmt._FREE)
+        tags = tuple(sorted(tags))
+        for ctor in maxsmt._CTOR_ORDER:
+            if ctor not in ctors:
+                continue
+            if ctor in maxsmt._SINGLETONS:
+                yield maxsmt._SINGLETONS[ctor]
+            elif ctor == "bv":
+                yield from (BVType(w) for w in range(1, 64))
+                while True:
+                    fresh[0] += 1
+                    yield BVType(fresh[0])
+            elif ctor == "enum":
+                if tags:
+                    yield EnumType(tags)
+                while True:
+                    fresh[0] += 1
+                    if f"TAG{fresh[0]}" not in bad:
+                        yield EnumType(tags + (f"TAG{fresh[0]}",))
+            elif ctor == "arr":
+                yield ArrayType(INT, INT)
+                while True:
+                    fresh[0] += 1
+                    yield ArrayType(INT, BVType(fresh[0]))
+
+    def violates(root, val):
+        def value(r):
+            if r == root:
+                return val
+            return values[r] if r in values else th.pinned(r)
+
+        return any(th.ground(a, value) is not None
+                   and th.ground(a, value) == th.ground(b, value)
+                   for a, b in th.diseqs)
+
+    def value_of(root):
+        if root not in values:
+            values[root] = next(c for c in candidates(root)
+                                if not violates(root, c))
+        return values[root]
+
+    model = {tid: th.ground(TVar(tid), value_of) for tid in sorted(tids)}
+    forced = {tid: th.ground(TVar(tid), th.pinned) for tid in tids}
+    return model, {tid: v for tid, v in forced.items() if v is not None}
+
+
+def test_one_walk_model_and_forced_equal_the_two_walk_reference(monkeypatch):
+    seen = {"array": 0, "bv": 0, "enum": 0, "unpinned": 0}
+    solution = _Theory.solution
+
+    def compared(th, tids):
+        got = solution(th, tids)
+        assert got == _two_walk_solution(th, tids)
+        model, forced = got
+        for kind, cls in (("array", ArrayType), ("bv", BVType),
+                          ("enum", EnumType)):
+            seen[kind] += any(isinstance(v, cls) for v in model.values())
+        seen["unpinned"] += len(forced) < len(model)
+        return got
+
+    monkeypatch.setattr(_Theory, "solution", compared)
+    for cs in _solver_corpus():
+        _solve_all(cs)
+    assert min(seen.values()) >= 100, seen
 
 
 # ---------------------------------------------------------------------------
