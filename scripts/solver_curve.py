@@ -17,9 +17,9 @@ inside one `solve_maxsmt` of the draft's clauses, which `solve_ms` times.
 corrected module.
 
 The second table is two families of long `+` chains over integers: one
-whose first term is `True` (50, 100 and 200 terms), and one whose second
-`+` is a `|` (10, 20 and 40 terms), which makes both halves bit-vectors
-against their `int` terms. For each it prints one line:
+whose first term is `True` (50, 100, 200 and 300 terms), and one whose
+second `+` is a `|` (10, 20 and 40 terms), which makes both halves
+bit-vectors against their `int` terms. For each it prints one line:
 
     family  terms  searches  nodes  ms
 
@@ -55,7 +55,7 @@ from uclgen.repair import synthesize_decls  # noqa: E402
 
 DUPLICATES = range(2, 9)
 EXTRA_TYPES = ("BitVector(8)", "BitVector(2)", "Array(int, bool)")
-CHAINS = (("first-term-wrong", (50, 100, 200)), ("one-bar", (10, 20, 40)))
+CHAINS = (("first-term-wrong", (50, 100, 200, 300)), ("one-bar", (10, 20, 40)))
 
 
 def chain_draft(family: str, n: int) -> str:

@@ -134,7 +134,6 @@ class PNode:
 @dataclass
 class ParentAst:
     root: PNode
-    error_nodes: list[int]
     source: str
 
 

@@ -15,6 +15,10 @@ Checks encoded here:
   S4  assignments preserve the type of the left-hand side
   S5  inputs are never written (the write or the declaration must go)
   S6  branch/assume/assert conditions and specification bodies are boolean
+
+An operator's shape is one `Tester` literal that names every constructor
+it admits, so the only clauses with several literals are the guards of
+duplicated and input declarations.
 """
 
 from __future__ import annotations
@@ -93,14 +97,19 @@ CTORS = ("bool", "int", "real", "bv", "enum", "arr")
 
 @dataclass(frozen=True)
 class Tester:
-    """is-<ctor>(term): the term is built with the given constructor."""
+    """is-<c1>(term) or ... or is-<cn>(term): the term is built with one of
+    the constructors `ctors`, a non-empty tuple of names in `CTORS` order.
+    One literal states a term's whole shape, so a solver narrows the term
+    to the set at once instead of branching on each constructor."""
 
-    ctor: str
+    ctors: tuple[str, ...]
     term: TypeTerm
 
     def __post_init__(self) -> None:
-        if self.ctor not in CTORS:
-            raise ValueError(f"unknown constructor {self.ctor!r}")
+        if not self.ctors or self.ctors != tuple(
+                c for c in CTORS if c in self.ctors):
+            raise ValueError(f"constructors {self.ctors!r} are not a "
+                             f"non-empty tuple in the order of {CTORS}")
 
 
 @dataclass(frozen=True)
@@ -227,7 +236,7 @@ def eval_atom(atom: Atom, assignment: dict[int, TypeTerm]) -> bool:
         return resolve(atom.left) == resolve(atom.right)
     got = resolve(atom.term)
     if isinstance(atom, Tester):
-        return isinstance(got, _TESTER_CLASSES[atom.ctor])
+        return any(isinstance(got, _TESTER_CLASSES[c]) for c in atom.ctors)
     return isinstance(got, EnumType) and atom.tag in got.tags
 
 
@@ -241,7 +250,7 @@ def eval_clause(clause: Clause, assignment: dict[int, TypeTerm]) -> bool:
 # Clause generation
 # ---------------------------------------------------------------------------
 
-_NUMERIC_TESTERS = ("int", "real", "bv")
+_NUMERIC = ("int", "real", "bv")
 
 
 class _Gen:
@@ -408,7 +417,7 @@ class _Gen:
         return self.cs.tvar(("node", self.pos[id(e)]))
 
     def _numeric(self, t: TypeTerm, origin: Node, label: str) -> None:
-        self.soft([Lit(Tester(k, t)) for k in _NUMERIC_TESTERS], origin, label)
+        self.soft([Lit(Tester(_NUMERIC, t))], origin, label)
 
     def _expr(self, e: Expr) -> None:
         t = self._t(e)
@@ -493,17 +502,11 @@ class _Gen:
         elif op == "xor":
             self.soft([Lit(Eq(t, tl))], n, "S3:op")
             self.soft([Lit(Eq(t, tr))], n, "S3:op")
-            self.soft(
-                [Lit(Tester("bool", t)), Lit(Tester("bv", t))], n, "S3:op"
-            )
+            self.soft([Lit(Tester(("bool", "bv"), t))], n, "S3:op")
         elif op in ("bvand", "bvor", "shl", "lshr"):
             self.soft([Lit(Eq(t, tl))], n, "S3:op")
             self.soft([Lit(Eq(t, tr))], n, "S3:op")
-            self.soft([Lit(Tester("bv", t))], n, "S3:op")
-        elif op == "concat":
-            self.soft([Lit(Tester("bv", t))], n, "S3:op")
-            self.soft([Lit(Tester("bv", tl))], n, "S3:op")
-            self.soft([Lit(Tester("bv", tr))], n, "S3:op")
+            self.soft([Lit(Tester(("bv",), t))], n, "S3:op")
         else:
             raise ValueError(f"unknown operator {op!r}")
 

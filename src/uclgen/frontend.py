@@ -65,7 +65,6 @@ from .ast_core import (
     format_type,
     identifier_head,
     is_identifier,
-    iter_pnodes,
     left_spine,
     node_index,
 )
@@ -596,9 +595,7 @@ def parse_tolerant(source: str) -> ParentAst:
         nodes.extend(more)
         i = max(i2, i + 1)
     root = PNode("module", tuple(nodes), span=Span(0, len(source)))
-    errors = [pos for pos, (n, _) in enumerate(iter_pnodes(root))
-              if n.kind == "error"]
-    return ParentAst(root, errors, source)
+    return ParentAst(root, source)
 
 
 # ---------------------------------------------------------------------------

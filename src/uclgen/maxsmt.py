@@ -49,6 +49,7 @@ from .ast_core import (
     TypeTerm,
 )
 from .constraints import (
+    _TESTER_CLASSES,
     Clause,
     ClauseSet,
     Eq,
@@ -60,22 +61,12 @@ from .constraints import (
 )
 
 _SINGLETONS = {"bool": BOOL, "int": INT, "real": REAL}
-_CTOR_OF = {
-    BoolType: "bool",
-    IntType: "int",
-    RealType: "real",
-    BVType: "bv",
-    EnumType: "enum",
-    ArrayType: "arr",
-}
+_CTOR_OF = {cls: name for name, cls in _TESTER_CLASSES.items()}
 _CTOR_ORDER = ("int", "bool", "real", "bv", "enum", "arr")  # model's order
 _NONE: frozenset[str] = frozenset()
 _ALL = frozenset(_CTOR_ORDER)
 _ENUM = frozenset({"enum"})
 _FREE = (_ALL, _NONE, _NONE)  # the record of a root nothing narrowed
-# the constructors a tester literal leaves, by constructor and polarity
-_TESTED = {(c, pos): frozenset({c}) if pos else _ALL - {c}
-           for c in _CTOR_ORDER for pos in (True, False)}
 # the value of a root whose record leaves one singleton constructor
 _PINNED = {frozenset({c}): t for c, t in _SINGLETONS.items()}
 
@@ -218,7 +209,9 @@ class _Theory:
             else:
                 self.diseqs.setdefault((a.left, a.right), None)
         elif isinstance(a, Tester):
-            self._narrow(a.term, _TESTED[a.ctor, lit.positive], _NONE, _NONE)
+            ctors = frozenset(a.ctors)
+            self._narrow(a.term, ctors if lit.positive else _ALL - ctors,
+                         _NONE, _NONE)
         elif lit.positive:
             self._narrow(a.term, _ALL, frozenset((a.tag,)), _NONE)
         else:
@@ -378,9 +371,9 @@ class _Theory:
 
 @dataclass
 class SatResult:
-    """`forced` is what the theory at the search leaf happens to
-    determine, not what the clauses entail: it depends on the search
-    order."""
+    """`forced` is what the theory at the search leaf determines. A
+    clause of several literals, which the search branches on, can make it
+    depend on the search order."""
 
     sat: bool
     model: dict[int, TypeTerm] = field(default_factory=dict)
@@ -520,9 +513,9 @@ def check_sat(clauses: Sequence[Clause]) -> SatResult:
 
 @dataclass
 class MaxSmtResult:
-    """`forced` is what the theory at each component's search leaf happens
-    to determine, not what the kept clauses entail: it depends on the
-    search order."""
+    """`forced` is what the theory at each component's search leaf
+    determines. A kept clause of several literals, which the search
+    branches on, can make it depend on the search order."""
 
     falsified: tuple[int, ...]
     cost: int
@@ -714,7 +707,9 @@ class _SmtEmitter:
         if isinstance(a, Eq):
             return f"(= {self.term(a.left)} {self.term(a.right)})"
         if isinstance(a, Tester):
-            return f"((_ is ty-{a.ctor}) {self.term(a.term)})"
+            t = self.term(a.term)
+            alts = [f"((_ is ty-{c}) {t})" for c in a.ctors]
+            return alts[0] if len(alts) == 1 else f"(or {' '.join(alts)})"
         # HasTag: membership in any known enum id whose tag set has the tag
         ids = sorted(
             i for tags, i in self.enum_ids.items() if a.tag in tags

@@ -124,10 +124,10 @@ def model_repair(
     program: ChildProgram, cs: ClauseSet, result: MaxSmtResult
 ) -> tuple[ChildProgram, tuple[str, ...]]:
     """Fill type holes and value declarations whose type variable is
-    forced by the solution. `result.forced` is what the solver's search
-    leaf happens to determine, so it depends on the search order. Returns
-    the program and the names filled; with nothing filled the program
-    itself is returned."""
+    forced by the solution. The search branches only on declaration
+    guards, whose first choice drops a declaration and pins no type, so a
+    fill is forced by the kept clauses. Returns the program and the names
+    filled; with nothing filled the program itself is returned."""
     filled: list[str] = []
 
     def fill(n: Node) -> Node:

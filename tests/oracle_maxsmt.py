@@ -111,7 +111,7 @@ def random_clause_set(rng: random.Random, max_soft: int = 14) -> ClauseSet:
                     budget["neg_tvar_eq"] -= 1
             return Lit(Eq(a, b), not negative)
         if kind == "tester":
-            return Lit(Tester(rng.choice(_CTORS), rng.choice(tvars)),
+            return Lit(Tester((rng.choice(_CTORS),), rng.choice(tvars)),
                        not negative)
         if negative:
             if budget["neg_tag"] == 0:

@@ -1,5 +1,9 @@
 """Clause generation for the static checks (S1-S6)."""
 
+import dataclasses
+import sys
+from pathlib import Path
+
 import pytest
 
 from corpus import INVALID_PROGRAMS, VALID_PROGRAMS
@@ -10,8 +14,14 @@ from uclgen.constraints import (
     eval_clause,
     generate_clauses,
 )
-from uclgen.frontend import parse_tolerant, prune_to_child
+from uclgen.constraints import Tester as CtorTester
+from uclgen.frontend import extract_code, parse_tolerant, prune_to_child
 from uclgen.maxsmt import solve_maxsmt
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.append(str(ROOT / "perfbench"))
+
+import workloads  # noqa: E402
 
 
 def program_of(src: str):
@@ -144,6 +154,48 @@ class M(Module):
     cs = generate_clauses(p)
     res = solve_maxsmt(cs)
     assert res.falsified == ()
+
+
+@pytest.mark.parametrize("ctors", [(), ("bv", "int"), ("int", "int"),
+                                   ("nat",)])
+def test_a_tester_names_known_constructors_in_order(ctors):
+    with pytest.raises(ValueError):
+        CtorTester(ctors, INT)
+
+
+def test_concat_has_no_typing_rule():
+    # no surface spelling reaches `concat`, so clause generation has none
+    p = program_of(SIMPLE)
+    (step,) = p.next_body
+    step = dataclasses.replace(step, rhs=dataclasses.replace(step.rhs,
+                                                             op="concat"))
+    p = dataclasses.replace(p, next_body=type(p.next_body)([step]))
+    with pytest.raises(ValueError, match="concat"):
+        generate_clauses(p)
+
+
+def _drafts():
+    """The corpus programs and every reply of the benchmark workloads'
+    items at seed 0."""
+    yield from CORPUS.items()
+    suite = ROOT / "tests" / "data" / "suite" / "suite.json"
+    for workload in workloads.WORKLOADS:
+        for item in workloads.pool(workload, 0, suite):
+            for i, reply in enumerate(item.replies):
+                yield f"{workload}/{item.key}/{i}", extract_code(reply)
+
+
+def test_no_clause_has_two_testers_on_one_term():
+    # a term's shape is one tester of several constructors, which the
+    # solver narrows to at once; two testers of one term would branch
+    tested = 0
+    for name, source in _drafts():
+        for c in generate_clauses(program_of(source)).clauses:
+            terms = [l.atom.term for l in c.lits
+                     if isinstance(l.atom, CtorTester)]
+            assert len(terms) == len(set(terms)), (name, c)
+            tested += bool(terms)
+    assert tested > 100
 
 
 def test_s4_assignment_links_lhs_and_rhs():

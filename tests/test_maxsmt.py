@@ -1,14 +1,21 @@
 """The MAX-SMT solver, its theory core, and the SMT-LIB export."""
 
 import random
+import sys
 from pathlib import Path
 
 import pytest
 
-from oracle_maxsmt import deletion_core, oracle_optimum, random_clause_set
+from oracle_maxsmt import (
+    GROUND,
+    deletion_core,
+    oracle_optimum,
+    random_clause_set,
+)
 from uclgen import maxsmt
 from uclgen.ast_core import BOOL, INT, REAL, ArrayType, BVType, EnumType, TVar
 from uclgen.constraints import (
+    CTORS,
     ClauseSet,
     Eq,
     HasTag,
@@ -18,6 +25,7 @@ from uclgen.constraints import (
 )
 from uclgen.constraints import Tester as CtorTester
 from uclgen.frontend import parse_tolerant, prune_to_child
+from uclgen.llm import MockBackend
 from uclgen.maxsmt import (
     Untypeable,
     _Conflict,
@@ -29,9 +37,13 @@ from uclgen.maxsmt import (
     solve_maxsmt,
     verify_solution,
 )
+from uclgen.pipeline import STATUS_ITERATION_LIMIT, run_pipeline
 from uclgen.repair import synthesize_decls
 
 GOLDEN = Path(__file__).parent / "golden"
+sys.path.append(str(Path(__file__).resolve().parents[1] / "scripts"))
+
+from solver_curve import chain_draft  # noqa: E402
 
 
 def cs_of(*clauses, hard=()):
@@ -57,7 +69,7 @@ def eqv(a, b):
 
 
 def is_ctor(ctor, name):
-    return lambda v: Lit(CtorTester(ctor, v[name]))
+    return lambda v: Lit(CtorTester((ctor,), v[name]))
 
 
 def tag(t, name):
@@ -136,9 +148,9 @@ def test_record_merging_disjoint_constructors_conflicts():
     th = _Theory()
     x, y = TVar(0), TVar(1)
     for ctor in ("int", "bool", "real"):
-        th.assert_lit(Lit(CtorTester(ctor, x), positive=False))
+        th.assert_lit(Lit(CtorTester((ctor,), x), positive=False))
     for ctor in ("bv", "enum", "arr"):
-        th.assert_lit(Lit(CtorTester(ctor, y), positive=False))
+        th.assert_lit(Lit(CtorTester((ctor,), y), positive=False))
     with pytest.raises(_Conflict):
         th.unify(x, y)
 
@@ -156,7 +168,7 @@ def test_record_five_negative_testers_force_the_last_scalar():
     th = _Theory()
     x = TVar(0)
     for ctor in ("bool", "real", "bv", "enum", "arr"):
-        th.assert_lit(Lit(CtorTester(ctor, x), positive=False))
+        th.assert_lit(Lit(CtorTester((ctor,), x), positive=False))
     assert th.determined(x) == INT
     assert th.solution([0])[1] == {0: INT}
 
@@ -212,7 +224,7 @@ def test_entails_a_stored_disequality_as_it_stands():
 def test_entails_no_tester_or_tag_literal():
     th = _Theory()
     x = TVar(0)
-    for lit in (Lit(CtorTester("enum", x)), Lit(HasTag("A", x)),
+    for lit in (Lit(CtorTester(("enum",), x)), Lit(HasTag("A", x)),
                 Lit(HasTag("B", x), positive=False)):
         th.assert_lit(lit)
         assert not th.entails(lit)
@@ -357,6 +369,42 @@ def test_solver_matches_oracle_on_random_sets():
         assert verify_solution(cs, res)
 
 
+def _random_set_with_tester_sets(rng):
+    """An oracle set plus soft clauses on its variables whose tester names
+    one to three constructors, positive or negative, alone or beside an
+    equality with a ground term: still inside the oracle's fragment, whose
+    witnesses keep each variable's constructor."""
+    cs = random_clause_set(rng, max_soft=8)
+    tvars = sorted(cs.tvar_table.values(), key=lambda t: t.tid)
+    for i in range(rng.randint(1, 4)):
+        picked = rng.sample(CTORS, rng.randint(1, 3))
+        ctors = tuple(c for c in CTORS if c in picked)
+        lits = [Lit(CtorTester(ctors, rng.choice(tvars)), rng.random() >= 0.4)]
+        if rng.random() < 0.4:
+            lits.append(Lit(Eq(rng.choice(tvars), rng.choice(GROUND))))
+        cs.add_soft(lits, rng.randint(1, 8), origin=i, label="t")
+    return cs
+
+
+def test_solver_matches_oracle_on_testers_of_several_constructors():
+    rng = random.Random(5081)
+    shapes = set()
+    for _ in range(400):
+        cs = _random_set_with_tester_sets(rng)
+        shapes |= {(len(l.atom.ctors), l.positive) for c in cs.clauses
+                   for l in c.lits if isinstance(l.atom, CtorTester)}
+        expect = oracle_optimum(cs)
+        try:
+            res = solve_maxsmt(cs)
+        except Untypeable:
+            assert expect is None
+            continue
+        assert expect is not None
+        assert (res.cost, res.falsified) == expect
+        assert verify_solution(cs, res)
+    assert shapes == {(n, pos) for n in (1, 2, 3) for pos in (True, False)}
+
+
 def _vars(cs, n=3):
     return [cs.tvar(("var", f"v{i}")) for i in range(n)]
 
@@ -392,7 +440,7 @@ def test_oracle_has_a_width_outside_the_ground_terms():
         Lit(Eq(v1, BVType(2))), Lit(Eq(v2, BVType(3))),
         Lit(Eq(v0, BVType(4)), positive=False),
         Lit(Eq(v0, v1), positive=False), Lit(Eq(v0, v2), positive=False),
-        Lit(CtorTester("bv", v0)),
+        Lit(CtorTester(("bv",), v0)),
     ]):
         cs.add_soft([lit], 1, origin=i, label="t")
     assert oracle_optimum(cs) == (0, ())
@@ -403,7 +451,7 @@ def test_oracle_has_an_array():
     cs = ClauseSet()
     (v0,) = _vars(cs, 1)
     for i, ctor in enumerate(("bool", "int", "real", "bv", "enum")):
-        cs.add_soft([Lit(CtorTester(ctor, v0), positive=False)], 1,
+        cs.add_soft([Lit(CtorTester((ctor,), v0), positive=False)], 1,
                     origin=i, label="t")
     assert oracle_optimum(cs) == (0, ())
     _assert_optimal(cs)
@@ -414,8 +462,8 @@ def test_model_sees_singleton_values_before_their_turn():
     # not take int, or v1 != v0 leaves v1 without a value
     cs = ClauseSet()
     v0, v1, v2 = _vars(cs)
-    cs.add_soft([Lit(CtorTester("int", v2))], 1, origin=0, label="t")
-    cs.add_soft([Lit(Eq(v1, v2)), Lit(CtorTester("bv", v1), positive=False)],
+    cs.add_soft([Lit(CtorTester(("int",), v2))], 1, origin=0, label="t")
+    cs.add_soft([Lit(Eq(v1, v2)), Lit(CtorTester(("bv",), v1), positive=False)],
                 1, origin=1, label="t")
     cs.add_soft([Lit(Eq(v1, v0), positive=False)], 1, origin=2, label="t")
     assert oracle_optimum(cs) == (0, ())
@@ -428,7 +476,7 @@ def test_model_with_singleton_values_on_a_random_set():
     v0, v1, v2 = _vars(cs)
     bc = EnumType(("B", "C"))
     cs.add_hard([Lit(Eq(v1, v2), positive=False),
-                 Lit(CtorTester("real", v1))], "t:hard")
+                 Lit(CtorTester(("real",), v1))], "t:hard")
     for w, lits in [
         (7, [Lit(HasTag("B", v2))]),
         (1, [Lit(HasTag("B", v0)), Lit(Eq(v2, bc))]),
@@ -437,8 +485,8 @@ def test_model_with_singleton_values_on_a_random_set():
         (7, [Lit(Eq(v1, v2))]),
         (7, [Lit(HasTag("B", v0), positive=False), Lit(Eq(v1, v2)),
              Lit(Eq(v1, v2))]),
-        (8, [Lit(Eq(v1, bc)), Lit(CtorTester("bool", v1), positive=False)]),
-        (8, [Lit(CtorTester("int", v1)), Lit(Eq(v2, v0))]),
+        (8, [Lit(Eq(v1, bc)), Lit(CtorTester(("bool",), v1), positive=False)]),
+        (8, [Lit(CtorTester(("int",), v1)), Lit(Eq(v2, v0))]),
     ]:
         cs.add_soft(lits, w, origin=len(cs.clauses), label="t")
     assert oracle_optimum(cs) == (7, (4,))
@@ -638,8 +686,10 @@ def _count_asserts(monkeypatch):
 # search nodes with each clause the theory entails skipped; branching on
 # every literal of every clause took 46 / 162 / 992 / 13,845 / 345,188
 # nodes for 2 to 6 duplicates. A base's copy counts as a node: building a
-# base copies once where every solve's root once did
-_DUPLICATE_NODES = {2: 36, 3: 96, 4: 274, 5: 838, 6: 2251, 7: 5250, 8: 11393}
+# base copies once where every solve's root once did. The counter's `>`
+# took 36 / 96 / 274 / 838 / 2,251 / 5,250 / 11,393 when its numeric
+# clause was three tester literals to branch on, not one unit
+_DUPLICATE_NODES = {2: 34, 3: 94, 4: 272, 5: 836, 6: 2249, 7: 5248, 8: 11391}
 # literals asserted with each search extending a base; re-asserting every
 # unit clause in every solve took 209 / 358 / 728 / 1,593 / 3,411 / 6,928 /
 # 13,667
@@ -674,6 +724,22 @@ def test_duplicate_declarations_cost_pinned_solves(
     assert nodes[0] == _DUPLICATE_NODES[k]
     assert len(asserted) == _DUPLICATE_ASSERTS[k]
     assert diseq_checks[0] == _DUPLICATE_DISEQ_CHECKS[k]
+
+
+@pytest.mark.parametrize("n, searches, nodes", [
+    (50, 270, 271), (100, 506, 507), (200, 997, 998),
+])
+def test_a_chain_whose_first_term_is_wrong_costs_pinned_nodes(
+        monkeypatch, n, searches, nodes):
+    # each operator's numeric clause was three tester literals, and the
+    # search branched on every one: 5,709 / 18,843 / 69,282 nodes for the
+    # same searches. Now it is one unit the base asserts
+    draft = chain_draft("first-term-wrong", n)
+    calls = _count_solves(monkeypatch)
+    copies = _count_nodes(monkeypatch)
+    out = run_pipeline("Sum a chain.", MockBackend([draft]), max_llm_calls=1)
+    assert out.status == STATUS_ITERATION_LIMIT
+    assert (len(calls), copies[0]) == (searches, nodes)
 
 
 def test_a_component_asserts_each_hard_unit_once(monkeypatch):
@@ -749,8 +815,8 @@ def _random_set_with_arrays(rng):
         if kind == "eq":
             return Lit(Eq(x, term()), positive)
         if kind == "tester":
-            return Lit(CtorTester(rng.choice(
-                ("bool", "int", "real", "bv", "enum", "arr")), x), positive)
+            return Lit(CtorTester((rng.choice(
+                ("bool", "int", "real", "bv", "enum", "arr")),), x), positive)
         return Lit(HasTag(rng.choice("AB"), x), positive)
 
     for i in range(rng.randint(2, 10)):
@@ -909,4 +975,27 @@ def test_emit_smtlib_matches_golden():
     )
     got = emit_smtlib(cs)
     expect = (GOLDEN / "clauses.smt2").read_text(encoding="utf-8")
+    assert got == expect
+
+
+OPERATORS = (
+    "class Ops(Module):\n"
+    "    def locals(self):\n"
+    "        self.x = int\n        self.w = BitVector(4)\n        self.f = bool\n"
+    "    def init(self):\n"
+    "        self.x = 0\n        self.w = 0\n        self.f = False\n"
+    "    def next(self):\n"
+    "        self.x = -(self.x + 1)\n"
+    "        self.f = (self.x < 3) ^ self.f\n"
+    "        self.w = self.w ^ self.w\n"
+)
+
+
+def test_emit_smtlib_of_operator_clauses_matches_golden():
+    # `+`, `<` and unary `-` state "numeric" and `^` "bool or bit-vector"
+    # as one tester of several constructors; the golden was written when
+    # each was a clause of one tester per constructor, and the text is the
+    # same `(or ((_ is ty-int) t) ...)`
+    got = emit_smtlib(_clauses_of(OPERATORS))
+    expect = (GOLDEN / "operators.smt2").read_text(encoding="utf-8")
     assert got == expect

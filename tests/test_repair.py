@@ -185,6 +185,30 @@ class M(Module):
     assert isinstance(repaired.locals[0].annot, HoleType)
 
 
+@pytest.mark.parametrize("cond", [
+    "self.a * self.b == self.b * self.a",
+    "(self.a ^ self.b) == (self.b ^ self.a)",
+])
+def test_model_repair_leaves_holes_an_operator_does_not_force(cond):
+    # `*` leaves int, real or bit-vector and `^` bool or bit-vector, so no
+    # type is forced. When the operator's shape was a clause of testers to
+    # branch on, the search's first tester filled both with int (or bool)
+    p = program_of(f'''
+class M(Module):
+    def locals(self):
+        self.a = ??
+        self.b = ??
+    def next(self):
+        assume({cond})
+''')
+    cs = generate_clauses(p)
+    res = solve_maxsmt(cs)
+    repaired, filled = model_repair(p, cs, res)
+    assert res.falsified == ()
+    assert filled == ()
+    assert count_holes(repaired) == 2
+
+
 def test_rewrites_share_the_subtrees_they_leave_alone():
     p = program_of('''
 class M(Module):
