@@ -24,8 +24,19 @@ bit-vectors against their `int` terms. For each it prints one line:
     family  terms  searches  nodes  ms
 
 counting searches and nodes as above over one `run_pipeline` call with
-one reply and no second round, which `ms` times. Run it with no
-arguments:
+one reply and no second round, which `ms` times.
+
+The third table is well-typed drafts of the benchmark's `scaled_clean`
+workload: a 50-term `+` chain, 60 nested `if`s and 4 traffic-light
+copies (`chain_item`, `nest_item` and `copies_item` in
+`perfbench/workloads.py`). For each it prints one line:
+
+    clean  size  searches  nodes  solve_ms
+
+counting searches and nodes as above inside one `solve_maxsmt` of the
+draft's clauses, which `solve_ms` times. A satisfiable clause set is
+one search of the whole set, so `searches` is 1 on each line. Run it
+with no arguments:
 
     python3 scripts/solver_curve.py
 """
@@ -56,6 +67,18 @@ from uclgen.repair import synthesize_decls  # noqa: E402
 DUPLICATES = range(2, 9)
 EXTRA_TYPES = ("BitVector(8)", "BitVector(2)", "Array(int, bool)")
 CHAINS = (("first-term-wrong", (50, 100, 200, 300)), ("one-bar", (10, 20, 40)))
+SUITE = ROOT / "tests" / "data" / "suite" / "suite.json"
+CLEAN = (
+    ("chain", 50, workloads.chain_item),
+    ("nest", 60, workloads.nest_item),
+    ("copies", 4, lambda rng, k: workloads.copies_item(
+        rng, k, workloads.traffic_light_draft(SUITE))),
+)
+
+
+def clauses_of(reply: str):
+    program, _ = prune_to_child(parse_tolerant(extract_code(reply)))
+    return generate_clauses(synthesize_decls(program)[0], "depth")
 
 
 def chain_draft(family: str, n: int) -> str:
@@ -98,8 +121,7 @@ def main() -> int:
     print("k  solves  nodes  asserts  solve_ms  pipeline_ms")
     for k in DUPLICATES:
         item = workloads.conflict_item(random.Random(k), (f"dup{k}",), "int")
-        program, _ = prune_to_child(parse_tolerant(extract_code(item.replies[0])))
-        cs = generate_clauses(synthesize_decls(program)[0], "depth")
+        cs = clauses_of(item.replies[0])
         solves[0] = nodes[0] = asserts[0] = 0
         t0 = time.perf_counter()
         maxsmt.solve_maxsmt(cs)
@@ -128,6 +150,18 @@ def main() -> int:
                 print(f"{family} {n}: {outcome.diagnostics}", file=sys.stderr)
                 return 1
             print(f"{family}  {n}  {solves[0]}  {nodes[0]}  {ms:.0f}")
+    print()
+    print("clean  size  searches  nodes  solve_ms")
+    for name, size, make in CLEAN:
+        cs = clauses_of(make(random.Random(0), size).replies[0])
+        solves[0] = nodes[0] = 0
+        t0 = time.perf_counter()
+        res = maxsmt.solve_maxsmt(cs)
+        solve_ms = (time.perf_counter() - t0) * 1000
+        if res.falsified:
+            print(f"{name} {size}: relaxed {res.falsified}", file=sys.stderr)
+            return 1
+        print(f"{name}  {size}  {solves[0]}  {nodes[0]}  {solve_ms:.2f}")
     return 0
 
 

@@ -25,9 +25,11 @@ branches on it without a solve.
 
 Optimum selection: minimal total weight of falsified soft clauses;
 ties go to the lexicographically smallest set of falsified clause
-indices. The clause graph is split into connected components (clauses
-sharing a type variable) and each component is optimized separately,
-which preserves both the optimum and the tie-break.
+indices. The whole clause set is searched once first, and when it holds
+the optimum is cost 0 with nothing falsified. Otherwise the clause graph
+is split into connected components (clauses sharing a type variable) and
+each component is optimized separately, which preserves both the optimum
+and the tie-break.
 """
 
 from __future__ import annotations
@@ -513,9 +515,10 @@ def check_sat(clauses: Sequence[Clause]) -> SatResult:
 
 @dataclass
 class MaxSmtResult:
-    """`forced` is what the theory at each component's search leaf
-    determines. A kept clause of several literals, which the search
-    branches on, can make it depend on the search order."""
+    """`forced` is what the theory at the whole-set leaf determines when
+    the whole set holds, else at each component's search leaf. A kept
+    clause of several literals, which the search branches on, can make
+    it depend on the search order."""
 
     falsified: tuple[int, ...]
     cost: int
@@ -617,6 +620,13 @@ def _solve_component(
 def solve_maxsmt(cs: ClauseSet) -> MaxSmtResult:
     """Optimal soft-clause falsification for the whole clause set.
 
+    The whole set is searched once first. When it holds, nothing is
+    falsified, and the model and forced values come from the whole-set
+    leaf: components share no type variable, so that leaf is each
+    component's own first leaf, and a variable in no clause is a free
+    `int`. Only when it fails is the set split into components, each
+    solved by the hitting-set search.
+
     Raises `Untypeable` when the hard clauses alone are unsatisfiable.
     They are not solved up front: a component finds out only when its
     root node is unsatisfiable, and then the core is the one QuickXplain
@@ -624,6 +634,10 @@ def solve_maxsmt(cs: ClauseSet) -> MaxSmtResult:
     hard clauses `generate_clauses` emits all hold when every type
     variable is `int`, which is why a repair round never raises it.
     """
+    th = _solve(cs.clauses)
+    if th is not None:
+        model, forced = th.solution([tv.tid for tv in cs.tvar_table.values()])
+        return MaxSmtResult((), 0, model, forced)
     falsified: list[int] = []
     cost = 0
     model: dict[int, TypeTerm] = {}

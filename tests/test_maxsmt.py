@@ -12,7 +12,7 @@ from oracle_maxsmt import (
     oracle_optimum,
     random_clause_set,
 )
-from uclgen import maxsmt
+from uclgen import maxsmt, pipeline
 from uclgen.ast_core import BOOL, INT, REAL, ArrayType, BVType, EnumType, TVar
 from uclgen.constraints import (
     CTORS,
@@ -24,8 +24,8 @@ from uclgen.constraints import (
     generate_clauses,
 )
 from uclgen.constraints import Tester as CtorTester
-from uclgen.frontend import parse_tolerant, prune_to_child
-from uclgen.llm import MockBackend
+from uclgen.frontend import extract_code, parse_tolerant, prune_to_child
+from uclgen.llm import MockBackend, ReplayBackend
 from uclgen.maxsmt import (
     Untypeable,
     _Conflict,
@@ -38,11 +38,15 @@ from uclgen.maxsmt import (
     verify_solution,
 )
 from uclgen.pipeline import STATUS_ITERATION_LIMIT, run_pipeline
-from uclgen.repair import synthesize_decls
+from uclgen.repair import repair_round, synthesize_decls
 
+ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
-sys.path.append(str(Path(__file__).resolve().parents[1] / "scripts"))
+SUITE = ROOT / "tests" / "data" / "suite" / "suite.json"
+sys.path.append(str(ROOT / "scripts"))
+sys.path.append(str(ROOT / "perfbench"))
 
+import workloads  # noqa: E402
 from solver_curve import chain_draft  # noqa: E402
 
 
@@ -688,18 +692,22 @@ def _count_asserts(monkeypatch):
 # nodes for 2 to 6 duplicates. A base's copy counts as a node: building a
 # base copies once where every solve's root once did. The counter's `>`
 # took 36 / 96 / 274 / 838 / 2,251 / 5,250 / 11,393 when its numeric
-# clause was three tester literals to branch on, not one unit
-_DUPLICATE_NODES = {2: 34, 3: 94, 4: 272, 5: 836, 6: 2249, 7: 5248, 8: 11391}
+# clause was three tester literals to branch on, not one unit. The
+# whole-set search that fails before the components are solved adds one:
+# 34 / 94 / 272 / 836 / 2,249 / 5,248 / 11,391 without it
+_DUPLICATE_NODES = {2: 35, 3: 95, 4: 273, 5: 837, 6: 2250, 7: 5249, 8: 11392}
 # literals asserted with each search extending a base; re-asserting every
 # unit clause in every solve took 209 / 358 / 728 / 1,593 / 3,411 / 6,928 /
-# 13,667
-_DUPLICATE_ASSERTS = {2: 90, 3: 168, 4: 383, 5: 1008, 6: 2495, 7: 5596,
-                      8: 11842}
+# 13,667, and 90 / 168 / 383 / 1,008 / 2,495 / 5,596 / 11,842 without the
+# whole-set search, whose base asserts the units once more
+_DUPLICATE_ASSERTS = {2: 129, 3: 208, 4: 424, 5: 1050, 6: 2538, 7: 5640,
+                      8: 11887}
 # disequalities resolved, each step checking only those it can break;
 # re-checking every stored one after every step resolved 28 / 154 / 668 /
-# 2,711 / 9,032 / 25,067 / 63,518
-_DUPLICATE_DISEQ_CHECKS = {2: 20, 3: 68, 4: 216, 5: 690, 6: 1925, 7: 4591,
-                           8: 10129}
+# 2,711 / 9,032 / 25,067 / 63,518, and 20 / 68 / 216 / 690 / 1,925 / 4,591
+# / 10,129 without the whole-set search
+_DUPLICATE_DISEQ_CHECKS = {2: 21, 3: 69, 4: 217, 5: 691, 6: 1926, 7: 4592,
+                           8: 10130}
 
 
 @pytest.mark.parametrize("k, solves, falsified", [
@@ -713,27 +721,34 @@ _DUPLICATE_DISEQ_CHECKS = {2: 20, 3: 68, 4: 216, 5: 690, 6: 1925, 7: 4591,
 ])
 def test_duplicate_declarations_cost_pinned_solves(
         monkeypatch, k, solves, falsified):
-    # deletion with no core kept took 28 / 70 / 204 / 500 solves
+    # deletion with no core kept took 28 / 70 / 204 / 500 solves.
+    # `solves` are the hitting-set search's; the whole-set search, which
+    # fails, comes first: 26 / 37 / 60 / 100 / 154 / 222 / 301 in all
     cs = _clauses_of(_duplicates_source(k))
     calls = _count_solves(monkeypatch)
     nodes = _count_nodes(monkeypatch)
     asserted = _count_asserts(monkeypatch)
     diseq_checks = _count_diseq_checks(monkeypatch)
     assert solve_maxsmt(cs).falsified == falsified
-    assert len(calls) == solves
+    assert calls[0] == tuple(c.index for c in cs.clauses)
+    assert len(calls) == 1 + solves
     assert nodes[0] == _DUPLICATE_NODES[k]
     assert len(asserted) == _DUPLICATE_ASSERTS[k]
     assert diseq_checks[0] == _DUPLICATE_DISEQ_CHECKS[k]
 
 
 @pytest.mark.parametrize("n, searches, nodes", [
-    (50, 270, 271), (100, 506, 507), (200, 997, 998),
+    (50, 271, 271), (100, 507, 507), (200, 998, 998),
 ])
 def test_a_chain_whose_first_term_is_wrong_costs_pinned_nodes(
         monkeypatch, n, searches, nodes):
     # each operator's numeric clause was three tester literals, and the
-    # search branched on every one: 5,709 / 18,843 / 69,282 nodes for the
-    # same searches. Now it is one unit the base asserts
+    # search branched on every one: 5,709 / 18,843 / 69,282 nodes for
+    # 270 / 506 / 997 searches. Now it is one unit the base asserts. The
+    # whole-set search of the conflicting round adds a search and a node
+    # to the 270 / 506 / 997 before it; re-solving the holed program,
+    # which holds, is one search either way but copies one theory, where
+    # its component's hard base and that base's extension copied two
     draft = chain_draft("first-term-wrong", n)
     calls = _count_solves(monkeypatch)
     copies = _count_nodes(monkeypatch)
@@ -960,6 +975,156 @@ def test_one_walk_model_and_forced_equal_the_two_walk_reference(monkeypatch):
     for cs in _solver_corpus():
         _solve_all(cs)
     assert min(seen.values()) >= 100, seen
+
+
+# ---------------------------------------------------------------------------
+# The whole-set search first: a satisfiable set is one search
+# ---------------------------------------------------------------------------
+
+def _by_components(cs):
+    """Reference: every set split into components, each solved by the
+    hitting-set search and walked for its own model, as `solve_maxsmt`
+    did before it searched the whole set first."""
+    falsified, cost, model, forced = [], 0, {}, {}
+    for comp, tids in maxsmt._components(cs):
+        solved = maxsmt._solve_component(comp)
+        if solved is None:
+            hard = [c for c in cs.clauses if c.hard]
+            raise Untypeable(tuple(c.index for c in _shrink_core(hard)))
+        f, w, th = solved
+        falsified.extend(f)
+        cost += w
+        comp_model, comp_forced = th.solution(tids)
+        model.update(comp_model)
+        forced.update(comp_forced)
+    for tv in cs.tvar_table.values():
+        model.setdefault(tv.tid, INT)
+    return maxsmt.MaxSmtResult(tuple(sorted(falsified)), cost, model, forced)
+
+
+def _fields(res):
+    return res.falsified, res.cost, res.model, res.forced
+
+
+def test_whole_set_solve_equals_the_component_loop_on_satisfiable_sets():
+    compared = 0
+    for cs in _solver_corpus():
+        if _solve(cs.clauses) is None:
+            continue
+        assert _fields(solve_maxsmt(cs)) == _fields(_by_components(cs))
+        compared += 1
+    assert compared >= 150, compared
+
+
+def _workload_round_sets(monkeypatch):
+    """Every clause set `repair_round` solves when `run_pipeline` runs
+    the three benchmark workloads' items at seeds 0-2."""
+    sets = []
+
+    def recording(cs):
+        sets.append(cs)
+        return solve_maxsmt(cs)
+
+    monkeypatch.setattr(pipeline, "repair_round",
+                        lambda program, weight_mode: repair_round(
+                            program, weight_mode, solver=recording))
+    for workload in workloads.WORKLOADS:
+        for seed in (0, 1, 2):
+            for item in workloads.pool(workload, seed, SUITE):
+                backend = (ReplayBackend.from_file(item.transcript)
+                           if item.transcript
+                           else MockBackend(list(item.replies)))
+                run_pipeline(item.task, backend)
+    return sets
+
+
+def test_whole_set_solve_equals_the_component_loop_on_workload_rounds(
+        monkeypatch):
+    sets = _workload_round_sets(monkeypatch)
+    monkeypatch.undo()
+    satisfiable = 0
+    for cs in sets:
+        assert _fields(solve_maxsmt(cs)) == _fields(_by_components(cs))
+        satisfiable += _solve(cs.clauses) is not None
+    # 147 of 183 sets hold when this was written
+    assert satisfiable >= 100 and len(sets) - satisfiable >= 20, \
+        (satisfiable, len(sets))
+
+
+def test_tagless_enum_roots_take_fresh_tags_numbered_across_one_walk():
+    # the one place the two paths differ: a root that needs a fresh name
+    # takes the next one of its walk, and the whole-set walk runs over
+    # both variables where each component had a walk of its own.
+    # Generated clauses leave no such root, and both models hold
+    cs = ClauseSet()
+    x, y = cs.tvar(("var", "x")), cs.tvar(("var", "y"))
+    cs.add_hard([Lit(CtorTester(("enum",), x))], "t:enum")
+    cs.add_hard([Lit(CtorTester(("enum",), y))], "t:enum")
+    whole, split = solve_maxsmt(cs), _by_components(cs)
+    assert whole.model == {x.tid: EnumType(("TAG1001",)),
+                           y.tid: EnumType(("TAG1002",))}
+    assert split.model == {x.tid: EnumType(("TAG1001",)),
+                           y.tid: EnumType(("TAG1001",))}
+    assert whole.forced == split.forced == {}
+    assert verify_solution(cs, whole) and verify_solution(cs, split)
+
+
+def _non_units(cs):
+    return [c for c in cs.clauses if len(c.lits) > 1]
+
+
+def _clean_round_sets():
+    """The clean `traffic_light` replay round and the 15 `scaled_clean`
+    programs at seed 0."""
+    yield "traffic_light", _clauses_of(extract_code(
+        workloads.traffic_light_draft(SUITE)))
+    for item in workloads.pool("scaled_clean", 0, SUITE):
+        yield item.key, _clauses_of(extract_code(item.replies[0]))
+
+
+def test_a_satisfiable_set_is_one_search_and_never_splits(monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("a satisfiable set reached the component path")
+
+    monkeypatch.setattr(maxsmt, "_components", unreachable)
+    monkeypatch.setattr(maxsmt, "_solve_component", unreachable)
+    calls = _count_solves(monkeypatch)
+    copies = _count_nodes(monkeypatch)
+    names = []
+    for name, cs in _clean_round_sets():
+        calls.clear()
+        copies[0] = 0
+        assert solve_maxsmt(cs).falsified == ()
+        assert len(calls) == 1, name
+        assert copies[0] <= 1 + 2 * len(_non_units(cs)), name
+        if name != "traffic_light":
+            # no guard to branch on: the base's one copy is the search
+            assert (_non_units(cs), copies[0]) == ([], 1), name
+        names.append(name)
+    assert len(names) == 16
+
+
+_GUARD_LABELS = {"S1:exclusive", "S2:decl-type", "S2:hole-binding",
+                 "S2:decl-value"}
+
+
+@pytest.mark.parametrize("source", [
+    *(_duplicates_source(k) for k in range(2, 9)),
+    extract_code(chain_draft("first-term-wrong", 50)),
+], ids=[*(f"dup{k}" for k in range(2, 9)), "chain50"])
+def test_the_whole_set_search_of_a_conflicting_draft_follows_one_path(
+        monkeypatch, source):
+    # every non-unit clause is a declaration guard or `S1:exclusive`, and
+    # its `act != bool` literal conflicts with the `S1:active` unit the
+    # base holds, so each clause costs at most two copies and the search
+    # never backtracks across components. A clause kind with two viable
+    # literals would make a failing whole-set search cost far more
+    cs = _clauses_of(source)
+    non_units = _non_units(cs)
+    assert {c.label for c in non_units} <= _GUARD_LABELS
+    copies = _count_nodes(monkeypatch)
+    assert _solve(cs.clauses) is None
+    assert copies[0] <= 2 * len(non_units) + 1
 
 
 # ---------------------------------------------------------------------------
