@@ -391,17 +391,19 @@ def map_children(node: Node, fn) -> Node:
     return dataclasses.replace(node, **changes) if changes else node
 
 
-def _preorder(root) -> list[tuple[object, int]]:
+def iter_nodes(tree: Union[Node, PNode]) -> list[tuple[object, int]]:
+    """Every node of `tree` with its depth, in pre-order, as a list. A
+    surface node's children are its `children`; a module-language walk
+    visits only the fields that can hold a node (see `_FieldTable`),
+    including nodes in nested tuples such as `If.arms`."""
     # One loop over an explicit stack, so the depth of a tree costs no
-    # Python frames. The stack holds (value, depth). A surface node pushes
-    # its `children`, a module-language node the values of its
-    # `_NODE_FIELDS`; a tuple is spread when it is popped, so nested
-    # tuples such as `If.arms` need no helper, and anything else (the
-    # `str` naming an invariant, a `None`) is passed over.
+    # Python frames. The stack holds (value, depth); a tuple is spread
+    # when it is popped, and anything else that is no node (the `str`
+    # naming an invariant, a `None`) is passed over.
     fields = _NODE_FIELDS
     out: list[tuple[object, int]] = []
     append = out.append
-    stack = [(root, 0)]
+    stack = [(tree, 0)]
     pop, push = stack.pop, stack.append
     while stack:
         v, d = pop()
@@ -422,19 +424,6 @@ def _preorder(root) -> list[tuple[object, int]]:
     return out
 
 
-def iter_nodes(tree: Node) -> list[tuple[Node, int]]:
-    """Every node of `tree` with its depth, in pre-order, as a list. The
-    walk visits only the fields that can hold a node (see `_FieldTable`),
-    including nodes in nested tuples such as `If.arms`."""
-    return _preorder(tree)
-
-
-def iter_pnodes(root: PNode) -> list[tuple[PNode, int]]:
-    """Every node of a surface tree with its depth, in pre-order, as a
-    list; a surface node's children are its `children`."""
-    return _preorder(root)
-
-
 def walk_index(walk: list[tuple[object, int]]) -> dict[int, int]:
     """Map `id(node)` of every node of a pre-order walk to its position.
     A node object may occur only once in a tree; ValueError otherwise."""
@@ -447,13 +436,6 @@ def walk_index(walk: list[tuple[object, int]]) -> dict[int, int]:
                                  "occurs twice in the tree")
             seen.add(id(n))
     return index
-
-
-def node_index(tree: Union[Node, PNode]) -> dict[int, int]:
-    """Map `id(node)` of every node in the tree to its pre-order position,
-    which is how clause origins and reports name a node. A node object
-    may occur only once in a tree; ValueError otherwise."""
-    return walk_index(_preorder(tree))
 
 
 def _hole_ids(tree: Node) -> list[int]:

@@ -133,8 +133,9 @@ class Lit:
 class Clause:
     """A disjunction of literals.
 
-    weight is None for hard clauses. origin is the pre-order position of
-    the node to hole when the clause is falsified; hard clauses have no
+    weight is None for hard clauses. origin names the node to hole when
+    the clause is falsified: its position in the clause set's `walk`,
+    which is its pre-order position in the program; hard clauses have no
     origin.
     """
 
@@ -158,9 +159,16 @@ WEIGHT_MODES = ("depth", "uniform")
 
 @dataclass
 class ClauseSet:
+    """Clauses and their type variables. A set made by `generate_clauses`
+    also holds `walk`, the `(node, depth)` pre-order walk of the program
+    it was generated from, so `walk[c.origin][0]` is the node a soft
+    clause `c` names; a set built by hand has an empty walk."""
+
     clauses: list[Clause] = field(default_factory=list)
     tvar_table: dict[TVarKey, TVar] = field(default_factory=dict)
     _next_tid: int = 0
+    walk: list[tuple[Node, int]] = field(
+        default_factory=list, compare=False, repr=False)
 
     def tvar(self, key: TVarKey) -> TVar:
         got = self.tvar_table.get(key)
@@ -258,15 +266,13 @@ class _Gen:
         if weight_mode not in WEIGHT_MODES:
             raise ValueError(f"unknown weight mode {weight_mode!r}")
         self.p = program
-        self.cs = ClauseSet()
-        walk = iter_nodes(program)
-        self.pos = walk_index(walk)
-        self.depths = [d for _, d in walk]
+        self.cs = ClauseSet(walk=iter_nodes(program))
+        self.pos = walk_index(self.cs.walk)
         self.mode = weight_mode
         self.input_decls: dict[str, Decl] = {}
 
     def weight(self, origin: int) -> int:
-        return 1 + self.depths[origin] if self.mode == "depth" else 1
+        return 1 + self.cs.walk[origin][1] if self.mode == "depth" else 1
 
     def soft(self, lits, origin: Node, label: str) -> None:
         i = self.pos[id(origin)]

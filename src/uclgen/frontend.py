@@ -15,7 +15,6 @@ any other statement becomes a hole invariant.
 from __future__ import annotations
 
 import copy
-import functools
 import math
 import re
 from contextlib import contextmanager
@@ -66,7 +65,6 @@ from .ast_core import (
     identifier_head,
     is_identifier,
     left_spine,
-    node_index,
 )
 
 
@@ -605,7 +603,7 @@ def parse_tolerant(source: str) -> ParentAst:
 @dataclass
 class PruneReport:
     source: str = field(repr=False)
-    dropped: list[tuple[int, Span, str]] = field(default_factory=list)
+    dropped: list[tuple[PNode, str]] = field(default_factory=list)
     holes_inserted: list[tuple[int, str, Span]] = field(default_factory=list)
 
     def line(self, sp: Span) -> int:
@@ -615,8 +613,8 @@ class PruneReport:
     def to_dict(self) -> dict:
         return {
             "dropped": [
-                {"node": pos, "line": self.line(sp), "reason": reason}
-                for pos, sp, reason in self.dropped
+                {"line": self.line(node.span), "reason": reason}
+                for node, reason in self.dropped
             ],
             "holes_inserted": [
                 {"hole": hid, "category": cat, "line": self.line(sp)}
@@ -650,13 +648,8 @@ class _Pruner:
         self.hole_counter = 0
         self.typedef_names: set[str] = set()
 
-    @functools.cached_property
-    def positions(self) -> dict[int, int]:
-        return node_index(self.ast.root)
-
     def drop(self, node: PNode, reason: str) -> None:
-        self.report.dropped.append(
-            (self.positions[id(node)], node.span, reason))
+        self.report.dropped.append((node, reason))
 
     def fresh_hole(self, category: str, span: Span) -> int:
         hid = self.hole_counter

@@ -245,13 +245,16 @@ class HttpBackend:
         self.timeout = timeout
 
     def complete(self, prompt: str) -> str:
-        import requests
-
         key = os.environ.get(self.api_key_env)
         if not key:
             raise BackendError(
                 f"no API key in environment variable {self.api_key_env}"
             )
+        try:
+            import requests
+        except ImportError as exc:
+            raise BackendError(
+                "the HTTP backend needs the 'requests' package") from exc
         payload = {
             "model": self.model,
             "temperature": 0,

@@ -36,7 +36,6 @@ from .ast_core import (
     iter_nodes,
     map_children,
     max_hole_id,
-    node_index,
     undeclared_names,
 )
 from .constraints import ClauseSet, generate_clauses
@@ -53,29 +52,31 @@ def holeify(
     """Replace the maximal subtree at each falsified clause's origin with
     a hole. Origins nested inside other origins are absorbed by the
     outermost replacement. A declaration whose annotation holds an origin
-    gets a type hole. Origins are pre-order positions in `program`; the
-    result shares every subtree that holds no origin, and with no origin
-    it is the program itself."""
+    gets a type hole. Origins are pre-order positions in `program`, read
+    through `cs.walk`, so `cs` must be generated from `program`
+    (ValueError otherwise). The result shares every subtree that holds
+    no origin, and with no origin it is the program itself."""
+    if not cs.walk or cs.walk[0][0] is not program:
+        raise ValueError("the clause set was not generated from this program")
     origins = {
-        cs.clauses[i].origin
+        id(cs.walk[cs.clauses[i].origin][0])
         for i in falsified
         if cs.clauses[i].origin is not None
     }
     if not origins:
         return program
     ids = itertools.count(max_hole_id(program) + 1)
-    index = node_index(program)
 
     def rewrite(n: Node) -> Node:
         if isinstance(n, Decl):
-            if index[id(n)] in origins:
+            if id(n) in origins:
                 return HoleDecl(next(ids), span=n.span)
-            if any(index[id(a)] in origins for a, _ in iter_nodes(n.annot)):
+            if any(id(a) in origins for a, _ in iter_nodes(n.annot)):
                 return dataclasses.replace(
                     n, annot=HoleType(next(ids), span=n.annot.span)
                 )
             return n
-        if index[id(n)] in origins:
+        if id(n) in origins:
             if isinstance(n, Stmt):
                 return HoleStmt(next(ids), span=n.span)
             if isinstance(n, Expr):
@@ -85,7 +86,7 @@ def holeify(
             # to the first origin or leaf, then up; pre-order all the same
             spine = [n]
             while (isinstance(spine[-1].left, Binary)
-                   and index[id(spine[-1].left)] not in origins):
+                   and id(spine[-1].left) not in origins):
                 spine.append(spine[-1].left)
             e = rewrite(spine[-1].left)
             for b in reversed(spine):

@@ -33,7 +33,6 @@ from .ast_core import (
     BVType,
     Binary,
     BoolLit,
-    EnumLit,
     EnumType,
     Expr,
     Havoc,
@@ -641,12 +640,10 @@ class _Checker:
             self.err("unsupported", f"unsupported statement {s!r}")
 
     def lvalue_type(self, e: Expr) -> Optional[TyTuple]:
+        # the parser roots every assignment target at a variable
         base = e
         while isinstance(base, ArraySelect):
             base = base.array
-        if not isinstance(base, VarRef):
-            self.err("bad-lvalue", "assignment target is not a variable")
-            return None
         if base.name not in self.env:
             self.err("undeclared",
                      f"assignment to undeclared {base.name!r}")
@@ -666,11 +663,6 @@ class _Checker:
             return ("real",)
         if isinstance(e, BVLit):
             return ("bv", e.width)
-        if isinstance(e, EnumLit):
-            got = self.enum_tags.get(e.tag)
-            if got is None:
-                self.err("unknown-tag", f"unknown enum value {e.tag!r}")
-            return got
         if isinstance(e, VarRef):
             got = self.env.get(e.name)
             if got is None:

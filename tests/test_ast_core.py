@@ -44,10 +44,9 @@ from uclgen.ast_core import (
     format_real,
     format_type,
     iter_nodes,
-    iter_pnodes,
     map_children,
     max_hole_id,
-    node_index,
+    walk_index,
 )
 from uclgen.ast_core import _NODE_FIELDS
 from uclgen.frontend import parse_tolerant, prune_to_child
@@ -72,27 +71,28 @@ class M(Module):
 '''
 
 
-def test_node_index_numbers_nodes_in_preorder():
+def test_walk_index_numbers_nodes_in_preorder():
     p = program_of(SAMPLE)
     walk = [n for n, _ in iter_nodes(p)]
-    index = node_index(p)
+    index = walk_index(iter_nodes(p))
     assert [index[id(n)] for n in walk] == list(range(len(walk)))
     assert index[id(p)] == 0
     assert all(id(d.annot) in index for d in p.locals)
 
 
-def test_node_index_numbers_surface_nodes_in_preorder():
+def test_walk_index_numbers_surface_nodes_in_preorder():
     root = parse_tolerant(SAMPLE).root
-    walk = [n for n, _ in iter_pnodes(root)]
-    assert [node_index(root)[id(n)] for n in walk] == list(range(len(walk)))
+    walk = [n for n, _ in iter_nodes(root)]
+    index = walk_index(iter_nodes(root))
+    assert [index[id(n)] for n in walk] == list(range(len(walk)))
 
 
-def test_node_index_rejects_a_shared_node_object():
+def test_walk_index_rejects_a_shared_node_object():
     x = VarRef("x")
     with pytest.raises(ValueError, match="VarRef"):
-        node_index(Assign(x, Binary("+", x, IntLit(1))))
+        walk_index(iter_nodes(Assign(x, Binary("+", x, IntLit(1)))))
     # equal but distinct objects are two nodes
-    assert len(node_index(Assign(VarRef("x"), VarRef("x")))) == 3
+    assert len(walk_index(iter_nodes(Assign(VarRef("x"), VarRef("x"))))) == 3
 
 
 def test_iter_nodes_walks_a_deep_tree_in_preorder():
@@ -137,7 +137,7 @@ def _holds_a_node(v) -> bool:
 def test_walks_equal_a_recursive_reference_walk(name):
     ast = parse_tolerant(CORPUS[name])
     p = program_of(CORPUS[name])
-    assert iter_pnodes(ast.root) == _reference_walk(ast.root, 0, [])
+    assert iter_nodes(ast.root) == _reference_walk(ast.root, 0, [])
     assert iter_nodes(p) == _reference_walk(p, 0, [])
     assert len(iter_nodes(p)) > 5
 

@@ -26,8 +26,6 @@ from uclgen.ast_core import (
     Span,
     count_holes,
     iter_nodes,
-    iter_pnodes,
-    node_index,
 )
 from uclgen.frontend import (
     BASE_CLASS,
@@ -50,7 +48,7 @@ import workloads  # noqa: E402
 
 def error_nodes(ast) -> list:
     """The pre-order positions of the `error` nodes in a surface tree."""
-    return [pos for pos, (n, _) in enumerate(iter_pnodes(ast.root))
+    return [pos for pos, (n, _) in enumerate(iter_nodes(ast.root))
             if n.kind == "error"]
 
 
@@ -226,7 +224,7 @@ def test_prune_drops_unknown_methods_and_keeps_sections():
     )
     p, rep = pruned(src)
     assert [d.name for d in p.locals] == ["x"]
-    assert any("method" in reason for _, _, reason in rep.dropped)
+    assert any("method" in reason for _, reason in rep.dropped)
 
 
 def test_prune_unparseable_type_becomes_hole_type():
@@ -551,8 +549,7 @@ def section_accounts(source: str) -> dict[str, tuple[int, int, int, int]]:
                None)
     if cls is None:
         return {}
-    position = node_index(ast.root)
-    dropped = {pos for pos, _, _ in report.dropped}
+    dropped = {id(node) for node, _ in report.dropped}
     replaced = {span for _, category, span in report.holes_inserted
                 if category in ("declaration", "statement", "invariant")}
     out: dict[str, tuple[int, int, int, int]] = {}
@@ -568,7 +565,7 @@ def section_accounts(source: str) -> dict[str, tuple[int, int, int, int]]:
         entries = list(_entries(entries))
         holes = sum(isinstance(e, (HoleDecl, HoleStmt, HoleExpr))
                     for e in entries)
-        drops = sum(position[id(s)] in dropped and s.span not in replaced
+        drops = sum(id(s) in dropped and s.span not in replaced
                     for s in stmts)
         out[method.text] = (len(stmts), len(entries) - holes, holes, drops)
     return out
@@ -745,7 +742,7 @@ def test_long_chain_parses_without_recursion():
     src = f"class M(Module):\n    def next(self):\n        self.x = {terms}\n"
     ast = parse_tolerant(src)
     assert not error_nodes(ast)
-    depth = max(d for _, d in iter_pnodes(ast.root))
+    depth = max(d for _, d in iter_nodes(ast.root))
     assert depth > 3000
     p, report = prune_to_child(ast)
     assert not report.dropped and count_holes(p) == 0

@@ -1,6 +1,7 @@
 """Prompt construction, transcripts, and backend behavior."""
 
 import json
+import sys
 
 import pytest
 
@@ -146,4 +147,18 @@ def test_http_backend_wraps_request_failures(monkeypatch):
     # nothing listens on this port, so the request itself must fail
     b = HttpBackend(url="http://127.0.0.1:9/v1/chat", model="m", timeout=0.2)
     with pytest.raises(BackendError):
+        b.complete("hello")
+
+
+@pytest.mark.parametrize("key", [None, "test-not-a-real-key"])
+def test_http_backend_without_requests_raises_backend_error(monkeypatch, key):
+    # a `None` entry makes `import requests` raise ImportError
+    monkeypatch.setitem(sys.modules, "requests", None)
+    if key is None:
+        monkeypatch.delenv("UCLGEN_API_KEY", raising=False)
+    else:
+        monkeypatch.setenv("UCLGEN_API_KEY", key)
+    b = HttpBackend(url="http://127.0.0.1:9/v1/chat", model="m", timeout=0.2)
+    with pytest.raises(BackendError,
+                       match="UCLGEN_API_KEY" if key is None else "requests"):
         b.complete("hello")

@@ -1164,3 +1164,27 @@ def test_emit_smtlib_of_operator_clauses_matches_golden():
     got = emit_smtlib(_clauses_of(OPERATORS))
     expect = (GOLDEN / "operators.smt2").read_text(encoding="utf-8")
     assert got == expect
+
+
+TYPES = (
+    "class Kinds(Module):\n"
+    "    def locals(self):\n"
+    "        self.r = real\n"
+    '        self.mode = Enum("OFF", "ON")\n'
+    "        self.mem = Array(int, real)\n"
+    "    def init(self):\n"
+    "        self.r = 0.5\n"
+    '        self.mode = "OFF"\n'
+    "    def next(self):\n"
+    '        self.mode = "ON"\n'
+    "        self.mem[1] = self.r\n"
+)
+
+
+def test_emit_smtlib_of_real_enum_and_array_terms_matches_golden():
+    got = emit_smtlib(_clauses_of(TYPES))
+    for term in ("ty-real", "(ty-enum 0)", "(ty-arr ty-int ty-real)",
+                 "((_ is ty-enum) t6)"):
+        assert term in got
+    expect = (GOLDEN / "types.smt2").read_text(encoding="utf-8")
+    assert got == expect

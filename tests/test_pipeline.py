@@ -10,7 +10,12 @@ import pytest
 from corpus import VALID_PROGRAMS, mutate
 from uclgen import pipeline
 from uclgen.ast_core import count_holes
-from uclgen.frontend import MAX_BLOCK_NESTING, MAX_NESTING
+from uclgen.frontend import (
+    MAX_BLOCK_NESTING,
+    MAX_NESTING,
+    parse_tolerant,
+    prune_to_child,
+)
 from uclgen.llm import MockBackend, ReplayBackend
 from uclgen.pipeline import (
     SCHEMA_VERSION,
@@ -516,3 +521,16 @@ def test_unmapped_exception_becomes_internal_error(monkeypatch):
     assert out.diagnostics == [
         "internal: RecursionError: maximum recursion depth exceeded"]
     assert out.iterations == 1
+
+
+def test_readme_example_compiles_as_written():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    program, report = prune_to_child(parse_tolerant(block))
+    assert not report.dropped and not report.holes_inserted
+    assert count_holes(program) == 0
+    out = run_pipeline("Model a traffic light.",
+                       MockBackend([f"```python\n{block}```\n"]))
+    assert out.status == STATUS_SUCCESS, out.diagnostics
+    assert out.iterations == 1
+    assert validate_uclid(out.uclid_text) == []

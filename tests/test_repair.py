@@ -21,11 +21,11 @@ from uclgen.ast_core import (
     count_holes,
     iter_nodes,
     left_spine,
-    node_index,
     undeclared_names,
+    walk_index,
 )
-from uclgen.constraints import eval_clause, generate_clauses
-from uclgen.frontend import parse_tolerant, prune_to_child
+from uclgen.constraints import ClauseSet, eval_clause, generate_clauses
+from uclgen.frontend import parse_tolerant, print_child, prune_to_child
 from uclgen.maxsmt import solve_maxsmt
 from uclgen.repair import (
     holeify,
@@ -75,6 +75,18 @@ def test_holeify_on_empty_falsified_is_identity():
     assert holeify(p, cs, ()) is p
 
 
+def test_holeify_rejects_a_clause_set_of_another_program():
+    p = program_of(CONFLICT)
+    other = program_of(CONFLICT)
+    assert other == p and other is not p
+    res = solve_maxsmt(generate_clauses(p))
+    for cs in (generate_clauses(other), ClauseSet()):
+        with pytest.raises(ValueError, match="not generated from"):
+            holeify(p, cs, res.falsified)
+        with pytest.raises(ValueError, match="not generated from"):
+            holeify(p, cs, ())
+
+
 def test_holeify_follows_a_long_chain_in_a_loop():
     # far deeper than the stack allows at one frame per link
     terms = " + ".join(["True"] + [f"self.{'ab'[i % 2]}" for i in range(1999)])
@@ -88,7 +100,7 @@ class M(Module):
         self.acc = {terms}
 ''')
     leaf = left_spine(p.next_body[0].rhs)[-1].left
-    origin = node_index(p)[id(leaf)]
+    origin = walk_index(iter_nodes(p))[id(leaf)]
     cs = generate_clauses(p)
     lit = [c.index for c in cs.clauses
            if c.label == "S3:lit" and c.origin == origin]
@@ -358,3 +370,74 @@ def test_every_hard_clause_holds_when_every_type_is_int(family):
     assert checked[0] > 100
     assert not violated, violated
 
+
+
+def test_a_type_synonym_defined_twice_keeps_one_definition():
+    p = program_of('''
+class M(Module):
+    def types(self):
+        self.t = int
+        self.t = bool
+    def locals(self):
+        self.x = self.t
+    def init(self):
+        self.x = 0
+''')
+    cs = generate_clauses(p)
+    assert [c.label for c in cs.clauses] == [
+        "S1:active", "S2:decl-type", "S1:active", "S2:decl-type",
+        "S2:decl-type", "S1:exclusive", "S3:var", "S3:lit", "S4:assign"]
+    # the exclusion is one hard pair over the two definitions' guards
+    exclusive = cs.clauses[5]
+    assert exclusive.hard and len(exclusive.lits) == 2
+    res = solve_maxsmt(cs)
+    assert [cs.clauses[i].label for i in res.falsified] == ["S1:active"]
+    assert cs.walk[cs.clauses[res.falsified[0]].origin][0] is p.type_defs[1]
+    assert print_child(repair_round(p).program) == '''\
+class M(Module):
+    def types(self):
+        self.t = int
+        ??
+    def locals(self):
+        self.x = self.t
+    def init(self):
+        self.x = 0
+'''
+
+
+HAVOCKED_INPUT = '''
+class M(Module):
+    def inputs(self):
+        self.i = int
+    def locals(self):
+        self.x = int
+    def next(self):
+        havoc(self.i)
+        self.x = self.i
+'''
+
+
+def test_a_havocked_input_gets_one_input_write_clause():
+    p = program_of(HAVOCKED_INPUT)
+    cs = generate_clauses(p)
+    assert [c.label for c in cs.clauses] == [
+        "S2:decl-type", "S1:active", "S2:decl-type", "S5:input-write",
+        "S3:var", "S3:var", "S4:assign"]
+    write = cs.clauses[3]
+    assert cs.walk[write.origin][0] is p.next_body[0]
+    # dropping the declaration costs what relaxing the havoc does, and
+    # the tie breaks to the declaration's earlier clause
+    res = solve_maxsmt(cs)
+    assert [cs.clauses[i].label for i in res.falsified] == ["S1:active"]
+    assert write.weight == cs.clauses[1].weight
+    # relaxing the write instead makes the havoc a statement hole
+    assert print_child(holeify(p, cs, (write.index,))) == '''\
+class M(Module):
+    def locals(self):
+        self.x = int
+    def inputs(self):
+        self.i = int
+    def next(self):
+        ??
+        self.x = self.i
+'''

@@ -220,6 +220,91 @@ module main {
     assert validate_uclid(text.replace("1bv8", "1bv4")) == []
 
 
+# One module per fault, each with every other line well typed: `go` is a
+# boolean, `n` an integer, `w` a 4-bit vector and `cap` an input.
+CODE_BASE = """
+module main {{
+  var go : boolean;
+  var n : integer;
+  var w : bv4;
+  input cap : integer;
+  {decls}
+  init {{ go = false; n = 0; w = 0bv4; }}
+  {next}
+  {spec}
+}}
+"""
+
+
+def code_case(decls="", stmt="n = n;", spec="", next_=None):
+    return CODE_BASE.format(
+        decls=decls, spec=spec,
+        next=next_ if next_ is not None else f"next {{ {stmt} }}")
+
+
+STEP = """
+  procedure step()
+    modifies {};
+  {{ n = 1; {} }}
+  next {{ call step(); }}"""
+
+# case -> (module text, the one diagnostic code it must get)
+CODE_TABLE = {
+    "undefined-type": (code_case(decls="var t : thing;"), "undefined-type"),
+    "duplicate-type": (
+        code_case(decls="type t = integer;\n  type t = boolean;"),
+        "duplicate-type"),
+    "duplicate-declaration": (
+        code_case(decls="var n : boolean;"), "duplicate-declaration"),
+    "undeclared": (code_case(stmt="n = ghost;"), "undeclared"),
+    "undeclared-havoc": (code_case(stmt="havoc ghost;"), "undeclared"),
+    "undeclared-tag": (
+        code_case(decls="var mode : enum { OFF, ON };", stmt="mode = MAYBE;"),
+        "undeclared"),
+    "input-write": (code_case(stmt="cap = 0;"), "input-write"),
+    "input-havoc": (code_case(stmt="havoc cap;"), "input-write"),
+    "assign-mismatch": (code_case(stmt="n = false;"), "assign-mismatch"),
+    "if-condition": (
+        code_case(stmt="if (n + 1) { n = 1; }"), "condition-not-boolean"),
+    "assume-condition": (
+        code_case(stmt="assume (n);"), "condition-not-boolean"),
+    "ite-condition": (
+        code_case(stmt="n = ite(n, 1, 2);"), "condition-not-boolean"),
+    "ite-mismatch": (code_case(stmt="n = ite(go, 1, true);"), "ite-mismatch"),
+    "invariant-not-boolean": (
+        code_case(spec="invariant keep: n + 1;"), "invariant-not-boolean"),
+    "index-type": (
+        code_case(decls="var a : [integer]boolean;", stmt="go = a[true];"),
+        "index-type"),
+    "index-non-array": (code_case(stmt="go = n[0];"), "operand-type"),
+    "missing-modifies": (
+        code_case(next_=STEP.format("n", "go = true;")), "missing-modifies"),
+    "stale-modifies": (
+        code_case(next_=STEP.format("n, go", "")), "stale-modifies"),
+    "not-int": (code_case(stmt="go = !n;"), "operand-type"),
+    "neg-bool": (code_case(stmt="n = -go;"), "operand-type"),
+    "less-bool": (code_case(stmt="go = go < go;"), "operand-type"),
+    "less-mixed": (code_case(stmt="go = n < w;"), "compare-mismatch"),
+    "xor-int": (code_case(stmt="n = n ^ n;"), "operand-type"),
+    "xor-mixed": (code_case(stmt="go = go ^ w;"), "arith-mismatch"),
+    "and-int": (code_case(stmt="n = n & n;"), "operand-type"),
+    "and-width": (code_case(stmt="w = w & 1bv8;"), "arith-mismatch"),
+    "plus-width": (code_case(stmt="w = w + 1bv8;"), "arith-mismatch"),
+    "plus-mixed": (code_case(stmt="n = n + true;"), "arith-mismatch"),
+}
+
+
+def test_the_code_table_base_is_well_typed():
+    assert validate_uclid(code_case()) == []
+    assert validate_uclid(code_case(next_=STEP.format("n", ""))) == []
+
+
+@pytest.mark.parametrize("case", CODE_TABLE)
+def test_a_fault_gets_exactly_its_code(case):
+    text, code = CODE_TABLE[case]
+    assert [d.code for d in validate_uclid(text)] == [code]
+
+
 def test_parse_print_is_stable():
     module = parse_uclid(GOOD)
     printed = print_uclid(module)
