@@ -281,42 +281,30 @@ class _Gen:
     # -- declarations -------------------------------------------------------
 
     def run(self) -> ClauseSet:
-        var_decls: list[tuple[str, Decl]] = []  # (section, decl)
-        for d in self.p.locals:
-            if isinstance(d, Decl):
-                var_decls.append(("locals", d))
-        for d in self.p.inputs:
-            if isinstance(d, Decl):
-                var_decls.append(("inputs", d))
+        p = self.p
+        # (key, decl, is_input) in section order: type synonyms, then
+        # locals, inputs and outputs
+        decls = [(("typedef", d.name), d, False)
+                 for d in p.type_defs if isinstance(d, Decl)]
+        for ds, is_input in ((p.locals, False), (p.inputs, True),
+                             (p.outputs, False)):
+            decls += [(("var", d.name), d, is_input)
+                      for d in ds if isinstance(d, Decl)]
+        by_key: dict[TVarKey, list[Decl]] = {}
+        for key, d, is_input in decls:
+            by_key.setdefault(key, []).append(d)
+            if is_input:
                 self.input_decls[d.name] = d
-        for d in self.p.outputs:
-            if isinstance(d, Decl):
-                var_decls.append(("outputs", d))
-
-        by_name: dict[str, list[Decl]] = {}
-        for _, d in var_decls:
-            by_name.setdefault(d.name, []).append(d)
-
-        typedefs = [d for d in self.p.type_defs if isinstance(d, Decl)]
-        td_by_name: dict[str, list[Decl]] = {}
-        for d in typedefs:
-            td_by_name.setdefault(d.name, []).append(d)
 
         # S1/S2 per declaration, in section order
-        for d in typedefs:
-            self._decl_clauses(d, ("typedef", d.name),
-                               duplicated=len(td_by_name[d.name]) > 1,
-                               is_input=False)
-        for section, d in var_decls:
-            self._decl_clauses(d, ("var", d.name),
-                               duplicated=len(by_name[d.name]) > 1,
-                               is_input=section == "inputs")
+        for key, d, is_input in decls:
+            self._decl_clauses(d, key, duplicated=len(by_key[key]) > 1,
+                               is_input=is_input)
 
-        # S1: at most one active declaration per name
-        for name in sorted(n for n, ds in by_name.items() if len(ds) > 1):
-            self._exclusion(by_name[name])
-        for name in sorted(n for n, ds in td_by_name.items() if len(ds) > 1):
-            self._exclusion(td_by_name[name])
+        # S1: at most one active declaration per name, variables first
+        for key in sorted((k for k, ds in by_key.items() if len(ds) > 1),
+                          key=lambda k: (k[0] == "typedef", k[1])):
+            self._exclusion(by_key[key])
 
         # S3-S6 over behavior
         for stmt in self.p.init_body:

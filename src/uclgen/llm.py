@@ -269,10 +269,13 @@ class HttpBackend:
             )
             resp.raise_for_status()
             body = resp.json()
-            return body["choices"][0]["message"]["content"]
+            content = body["choices"][0]["message"]["content"]
         except requests.RequestException as exc:
             raise BackendError(f"HTTP backend failed: {exc}") from exc
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise BackendError(
                 f"malformed chat-completions response: {exc}"
             ) from exc
+        if not isinstance(content, str):  # a chat API may send null
+            raise BackendError(f"reply is not text ({type(content).__name__})")
+        return content

@@ -28,8 +28,10 @@ ties go to the lexicographically smallest set of falsified clause
 indices. The whole clause set is searched once first, and when it holds
 the optimum is cost 0 with nothing falsified. Otherwise the clause graph
 is split into connected components (clauses sharing a type variable) and
-each component is optimized separately, which preserves both the optimum
-and the tie-break.
+each component's hitting-set search picks what to falsify, which
+preserves both the optimum and the tie-break. The model comes from the
+leaf of one search of the kept clauses, so it follows from the falsified
+set alone.
 """
 
 from __future__ import annotations
@@ -515,10 +517,10 @@ def check_sat(clauses: Sequence[Clause]) -> SatResult:
 
 @dataclass
 class MaxSmtResult:
-    """`forced` is what the theory at the whole-set leaf determines when
-    the whole set holds, else at each component's search leaf. A kept
-    clause of several literals, which the search branches on, can make
-    it depend on the search order."""
+    """`model` and `forced` come from the leaf of one search of the kept
+    clauses: `forced` is what the theory there determines. A kept clause
+    of several literals, which the search branches on, can make it
+    depend on the search order."""
 
     falsified: tuple[int, ...]
     cost: int
@@ -534,9 +536,9 @@ class Untypeable(Exception):
         self.core = core
 
 
-def _components(cs: ClauseSet) -> list[tuple[list[Clause], set[int]]]:
-    """Clauses grouped by shared type variables, each with its variables,
-    in the order of each group's first clause."""
+def _components(cs: ClauseSet) -> list[list[Clause]]:
+    """Clauses grouped by shared type variables, in the order of each
+    group's first clause."""
     parent: dict[int, int] = {}
 
     def find(x: int) -> int:
@@ -554,20 +556,18 @@ def _components(cs: ClauseSet) -> list[tuple[list[Clause], set[int]]]:
                 r = find(t)
                 if r != root:
                     parent[r] = root
-    groups: dict[int, tuple[list[Clause], set[int]]] = {}
+    groups: dict[int, list[Clause]] = {}
     for c, tvs in clause_vars:
-        clauses, tids = groups.setdefault(
-            find(next(iter(tvs))) if tvs else -1, ([], set()))
-        clauses.append(c)
-        tids |= tvs
+        groups.setdefault(find(next(iter(tvs))) if tvs else -1, []).append(c)
     return list(groups.values())
 
 
 def _solve_component(
     clauses: list[Clause],
-) -> Optional[tuple[tuple[int, ...], int, _Theory]]:
-    """Core-guided hitting-set search; None when the hard clauses alone
-    are unsatisfiable.
+) -> Optional[tuple[tuple[int, ...], int]]:
+    """The falsified soft clauses and their cost, from a core-guided
+    hitting-set search; None when the hard clauses alone are
+    unsatisfiable.
 
     A falsified soft clause is simply dropped (not negated): the reported
     set is the cheapest set of soft clauses whose removal leaves the rest
@@ -587,7 +587,7 @@ def _solve_component(
     """
     softs = [c for c in clauses if not c.hard]
     hard_base = _Base.of([c for c in clauses if c.hard])
-    best: Optional[tuple[int, tuple[int, ...], _Theory]] = None
+    best: Optional[tuple[int, tuple[int, ...]]] = None
     seen: set[frozenset[int]] = set()
     cores: list[list[Clause]] = []
     stack: list[tuple[frozenset[int], int]] = [(frozenset(), 0)]
@@ -602,11 +602,10 @@ def _solve_component(
                      if excluded.isdisjoint(c.index for c in k)), None)
         if core is None:
             active = [c for c in softs if c.index not in excluded]
-            th = hard_base.extend(active).search()
-            if th is not None:
+            if hard_base.extend(active).search() is not None:
                 cand = (cost, tuple(sorted(excluded)))
-                if best is None or cand < best[:2]:
-                    best = (*cand, th)
+                if best is None or cand < best:
+                    best = cand
                 continue
             if not excluded and hard_base.search() is None:
                 return None
@@ -614,18 +613,18 @@ def _solve_component(
             cores.append(core)
         stack.extend((excluded | {c.index}, cost + c.weight)
                      for c in reversed(core))
-    return best[1], best[0], best[2]
+    return best[1], best[0]
 
 
 def solve_maxsmt(cs: ClauseSet) -> MaxSmtResult:
     """Optimal soft-clause falsification for the whole clause set.
 
-    The whole set is searched once first. When it holds, nothing is
-    falsified, and the model and forced values come from the whole-set
-    leaf: components share no type variable, so that leaf is each
-    component's own first leaf, and a variable in no clause is a free
-    `int`. Only when it fails is the set split into components, each
-    solved by the hitting-set search.
+    The whole set is searched once first; when it holds, nothing is
+    falsified. Only when it fails is the set split into components, and
+    each component's hitting-set search decides which of its soft clauses
+    to falsify. Either way the model and forced values come from the leaf
+    of one search of the kept clauses, walked over every type variable; a
+    variable in no clause is a free `int`.
 
     Raises `Untypeable` when the hard clauses alone are unsatisfiable.
     They are not solved up front: a component finds out only when its
@@ -634,27 +633,20 @@ def solve_maxsmt(cs: ClauseSet) -> MaxSmtResult:
     hard clauses `generate_clauses` emits all hold when every type
     variable is `int`, which is why a repair round never raises it.
     """
-    th = _solve(cs.clauses)
-    if th is not None:
-        model, forced = th.solution([tv.tid for tv in cs.tvar_table.values()])
-        return MaxSmtResult((), 0, model, forced)
     falsified: list[int] = []
     cost = 0
-    model: dict[int, TypeTerm] = {}
-    forced: dict[int, TypeTerm] = {}
-    for comp, tids in _components(cs):
-        solved = _solve_component(comp)
-        if solved is None:
-            hard = [c for c in cs.clauses if c.hard]
-            raise Untypeable(tuple(c.index for c in _shrink_core(hard)))
-        f, w, th = solved
-        falsified.extend(f)
-        cost += w
-        comp_model, comp_forced = th.solution(tids)
-        model.update(comp_model)
-        forced.update(comp_forced)
-    for tv in cs.tvar_table.values():
-        model.setdefault(tv.tid, INT)
+    th = _solve(cs.clauses)
+    if th is None:
+        for comp in _components(cs):
+            solved = _solve_component(comp)
+            if solved is None:
+                hard = [c for c in cs.clauses if c.hard]
+                raise Untypeable(tuple(c.index for c in _shrink_core(hard)))
+            falsified.extend(solved[0])
+            cost += solved[1]
+        dropped = set(falsified)
+        th = _solve([c for c in cs.clauses if c.index not in dropped])
+    model, forced = th.solution([tv.tid for tv in cs.tvar_table.values()])
     return MaxSmtResult(tuple(sorted(falsified)), cost, model, forced)
 
 

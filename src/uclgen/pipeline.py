@@ -89,6 +89,9 @@ def _run(out: PipelineOutcome, task: str, backend: Backend,
         t0 = time.monotonic()
         try:
             response = backend.complete(prompt)
+            if not isinstance(response, str):
+                raise BackendError(
+                    f"reply is not text ({type(response).__name__})")
         except BackendError as exc:
             out.diagnostics.append(f"backend: {exc}")
             return None

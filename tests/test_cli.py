@@ -9,6 +9,7 @@ from uclgen import cli, pipeline
 from uclgen.cli import EXIT_FAILED, EXIT_OK, EXIT_USAGE, main
 from uclgen.constraints import generate_clauses
 from uclgen.frontend import parse_tolerant, prune_to_child
+from uclgen.llm import MockBackend
 from uclgen.maxsmt import emit_smtlib
 from uclgen.repair import synthesize_decls
 
@@ -116,6 +117,21 @@ def test_run_with_mock_backend(tmp_path, capsys):
     assert "var count : integer;" in out_file.read_text(encoding="utf-8")
 
 
+def test_run_without_output_writes_the_module_to_stdout(tmp_path, capsys):
+    responses = tmp_path / "responses.json"
+    responses.write_text(json.dumps([CLEAN_RESPONSE]), encoding="utf-8")
+    code = main([
+        "run", "Model a counter.",
+        "--backend", "mock", "--responses", str(responses),
+    ])
+    assert code == EXIT_OK
+    out, err = capsys.readouterr()
+    expect = pipeline.run_pipeline("Model a counter.",
+                                   MockBackend([CLEAN_RESPONSE]))
+    assert (out, err) == (expect.uclid_text, "")
+    assert "var count : integer;" in out
+
+
 def test_run_exits_1_on_internal_error(tmp_path, monkeypatch, capsys):
     def overflow(*args, **kwargs):
         raise RecursionError("maximum recursion depth exceeded")
@@ -172,6 +188,13 @@ def test_bench_reports_json(tmp_path):
     assert code == EXIT_OK
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["aggregate"]["parse_rate"] == 1.0
+
+
+def test_bench_without_output_prints_the_report(capsys):
+    assert main(["bench", "--suite", str(SUITE_PATH)]) == EXIT_OK
+    report = json.loads(capsys.readouterr().out)
+    assert report["aggregate"]["parse_rate"] == 1.0
+    assert len(report["tasks"]) == 10
 
 
 def test_bench_missing_suite_is_usage_error(tmp_path):
@@ -242,6 +265,29 @@ def test_repair_uclid_flag_compiles(tmp_path, capsys):
     )
     assert main(["repair", str(f), "--uclid"]) == EXIT_OK
     assert "module main {" in capsys.readouterr().out
+
+
+def test_repair_uclid_flag_with_holes_left_prints_the_program(tmp_path,
+                                                             capsys):
+    # a statement hole is left for the LLM: no UCLID5, the holey program
+    f = tmp_path / "prog.py"
+    f.write_text(
+        "class M(Module):\n"
+        "    def locals(self):\n"
+        "        self.x = int\n"
+        "    def next(self):\n"
+        "        ??\n",
+        encoding="utf-8",
+    )
+    assert main(["repair", str(f), "--uclid"]) == EXIT_FAILED
+    out, err = capsys.readouterr()
+    assert err == "1 hole(s) remain; cannot emit UCLID5\n"
+    assert out == (
+        "class M(Module):\n"
+        "    def locals(self):\n"
+        "        self.x = int\n"
+        "    def next(self):\n"
+        "        ??\n")
 
 
 def test_repair_uclid_flag_validates_its_output(tmp_path, capsys):

@@ -227,6 +227,28 @@ def test_prune_drops_unknown_methods_and_keeps_sections():
     assert any("method" in reason for _, reason in rep.dropped)
 
 
+def test_prune_drops_a_duplicate_method_and_holes_bitwise_not():
+    # the first `next` is kept; `~` is outside the module language
+    src = (
+        "class M(Module):\n"
+        "    def locals(self):\n"
+        "        self.x = int\n"
+        "    def next(self):\n"
+        "        self.x = ~self.x\n"
+        "    def next(self):\n"
+        "        self.x = 1\n"
+    )
+    p, rep = pruned(src)
+    [stmt] = p.next_body
+    assert isinstance(stmt, Assign) and isinstance(stmt.rhs, HoleExpr)
+    assert rep.to_dict() == {
+        "dropped": [
+            {"line": 6, "reason": "duplicate method"},
+            {"line": 5, "reason": "expression outside the module language"}],
+        "holes_inserted": [
+            {"hole": stmt.rhs.hid, "category": "expression", "line": 5}]}
+
+
 def test_prune_unparseable_type_becomes_hole_type():
     src = (
         "class M(Module):\n"

@@ -150,6 +150,38 @@ def test_http_backend_wraps_request_failures(monkeypatch):
         b.complete("hello")
 
 
+class _ChatReply:
+    """What `requests.post` returns for a chat-completions call."""
+
+    def __init__(self, content):
+        self.content = content
+
+    def raise_for_status(self):
+        pass
+
+    def json(self):
+        return {"choices": [{"message": {"content": self.content}}]}
+
+
+@pytest.mark.parametrize("content, kind", [(None, "NoneType"), (7, "int"),
+                                           ("hi", None)])
+def test_http_backend_returns_only_text(monkeypatch, content, kind):
+    requests = pytest.importorskip("requests")
+    monkeypatch.setenv("UCLGEN_API_KEY", "test-not-a-real-key")
+    monkeypatch.setattr(requests, "post",
+                        lambda *args, **kwargs: _ChatReply(content))
+    t = Transcript()
+    b = RecordingBackend(HttpBackend(url="http://127.0.0.1:9/v1/chat",
+                                     model="m"), t)
+    if kind is None:
+        assert b.complete("hello") == content
+        assert [e.response for e in t.entries] == [content]
+        return
+    with pytest.raises(BackendError, match=rf"reply is not text \({kind}\)"):
+        b.complete("hello")
+    assert t.entries == []  # a recording never holds a reply that is not text
+
+
 @pytest.mark.parametrize("key", [None, "test-not-a-real-key"])
 def test_http_backend_without_requests_raises_backend_error(monkeypatch, key):
     # a `None` entry makes `import requests` raise ImportError

@@ -20,6 +20,7 @@ from uclgen.constraints import (
     Eq,
     HasTag,
     Lit,
+    clause_tvars,
     eval_clause,
     generate_clauses,
 )
@@ -694,20 +695,26 @@ def _count_asserts(monkeypatch):
 # took 36 / 96 / 274 / 838 / 2,251 / 5,250 / 11,393 when its numeric
 # clause was three tester literals to branch on, not one unit. The
 # whole-set search that fails before the components are solved adds one:
-# 34 / 94 / 272 / 836 / 2,249 / 5,248 / 11,391 without it
-_DUPLICATE_NODES = {2: 35, 3: 95, 4: 273, 5: 837, 6: 2250, 7: 5249, 8: 11392}
+# 34 / 94 / 272 / 836 / 2,249 / 5,248 / 11,391 without it. The search of
+# the kept clauses that gives the model adds 1 / 2 / 3 / 4 / 5 / 6 / 7:
+# 35 / 95 / 273 / 837 / 2,250 / 5,249 / 11,392 when each component's
+# hitting-set leaf gave it
+_DUPLICATE_NODES = {2: 36, 3: 97, 4: 276, 5: 841, 6: 2255, 7: 5255, 8: 11399}
 # literals asserted with each search extending a base; re-asserting every
 # unit clause in every solve took 209 / 358 / 728 / 1,593 / 3,411 / 6,928 /
 # 13,667, and 90 / 168 / 383 / 1,008 / 2,495 / 5,596 / 11,842 without the
-# whole-set search, whose base asserts the units once more
-_DUPLICATE_ASSERTS = {2: 129, 3: 208, 4: 424, 5: 1050, 6: 2538, 7: 5640,
-                      8: 11887}
+# whole-set search, whose base asserts the units once more. The kept-set
+# search asserts its units once more again: 129 / 208 / 424 / 1,050 /
+# 2,538 / 5,640 / 11,887 without it
+_DUPLICATE_ASSERTS = {2: 167, 3: 247, 4: 464, 5: 1091, 6: 2580, 7: 5683,
+                      8: 11931}
 # disequalities resolved, each step checking only those it can break;
 # re-checking every stored one after every step resolved 28 / 154 / 668 /
 # 2,711 / 9,032 / 25,067 / 63,518, and 20 / 68 / 216 / 690 / 1,925 / 4,591
-# / 10,129 without the whole-set search
-_DUPLICATE_DISEQ_CHECKS = {2: 21, 3: 69, 4: 217, 5: 691, 6: 1926, 7: 4592,
-                           8: 10130}
+# / 10,129 without the whole-set search, 21 / 69 / 217 / 691 / 1,926 /
+# 4,592 / 10,130 without the kept-set search
+_DUPLICATE_DISEQ_CHECKS = {2: 22, 3: 71, 4: 220, 5: 695, 6: 1931, 7: 4598,
+                           8: 10137}
 
 
 @pytest.mark.parametrize("k, solves, falsified", [
@@ -723,7 +730,8 @@ def test_duplicate_declarations_cost_pinned_solves(
         monkeypatch, k, solves, falsified):
     # deletion with no core kept took 28 / 70 / 204 / 500 solves.
     # `solves` are the hitting-set search's; the whole-set search, which
-    # fails, comes first: 26 / 37 / 60 / 100 / 154 / 222 / 301 in all
+    # fails, comes first, and the search of the kept clauses, which gives
+    # the model, last: 27 / 38 / 61 / 101 / 155 / 223 / 302 in all
     cs = _clauses_of(_duplicates_source(k))
     calls = _count_solves(monkeypatch)
     nodes = _count_nodes(monkeypatch)
@@ -731,14 +739,16 @@ def test_duplicate_declarations_cost_pinned_solves(
     diseq_checks = _count_diseq_checks(monkeypatch)
     assert solve_maxsmt(cs).falsified == falsified
     assert calls[0] == tuple(c.index for c in cs.clauses)
-    assert len(calls) == 1 + solves
+    assert calls[-1] == tuple(c.index for c in cs.clauses
+                              if c.index not in falsified)
+    assert len(calls) == 2 + solves
     assert nodes[0] == _DUPLICATE_NODES[k]
     assert len(asserted) == _DUPLICATE_ASSERTS[k]
     assert diseq_checks[0] == _DUPLICATE_DISEQ_CHECKS[k]
 
 
 @pytest.mark.parametrize("n, searches, nodes", [
-    (50, 271, 271), (100, 507, 507), (200, 998, 998),
+    (50, 272, 272), (100, 508, 508), (200, 999, 999),
 ])
 def test_a_chain_whose_first_term_is_wrong_costs_pinned_nodes(
         monkeypatch, n, searches, nodes):
@@ -746,9 +756,11 @@ def test_a_chain_whose_first_term_is_wrong_costs_pinned_nodes(
     # search branched on every one: 5,709 / 18,843 / 69,282 nodes for
     # 270 / 506 / 997 searches. Now it is one unit the base asserts. The
     # whole-set search of the conflicting round adds a search and a node
-    # to the 270 / 506 / 997 before it; re-solving the holed program,
-    # which holds, is one search either way but copies one theory, where
-    # its component's hard base and that base's extension copied two
+    # to the 270 / 506 / 997 before it, and the search of its kept
+    # clauses, which gives the model, one more; re-solving the holed
+    # program, which holds, is one search either way but copies one
+    # theory, where its component's hard base and that base's extension
+    # copied two
     draft = chain_draft("first-term-wrong", n)
     calls = _count_solves(monkeypatch)
     copies = _count_nodes(monkeypatch)
@@ -760,7 +772,7 @@ def test_a_chain_whose_first_term_is_wrong_costs_pinned_nodes(
 def test_a_component_asserts_each_hard_unit_once(monkeypatch):
     # four declarations of one name: one component, relaxed three times
     # over many searches and QuickXplain calls, all on one hard base
-    comp = max((comp for comp, _ in maxsmt._components(
+    comp = max((comp for comp in maxsmt._components(
         _clauses_of(_duplicates_source(4)))), key=len)
     hard_units = [c.lits[0] for c in comp if c.hard and len(c.lits) == 1]
     calls = _count_solves(monkeypatch)
@@ -978,23 +990,26 @@ def test_one_walk_model_and_forced_equal_the_two_walk_reference(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# The whole-set search first: a satisfiable set is one search
+# The whole-set search first: a satisfiable set is one search; the model is
+# read from one search of the kept clauses
 # ---------------------------------------------------------------------------
 
 def _by_components(cs):
     """Reference: every set split into components, each solved by the
-    hitting-set search and walked for its own model, as `solve_maxsmt`
-    did before it searched the whole set first."""
+    hitting-set search, with its kept clauses searched and walked for its
+    own variables' model; a variable in no clause is a free `int`."""
     falsified, cost, model, forced = [], 0, {}, {}
-    for comp, tids in maxsmt._components(cs):
+    for comp in maxsmt._components(cs):
         solved = maxsmt._solve_component(comp)
         if solved is None:
             hard = [c for c in cs.clauses if c.hard]
             raise Untypeable(tuple(c.index for c in _shrink_core(hard)))
-        f, w, th = solved
+        f, w = solved
         falsified.extend(f)
         cost += w
-        comp_model, comp_forced = th.solution(tids)
+        th = _solve([c for c in comp if c.index not in f])
+        comp_model, comp_forced = th.solution(
+            set().union(*(clause_tvars(c) for c in comp)))
         model.update(comp_model)
         forced.update(comp_forced)
     for tv in cs.tvar_table.values():
@@ -1002,7 +1017,12 @@ def _by_components(cs):
     return maxsmt.MaxSmtResult(tuple(sorted(falsified)), cost, model, forced)
 
 
-def _fields(res):
+def _fields(solve, cs):
+    """A result's fields, or the hard core when `solve` raises."""
+    try:
+        res = solve(cs)
+    except Untypeable as exc:
+        return exc.core
     return res.falsified, res.cost, res.model, res.forced
 
 
@@ -1011,9 +1031,45 @@ def test_whole_set_solve_equals_the_component_loop_on_satisfiable_sets():
     for cs in _solver_corpus():
         if _solve(cs.clauses) is None:
             continue
-        assert _fields(solve_maxsmt(cs)) == _fields(_by_components(cs))
+        assert _fields(solve_maxsmt, cs) == _fields(_by_components, cs)
         compared += 1
     assert compared >= 150, compared
+
+
+def test_kept_set_model_equals_the_component_loop_on_conflicting_sets():
+    compared = 0
+    for cs in _solver_corpus():
+        if _solve(cs.clauses) is not None:
+            continue
+        assert _fields(solve_maxsmt, cs) == _fields(_by_components, cs)
+        compared += 1
+    # 271 of 607 sets conflict, 8 of them in their hard clauses, when this
+    # was written
+    assert compared >= 200, compared
+
+
+def test_a_solve_walks_one_theory_once(monkeypatch):
+    # a satisfiable set, a conflicting one, and one whose hard clauses
+    # conflict, which raises before any model is read
+    walked = []
+    solution = _Theory.solution
+
+    def counting(th, tids):
+        walked.append(sorted(tids))
+        return solution(th, tids)
+
+    monkeypatch.setattr(_Theory, "solution", counting)
+    for clauses, hard, walks in (([[eq("x", INT)]], (), 1),
+                                 ([[eq("x", INT)], [eq("x", BOOL)]], (), 1),
+                                 ([], [[eq("x", INT)], [eq("x", BOOL)]], 0)):
+        cs = cs_of(*clauses, hard=hard)
+        walked.clear()
+        try:
+            solve_maxsmt(cs)
+        except Untypeable:
+            pass
+        assert walked == [sorted(tv.tid for tv in cs.tvar_table.values())
+                          ] * walks
 
 
 def _workload_round_sets(monkeypatch):
@@ -1044,7 +1100,7 @@ def test_whole_set_solve_equals_the_component_loop_on_workload_rounds(
     monkeypatch.undo()
     satisfiable = 0
     for cs in sets:
-        assert _fields(solve_maxsmt(cs)) == _fields(_by_components(cs))
+        assert _fields(solve_maxsmt, cs) == _fields(_by_components, cs)
         satisfiable += _solve(cs.clauses) is not None
     # 147 of 183 sets hold when this was written
     assert satisfiable >= 100 and len(sets) - satisfiable >= 20, \

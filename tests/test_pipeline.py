@@ -1,5 +1,6 @@
 """The end-to-end loop and the bench harness."""
 
+import json
 import random
 import signal
 import sys
@@ -221,6 +222,36 @@ def test_unusable_response_is_a_backend_error():
     out = run_pipeline("Model a counter.", MockBackend(["no code here"]))
     assert out.status == STATUS_BACKEND_ERROR
     assert any("prune" in d or "extract" in d for d in out.diagnostics)
+
+
+@pytest.mark.parametrize("reply", ["", "  \n"])
+def test_an_empty_reply_is_an_extract_error(reply):
+    out = run_pipeline("Model a counter.", MockBackend([reply]))
+    assert out.status == STATUS_BACKEND_ERROR
+    assert out.diagnostics == ["extract: empty LLM response"]
+    assert out.iterations == 1
+
+
+@pytest.mark.parametrize("replies, kind, calls", [
+    ([None], "NoneType", 0),
+    ([7], "int", 0),
+    ([HOLEY_RESPONSE, None], "NoneType", 1),
+])
+def test_a_reply_that_is_not_text_is_a_backend_error(replies, kind, calls):
+    out = run_pipeline("Model a counter.", MockBackend(replies))
+    assert out.status == STATUS_BACKEND_ERROR
+    assert out.diagnostics == [f"backend: reply is not text ({kind})"]
+    assert out.iterations == calls
+
+
+def test_a_null_reply_in_a_transcript_is_a_backend_error(tmp_path):
+    path = tmp_path / "null.jsonl"
+    path.write_text(json.dumps({"seq": 0, "prompt_sha256": "0" * 64,
+                                "response": None}) + "\n", encoding="utf-8")
+    out = run_pipeline("Model a counter.",
+                       ReplayBackend.from_file(path, loose=True))
+    assert out.status == STATUS_BACKEND_ERROR
+    assert out.diagnostics == ["backend: reply is not text (NoneType)"]
 
 
 def test_replay_suite_loads_with_resolved_paths():

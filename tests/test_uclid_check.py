@@ -291,12 +291,17 @@ CODE_TABLE = {
     "and-width": (code_case(stmt="w = w & 1bv8;"), "arith-mismatch"),
     "plus-width": (code_case(stmt="w = w + 1bv8;"), "arith-mismatch"),
     "plus-mixed": (code_case(stmt="n = n + true;"), "arith-mismatch"),
+    # w ++ w is 8 bits wide: the widths add up
+    "concat-width": (code_case(stmt="w = w ++ w;"), "assign-mismatch"),
+    "concat-int": (code_case(stmt="w = n ++ w;"), "operand-type"),
 }
 
 
 def test_the_code_table_base_is_well_typed():
     assert validate_uclid(code_case()) == []
     assert validate_uclid(code_case(next_=STEP.format("n", ""))) == []
+    assert validate_uclid(code_case(decls="var v : bv8;",
+                                    stmt="v = w ++ w;")) == []
 
 
 @pytest.mark.parametrize("case", CODE_TABLE)
