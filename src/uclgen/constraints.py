@@ -13,7 +13,9 @@ Checks encoded here:
   S3  expressions are consistently typed (numeric operators stay within
       one numeric type; div/mod are integer-only; no int/bitvector mixing)
   S4  assignments preserve the type of the left-hand side
-  S5  inputs are never written (the write or the declaration must go)
+  S5  inputs are never written (the write or the declaration must go; a
+      write costs at least what the declaration's S1:active does, and a
+      tie drops the declaration, whose clause comes first)
   S6  branch/assume/assert conditions and specification bodies are boolean
 
 An operator's shape is one `Tester` literal that names every constructor

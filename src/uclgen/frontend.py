@@ -670,6 +670,9 @@ class _Pruner:
             hid = self.fresh_hole("module", root.span)
             self.drop(root, "no class extending Module")
             return ChildProgram(module_hole=hid, span=root.span)
+        for node in self.ast.root.children:
+            if node is not cls and node.kind not in ("docstring", "pass"):
+                self.drop(node, "outside the Module class")
         body = cls.children[1]
         sections: dict[str, PNode] = {}
         for item in body.children:

@@ -26,12 +26,12 @@ branches on it without a solve.
 Optimum selection: minimal total weight of falsified soft clauses;
 ties go to the lexicographically smallest set of falsified clause
 indices. The whole clause set is searched once first, and when it holds
-the optimum is cost 0 with nothing falsified. Otherwise the clause graph
-is split into connected components (clauses sharing a type variable) and
-each component's hitting-set search picks what to falsify, which
-preserves both the optimum and the tie-break. The model comes from the
-leaf of one search of the kept clauses, so it follows from the falsified
-set alone.
+the optimum is cost 0 with nothing falsified. Otherwise the hard clauses
+are searched once, and only when they hold is the clause graph split
+into connected components (clauses sharing a type variable), each
+component's hitting-set search picking what to falsify, which preserves
+both the optimum and the tie-break. The model comes from the leaf of one
+search of the kept clauses, so it follows from the falsified set alone.
 """
 
 from __future__ import annotations
@@ -457,9 +457,8 @@ def _shrink_core(
     candidates: Sequence[Clause], fixed: Sequence[Clause] | _Base = ()
 ) -> list[Clause]:
     """A minimal subset of `candidates` that is unsatisfiable together
-    with `fixed` (assumes all of them together are unsatisfiable), in
-    candidate order; [] when `fixed` alone is unsatisfiable. `fixed` may
-    be a `_Base` that already asserts it.
+    with `fixed`, in candidate order; `fixed` must hold and all of them
+    together must not. `fixed` may be a `_Base` that already asserts it.
 
     QuickXplain (Junker, AAAI 2004) over the candidates in reverse order.
     Its core keeps a candidate exactly when `fixed`, the kept candidates
@@ -474,7 +473,7 @@ def _shrink_core(
         # the positions of a minimal subset of `order` that is
         # unsatisfiable with `base`, preferring earlier positions; `base`
         # is searched first only if it `grew` since a search found it
-        # satisfiable (the top call's case is settled below)
+        # satisfiable (the top call's base is `fixed`, which holds)
         if grew and base.search() is None:
             return []
         if len(order) == 1:
@@ -488,12 +487,7 @@ def _shrink_core(
     if not candidates:
         return []
     base = fixed if isinstance(fixed, _Base) else _Base.of(fixed)
-    order = list(reversed(range(len(candidates))))
-    kept = qx(base, False, order)
-    # when `fixed` alone is unsatisfiable every search fails and qx keeps
-    # its first clause only; one search of `fixed` tells the two apart
-    if kept == order[:1] and base.clauses and base.search() is None:
-        return []
+    kept = qx(base, False, list(reversed(range(len(candidates)))))
     return [candidates[i] for i in sorted(kept)]
 
 
@@ -529,10 +523,12 @@ class MaxSmtResult:
 
 
 class Untypeable(Exception):
-    """The hard clauses alone are unsatisfiable."""
+    """Clauses that must all hold cannot: `solve_maxsmt`'s hard clauses,
+    or every clause of a program being compiled. `core` holds the indices
+    of a minimal unsatisfiable subset of them."""
 
     def __init__(self, core: tuple[int, ...]):
-        super().__init__(f"hard clauses are unsatisfiable; core: {core}")
+        super().__init__(f"the clauses cannot all hold; core: {core}")
         self.core = core
 
 
@@ -562,12 +558,10 @@ def _components(cs: ClauseSet) -> list[list[Clause]]:
     return list(groups.values())
 
 
-def _solve_component(
-    clauses: list[Clause],
-) -> Optional[tuple[tuple[int, ...], int]]:
+def _solve_component(clauses: list[Clause]) -> tuple[tuple[int, ...], int]:
     """The falsified soft clauses and their cost, from a core-guided
-    hitting-set search; None when the hard clauses alone are
-    unsatisfiable.
+    hitting-set search. Assumes the hard clauses hold, so a best set
+    always exists.
 
     A falsified soft clause is simply dropped (not negated): the reported
     set is the cheapest set of soft clauses whose removal leaves the rest
@@ -580,10 +574,8 @@ def _solve_component(
     wholly among the active clauses. Only a node that hits every known
     core is solved, and shrunk to a new core when unsatisfiable.
 
-    The hard clauses are asserted once, in `hard_base`; each node's
-    search and each core's QuickXplain extend it. They are searched
-    alone only when the root node (nothing excluded) is unsatisfiable;
-    when they hold, a best set always exists.
+    The hard clauses are asserted once, in `hard_base`, which each
+    node's search and each core's QuickXplain extend.
     """
     softs = [c for c in clauses if not c.hard]
     hard_base = _Base.of([c for c in clauses if c.hard])
@@ -607,8 +599,6 @@ def _solve_component(
                 if best is None or cand < best:
                     best = cand
                 continue
-            if not excluded and hard_base.search() is None:
-                return None
             core = _shrink_core(active, hard_base)
             cores.append(core)
         stack.extend((excluded | {c.index}, cost + c.weight)
@@ -626,24 +616,24 @@ def solve_maxsmt(cs: ClauseSet) -> MaxSmtResult:
     of one search of the kept clauses, walked over every type variable; a
     variable in no clause is a free `int`.
 
-    Raises `Untypeable` when the hard clauses alone are unsatisfiable.
-    They are not solved up front: a component finds out only when its
-    root node is unsatisfiable, and then the core is the one QuickXplain
-    keeps among all hard clauses, whichever component conflicts. The
-    hard clauses `generate_clauses` emits all hold when every type
-    variable is `int`, which is why a repair round never raises it.
+    Raises `Untypeable` when the hard clauses alone are unsatisfiable,
+    with the core QuickXplain keeps among them. They are searched once,
+    only when the whole set fails, and before it is split, so every
+    component's search starts from hard clauses that hold. The hard
+    clauses `generate_clauses` emits all hold when every type variable
+    is `int`, which is why a repair round never raises it.
     """
     falsified: list[int] = []
     cost = 0
     th = _solve(cs.clauses)
     if th is None:
+        hard = cs.hard
+        if _solve(hard) is None:
+            raise Untypeable(tuple(c.index for c in _shrink_core(hard)))
         for comp in _components(cs):
-            solved = _solve_component(comp)
-            if solved is None:
-                hard = [c for c in cs.clauses if c.hard]
-                raise Untypeable(tuple(c.index for c in _shrink_core(hard)))
-            falsified.extend(solved[0])
-            cost += solved[1]
+            comp_falsified, comp_cost = _solve_component(comp)
+            falsified.extend(comp_falsified)
+            cost += comp_cost
         dropped = set(falsified)
         th = _solve([c for c in cs.clauses if c.index not in dropped])
     model, forced = th.solution([tv.tid for tv in cs.tvar_table.values()])

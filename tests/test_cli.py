@@ -1,6 +1,7 @@
 """The uclgen command line interface."""
 
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -237,6 +238,32 @@ def test_repair_reports_one_based_lines(tmp_path, capsys):
         "hole at line 4", "hole at line 6"]
 
 
+def test_repair_reports_code_outside_the_module_class(tmp_path, capsys):
+    f = tmp_path / "prog.py"
+    f.write_text(
+        "import math\n"
+        "from uclgen import Module\n"
+        "\n"
+        "class Helper:\n"
+        "    def f(self):\n"
+        "        return 1\n"
+        "\n"
+        "class M(Module):\n"
+        "    def locals(self):\n"
+        "        self.x = int\n"
+        "    def next(self):\n"
+        "        self.x = self.x + 1\n"
+        "\n"
+        "x = 1\n"
+        "print(M)\n",
+        encoding="utf-8",
+    )
+    assert main(["repair", str(f)]) == EXIT_OK
+    assert capsys.readouterr().err.splitlines() == [
+        f"dropped line {n}: outside the Module class"
+        for n in (1, 2, 4, 14, 15)]
+
+
 def test_repair_non_decimal_digit_is_a_hole(tmp_path, capsys):
     f = tmp_path / "prog.py"
     f.write_text(
@@ -314,6 +341,34 @@ def test_replay_backend_requires_transcript(capsys):
         main(["run", "task", "--backend", "replay"])
     assert exc.value.code == EXIT_USAGE
     assert "--transcript is required" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags, message", [
+    (["--backend", "mock"], "--responses is required"),
+    (["--backend", "http"], "--url and --model are required"),
+    (["--backend", "http", "--url", "http://localhost:9"],
+     "--url and --model are required"),
+    (["--backend", "http", "--model", "m"], "--url and --model are required"),
+], ids=["mock", "http", "http-no-model", "http-no-url"])
+def test_mock_or_http_backend_without_its_source_is_usage_error(
+        capsys, flags, message):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "task", *flags])
+    assert exc.value.code == EXIT_USAGE
+    assert message in capsys.readouterr().err
+
+
+def test_http_backend_without_an_api_key_fails_before_any_request(
+        capsys, monkeypatch):
+    # with `requests` unimportable, reaching the request would fail with
+    # another message
+    monkeypatch.delenv("UCLGEN_API_KEY", raising=False)
+    monkeypatch.setitem(sys.modules, "requests", None)
+    code = main(["run", "task", "--backend", "http",
+                 "--url", "http://localhost:9", "--model", "m"])
+    assert code == EXIT_FAILED
+    assert ("backend: no API key in environment variable UCLGEN_API_KEY"
+            in capsys.readouterr().err)
 
 
 @pytest.mark.parametrize("backend,flag", [

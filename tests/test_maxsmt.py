@@ -307,8 +307,9 @@ def test_unsatisfiable_hard_clauses_raise_with_core():
 
 def test_a_later_components_hard_conflict_raises_the_global_hard_core(
         monkeypatch):
-    # component x needs a relaxation and is solved first; component y's
-    # hard clauses conflict, which only its root node finds out
+    # component x needs a relaxation and comes first; component y's hard
+    # clauses conflict, which the search of all hard clauses finds out
+    # before any component is solved
     cs = ClauseSet()
     x, y = cs.tvar(("var", "x")), cs.tvar(("var", "y"))
     cs.add_hard([Lit(Eq(x, INT)), Lit(Eq(x, REAL))], "x:hard")
@@ -321,13 +322,13 @@ def test_a_later_components_hard_conflict_raises_the_global_hard_core(
 
     def recording(clauses):
         got = solve_component(clauses)
-        solved.append(got and got[0])
+        solved.append(got[0])
         return got
 
     monkeypatch.setattr(maxsmt, "_solve_component", recording)
     with pytest.raises(Untypeable) as exc:
         solve_maxsmt(cs)
-    assert solved == [(1,), None]
+    assert solved == []
     assert exc.value.core == tuple(c.index for c in _shrink_core(cs.hard))
     assert exc.value.core == (3, 4)
 
@@ -585,14 +586,6 @@ def test_shrink_core_keeps_the_core_deletion_keeps(seed):
     assert min(compared.values()) >= 100, compared
 
 
-def test_shrink_core_is_empty_when_the_fixed_clauses_conflict():
-    cs = cs_of([eq("y", INT)], [eq("y", BOOL)], [eq("z", REAL)],
-               hard=[[eq("x", INT)], [eq("x", BOOL)]])
-    hards, softs = list(cs.hard), list(cs.soft)
-    assert _shrink_core(softs, hards) == []
-    assert deletion_core(softs, hards) == []
-
-
 def _count_solves(monkeypatch):
     """Satisfiability decisions, recorded as the indices of the clauses
     searched: each is one `_Base.search` call, whether through `_solve`
@@ -698,16 +691,20 @@ def _count_asserts(monkeypatch):
 # 34 / 94 / 272 / 836 / 2,249 / 5,248 / 11,391 without it. The search of
 # the kept clauses that gives the model adds 1 / 2 / 3 / 4 / 5 / 6 / 7:
 # 35 / 95 / 273 / 837 / 2,250 / 5,249 / 11,392 when each component's
-# hitting-set leaf gave it
-_DUPLICATE_NODES = {2: 36, 3: 97, 4: 276, 5: 841, 6: 2255, 7: 5255, 8: 11399}
+# hitting-set leaf gave it. The base of all hard clauses, searched once
+# before the split, adds one more: 36 / 97 / 276 / 841 / 2,255 / 5,255 /
+# 11,399 when a component's root node searched its own hard base
+_DUPLICATE_NODES = {2: 37, 3: 98, 4: 277, 5: 842, 6: 2256, 7: 5256, 8: 11400}
 # literals asserted with each search extending a base; re-asserting every
 # unit clause in every solve took 209 / 358 / 728 / 1,593 / 3,411 / 6,928 /
 # 13,667, and 90 / 168 / 383 / 1,008 / 2,495 / 5,596 / 11,842 without the
 # whole-set search, whose base asserts the units once more. The kept-set
 # search asserts its units once more again: 129 / 208 / 424 / 1,050 /
-# 2,538 / 5,640 / 11,887 without it
-_DUPLICATE_ASSERTS = {2: 167, 3: 247, 4: 464, 5: 1091, 6: 2580, 7: 5683,
-                      8: 11931}
+# 2,538 / 5,640 / 11,887 without it. The search of all hard clauses
+# asserts their 11 units once more: 167 / 247 / 464 / 1,091 / 2,580 /
+# 5,683 / 11,931 when only each component's hard base asserted them
+_DUPLICATE_ASSERTS = {2: 178, 3: 258, 4: 475, 5: 1102, 6: 2591, 7: 5694,
+                      8: 11942}
 # disequalities resolved, each step checking only those it can break;
 # re-checking every stored one after every step resolved 28 / 154 / 668 /
 # 2,711 / 9,032 / 25,067 / 63,518, and 20 / 68 / 216 / 690 / 1,925 / 4,591
@@ -729,9 +726,12 @@ _DUPLICATE_DISEQ_CHECKS = {2: 22, 3: 71, 4: 220, 5: 695, 6: 1931, 7: 4598,
 def test_duplicate_declarations_cost_pinned_solves(
         monkeypatch, k, solves, falsified):
     # deletion with no core kept took 28 / 70 / 204 / 500 solves.
-    # `solves` are the hitting-set search's; the whole-set search, which
-    # fails, comes first, and the search of the kept clauses, which gives
-    # the model, last: 27 / 38 / 61 / 101 / 155 / 223 / 302 in all
+    # The whole-set search, which fails, comes first, and the search of
+    # the kept clauses, which gives the model, last: 27 / 38 / 61 / 101 /
+    # 155 / 223 / 302 in all. `solves` are those between: the search of
+    # the hard clauses, which hold, and then the hitting-set search's.
+    # The hard search was the conflicting component's root node's, with
+    # the same totals
     cs = _clauses_of(_duplicates_source(k))
     calls = _count_solves(monkeypatch)
     nodes = _count_nodes(monkeypatch)
@@ -739,6 +739,7 @@ def test_duplicate_declarations_cost_pinned_solves(
     diseq_checks = _count_diseq_checks(monkeypatch)
     assert solve_maxsmt(cs).falsified == falsified
     assert calls[0] == tuple(c.index for c in cs.clauses)
+    assert calls[1] == tuple(c.index for c in cs.hard)
     assert calls[-1] == tuple(c.index for c in cs.clauses
                               if c.index not in falsified)
     assert len(calls) == 2 + solves
@@ -748,7 +749,7 @@ def test_duplicate_declarations_cost_pinned_solves(
 
 
 @pytest.mark.parametrize("n, searches, nodes", [
-    (50, 272, 272), (100, 508, 508), (200, 999, 999),
+    (50, 272, 273), (100, 508, 509), (200, 999, 1000),
 ])
 def test_a_chain_whose_first_term_is_wrong_costs_pinned_nodes(
         monkeypatch, n, searches, nodes):
@@ -760,7 +761,10 @@ def test_a_chain_whose_first_term_is_wrong_costs_pinned_nodes(
     # clauses, which gives the model, one more; re-solving the holed
     # program, which holds, is one search either way but copies one
     # theory, where its component's hard base and that base's extension
-    # copied two
+    # copied two. The search of all hard clauses after the whole set
+    # fails takes the place of the conflicting component's root-node
+    # search of its hard base, but builds a base of its own: one node
+    # more than the 272 / 508 / 999 before it
     draft = chain_draft("first-term-wrong", n)
     calls = _count_solves(monkeypatch)
     copies = _count_nodes(monkeypatch)
@@ -771,14 +775,15 @@ def test_a_chain_whose_first_term_is_wrong_costs_pinned_nodes(
 
 def test_a_component_asserts_each_hard_unit_once(monkeypatch):
     # four declarations of one name: one component, relaxed three times
-    # over many searches and QuickXplain calls, all on one hard base
+    # over many searches and QuickXplain calls, all on one hard base,
+    # which none searches alone (56 searches when the root node did)
     comp = max((comp for comp in maxsmt._components(
         _clauses_of(_duplicates_source(4)))), key=len)
     hard_units = [c.lits[0] for c in comp if c.hard and len(c.lits) == 1]
     calls = _count_solves(monkeypatch)
     asserted = _count_asserts(monkeypatch)
     assert len(maxsmt._solve_component(comp)[0]) == 3
-    assert (len(calls), len(hard_units)) == (56, 3)
+    assert (len(calls), len(hard_units)) == (55, 3)
     assert [sum(l is u for l in asserted) for u in hard_units] == \
         [1] * len(hard_units)
 
@@ -995,16 +1000,15 @@ def test_one_walk_model_and_forced_equal_the_two_walk_reference(monkeypatch):
 # ---------------------------------------------------------------------------
 
 def _by_components(cs):
-    """Reference: every set split into components, each solved by the
-    hitting-set search, with its kept clauses searched and walked for its
-    own variables' model; a variable in no clause is a free `int`."""
+    """Reference: the hard clauses searched first, then every set split
+    into components, each solved by the hitting-set search, with its kept
+    clauses searched and walked for its own variables' model; a variable
+    in no clause is a free `int`."""
+    if _solve(cs.hard) is None:
+        raise Untypeable(tuple(c.index for c in _shrink_core(cs.hard)))
     falsified, cost, model, forced = [], 0, {}, {}
     for comp in maxsmt._components(cs):
-        solved = maxsmt._solve_component(comp)
-        if solved is None:
-            hard = [c for c in cs.clauses if c.hard]
-            raise Untypeable(tuple(c.index for c in _shrink_core(hard)))
-        f, w = solved
+        f, w = maxsmt._solve_component(comp)
         falsified.extend(f)
         cost += w
         th = _solve([c for c in comp if c.index not in f])
@@ -1105,6 +1109,35 @@ def test_whole_set_solve_equals_the_component_loop_on_workload_rounds(
     # 147 of 183 sets hold when this was written
     assert satisfiable >= 100 and len(sets) - satisfiable >= 20, \
         (satisfiable, len(sets))
+
+
+def test_every_base_the_hitting_set_search_is_given_holds(monkeypatch):
+    # the hard clauses are searched once before the split, so neither a
+    # component's hard clauses nor QuickXplain's `fixed` ever conflict
+    given = {"component": 0, "shrink_core": 0}
+    solve_component, shrink = maxsmt._solve_component, maxsmt._shrink_core
+
+    def component(clauses):
+        assert _solve([c for c in clauses if c.hard]) is not None
+        given["component"] += 1
+        return solve_component(clauses)
+
+    def shrinking(candidates, fixed=()):
+        base = fixed if isinstance(fixed, maxsmt._Base) else \
+            maxsmt._Base.of(fixed)
+        assert base.search() is not None
+        given["shrink_core"] += 1
+        return shrink(candidates, fixed)
+
+    monkeypatch.setattr(maxsmt, "_solve_component", component)
+    monkeypatch.setattr(maxsmt, "_shrink_core", shrinking)
+    for cs in _solver_corpus():
+        _solve_all(cs)
+    corpus = dict(given)
+    sets = _workload_round_sets(monkeypatch)
+    rounds = {k: given[k] - corpus[k] for k in given}
+    assert min(corpus.values()) >= 250, corpus
+    assert min(rounds.values()) >= 100 and len(sets) >= 150, (rounds, len(sets))
 
 
 def test_tagless_enum_roots_take_fresh_tags_numbered_across_one_walk():

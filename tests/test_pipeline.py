@@ -554,6 +554,22 @@ def test_unmapped_exception_becomes_internal_error(monkeypatch):
     assert out.iterations == 1
 
 
+@pytest.mark.parametrize("body, diagnostic", [
+    ("    def next(self):\n        ??\n",
+     "compile: program still has 1 hole(s)"),
+    ("    def init(self):\n        self.x = True\n",
+     "compile: the clauses cannot all hold; core: (0, 1, 2, 3)"),
+], ids=["hole", "ill-typed"])
+def test_compile_checked_reports_why_a_program_does_not_compile(
+        body, diagnostic):
+    # the core of an ill-typed program spans soft clauses too: compiling
+    # checks every clause of the program, not the hard ones alone
+    program, _ = prune_to_child(parse_tolerant(
+        "class M(Module):\n    def locals(self):\n        self.x = int\n"
+        + body))
+    assert pipeline.compile_checked(program) == (None, [diagnostic])
+
+
 def test_readme_example_compiles_as_written():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("```python\n", 1)[1].split("```", 1)[0]

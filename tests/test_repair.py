@@ -110,7 +110,7 @@ class M(Module):
     assert left_spine(holed.next_body[0].rhs)[-1].left is holes[0]
 
 
-def test_holeify_statement_origin_becomes_hole_stmt():
+def test_an_input_write_tied_with_s1_active_drops_the_declaration():
     p = program_of('''
 class M(Module):
     def inputs(self):
@@ -121,8 +121,9 @@ class M(Module):
     cs = generate_clauses(p)
     res = solve_maxsmt(cs)
     holed = holeify(p, cs, res.falsified)
-    # the write and the declaration cost the same here; the tie breaks to
-    # the earlier clause, which belongs to the declaration
+    # the write's `S5:input-write` costs the same as the declaration's
+    # `S1:active` here; the tie breaks to the earlier clause, which is the
+    # declaration's, so the declaration becomes a hole and the write stays
     assert isinstance(holed.inputs[0], HoleDecl)
     assert not isinstance(holed.next_body[0], HoleStmt)
 

@@ -297,6 +297,31 @@ CODE_TABLE = {
 }
 
 
+# text -> every diagnostic it gets, in order: the parser's error paths
+# and an assignment to an undeclared name
+DIAGNOSTIC_TABLE = {
+    "": ["parse-error: unexpected end of input"],
+    "module main { } x": ["parse-error: trailing input after module: 'x'"],
+    "module main { axiom a : true; }": [
+        "parse-error: unexpected 'axiom' in module body"],
+    "module main { var x : 1; }": ["parse-error: expected a type, got '1'"],
+    "module main { next { call nope(); } }": [
+        "parse-error: call to unknown procedure 'nope'"],
+    "module main { var x : integer; init { x = ); } }": [
+        "parse-error: unexpected token ')' in expression"],
+    "module main { var n : integer; procedure step() modifies n;"
+    " { y = 1; } next { call step(); } }": [
+        "undeclared: assignment to undeclared 'y'",
+        "missing-modifies: next writes 'y' without declaring it in modifies",
+        "stale-modifies: modifies lists 'n' but next never writes it"],
+}
+
+
+@pytest.mark.parametrize("text", DIAGNOSTIC_TABLE)
+def test_a_text_gets_exactly_its_diagnostics(text):
+    assert [str(d) for d in validate_uclid(text)] == DIAGNOSTIC_TABLE[text]
+
+
 def test_the_code_table_base_is_well_typed():
     assert validate_uclid(code_case()) == []
     assert validate_uclid(code_case(next_=STEP.format("n", ""))) == []
