@@ -75,6 +75,19 @@ def _build_backend(args: argparse.Namespace):
     return HttpBackend(args.url, args.model, api_key_env=args.api_key_env)
 
 
+def _call_budget(text: str) -> int:
+    """`--max-llm-calls`: a whole number of at least 1, so a budget that
+    allows no call is a usage error before any backend is built."""
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"expected a whole number, got {text!r}") from None
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {n}")
+    return n
+
+
 def _add_weights_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--weights",
@@ -103,7 +116,7 @@ def _add_backend_args(p: argparse.ArgumentParser) -> None:
     )
     p.add_argument("--responses", help="JSON list of responses for the mock backend")
     p.add_argument("--record", help="record all LLM exchanges to this JSONL file")
-    p.add_argument("--max-llm-calls", type=int, default=5)
+    p.add_argument("--max-llm-calls", type=_call_budget, default=5)
     _add_weights_arg(p)
 
 
@@ -281,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run a replay suite")
     p_bench.add_argument("--suite", required=True, help="suite JSON file")
     p_bench.add_argument("-o", "--output", help="write the report here")
-    p_bench.add_argument("--max-llm-calls", type=int, default=5)
+    p_bench.add_argument("--max-llm-calls", type=_call_budget, default=5)
     _add_weights_arg(p_bench)
     p_bench.add_argument("--loose", action="store_true")
     p_bench.set_defaults(func=_cmd_bench)

@@ -476,7 +476,7 @@ class _Gen:
 
     def _binary(self, n: Binary, t: TVar, tl: TVar, tr: TVar) -> None:
         op = n.op
-        if op in ("and", "or", "implies"):
+        if op in ("and", "or"):
             self.soft([Lit(Eq(t, BOOL))], n, "S3:op")
             self.soft([Lit(Eq(tl, BOOL))], n, "S3:op")
             self.soft([Lit(Eq(tr, BOOL))], n, "S3:op")

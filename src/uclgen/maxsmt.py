@@ -36,7 +36,7 @@ search of the kept clauses, so it follows from the falsified set alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from .ast_core import (
@@ -354,7 +354,10 @@ class _Theory:
                     val = next((c for c in candidates(root)
                                 if not violates(root, c)), None)
                     if val is None:
-                        raise _Conflict  # unreachable after check_diseqs
+                        # reached, and escapes both entry points, when the
+                        # record leaves only scalars (say bool and int) and
+                        # the disequalities rule out each one
+                        raise _Conflict
                 values[root] = val
             walked_free = walked_free or root in free
             return val
@@ -372,18 +375,6 @@ class _Theory:
 # ---------------------------------------------------------------------------
 # Satisfiability of a clause set (depth-first search over non-unit clauses)
 # ---------------------------------------------------------------------------
-
-@dataclass
-class SatResult:
-    """`forced` is what the theory at the search leaf determines. A
-    clause of several literals, which the search branches on, can make it
-    depend on the search order."""
-
-    sat: bool
-    model: dict[int, TypeTerm] = field(default_factory=dict)
-    forced: dict[int, TypeTerm] = field(default_factory=dict)
-    core: tuple[int, ...] = ()
-
 
 class _Base:
     """Where searches start: `theory` has the unit clauses of `clauses`
@@ -491,24 +482,6 @@ def _shrink_core(
     return [candidates[i] for i in sorted(kept)]
 
 
-def check_sat(clauses: Sequence[Clause]) -> SatResult:
-    """Decide whether every listed clause holds at once; if not, report a
-    minimal unsatisfiable core."""
-    th = _solve(clauses)
-    if th is None:
-        core = _shrink_core(clauses)
-        return SatResult(False, core=tuple(c.index for c in core))
-    tids = set()
-    for c in clauses:
-        tids |= clause_tvars(c)
-    model, forced = th.solution(tids)
-    return SatResult(True, model=model, forced=forced)
-
-
-# ---------------------------------------------------------------------------
-# MAX-SMT branch and bound
-# ---------------------------------------------------------------------------
-
 @dataclass
 class MaxSmtResult:
     """`model` and `forced` come from the leaf of one search of the kept
@@ -524,13 +497,38 @@ class MaxSmtResult:
 
 class Untypeable(Exception):
     """Clauses that must all hold cannot: `solve_maxsmt`'s hard clauses,
-    or every clause of a program being compiled. `core` holds the indices
-    of a minimal unsatisfiable subset of them."""
+    or the clauses given to `check_sat`. `core` holds the indices of a
+    minimal unsatisfiable subset of them."""
 
     def __init__(self, core: tuple[int, ...]):
         super().__init__(f"the clauses cannot all hold; core: {core}")
         self.core = core
 
+
+def _holding(clauses: Sequence[Clause]) -> _Theory:
+    """A theory in which every clause holds. Raises `Untypeable`, with
+    the core QuickXplain keeps among the clauses, when there is none."""
+    th = _solve(clauses)
+    if th is None:
+        raise Untypeable(tuple(c.index for c in _shrink_core(clauses)))
+    return th
+
+
+def check_sat(clauses: Sequence[Clause]) -> MaxSmtResult:
+    """Every listed clause held at once: nothing falsified, at cost 0,
+    with the model and forced values over the clauses' type variables.
+    Raises `Untypeable` when they cannot all hold."""
+    th = _holding(clauses)
+    tids = set()
+    for c in clauses:
+        tids |= clause_tvars(c)
+    model, forced = th.solution(tids)
+    return MaxSmtResult((), 0, model, forced)
+
+
+# ---------------------------------------------------------------------------
+# MAX-SMT branch and bound
+# ---------------------------------------------------------------------------
 
 def _components(cs: ClauseSet) -> list[list[Clause]]:
     """Clauses grouped by shared type variables, in the order of each
@@ -627,9 +625,7 @@ def solve_maxsmt(cs: ClauseSet) -> MaxSmtResult:
     cost = 0
     th = _solve(cs.clauses)
     if th is None:
-        hard = cs.hard
-        if _solve(hard) is None:
-            raise Untypeable(tuple(c.index for c in _shrink_core(hard)))
+        _holding(cs.hard)
         for comp in _components(cs):
             comp_falsified, comp_cost = _solve_component(comp)
             falsified.extend(comp_falsified)

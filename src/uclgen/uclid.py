@@ -47,7 +47,7 @@ from .ast_core import (
     undeclared_names,
 )
 from .constraints import generate_clauses
-from .maxsmt import Untypeable, check_sat
+from .maxsmt import check_sat
 
 
 class CompileError(ValueError):
@@ -176,8 +176,6 @@ def compile_program(program: ChildProgram) -> UclidModule:
     # changed the program after the round's solve
     cs = generate_clauses(program)
     res = check_sat(cs.clauses)
-    if not res.sat:
-        raise Untypeable(res.core)
     var_types: dict[str, TypeTerm] = {}
     for key, tv in cs.tvar_table.items():
         if key[0] == "var" and tv.tid in res.model:

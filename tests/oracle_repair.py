@@ -27,7 +27,7 @@ from uclgen.ast_core import (
     iter_nodes,
 )
 from uclgen.constraints import generate_clauses
-from uclgen.maxsmt import check_sat
+from uclgen.maxsmt import _solve
 from uclgen.repair import holeify
 
 _TYPES = (INT, BOOL, REAL)
@@ -76,7 +76,7 @@ def min_hole_count(program: ChildProgram, max_holes: int = 5) -> int:
     """Smallest number of origin nodes whose replacement with holes makes
     every remaining check satisfiable."""
     cs = generate_clauses(program, "uniform")
-    if check_sat(cs.clauses).sat:
+    if _solve(cs.clauses) is not None:
         return 0
     origin_clause: dict[int, int] = {}
     for c in cs.soft:
@@ -87,7 +87,7 @@ def min_hole_count(program: ChildProgram, max_holes: int = 5) -> int:
             holed = holeify(
                 program, cs, tuple(origin_clause[o] for o in combo)
             )
-            if check_sat(generate_clauses(holed, "uniform").clauses).sat:
+            if _solve(generate_clauses(holed, "uniform").clauses) is not None:
                 return k
     raise AssertionError("no hole set within budget repairs the program")
 

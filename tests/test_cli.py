@@ -387,6 +387,24 @@ def test_bad_backend_file_is_usage_error(tmp_path, capsys, backend, flag,
     assert err.count("\n") == 1 and flag in err
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "task", "--backend", "mock", "--responses", "never-read.json"],
+    ["bench", "--suite", str(SUITE_PATH)],
+], ids=["run", "bench"])
+@pytest.mark.parametrize("budget", ["0", "-3", "x"])
+def test_max_llm_calls_below_one_is_usage_error(capsys, monkeypatch,
+                                                command, budget):
+    def never(*args, **kwargs):
+        raise AssertionError("a task ran")
+
+    monkeypatch.setattr(cli, "run_bench", never)
+    monkeypatch.setattr(cli, "_build_backend", never)
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--max-llm-calls", budget])
+    assert exc.value.code == EXIT_USAGE
+    assert "--max-llm-calls" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("suite,transcript", [
     ({"id": "a"}, None),
     ([1], None),

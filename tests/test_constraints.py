@@ -164,14 +164,16 @@ def test_a_tester_names_known_constructors_in_order(ctors):
 
 
 def test_concat_has_no_typing_rule():
-    # no surface spelling reaches `concat`, so clause generation has none
-    p = program_of(SIMPLE)
-    (step,) = p.next_body
-    step = dataclasses.replace(step, rhs=dataclasses.replace(step.rhs,
-                                                             op="concat"))
-    p = dataclasses.replace(p, next_body=type(p.next_body)([step]))
-    with pytest.raises(ValueError, match="concat"):
-        generate_clauses(p)
+    # no surface spelling reaches `concat` or `implies`, so clause
+    # generation has no rule for them
+    program = program_of(SIMPLE)
+    (step,) = program.next_body
+    for op in ("concat", "implies"):
+        rhs = dataclasses.replace(step.rhs, op=op)
+        p = dataclasses.replace(program, next_body=type(program.next_body)(
+            [dataclasses.replace(step, rhs=rhs)]))
+        with pytest.raises(ValueError, match=op):
+            generate_clauses(p)
 
 
 def _drafts():

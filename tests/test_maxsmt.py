@@ -88,23 +88,24 @@ def tag(t, name):
 def test_check_sat_simple_binding():
     cs = cs_of([eq("x", INT)], [eqv("x", "y")])
     res = check_sat(cs.clauses)
-    assert res.sat
+    assert (res.falsified, res.cost) == ((), 0)
     assert res.model[cs.tvar(("var", "y")).tid] == INT
     assert set(res.forced) >= {cs.tvar(("var", "x")).tid}
 
 
 def test_check_sat_conflict_yields_core():
     cs = cs_of([eq("x", INT)], [eq("x", BOOL)], [eq("y", REAL)])
-    res = check_sat(cs.clauses)
-    assert not res.sat
-    assert set(res.core) == {0, 1}
+    with pytest.raises(Untypeable) as exc:
+        check_sat(cs.clauses)
+    assert set(exc.value.core) == {0, 1}
 
 
 def test_check_sat_occurs_check():
     cs = ClauseSet()
     x = cs.tvar(("var", "x"))
     cs.add_hard([Lit(Eq(x, ArrayType(INT, x)))], "t:occurs")
-    assert not check_sat(cs.clauses).sat
+    with pytest.raises(Untypeable):
+        check_sat(cs.clauses)
 
 
 def test_check_sat_tester_and_tag():
@@ -114,7 +115,7 @@ def test_check_sat_tester_and_tag():
         [neq("x", EnumType(("GO",)))],
     )
     res = check_sat(cs.clauses)
-    assert res.sat
+    assert (res.falsified, res.cost) == ((), 0)
     model_x = res.model[cs.tvar(("var", "x")).tid]
     assert isinstance(model_x, EnumType) and "GO" in model_x.tags
     assert model_x != EnumType(("GO",))
@@ -123,7 +124,7 @@ def test_check_sat_tester_and_tag():
 def test_check_sat_negative_testers_leave_options():
     cs = cs_of([is_ctor("bv", "x")], [neq("x", BVType(1))], [neq("x", BVType(2))])
     res = check_sat(cs.clauses)
-    assert res.sat
+    assert (res.falsified, res.cost) == ((), 0)
     got = res.model[cs.tvar(("var", "x")).tid]
     assert isinstance(got, BVType) and got.width not in (1, 2)
 
@@ -134,7 +135,7 @@ def test_check_sat_disjunction_splits():
     cs.add_hard([Lit(Eq(x, INT)), Lit(Eq(x, BOOL))], "t:or")
     cs.add_hard([Lit(Eq(x, INT), positive=False)], "t:neq")
     res = check_sat(cs.clauses)
-    assert res.sat
+    assert (res.falsified, res.cost) == ((), 0)
     assert res.model[x.tid] == BOOL
 
 
@@ -422,7 +423,7 @@ def _assert_optimal(cs):
     assert verify_solution(cs, res)
     relaxed = set(res.falsified)
     kept = [c for c in cs.clauses if c.index not in relaxed]
-    assert check_sat(kept).sat
+    check_sat(kept)
 
 
 @pytest.mark.parametrize("seed, max_soft, index", [
@@ -556,7 +557,7 @@ def test_search_asserts_a_bounded_number_of_literals_per_clause(
     program, _ = prune_to_child(parse_tolerant(source))
     cs = generate_clauses(synthesize_decls(program)[0], "depth")
     asserted = _count_asserts(monkeypatch)
-    assert check_sat(cs.clauses).sat
+    check_sat(cs.clauses)
     assert len(asserted) <= len(cs.clauses)
     asserted.clear()
     assert solve_maxsmt(cs).falsified == ()
@@ -872,7 +873,10 @@ def _solve_all(cs):
         solve_maxsmt(cs)
     except Untypeable:
         pass
-    check_sat(cs.clauses)
+    try:
+        check_sat(cs.clauses)
+    except Untypeable:
+        pass
 
 
 def _determined_ref(th, t):

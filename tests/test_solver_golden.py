@@ -3,9 +3,10 @@ and `check_sat` result as it is must leave `golden/solver.json` matching.
 
 For each of about 2,000 `random_clause_set` sets the file holds one short
 hash of the `solve_maxsmt` result (falsified set, cost, model, forced; or
-the core it reports as `Untypeable`) and of the `check_sat` result (sat,
-core, model, forced). A mismatch names the sets that differ, so a change
-that is meant to move a model or a forced value lists what it moved.
+the core it reports as `Untypeable`) and of the `check_sat` result, as
+the tuple (sat, core, model, forced). A mismatch names the sets that
+differ, so a change that is meant to move a model or a forced value lists
+what it moved.
 Regenerate the file, after such a change, with
 
     python3 tests/test_solver_golden.py
@@ -41,8 +42,11 @@ def _results(cs) -> tuple:
     else:
         solved = (res.falsified, res.cost, sorted(res.model.items()),
                   sorted(res.forced.items()))
-    sat = check_sat(cs.clauses)
-    return solved, (sat.sat, sat.core, sorted(sat.model.items()),
+    try:
+        sat = check_sat(cs.clauses)
+    except Untypeable as exc:
+        return solved, (False, exc.core, [], [])
+    return solved, (True, (), sorted(sat.model.items()),
                     sorted(sat.forced.items()))
 
 

@@ -186,6 +186,16 @@ def test_lower_without_types_defaults_to_integer():
     assert module.notes
 
 
+@pytest.mark.parametrize("line", ["self.x = ??", "??"],
+                         ids=["type-hole", "decl-hole"])
+def test_lower_rejects_a_hole_that_compile_would_count(line):
+    # `lower` called directly, without `compile_program`'s hole count
+    p = program_of(f"class M(Module):\n    def locals(self):\n        {line}\n")
+    with pytest.raises(HoleRemaining) as exc:
+        lower(p, {})
+    assert exc.value.count == 1
+
+
 @pytest.mark.parametrize("name", sorted(VALID_PROGRAMS))
 def test_round_trip_corpus_compiles_and_validates(name):
     text = compiled(VALID_PROGRAMS[name])
