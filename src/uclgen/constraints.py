@@ -1,17 +1,20 @@
 """Typing constraints over module-language programs.
 
 Each program node of interest gets a type variable; static checks are
-encoded as clauses over an algebra of type terms. Soft clauses carry a
-weight and an *origin*: the node whose subtree is replaced with a hole if
-the clause ends up falsified by the optimal assignment. Hard clauses can
-never be falsified.
+encoded as clauses over an algebra of type terms. A variable reference is
+typed by its variable's type variable, and every other expression by its
+own. Soft clauses carry a weight and an *origin*: the node whose subtree
+is replaced with a hole if the clause ends up falsified by the optimal
+assignment. Hard clauses can never be falsified, and name no node; they
+are the `S1:exclusive` pairs and the `S2:hole-binding` of a type hole.
 
 Checks encoded here:
   S1  every variable is declared exactly once (duplicate declarations
       compete through per-declaration activation variables)
   S2  declared types are well-formed and bind the variable's type
   S3  expressions are consistently typed (numeric operators stay within
-      one numeric type; div/mod are integer-only; no int/bitvector mixing)
+      one numeric type; div/mod are integer-only; no int/bitvector mixing;
+      an array read is one clause, array = Array(index, read))
   S4  assignments preserve the type of the left-hand side
   S5  inputs are never written (the write or the declaration must go; a
       write costs at least what the declaration's S1:active does, and a
@@ -72,12 +75,13 @@ from .ast_core import (
 )
 
 # Type-variable keys. A key identifies what a variable stands for:
-#   ("var", name)      the declared type of a state variable
+#   ("var", name)      the declared type of a state variable, and the type
+#                      of every reference to it
 #   ("typedef", name)  the type bound by a type synonym declaration
-#   ("node", i)        the type of the expression at pre-order position i
-#   ("hole", hid)      the type of a hole
+#   ("node", i)        the type of the expression at pre-order position i,
+#                      other than a variable reference
+#   ("hole", hid)      the type a type hole declares
 #   ("act", i)         activation of the declaration at i (Bool = active)
-#   ("aux", i, tag)    structural helper (array index/element types)
 TVarKey = tuple
 
 
@@ -370,7 +374,11 @@ class _Gen:
             self.soft(
                 [Lit(Eq(self._t(s.lhs), self._t(s.rhs)))], s, "S4:assign"
             )
-            self._input_write(s.lhs, s)
+            base = s.lhs
+            while isinstance(base, ArraySelect):
+                base = base.array
+            if isinstance(base, VarRef):
+                self._input_write(base.name, s)
         elif isinstance(s, If):
             for cond, body in s.arms:
                 self._expr(cond)
@@ -381,12 +389,7 @@ class _Gen:
                 self._stmt(sub)
         elif isinstance(s, Havoc):
             self.cs.tvar(("var", s.name))
-            d = self.input_decls.get(s.name)
-            if d is not None:
-                self.soft(
-                    [Lit(Eq(self._act(d), BOOL), positive=False)],
-                    s, "S5:input-write",
-                )
+            self._input_write(s.name, s)
         elif isinstance(s, (Assume, Assert)):
             self._expr(s.cond)
             self.soft([Lit(Eq(self._t(s.cond), BOOL))], s.cond, "S6:cond")
@@ -395,21 +398,17 @@ class _Gen:
         else:
             raise TypeError(f"unknown statement {s!r}")
 
-    def _input_write(self, lhs: Expr, origin: Stmt) -> None:
-        base = lhs
-        while isinstance(base, ArraySelect):
-            base = base.array
-        if isinstance(base, VarRef):
-            d = self.input_decls.get(base.name)
-            if d is not None:
-                self.soft(
-                    [Lit(Eq(self._act(d), BOOL), positive=False)],
-                    origin, "S5:input-write",
-                )
+    def _input_write(self, name: str, origin: Stmt) -> None:
+        d = self.input_decls.get(name)
+        if d is not None:
+            self.soft([Lit(Eq(self._act(d), BOOL), positive=False)],
+                      origin, "S5:input-write")
 
     # -- expressions ---------------------------------------------------------
 
     def _t(self, e: Expr) -> TVar:
+        if isinstance(e, VarRef):
+            return self.cs.tvar(("var", e.name))
         return self.cs.tvar(("node", self.pos[id(e)]))
 
     def _numeric(self, t: TypeTerm, origin: Node, label: str) -> None:
@@ -427,14 +426,8 @@ class _Gen:
             self.soft([Lit(Eq(t, BVType(e.width)))], e, "S3:lit")
         elif isinstance(e, EnumLit):
             self.soft([Lit(HasTag(e.tag, t))], e, "S3:lit")
-        elif isinstance(e, VarRef):
-            self.cs.add_hard(
-                [Lit(Eq(t, self.cs.tvar(("var", e.name))))], "S3:var"
-            )
-        elif isinstance(e, HoleExpr):
-            self.cs.add_hard(
-                [Lit(Eq(t, self.cs.tvar(("hole", e.hid))))], "S3:hole"
-            )
+        elif isinstance(e, (VarRef, HoleExpr)):
+            pass  # a reference has its variable's type; a hole is free
         elif isinstance(e, Unary):
             self._expr(e.operand)
             to = self._t(e.operand)
@@ -463,14 +456,10 @@ class _Gen:
         elif isinstance(e, ArraySelect):
             self._expr(e.array)
             self._expr(e.index)
-            aux_i = self.cs.tvar(("aux", self.pos[id(e)], "idx"))
-            aux_e = self.cs.tvar(("aux", self.pos[id(e)], "elem"))
             self.soft(
-                [Lit(Eq(self._t(e.array), ArrayType(aux_i, aux_e)))],
+                [Lit(Eq(self._t(e.array), ArrayType(self._t(e.index), t)))],
                 e, "S3:select",
             )
-            self.cs.add_hard([Lit(Eq(self._t(e.index), aux_i))], "S3:select")
-            self.cs.add_hard([Lit(Eq(t, aux_e))], "S3:select")
         else:
             raise TypeError(f"unknown expression {e!r}")
 

@@ -83,7 +83,7 @@ BASE_CLASS = "Module"
 # Code extraction
 # ---------------------------------------------------------------------------
 
-_FENCE_RE = re.compile(r"^\s*```", re.MULTILINE)
+_FENCE_RE = re.compile(r"^[ \t]*```", re.MULTILINE)
 _DECL_LINE_RE = re.compile(r"^(class\s+\w|import\s+\w|from\s+\w)", re.MULTILINE)
 
 
@@ -641,6 +641,19 @@ def _real_literal(text: str) -> float | None:
     return value
 
 
+def _self_attr(node: PNode) -> str | None:
+    """The attribute name of `self.<name>`, or None for any other node."""
+    if node.kind == "attr" and node.children[0].kind == "name" \
+            and node.children[0].text == "self":
+        return node.text
+    return None
+
+
+def _decl_target(stmt: PNode) -> str | None:
+    """The name a `self.<name> = ...` declaration declares, else None."""
+    return _self_attr(stmt.children[0]) if stmt.kind == "assign" else None
+
+
 class _Pruner:
     def __init__(self, ast: ParentAst):
         self.ast = ast
@@ -689,7 +702,7 @@ class _Pruner:
         # typedef names must be known before elaborating other sections
         if "types" in sections:
             for stmt in sections["types"].children[1].children:
-                name = self._decl_target(stmt)
+                name = _decl_target(stmt)
                 if name:
                     self.typedef_names.add(name)
 
@@ -739,15 +752,6 @@ class _Pruner:
                 return node
         return None
 
-    def _decl_target(self, stmt: PNode) -> str | None:
-        if stmt.kind != "assign":
-            return None
-        lhs = stmt.children[0]
-        if lhs.kind == "attr" and lhs.children[0].kind == "name" \
-                and lhs.children[0].text == "self":
-            return lhs.text
-        return None
-
     def _decl_section(self, method: PNode | None, is_typedef: bool = False):
         if method is None:
             return ()
@@ -763,7 +767,7 @@ class _Pruner:
                 hid = self.fresh_hole("declaration", stmt.span)
                 out.append(HoleDecl(hid, span=stmt.span))
                 continue
-            name = self._decl_target(stmt)
+            name = _decl_target(stmt)
             if name is None:
                 self.drop(stmt, "not a declaration")
                 continue
@@ -789,11 +793,9 @@ class _Pruner:
     def _try_type(self, node: PNode) -> TypeTerm | None:
         if node.kind == "name":
             return {"bool": BOOL, "int": INT, "real": REAL}.get(node.text)
-        if node.kind == "attr" and node.children[0].kind == "name" \
-                and node.children[0].text == "self":
-            if node.text in self.typedef_names:
-                return SynonymType(node.text)
-            return None
+        name = _self_attr(node)
+        if name is not None:
+            return SynonymType(name) if name in self.typedef_names else None
         if node.kind == "call" and node.children[0].kind == "name":
             fn = node.children[0].text
             args = node.children[1:]
@@ -828,22 +830,16 @@ class _Pruner:
             self.drop(stmt, "unparseable")
             return HoleStmt(self.fresh_hole("statement", stmt.span),
                             span=stmt.span)
-        if stmt.kind == "assign":
+        if stmt.kind in ("assign", "augassign"):
             lhs = self._lvalue(stmt.children[0])
             if lhs is None:
                 self.drop(stmt, "assignment target is not a state variable")
                 return None
             rhs = self._expr(stmt.children[1])
-            return Assign(lhs, rhs, span=stmt.span)
-        if stmt.kind == "augassign":
-            lhs = self._lvalue(stmt.children[0])
-            if lhs is None:
-                self.drop(stmt, "assignment target is not a state variable")
-                return None
-            op = _BINOPS[stmt.text[:-1]][0]
-            rhs_inner = self._expr(stmt.children[1])
-            # the target's own copy: a node object occurs once in a tree
-            rhs = Binary(op, copy.deepcopy(lhs), rhs_inner, span=stmt.span)
+            if stmt.kind == "augassign":
+                # the target's own copy: a node object occurs once in a tree
+                rhs = Binary(_BINOPS[stmt.text[:-1]][0], copy.deepcopy(lhs),
+                             rhs, span=stmt.span)
             return Assign(lhs, rhs, span=stmt.span)
         if stmt.kind == "if":
             return self._if_stmt(stmt)
@@ -880,9 +876,9 @@ class _Pruner:
         return If(tuple(arms), orelse, span=stmt.span)
 
     def _lvalue(self, node: PNode):
-        if node.kind == "attr" and node.children[0].kind == "name" \
-                and node.children[0].text == "self":
-            return VarRef(node.text, span=node.span)
+        name = _self_attr(node)
+        if name is not None:
+            return VarRef(name, span=node.span)
         if node.kind == "subscript":
             arr = self._lvalue(node.children[0])
             if arr is None:
@@ -920,9 +916,9 @@ class _Pruner:
             if is_identifier(node.text):
                 return EnumLit(node.text, span=node.span)
             return None
-        if k == "attr" and node.children[0].kind == "name" \
-                and node.children[0].text == "self":
-            return VarRef(node.text, span=node.span)
+        name = _self_attr(node)
+        if name is not None:
+            return VarRef(name, span=node.span)
         if k == "unop":
             operand = self._expr(node.children[0])
             op = {"not": "not", "-": "neg"}.get(node.text)

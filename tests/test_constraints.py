@@ -10,6 +10,7 @@ from corpus import INVALID_PROGRAMS, VALID_PROGRAMS
 from uclgen.ast_core import BOOL, INT, Decl, Expr, iter_nodes
 from uclgen.constraints import (
     Eq,
+    Lit,
     WEIGHT_MODES,
     eval_clause,
     generate_clauses,
@@ -64,13 +65,37 @@ def test_origins_and_node_keys_are_preorder_positions(name):
     for c in depth_weights.soft:
         assert c.weight == 1 + walk[c.origin][1]
     for key in depth_weights.tvar_table:
-        if key[0] in ("node", "aux"):
+        if key[0] == "node":
             assert isinstance(walk[key[1]][0], Expr)
         elif key[0] == "act":
             assert isinstance(walk[key[1]][0], Decl)
     uniform = generate_clauses(p, "uniform")
     assert [c.origin for c in uniform.clauses] == [
         c.origin for c in depth_weights.clauses]
+
+
+def test_a_variable_reference_is_typed_by_its_variable():
+    # neither reference in `self.x = self.y` adds a clause or a type
+    # variable: S4 equates the two variables' own
+    cs = generate_clauses(program_of('''
+class M(Module):
+    def locals(self):
+        self.x = int
+        self.y = int
+    def next(self):
+        self.x = self.y
+'''))
+    x, y = cs.tvar_table[("var", "x")], cs.tvar_table[("var", "y")]
+    assert list(cs.tvar_table) == [("var", "x"), ("var", "y")]
+    assert [c.label for c in cs.clauses] == [
+        "S2:decl-type", "S2:decl-type", "S4:assign"]
+    assert cs.clauses[2].lits == (Lit(Eq(x, y)),)
+    for name, source in CORPUS.items():
+        cs = generate_clauses(program_of(source))
+        assert all(key[0] != "aux" for key in cs.tvar_table), name
+        assert not labels(cs) & {"S3:var", "S3:hole"}, name
+        assert {c.label for c in cs.hard} <= {
+            "S1:exclusive", "S2:hole-binding"}, name
 
 
 def test_generation_is_deterministic():

@@ -65,6 +65,14 @@ def test_extract_between_fence_pair():
     assert got.strip() == "class A(Module):\n    pass"
 
 
+@pytest.mark.parametrize("gap", ["\n", " \t\n"], ids=["blank", "spaces"])
+def test_extract_fence_pair_after_an_empty_line(gap):
+    # the opening fence's line is cut, not the empty line before it
+    got = extract_code(f"Here you go:\n{gap}```python\n"
+                       "class M(Module):\n    pass\n```\n")
+    assert got == "class M(Module):\n    pass"
+
+
 def test_extract_single_fence_primed_reply():
     # primed replies start mid-code-block, so the code precedes the fence
     got = extract_code("class A(Module):\n    pass\n```\nSome commentary.")

@@ -1,4 +1,11 @@
-"""The MAX-SMT solver, its theory core, and the SMT-LIB export."""
+"""The MAX-SMT solver, its theory core, and the SMT-LIB export.
+
+`golden/operators.smt2` and `golden/types.smt2` are the SMT-LIB text of
+two programs' clauses. Regenerate them, after a change that is meant to
+move that text, with
+
+    python3 tests/test_maxsmt.py
+"""
 
 import random
 import sys
@@ -6,15 +13,20 @@ from pathlib import Path
 
 import pytest
 
-from oracle_maxsmt import (
+ROOT = Path(__file__).resolve().parents[1]
+
+if __name__ == "__main__":
+    sys.path.insert(0, str(ROOT / "src"))
+
+from oracle_maxsmt import (  # noqa: E402
     GROUND,
     deletion_core,
     oracle_optimum,
     random_clause_set,
 )
-from uclgen import maxsmt, pipeline
-from uclgen.ast_core import BOOL, INT, REAL, ArrayType, BVType, EnumType, TVar
-from uclgen.constraints import (
+from uclgen import maxsmt, pipeline  # noqa: E402
+from uclgen.ast_core import BOOL, INT, REAL, ArrayType, BVType, EnumType, TVar  # noqa: E402
+from uclgen.constraints import (  # noqa: E402
     CTORS,
     ClauseSet,
     Eq,
@@ -24,10 +36,10 @@ from uclgen.constraints import (
     eval_clause,
     generate_clauses,
 )
-from uclgen.constraints import Tester as CtorTester
-from uclgen.frontend import extract_code, parse_tolerant, prune_to_child
-from uclgen.llm import MockBackend, ReplayBackend
-from uclgen.maxsmt import (
+from uclgen.constraints import Tester as CtorTester  # noqa: E402
+from uclgen.frontend import extract_code, parse_tolerant, prune_to_child  # noqa: E402
+from uclgen.llm import MockBackend, ReplayBackend  # noqa: E402
+from uclgen.maxsmt import (  # noqa: E402
     Untypeable,
     _Conflict,
     _Theory,
@@ -38,10 +50,9 @@ from uclgen.maxsmt import (
     solve_maxsmt,
     verify_solution,
 )
-from uclgen.pipeline import STATUS_ITERATION_LIMIT, run_pipeline
-from uclgen.repair import repair_round, synthesize_decls
+from uclgen.pipeline import STATUS_ITERATION_LIMIT, run_pipeline  # noqa: E402
+from uclgen.repair import repair_round, synthesize_decls  # noqa: E402
 
-ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).parent / "golden"
 SUITE = ROOT / "tests" / "data" / "suite" / "suite.json"
 sys.path.append(str(ROOT / "scripts"))
@@ -694,18 +705,24 @@ def _count_asserts(monkeypatch):
 # 35 / 95 / 273 / 837 / 2,250 / 5,249 / 11,392 when each component's
 # hitting-set leaf gave it. The base of all hard clauses, searched once
 # before the split, adds one more: 36 / 97 / 276 / 841 / 2,255 / 5,255 /
-# 11,399 when a component's root node searched its own hard base
-_DUPLICATE_NODES = {2: 37, 3: 98, 4: 277, 5: 842, 6: 2256, 7: 5256, 8: 11400}
+# 11,399 when a component's root node searched its own hard base. Typing a
+# variable reference by its variable drops the hard units that bound each
+# reference's type to its variable's: 37 / 98 / 277 / 842 / 2,256 / 5,256 /
+# 11,400 with them
+_DUPLICATE_NODES = {2: 32, 3: 93, 4: 272, 5: 837, 6: 2251, 7: 5251, 8: 11395}
 # literals asserted with each search extending a base; re-asserting every
 # unit clause in every solve took 209 / 358 / 728 / 1,593 / 3,411 / 6,928 /
 # 13,667, and 90 / 168 / 383 / 1,008 / 2,495 / 5,596 / 11,842 without the
 # whole-set search, whose base asserts the units once more. The kept-set
 # search asserts its units once more again: 129 / 208 / 424 / 1,050 /
 # 2,538 / 5,640 / 11,887 without it. The search of all hard clauses
-# asserts their 11 units once more: 167 / 247 / 464 / 1,091 / 2,580 /
-# 5,683 / 11,931 when only each component's hard base asserted them
-_DUPLICATE_ASSERTS = {2: 178, 3: 258, 4: 475, 5: 1102, 6: 2591, 7: 5694,
-                      8: 11942}
+# asserted its 11 units once more: 167 / 247 / 464 / 1,091 / 2,580 /
+# 5,683 / 11,931 when only each component's hard base asserted them. Those
+# units bound a variable reference's type to its variable's, and a
+# reference is now typed by its variable: 178 / 258 / 475 / 1,102 / 2,591 /
+# 5,694 / 11,942 with them
+_DUPLICATE_ASSERTS = {2: 134, 3: 214, 4: 431, 5: 1058, 6: 2547, 7: 5650,
+                      8: 11898}
 # disequalities resolved, each step checking only those it can break;
 # re-checking every stored one after every step resolved 28 / 154 / 668 /
 # 2,711 / 9,032 / 25,067 / 63,518, and 20 / 68 / 216 / 690 / 1,925 / 4,591
@@ -750,7 +767,7 @@ def test_duplicate_declarations_cost_pinned_solves(
 
 
 @pytest.mark.parametrize("n, searches, nodes", [
-    (50, 272, 273), (100, 508, 509), (200, 999, 1000),
+    (50, 272, 271), (100, 508, 507), (200, 999, 998),
 ])
 def test_a_chain_whose_first_term_is_wrong_costs_pinned_nodes(
         monkeypatch, n, searches, nodes):
@@ -765,7 +782,9 @@ def test_a_chain_whose_first_term_is_wrong_costs_pinned_nodes(
     # copied two. The search of all hard clauses after the whole set
     # fails takes the place of the conflicting component's root-node
     # search of its hard base, but builds a base of its own: one node
-    # more than the 272 / 508 / 999 before it
+    # more than the 272 / 508 / 999 before it. Typing a variable reference
+    # by its variable, not by a hard unit that binds its own, saves two:
+    # 273 / 509 / 1,000 with the units
     draft = chain_draft("first-term-wrong", n)
     calls = _count_solves(monkeypatch)
     copies = _count_nodes(monkeypatch)
@@ -775,16 +794,21 @@ def test_a_chain_whose_first_term_is_wrong_costs_pinned_nodes(
 
 
 def test_a_component_asserts_each_hard_unit_once(monkeypatch):
-    # four declarations of one name: one component, relaxed three times
-    # over many searches and QuickXplain calls, all on one hard base,
-    # which none searches alone (56 searches when the root node did)
+    # four declarations of one name and a type-hole local assigned from
+    # it, whose hole binding is a hard unit: one component, relaxed three
+    # times over many searches and QuickXplain calls, all on one hard
+    # base, which none searches alone. Without `h` the component has no
+    # hard unit, and takes 55 searches (56 when the root node did)
+    source = _duplicates_source(4).replace(
+        "        self.flag = bool\n",
+        "        self.flag = bool\n        self.h = ??\n", 1)
     comp = max((comp for comp in maxsmt._components(
-        _clauses_of(_duplicates_source(4)))), key=len)
+        _clauses_of(source + "        self.h = self.flag\n"))), key=len)
     hard_units = [c.lits[0] for c in comp if c.hard and len(c.lits) == 1]
     calls = _count_solves(monkeypatch)
     asserted = _count_asserts(monkeypatch)
     assert len(maxsmt._solve_component(comp)[0]) == 3
-    assert (len(calls), len(hard_units)) == (55, 3)
+    assert (len(calls), len(hard_units)) == (64, 1)
     assert [sum(l is u for l in asserted) for u in hard_units] == \
         [1] * len(hard_units)
 
@@ -1253,7 +1277,8 @@ def test_emit_smtlib_of_operator_clauses_matches_golden():
     # `+`, `<` and unary `-` state "numeric" and `^` "bool or bit-vector"
     # as one tester of several constructors; the golden was written when
     # each was a clause of one tester per constructor, and the text is the
-    # same `(or ((_ is ty-int) t) ...)`
+    # same `(or ((_ is ty-int) t) ...)`. Running this module rewrites the
+    # golden from `_clauses_of(OPERATORS)`
     got = emit_smtlib(_clauses_of(OPERATORS))
     expect = (GOLDEN / "operators.smt2").read_text(encoding="utf-8")
     assert got == expect
@@ -1275,9 +1300,17 @@ TYPES = (
 
 
 def test_emit_smtlib_of_real_enum_and_array_terms_matches_golden():
+    # running this module rewrites the golden from `_clauses_of(TYPES)`
     got = emit_smtlib(_clauses_of(TYPES))
     for term in ("ty-real", "(ty-enum 0)", "(ty-arr ty-int ty-real)",
-                 "((_ is ty-enum) t6)"):
+                 "((_ is ty-enum) t4)"):
         assert term in got
     expect = (GOLDEN / "types.smt2").read_text(encoding="utf-8")
     assert got == expect
+
+
+if __name__ == "__main__":
+    for name, source in (("operators", OPERATORS), ("types", TYPES)):
+        path = GOLDEN / f"{name}.smt2"
+        path.write_text(emit_smtlib(_clauses_of(source)), encoding="utf-8")
+        print(f"wrote {path}")

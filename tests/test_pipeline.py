@@ -558,7 +558,7 @@ def test_unmapped_exception_becomes_internal_error(monkeypatch):
     ("    def next(self):\n        ??\n",
      "compile: program still has 1 hole(s)"),
     ("    def init(self):\n        self.x = True\n",
-     "compile: the clauses cannot all hold; core: (0, 1, 2, 3)"),
+     "compile: the clauses cannot all hold; core: (0, 1, 2)"),
 ], ids=["hole", "ill-typed"])
 def test_compile_checked_reports_why_a_program_does_not_compile(
         body, diagnostic):

@@ -353,22 +353,24 @@ def test_uniform_weights_make_minimal_edits():
 def test_every_hard_clause_holds_when_every_type_is_int(family):
     # so the hard clauses of a round never conflict, and `solve_maxsmt`,
     # which finds a hard conflict only when one exists, never raises
-    # `Untypeable` inside `repair_round`; both of a round's solves checked
+    # `Untypeable` inside `repair_round`; both of a round's solves checked.
+    # The hard clauses are the duplicates' exclusions and the type holes'
+    # bindings, and each family checks both
     sources = (transcript_replies() if family == "transcripts" else
                [*VALID_PROGRAMS.items(), *INVALID_PROGRAMS.items()])
-    checked, violated = [0], []
+    checked, violated = set(), []
 
     def checking(cs):
         at_int = {tv.tid: INT for tv in cs.tvar_table.values()}
         for c in cs.hard:
-            checked[0] += 1
+            checked.add(c.label)
             if not eval_clause(c, at_int):
                 violated.append((name, c.index, c.label))
         return solve_maxsmt(cs)
 
     for name, source in sources:
         repair_round(program_of(source), solver=checking)
-    assert checked[0] > 100
+    assert checked == {"S1:exclusive", "S2:hole-binding"}
     assert not violated, violated
 
 
@@ -387,7 +389,7 @@ class M(Module):
     cs = generate_clauses(p)
     assert [c.label for c in cs.clauses] == [
         "S1:active", "S2:decl-type", "S1:active", "S2:decl-type",
-        "S2:decl-type", "S1:exclusive", "S3:var", "S3:lit", "S4:assign"]
+        "S2:decl-type", "S1:exclusive", "S3:lit", "S4:assign"]
     # the exclusion is one hard pair over the two definitions' guards
     exclusive = cs.clauses[5]
     assert exclusive.hard and len(exclusive.lits) == 2
@@ -423,7 +425,7 @@ def test_a_havocked_input_gets_one_input_write_clause():
     cs = generate_clauses(p)
     assert [c.label for c in cs.clauses] == [
         "S2:decl-type", "S1:active", "S2:decl-type", "S5:input-write",
-        "S3:var", "S3:var", "S4:assign"]
+        "S4:assign"]
     write = cs.clauses[3]
     assert cs.walk[write.origin][0] is p.next_body[0]
     # dropping the declaration costs what relaxing the havoc does, and
