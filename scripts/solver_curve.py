@@ -7,24 +7,27 @@ k = 2 to 8 declarations of its flag; past the four other types the
 benchmark draws from, it takes `BitVector(8)`, `BitVector(2)` and
 `Array(int, bool)`. For each k it prints one line:
 
-    k  solves  nodes  asserts  solve_ms  pipeline_ms
+    k  solves  nodes  asserts  cores  core_size  solve_ms  pipeline_ms
 
 `solves` counts satisfiability searches (`_Base.search` calls, as
 `tests/test_maxsmt.py` counts them), `nodes` counts search nodes
 (`_Theory` copies) and `asserts` counts `_Theory.assert_lit` calls, all
 inside one `solve_maxsmt` of the draft's clauses, which `solve_ms` times.
-`pipeline_ms` times `run_pipeline` on the item, whose second reply is the
-corrected module.
+`cores` counts the cores the hitting-set search branches on, one per
+search inside `_solve_component` that fails, and `core_size` is their
+mean number of soft clauses: those the failed search's explanation
+names. `pipeline_ms` times `run_pipeline` on the item, whose second reply
+is the corrected module.
 
 The second table is two families of long `+` chains over integers: one
 whose first term is `True` (50, 100, 200 and 300 terms), and one whose
-second `+` is a `|` (10, 20 and 40 terms), which makes both halves
+second `+` is a `|` (10, 20, 40 and 80 terms), which makes both halves
 bit-vectors against their `int` terms. For each it prints one line:
 
-    family  terms  searches  nodes  ms
+    family  terms  searches  nodes  cores  core_size  ms
 
-counting searches and nodes as above over one `run_pipeline` call with
-one reply and no second round, which `ms` times.
+counting as above over one `run_pipeline` call with one reply and no
+second round, which `ms` times.
 
 The third table is well-typed drafts of the benchmark's `scaled_clean`
 workload: a 50-term `+` chain, 60 nested `if`s and 4 traffic-light
@@ -66,7 +69,8 @@ from uclgen.repair import synthesize_decls  # noqa: E402
 
 DUPLICATES = range(2, 9)
 EXTRA_TYPES = ("BitVector(8)", "BitVector(2)", "Array(int, bool)")
-CHAINS = (("first-term-wrong", (50, 100, 200, 300)), ("one-bar", (10, 20, 40)))
+CHAINS = (("first-term-wrong", (50, 100, 200, 300)),
+          ("one-bar", (10, 20, 40, 80)))
 SUITE = ROOT / "tests" / "data" / "suite" / "suite.json"
 CLEAN = (
     ("chain", 50, workloads.chain_item),
@@ -112,21 +116,53 @@ def counting(counter: list[int], fn):
     return counted
 
 
+def recording_cores(sizes: list[int]) -> None:
+    """Append to `sizes` the soft clauses of each core the hitting-set
+    search branches on: the explanation of each search inside
+    `_solve_component` that fails."""
+    solve_component, search = maxsmt._solve_component, maxsmt._Base.search
+    inside = [False]
+
+    def component(clauses):
+        inside[0] = True
+        try:
+            return solve_component(clauses)
+        finally:
+            inside[0] = False
+
+    def searched(base):
+        found = search(base)
+        if inside[0] and not isinstance(found, maxsmt._Theory):
+            sizes.append(sum(not c.hard and c.index in found
+                             for c in base.clauses))
+        return found
+
+    maxsmt._solve_component = component
+    maxsmt._Base.search = searched
+
+
+def core_columns(sizes: list[int]) -> str:
+    mean = sum(sizes) / len(sizes) if sizes else 0.0
+    return f"{len(sizes)}  {mean:.1f}"
+
+
 def main() -> int:
     workloads._OTHER_TYPES += EXTRA_TYPES
-    solves, nodes, asserts = [0], [0], [0]
+    solves, nodes, asserts, sizes = [0], [0], [0], []
+    recording_cores(sizes)
     maxsmt._Base.search = counting(solves, maxsmt._Base.search)
     maxsmt._Theory.copy = counting(nodes, maxsmt._Theory.copy)
     maxsmt._Theory.assert_lit = counting(asserts, maxsmt._Theory.assert_lit)
-    print("k  solves  nodes  asserts  solve_ms  pipeline_ms")
+    print("k  solves  nodes  asserts  cores  core_size  solve_ms  pipeline_ms")
     for k in DUPLICATES:
         item = workloads.conflict_item(random.Random(k), (f"dup{k}",), "int")
         cs = clauses_of(item.replies[0])
         solves[0] = nodes[0] = asserts[0] = 0
+        sizes.clear()
         t0 = time.perf_counter()
         maxsmt.solve_maxsmt(cs)
         solve_ms = (time.perf_counter() - t0) * 1000
-        counts = solves[0], nodes[0], asserts[0]
+        counts = solves[0], nodes[0], asserts[0], core_columns(sizes)
         t0 = time.perf_counter()
         outcome = run_pipeline(item.task, MockBackend(list(item.replies)))
         pipeline_ms = (time.perf_counter() - t0) * 1000
@@ -134,13 +170,14 @@ def main() -> int:
             print(f"k={k}: run_pipeline ended as {outcome.status}",
                   file=sys.stderr)
             return 1
-        print(f"{k}  {counts[0]}  {counts[1]}  {counts[2]}  {solve_ms:.0f}  "
-              f"{pipeline_ms:.0f}")
+        print(f"{k}  {counts[0]}  {counts[1]}  {counts[2]}  {counts[3]}  "
+              f"{solve_ms:.0f}  {pipeline_ms:.0f}")
     print()
-    print("family  terms  searches  nodes  ms")
-    for family, sizes in CHAINS:
-        for n in sizes:
+    print("family  terms  searches  nodes  cores  core_size  ms")
+    for family, terms in CHAINS:
+        for n in terms:
             solves[0] = nodes[0] = 0
+            sizes.clear()
             t0 = time.perf_counter()
             outcome = run_pipeline("Sum a chain.",
                                    MockBackend([chain_draft(family, n)]),
@@ -149,7 +186,8 @@ def main() -> int:
             if outcome.status == STATUS_INTERNAL_ERROR:
                 print(f"{family} {n}: {outcome.diagnostics}", file=sys.stderr)
                 return 1
-            print(f"{family}  {n}  {solves[0]}  {nodes[0]}  {ms:.0f}")
+            print(f"{family}  {n}  {solves[0]}  {nodes[0]}  "
+                  f"{core_columns(sizes)}  {ms:.0f}")
     print()
     print("clean  size  searches  nodes  solve_ms")
     for name, size, make in CLEAN:

@@ -15,11 +15,15 @@ merged, bound or narrowed, and those that reach an array. The model and
 the values the theory forces come from one grounding walk per variable.
 Searches that share clauses extend one base rather than each asserting
 them again: a component's hard clauses are asserted once, and each
-QuickXplain call extends its parent's base. Over the searches, a branch
-and bound search picks the soft clauses to falsify. It branches on
-minimal unsatisfiable cores, which QuickXplain extracts in a few solves,
-and keeps them: a node that has relaxed no clause of a known core
-branches on it without a solve.
+QuickXplain call extends its parent's base. Every fact the theory stores
+is labelled with the clause that asserted it, so a failed search names
+clauses that cannot all hold, and a child whose refutation leaves out its
+branch's clause refutes its parent. Over the searches, a branch and bound
+search picks the soft clauses to falsify. It branches on the cores that
+failed searches name, each at the cost of the search that failed, and
+keeps them: a node that has relaxed no clause of a known core branches
+on it without a solve. QuickXplain shrinks a core to a minimal one only
+for `Untypeable`.
 `emit_smtlib` renders a clause set as SMT-LIB 2 with
 `assert-soft` weights, for inspection or for another MAX-SMT solver.
 
@@ -37,6 +41,7 @@ search of the kept clauses, so it follows from the falsified set alone.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional, Sequence
 
 from .ast_core import (
@@ -75,8 +80,47 @@ _FREE = (_ALL, _NONE, _NONE)  # the record of a root nothing narrowed
 _PINNED = {frozenset({c}): t for c, t in _SINGLETONS.items()}
 
 
+#: the label of a fact that no clause asserted, as in a theory built by hand
+_UNLABELLED = -1
+_SCALARS = frozenset(_SINGLETONS)
+
+
 class _Conflict(Exception):
-    pass
+    """The asserted facts cannot all hold. `why` holds the labels of the
+    facts a refutation used: indices of clauses that cannot all hold."""
+
+    def __init__(self, why: frozenset[int]):
+        super().__init__(why)
+        self.why = why
+
+
+class _Path:
+    """A reason: the proof-forest path between the variables `x` and `y`.
+    Linking two trees adds no path inside either, so the path between two
+    variables of one tree, and what it explains, never changes."""
+
+    __slots__ = ("x", "y")
+
+    def __init__(self, x: int, y: int):
+        self.x, self.y = x, y
+
+
+# A reason explains a fact: a clause index (the label of the literal that
+# asserted it), a `_Path`, a term (a variable stands for why it resolves
+# as it does: its path to its root and the root's binding; any other term
+# needs no reason), or a tuple or list of reasons. Each fact keeps its
+# reason as it is recorded, in O(1); labels are gathered only to explain a
+# conflict. A variable that a binding's or a proof edge's reason names
+# resolves through a bound root, which stays bound to one term for one
+# reason, so the reason means the same whenever it is read; a record's
+# entries are read only by the conflict they explain.
+
+
+def _source(by, key):
+    """The (term, reason) of the literal that took a constructor or set a
+    tag (`key`): `by` itself when one literal narrows, or its entry when
+    `by` holds a record's entries."""
+    return by[key] if isinstance(by, dict) else by
 
 
 class _Theory:
@@ -86,30 +130,49 @@ class _Theory:
     unbound root may hold one record (`record`), a triple (ctors, tags,
     bad): the constructors it may still take, the tags its enum must hold
     and the tags it must not hold. Negative equalities wait in `diseqs`,
-    each with the roots its sides resolved to when it was last checked;
-    `changed` holds the roots merged, bound or narrowed since then, so
-    `check_diseqs` re-checks only what a step can break. `ground` is the
-    one walk that grounds a term: `determined`, `solution` and the
+    each with its label and the roots its sides resolved to when it was
+    last checked; `changed` holds the roots merged, bound or narrowed since
+    then, so `check_diseqs` re-checks only what a step can break. `ground`
+    is the one walk that grounds a term: `determined`, `solution` and the
     model's disequality scan differ only in the root values.
+
+    Every fact is labelled with the index of the clause whose literal
+    asserted it, so a conflict names clauses that cannot all hold (Nieuwenhuis
+    and Oliveras, "Proof-producing congruence closure", RTA 2005). A merge
+    is an edge of the proof forest `proof` between the two variables the
+    equality named, apart from the path-compressed `parent`; `bound_by`
+    holds the reason a root is bound, and `narrowed_by` the literal that
+    took each constructor and set each tag of a root's record.
     """
 
-    __slots__ = ("parent", "binding", "record", "diseqs", "changed")
+    __slots__ = ("parent", "binding", "record", "diseqs", "changed",
+                 "proof", "bound_by", "narrowed_by")
 
     def __init__(self) -> None:
         self.parent: dict[int, int] = {}
         self.binding: dict[int, TypeTerm] = {}
         self.record: dict[int, tuple[frozenset, frozenset, frozenset]] = {}
-        # each stored disequality, with the roots its sides resolved to
-        # when it was last checked; None if it is new or reaches an array
+        # each stored disequality: its label, and the roots its sides
+        # resolved to when it was last checked (None if it is new or
+        # reaches an array)
         self.diseqs: dict[tuple[TypeTerm, TypeTerm],
-                          Optional[tuple[int, ...]]] = {}
+                          tuple[int, Optional[tuple[int, ...]]]] = {}
         self.changed: set[int] = set()  # roots merged, bound or narrowed
+        # variable -> (its parent in the proof forest, the edge's reason)
+        self.proof: dict[int, tuple[int, object]] = {}
+        # bound root -> the reason it equals its binding
+        self.bound_by: dict[int, object] = {}
+        # root -> (lost constructor, ("+", required tag) or ("-",
+        # forbidden tag)) -> the (term, reason) of the literal that did it
+        self.narrowed_by: dict[int, dict] = {}
 
     def copy(self) -> _Theory:
         th = _Theory.__new__(_Theory)
         th.parent, th.binding = self.parent.copy(), self.binding.copy()
         th.record, th.diseqs = self.record.copy(), self.diseqs.copy()
-        th.changed = self.changed.copy()
+        th.changed, th.proof = self.changed.copy(), self.proof.copy()
+        th.bound_by = self.bound_by.copy()
+        th.narrowed_by = self.narrowed_by.copy()  # each entry map is new
         return th
 
     # -- union-find ---------------------------------------------------------
@@ -147,79 +210,191 @@ class _Theory:
             return self._occurs(root, t.index) or self._occurs(root, t.elem)
         return False
 
+    # -- explanations ---------------------------------------------------------
+
+    def _link(self, x: int, y: int, reason) -> None:
+        """Add the proof-forest edge x - y: re-root x's tree at x, then
+        hang x under y."""
+        proof = self.proof
+        up, why = y, reason
+        while True:
+            edge = proof.get(x)
+            proof[x] = (up, why)
+            if edge is None:
+                return
+            up, why, x = x, edge[1], edge[0]
+
+    def _path(self, x: int, y: int) -> list:
+        """The reasons of the proof-forest edges between x and y."""
+        proof = self.proof
+        rank = {x: 0}
+        chain = [x]  # x and its ancestors
+        while chain[-1] in proof:
+            rank[proof[chain[-1]][0]] = len(chain)
+            chain.append(proof[chain[-1]][0])
+        out = []
+        while y not in rank:
+            y, reason = proof[y]
+            out.append(reason)
+        out.extend(proof[v][1] for v in chain[:rank[y]])
+        return out
+
+    def _res(self, t: TVar) -> tuple:
+        """Why the variable `t` resolves one level as it does now: its path
+        to its root and the root's binding."""
+        root = self.find(t.tid)
+        bound = self.bound_by.get(root, ())
+        return (bound,) if root == t.tid else (_Path(t.tid, root), bound)
+
+    def _record_why(self, root: int) -> list:
+        """The reasons for every constructor the root's record lost."""
+        by = self.narrowed_by.get(root, {})
+        return [by[c] for c in _CTOR_ORDER if c in by]
+
+    def _deep(self, t: TypeTerm, pinned: bool) -> list:
+        """The reasons `t` resolves deep as it does now, and, if `pinned`,
+        those that pin each unbound root it reaches."""
+        out = [t]
+        t = self.resolve(t)
+        if isinstance(t, ArrayType):
+            out += self._deep(t.index, pinned) + self._deep(t.elem, pinned)
+        elif pinned and isinstance(t, TVar):
+            out += self._record_why(t.tid)
+        return out
+
+    def _explain(self, *reasons) -> frozenset[int]:
+        """Every label the reasons reach, walked with an explicit stack.
+        Each path, variable, tuple and list is expanded once; `done` keeps
+        each tuple and list alive, so no later object takes its id."""
+        why: set[int] = set()
+        paths: set[tuple[int, int]] = set()
+        variables: set[int] = set()
+        seen: set[int] = set()
+        done = []
+        stack = list(reasons)
+        while stack:
+            r = stack.pop()
+            if type(r) is int:
+                why.add(r)
+            elif type(r) is _Path:
+                if (r.x, r.y) not in paths:
+                    paths.add((r.x, r.y))
+                    stack.extend(self._path(r.x, r.y))
+            elif type(r) is TVar:
+                if r.tid not in variables:
+                    variables.add(r.tid)
+                    stack.extend(self._res(r))
+            elif isinstance(r, (tuple, list)) and id(r) not in seen:
+                seen.add(id(r))
+                done.append(r)
+                stack.extend(r)
+        return frozenset(why)
+
+    def _conflict(self, *reasons) -> _Conflict:
+        return _Conflict(self._explain(*reasons))
+
     # -- assertion ----------------------------------------------------------
 
     def _narrow(self, t: TypeTerm, ctors: frozenset[str],
-                tags: frozenset[str], bad: frozenset[str]) -> None:
+                tags: frozenset[str], bad: frozenset[str],
+                by=(None, _UNLABELLED)) -> None:
         """Assert that `t` takes one of `ctors`, holds every tag in `tags`
         and no tag in `bad`; only an enum holds tags. A ground term is
         checked; a root's record is intersected with the new facts, which
         conflicts when no constructor is left or a tag is both required
-        and forbidden."""
-        t = self.resolve(t)
-        if isinstance(t, TVar):
-            old = self.record.get(t.tid)
-            if old is not None:
-                ctors = ctors & old[0]
-                tags = tags | old[1]
-                bad = bad | old[2]
-            if tags:
-                ctors = ctors & _ENUM
-            if not ctors or tags & bad:
-                raise _Conflict
-            new = (ctors, tags, bad)
-            if new != old:
-                self.record[t.tid] = new
-                self.changed.add(t.tid)
+        and forbidden. `by` is the (term, reason) of the literal that
+        narrows, or, when a root's record moves to `t`, its entries."""
+        r = self.resolve(t)
+        if isinstance(r, TVar):
+            root = r.tid
+            old = self.record.get(root)
+            have = old or _FREE
+            new_tags, new_bad = tags | have[1], bad | have[2]
+            new_ctors = ctors & have[0]
+            if new_tags:
+                new_ctors = new_ctors & _ENUM
+            new = (new_ctors, new_tags, new_bad)
+            if new == old:
+                return
+            got = dict(self.narrowed_by.get(root, ()))
+            for key in chain(have[0] - new_ctors,
+                             (("+", g) for g in new_tags - have[1]),
+                             (("-", g) for g in new_bad - have[2])):
+                got[key] = _source(by, key)
+            if not new_ctors:
+                raise self._conflict(*(got[c] for c in _ALL))
+            clash = new_tags & new_bad
+            if clash:
+                g = min(clash)
+                raise self._conflict(got[("+", g)], got[("-", g)])
+            self.record[root] = new
+            self.narrowed_by[root] = got
+            self.changed.add(root)
             return
-        if _CTOR_OF[type(t)] not in ctors:
-            raise _Conflict
-        if tags or bad:
-            have = frozenset(t.tags) if isinstance(t, EnumType) else _NONE
-            if not tags <= have or bad & have:
-                raise _Conflict
-
-    def unify(self, a: TypeTerm, b: TypeTerm) -> None:
-        a = self.resolve(a)
-        b = self.resolve(b)
-        if a == b:
-            return
-        if isinstance(a, ArrayType) and isinstance(b, ArrayType):
-            self.unify(a.index, b.index)
-            self.unify(a.elem, b.elem)
-            return
-        if isinstance(b, TVar):
-            a, b = b, a
-        elif not isinstance(a, TVar):
-            raise _Conflict
-        # a is a root; bind it to b, or merge it into b if b is a root
-        root = a.tid
-        self.changed.add(root)
-        if isinstance(b, TVar):
-            self.parent[root] = b.tid
-        elif self._occurs(root, b):
-            raise _Conflict
+        ctor = _CTOR_OF[type(r)]
+        if ctor not in ctors:
+            key = ctor
+        elif tags or bad:
+            have = frozenset(r.tags) if isinstance(r, EnumType) else _NONE
+            missing, banned = sorted(tags - have), sorted(bad & have)
+            if not (missing or banned):
+                return
+            key = ("+", missing[0]) if missing else ("-", banned[0])
         else:
-            self.binding[root] = b
+            return
+        raise self._conflict(_source(by, key))
+
+    def unify(self, a: TypeTerm, b: TypeTerm, why=_UNLABELLED) -> None:
+        """Assert a = b for the reason `why`."""
+        ra = self.resolve(a)
+        rb = self.resolve(b)
+        if ra == rb:
+            return
+        if isinstance(ra, ArrayType) and isinstance(rb, ArrayType):
+            # the parts are equal because the arrays are
+            why = (why, a, b)
+            self.unify(ra.index, rb.index, why)
+            self.unify(ra.elem, rb.elem, why)
+            return
+        if isinstance(rb, TVar):
+            a, b, ra, rb = b, a, rb, ra
+        elif not isinstance(ra, TVar):
+            raise self._conflict(why, a, b)
+        # ra is a root; bind it to rb, or merge it into rb if rb is a root
+        root = ra.tid
+        self.changed.add(root)
+        if isinstance(rb, TVar):
+            self.parent[root] = rb.tid
+            self._link(a.tid, b.tid, why)
+        elif self._occurs(root, rb):
+            raise self._conflict(why, self._deep(a, False),
+                                 self._deep(b, False))
+        else:
+            self.bound_by[root] = (why, b) if a.tid == root \
+                else (why, _Path(a.tid, root), b)
+            self.binding[root] = rb
         rec = self.record.pop(root, None)
         if rec is not None:
-            self._narrow(b, *rec)
+            self._narrow(TVar(root), *rec, self.narrowed_by.pop(root))
 
-    def assert_lit(self, lit: Lit) -> None:
+    def assert_lit(self, lit: Lit, label: int = _UNLABELLED) -> None:
+        """Assert `lit`, labelling each fact it adds with `label`."""
         a = lit.atom
         if isinstance(a, Eq):
             if lit.positive:
-                self.unify(a.left, a.right)
+                self.unify(a.left, a.right, label)
             else:
-                self.diseqs.setdefault((a.left, a.right), None)
+                self.diseqs.setdefault((a.left, a.right), (label, None))
         elif isinstance(a, Tester):
             ctors = frozenset(a.ctors)
             self._narrow(a.term, ctors if lit.positive else _ALL - ctors,
-                         _NONE, _NONE)
+                         _NONE, _NONE, (a.term, label))
         elif lit.positive:
-            self._narrow(a.term, _ALL, frozenset((a.tag,)), _NONE)
+            self._narrow(a.term, _ALL, frozenset((a.tag,)), _NONE,
+                         (a.term, label))
         else:
-            self._narrow(a.term, _ALL, _NONE, frozenset((a.tag,)))
+            self._narrow(a.term, _ALL, _NONE, frozenset((a.tag,)),
+                         (a.term, label))
 
     def entails(self, lit: Lit) -> bool:
         """Whether `lit` holds in every extension of this theory: a
@@ -261,9 +436,9 @@ class _Theory:
         a root changed since the last check is checked again; the others
         resolve as they did then."""
         changed = self.changed
-        for pair, roots in self.diseqs.items():
+        for pair, (label, roots) in self.diseqs.items():
             if roots is None or not changed.isdisjoint(roots):
-                self.diseqs[pair] = self._check_diseq(*pair)
+                self.diseqs[pair] = (label, self._check_diseq(*pair))
         changed.clear()
 
     def _check_diseq(self, a: TypeTerm,
@@ -274,18 +449,55 @@ class _Theory:
         rb = self.resolve(b)
         if isinstance(ra, ArrayType) or isinstance(rb, ArrayType):
             if self.resolve_deep(a) == self.resolve_deep(b):
-                raise _Conflict
+                raise self._diseq_conflict(a, b, self._deep(a, False),
+                                           self._deep(b, False))
             da = self.determined(a)
             if da is not None and da == self.determined(b):
-                raise _Conflict
+                raise self._diseq_conflict(a, b, self._deep(a, True),
+                                           self._deep(b, True))
             return None
         if ra == rb:
-            raise _Conflict
+            raise self._diseq_conflict(a, b)
         da = self.pinned(ra.tid) if isinstance(ra, TVar) else ra
         if da is not None and da == (
                 self.pinned(rb.tid) if isinstance(rb, TVar) else rb):
-            raise _Conflict
+            raise self._diseq_conflict(
+                a, b, *(self._record_why(r.tid) for r in (ra, rb)
+                        if isinstance(r, TVar)))
         return tuple(r.tid for r in (ra, rb) if isinstance(r, TVar))
+
+    def _diseq_conflict(self, a: TypeTerm, b: TypeTerm, *reasons) -> _Conflict:
+        return self._conflict(self.diseqs[a, b][0], a, b, *reasons)
+
+    def split(self) -> Optional[tuple[list[Lit], frozenset[int]]]:
+        """A case split that a leaf needs before its model can be read:
+        the least unbound root that a stored disequality reaches and whose
+        record leaves two or more constructors, all scalar. The literals
+        pin it to each of them in the model's order; the labels are why
+        its record leaves no other. None if there is no such root."""
+        reached: set[int] = set()
+        for pair in self.diseqs:
+            for t in pair:
+                self._reach(t, reached)
+        wide = [r for r in reached
+                if len(ctors := self.record.get(r, _FREE)[0]) > 1
+                and ctors <= _SCALARS]
+        if not wide:
+            return None
+        root = min(wide)
+        ctors = self.record[root][0]
+        return ([Lit(Tester((c,), TVar(root)))
+                 for c in _CTOR_ORDER if c in ctors],
+                self._explain(self._record_why(root)))
+
+    def _reach(self, t: TypeTerm, out: set[int]) -> None:
+        """Add the unbound roots that `t` resolves deep to."""
+        t = self.resolve(t)
+        if isinstance(t, TVar):
+            out.add(t.tid)
+        elif isinstance(t, ArrayType):
+            self._reach(t.index, out)
+            self._reach(t.elem, out)
 
     # -- models ---------------------------------------------------------------
 
@@ -351,13 +563,11 @@ class _Theory:
                 val = self.pinned(root)
                 if val is None:
                     free.add(root)
-                    val = next((c for c in candidates(root)
-                                if not violates(root, c)), None)
-                    if val is None:
-                        # reached, and escapes both entry points, when the
-                        # record leaves only scalars (say bool and int) and
-                        # the disequalities rule out each one
-                        raise _Conflict
+                    # the search splits every root that a disequality
+                    # reaches and only scalars are left to, so a value
+                    # that breaks none is among the candidates
+                    val = next(c for c in candidates(root)
+                               if not violates(root, c))
                 values[root] = val
             walked_free = walked_free or root in free
             return val
@@ -376,80 +586,140 @@ class _Theory:
 # Satisfiability of a clause set (depth-first search over non-unit clauses)
 # ---------------------------------------------------------------------------
 
+class _Branch:
+    """An open branch point of a search: the children of `theory` each
+    assert one of `lits` with `label`, in order, and `pos` is the next.
+    `why` gathers the labels of the children that failed. A clause's
+    branch then resumes at clause `rest`; a split's (`label` below 0)
+    stays at the leaf, and `record` holds why its root has no other
+    value."""
+
+    __slots__ = ("theory", "label", "lits", "pos", "rest", "why", "record")
+
+    def __init__(self, theory: _Theory, label: int, lits: Sequence[Lit],
+                 rest: int, record: frozenset[int] = frozenset()):
+        self.theory, self.label, self.lits = theory, label, lits
+        self.pos, self.rest, self.why, self.record = 0, rest, set(), record
+
+
 class _Base:
     """Where searches start: `theory` has the unit clauses of `clauses`
     asserted in order and passes `check_diseqs`, or is None when they
-    conflict, and a search from it branches on the other clauses.
-    `extend` asserts only the added units, on a copy, so a fact that many
-    searches share is asserted once; a base's theory is never asserted
-    to again."""
+    conflict, with `why` the indices of clauses that cannot all hold; a
+    search from it branches on the other clauses. `extend` asserts only
+    the added units, on a copy, so a fact that many searches share is
+    asserted once; a base's theory is never asserted to again."""
 
-    __slots__ = ("theory", "clauses")
+    __slots__ = ("theory", "clauses", "why")
 
-    def __init__(self, theory: Optional[_Theory], clauses: tuple[Clause, ...]):
+    def __init__(self, theory: Optional[_Theory], clauses: tuple[Clause, ...],
+                 why: frozenset[int] = frozenset()):
         self.theory = theory
         self.clauses = clauses
+        self.why = why
 
     @staticmethod
     def of(clauses: Sequence[Clause]) -> _Base:
         return _Base(_Theory(), ()).extend(clauses)
 
     def extend(self, clauses: Sequence[Clause]) -> _Base:
-        th = self.theory
-        units = [c.lits[0] for c in clauses if len(c.lits) == 1]
+        th, why = self.theory, self.why
+        units = [c for c in clauses if len(c.lits) == 1]
         if th is not None and units:
             th = th.copy()
             try:
-                for lit in units:
-                    th.assert_lit(lit)
+                for c in units:
+                    th.assert_lit(c.lits[0], c.index)
                 th.check_diseqs()
-            except _Conflict:
-                th = None
-        return _Base(th, self.clauses + tuple(clauses))
+            except _Conflict as conflict:
+                th, why = None, conflict.why
+        return _Base(th, self.clauses + tuple(clauses), why)
 
-    def search(self) -> Optional[_Theory]:
-        """A theory in which every clause holds, or None if there is none:
-        a depth-first search from the base's theory, in which each step
-        copies the theory it extends and asserts one literal of the next
-        non-unit clause. A step first passes over each next clause with a
-        literal the theory entails; that clause holds at every leaf below,
-        since a branch only adds merges and disequalities, and never takes
-        one back. The base's theory is the one that asserting the units
-        of `clauses` in order on a fresh theory gives, so how a base was
-        built does not change what its search finds."""
+    def search(self) -> _Theory | frozenset[int]:
+        """A theory in which every clause holds, or, if there is none, the
+        indices of clauses that cannot all hold: a depth-first search from
+        the base's theory, in which each step copies the theory it extends
+        and asserts one literal of the next non-unit clause. A step first
+        passes over each next clause with a literal the theory entails;
+        that clause holds at every leaf below, since a branch only adds
+        merges and disequalities, and never takes one back, and it adds
+        nothing to an explanation. A leaf whose model needs a root's
+        finite domain split (`_Theory.split`) branches on it first. The
+        base's theory is the one that asserting the units of `clauses` in
+        order on a fresh theory gives, so how a base was built does not
+        change what its search finds.
+
+        A failed child names the clauses that refute it. If its branch's
+        clause is not among them, they refute the branch's node too, and
+        the node's other children are not tried; otherwise the node fails
+        for the union of its children's clauses (a split's record in place
+        of its own label). Only subtrees without a satisfiable leaf are
+        cut, so the first satisfiable leaf is the one a full search finds.
+        """
         if self.theory is None:
-            return None
+            return self.why
         rest = [c for c in self.clauses if len(c.lits) != 1]
-        # (theory, literal to add to a copy of it, rest[:i] holds)
-        stack: list[tuple[_Theory, Optional[Lit], int]] = [(self.theory, None, 0)]
-        while stack:
-            th, lit, i = stack.pop()
-            if lit is not None:
-                th = th.copy()
-                try:
-                    th.assert_lit(lit)
-                    th.check_diseqs()
-                except _Conflict:
-                    continue
+        branches: list[_Branch] = []
+        th, i = self.theory, 0
+        while True:
+            # th holds: branch on the next clause it does not entail, on a
+            # split, or return it as the leaf
             while i < len(rest) and any(th.entails(l) for l in rest[i].lits):
                 i += 1
-            if i == len(rest):
-                return th
-            stack.extend((th, l, i + 1) for l in reversed(rest[i].lits))
-        return None
+            if i < len(rest):
+                branches.append(_Branch(th, rest[i].index, rest[i].lits,
+                                        i + 1))
+            else:
+                split = th.split()
+                if split is None:
+                    return th
+                # a label no clause has, and no open branch
+                branches.append(_Branch(th, -2 - len(branches), split[0], i,
+                                        split[1]))
+            why: Optional[frozenset[int] | set[int]] = None
+            while True:  # the top branch's next child that holds
+                top = branches[-1]
+                if why is not None:  # its last child failed for `why`
+                    if top.label not in why:
+                        branches.pop()
+                        if not branches:
+                            return frozenset(why)
+                        continue
+                    top.why |= why
+                if top.pos == len(top.lits):
+                    branches.pop()
+                    why = top.why
+                    if top.label < 0:
+                        why = (why - {top.label}) | top.record
+                    if not branches:
+                        return frozenset(why)
+                    continue
+                lit = top.lits[top.pos]
+                top.pos += 1
+                th = top.theory.copy()
+                try:
+                    th.assert_lit(lit, top.label)
+                    th.check_diseqs()
+                except _Conflict as conflict:
+                    why = conflict.why
+                    continue
+                i = top.rest
+                break
 
 
 def _solve(clauses: Sequence[Clause]) -> Optional[_Theory]:
     """A theory in which every clause holds, or None if there is none."""
-    return _Base.of(clauses).search()
+    found = _Base.of(clauses).search()
+    return found if isinstance(found, _Theory) else None
 
 
-def _shrink_core(
-    candidates: Sequence[Clause], fixed: Sequence[Clause] | _Base = ()
-) -> list[Clause]:
+def _shrink_core(candidates: Sequence[Clause],
+                 fixed: Sequence[Clause] = ()) -> list[Clause]:
     """A minimal subset of `candidates` that is unsatisfiable together
     with `fixed`, in candidate order; `fixed` must hold and all of them
-    together must not. `fixed` may be a `_Base` that already asserts it.
+    together must not. `Untypeable` reports this core; the hitting-set
+    search takes the core a failed search names, which need not be
+    minimal.
 
     QuickXplain (Junker, AAAI 2004) over the candidates in reverse order.
     Its core keeps a candidate exactly when `fixed`, the kept candidates
@@ -465,7 +735,7 @@ def _shrink_core(
         # unsatisfiable with `base`, preferring earlier positions; `base`
         # is searched first only if it `grew` since a search found it
         # satisfiable (the top call's base is `fixed`, which holds)
-        if grew and base.search() is None:
+        if grew and not isinstance(base.search(), _Theory):
             return []
         if len(order) == 1:
             return order
@@ -477,8 +747,7 @@ def _shrink_core(
 
     if not candidates:
         return []
-    base = fixed if isinstance(fixed, _Base) else _Base.of(fixed)
-    kept = qx(base, False, list(reversed(range(len(candidates)))))
+    kept = qx(_Base.of(fixed), False, list(reversed(range(len(candidates)))))
     return [candidates[i] for i in sorted(kept)]
 
 
@@ -565,15 +834,19 @@ def _solve_component(clauses: list[Clause]) -> tuple[tuple[int, ...], int]:
     set is the cheapest set of soft clauses whose removal leaves the rest
     satisfiable, tie-broken by the lexicographically smallest sorted index
     tuple. Whenever the active clauses are unsatisfiable, the search
-    branches on dropping each soft clause of a minimal unsatisfiable core;
-    every minimal relaxation set hits every core, so the search is
-    complete. Cores are kept: a node whose excluded set misses a known
-    core branches on that core without solving, since the core lies
-    wholly among the active clauses. Only a node that hits every known
-    core is solved, and shrunk to a new core when unsatisfiable.
+    branches on dropping each soft clause of an unsatisfiable core, the
+    soft clauses that the failed search's explanation names: every
+    minimal relaxation set hits every core, minimal or not, so the search
+    is complete, and it reaches the optimum and its tie-break in any
+    branch order. It drops a core's cheapest clause first, so a cheap
+    relaxation bounds the search early. Cores are kept: a node whose
+    excluded set misses a known core branches on that core without
+    solving, since the core lies wholly among the active clauses. Only a
+    node that hits every known core is solved, and a failed solve names a
+    new core.
 
     The hard clauses are asserted once, in `hard_base`, which each
-    node's search and each core's QuickXplain extend.
+    node's search extends. They hold, so a core has a soft clause.
     """
     softs = [c for c in clauses if not c.hard]
     hard_base = _Base.of([c for c in clauses if c.hard])
@@ -581,7 +854,7 @@ def _solve_component(clauses: list[Clause]) -> tuple[tuple[int, ...], int]:
     seen: set[frozenset[int]] = set()
     cores: list[list[Clause]] = []
     stack: list[tuple[frozenset[int], int]] = [(frozenset(), 0)]
-    while stack:  # depth first, a core's clauses in order
+    while stack:  # depth first, a core's clauses cheapest first
         excluded, cost = stack.pop()
         if excluded in seen:
             continue
@@ -592,12 +865,14 @@ def _solve_component(clauses: list[Clause]) -> tuple[tuple[int, ...], int]:
                      if excluded.isdisjoint(c.index for c in k)), None)
         if core is None:
             active = [c for c in softs if c.index not in excluded]
-            if hard_base.extend(active).search() is not None:
+            found = hard_base.extend(active).search()
+            if isinstance(found, _Theory):
                 cand = (cost, tuple(sorted(excluded)))
                 if best is None or cand < best:
                     best = cand
                 continue
-            core = _shrink_core(active, hard_base)
+            core = sorted((c for c in active if c.index in found),
+                          key=lambda c: c.weight)
             cores.append(core)
         stack.extend((excluded | {c.index}, cost + c.weight)
                      for c in reversed(core))

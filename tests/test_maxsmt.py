@@ -198,6 +198,43 @@ def test_record_binding_to_an_enum_without_a_required_tag_conflicts():
         th.unify(x, EnumType(("B",)))
 
 
+def _bool_or_int(name):
+    return lambda v: Lit(CtorTester(("bool", "int"), v[name]))
+
+
+def _differ(a, b):
+    return lambda v: Lit(Eq(v[a], v[b]), positive=False)
+
+
+#: literals that no model meets, each variable bool or int and the
+#: disequalities ruling out every choice: one variable that is neither,
+#: and three that differ pairwise
+_SCALARS_RULED_OUT = {
+    "neither": [_bool_or_int("x"), neq("x", INT), neq("x", BOOL)],
+    "pairwise": [_bool_or_int("x"), _bool_or_int("y"), _bool_or_int("z"),
+                 _differ("x", "y"), _differ("x", "z"), _differ("y", "z")],
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SCALARS_RULED_OUT))
+def test_scalars_that_disequalities_rule_out_are_untypeable(name):
+    # the search splits such a root over its scalars before it accepts a
+    # leaf; the model walk used to meet it, and raised the private
+    # `_Conflict` out of both entry points
+    lits = _SCALARS_RULED_OUT[name]
+    every = tuple(range(len(lits)))
+    cs = cs_of(hard=[[lit] for lit in lits])
+    with pytest.raises(Untypeable) as exc:
+        check_sat(cs.clauses)
+    assert exc.value.core == every
+    with pytest.raises(Untypeable) as exc:
+        solve_maxsmt(cs)
+    assert exc.value.core == every
+    cs = cs_of(*([lit] for lit in lits))
+    res = solve_maxsmt(cs)
+    assert res.cost == 1 and verify_solution(cs, res)
+
+
 # ---------------------------------------------------------------------------
 # Entailment: the clauses `_solve` skips
 # ---------------------------------------------------------------------------
@@ -685,9 +722,9 @@ def _count_asserts(monkeypatch):
     asserted = []
     assert_lit = _Theory.assert_lit
 
-    def counting(self, lit):
+    def counting(self, lit, label):
         asserted.append(lit)
-        assert_lit(self, lit)
+        assert_lit(self, lit, label)
 
     monkeypatch.setattr(_Theory, "assert_lit", counting)
     return asserted
@@ -708,8 +745,10 @@ def _count_asserts(monkeypatch):
 # 11,399 when a component's root node searched its own hard base. Typing a
 # variable reference by its variable drops the hard units that bound each
 # reference's type to its variable's: 37 / 98 / 277 / 842 / 2,256 / 5,256 /
-# 11,400 with them
-_DUPLICATE_NODES = {2: 32, 3: 93, 4: 272, 5: 837, 6: 2251, 7: 5251, 8: 11395}
+# 11,400 with them. A failed search names its own core, and a child whose
+# explanation leaves out its branch's clause refutes the branch: 32 / 93 /
+# 272 / 837 / 2,251 / 5,251 / 11,395 when QuickXplain shrank each core
+_DUPLICATE_NODES = {2: 9, 3: 27, 4: 50, 5: 86, 6: 138, 7: 209, 8: 302}
 # literals asserted with each search extending a base; re-asserting every
 # unit clause in every solve took 209 / 358 / 728 / 1,593 / 3,411 / 6,928 /
 # 13,667, and 90 / 168 / 383 / 1,008 / 2,495 / 5,596 / 11,842 without the
@@ -720,19 +759,24 @@ _DUPLICATE_NODES = {2: 32, 3: 93, 4: 272, 5: 837, 6: 2251, 7: 5251, 8: 11395}
 # 5,683 / 11,931 when only each component's hard base asserted them. Those
 # units bound a variable reference's type to its variable's, and a
 # reference is now typed by its variable: 178 / 258 / 475 / 1,102 / 2,591 /
-# 5,694 / 11,942 with them
-_DUPLICATE_ASSERTS = {2: 134, 3: 214, 4: 431, 5: 1058, 6: 2547, 7: 5650,
-                      8: 11898}
+# 5,694 / 11,942 with them. 134 / 214 / 431 / 1,058 / 2,547 / 5,650 /
+# 11,898 when QuickXplain shrank each core
+_DUPLICATE_ASSERTS = {2: 100, 3: 147, 4: 194, 5: 261, 6: 351, 7: 467,
+                      8: 612}
 # disequalities resolved, each step checking only those it can break;
 # re-checking every stored one after every step resolved 28 / 154 / 668 /
 # 2,711 / 9,032 / 25,067 / 63,518, and 20 / 68 / 216 / 690 / 1,925 / 4,591
 # / 10,129 without the whole-set search, 21 / 69 / 217 / 691 / 1,926 /
-# 4,592 / 10,130 without the kept-set search
-_DUPLICATE_DISEQ_CHECKS = {2: 22, 3: 71, 4: 220, 5: 695, 6: 1931, 7: 4598,
-                           8: 10137}
+# 4,592 / 10,130 without the kept-set search, 22 / 71 / 220 / 695 / 1,931
+# / 4,598 / 10,137 when QuickXplain shrank each core
+_DUPLICATE_DISEQ_CHECKS = {2: 6, 3: 22, 4: 43, 5: 77, 6: 127, 7: 196,
+                           8: 287}
+# the searches between the search of the hard clauses and that of the kept
+# clauses: the hitting-set search's
+_DUPLICATE_SOLVES = {2: 7, 3: 11, 4: 14, 5: 18, 6: 23, 7: 29, 8: 36}
 
 
-@pytest.mark.parametrize("k, solves, falsified", [
+@pytest.mark.parametrize("k, quickxplain_solves, falsified", [
     (2, 25, (5,)),
     (3, 36, (5, 8)),
     (4, 59, (3, 7, 10)),
@@ -742,14 +786,14 @@ _DUPLICATE_DISEQ_CHECKS = {2: 22, 3: 71, 4: 220, 5: 695, 6: 1931, 7: 4598,
     (8, 300, (3, 5, 9, 11, 13, 16, 18)),
 ])
 def test_duplicate_declarations_cost_pinned_solves(
-        monkeypatch, k, solves, falsified):
+        monkeypatch, k, quickxplain_solves, falsified):
     # deletion with no core kept took 28 / 70 / 204 / 500 solves.
     # The whole-set search, which fails, comes first, and the search of
-    # the kept clauses, which gives the model, last: 27 / 38 / 61 / 101 /
-    # 155 / 223 / 302 in all. `solves` are those between: the search of
-    # the hard clauses, which hold, and then the hitting-set search's.
-    # The hard search was the conflicting component's root node's, with
-    # the same totals
+    # the kept clauses, which gives the model, last. Between them come the
+    # search of the hard clauses, which hold, and then the hitting-set
+    # search's: `quickxplain_solves` while QuickXplain shrank each core the
+    # search found. The hard search was the conflicting component's root
+    # node's, with the same totals
     cs = _clauses_of(_duplicates_source(k))
     calls = _count_solves(monkeypatch)
     nodes = _count_nodes(monkeypatch)
@@ -760,45 +804,71 @@ def test_duplicate_declarations_cost_pinned_solves(
     assert calls[1] == tuple(c.index for c in cs.hard)
     assert calls[-1] == tuple(c.index for c in cs.clauses
                               if c.index not in falsified)
-    assert len(calls) == 2 + solves
+    assert len(calls) == 2 + _DUPLICATE_SOLVES[k] < 2 + quickxplain_solves
     assert nodes[0] == _DUPLICATE_NODES[k]
     assert len(asserted) == _DUPLICATE_ASSERTS[k]
     assert diseq_checks[0] == _DUPLICATE_DISEQ_CHECKS[k]
 
 
-@pytest.mark.parametrize("n, searches, nodes", [
+def _chain_cost(monkeypatch, family, n):
+    """(searches, nodes) of one `run_pipeline` call, one reply and no second
+    round, on `chain_draft(family, n)`."""
+    calls = _count_solves(monkeypatch)
+    copies = _count_nodes(monkeypatch)
+    out = run_pipeline("Sum a chain.", MockBackend([chain_draft(family, n)]),
+                       max_llm_calls=1)
+    assert out.status == STATUS_ITERATION_LIMIT
+    return len(calls), copies[0]
+
+
+# (searches, nodes) on a chain whose first term is wrong. Each operator's
+# numeric clause was three tester literals, and the search branched on
+# every one: 5,709 / 18,843 / 69,282 nodes for 270 / 506 / 997 searches.
+# Now it is one unit the base asserts. The whole-set search of the
+# conflicting round adds a search and a node to the 270 / 506 / 997
+# before it, and the search of its kept clauses, which gives the model,
+# one more; re-solving the holed program, which holds, is one search
+# either way but copies one theory, where its component's hard base and
+# that base's extension copied two. The search of all hard clauses after
+# the whole set fails takes the place of the conflicting component's
+# root-node search of its hard base, but builds a base of its own. Typing
+# a variable reference by its variable saved two nodes more. QuickXplain
+# then paid about 2k log2(n/k) searches for the core of the chain's spine
+_FIRST_TERM_WRONG = {50: (11, 10), 100: (11, 10), 200: (11, 10)}
+
+
+@pytest.mark.parametrize("n, quickxplain_searches, quickxplain_nodes", [
     (50, 272, 271), (100, 508, 507), (200, 999, 998),
 ])
 def test_a_chain_whose_first_term_is_wrong_costs_pinned_nodes(
-        monkeypatch, n, searches, nodes):
-    # each operator's numeric clause was three tester literals, and the
-    # search branched on every one: 5,709 / 18,843 / 69,282 nodes for
-    # 270 / 506 / 997 searches. Now it is one unit the base asserts. The
-    # whole-set search of the conflicting round adds a search and a node
-    # to the 270 / 506 / 997 before it, and the search of its kept
-    # clauses, which gives the model, one more; re-solving the holed
-    # program, which holds, is one search either way but copies one
-    # theory, where its component's hard base and that base's extension
-    # copied two. The search of all hard clauses after the whole set
-    # fails takes the place of the conflicting component's root-node
-    # search of its hard base, but builds a base of its own: one node
-    # more than the 272 / 508 / 999 before it. Typing a variable reference
-    # by its variable, not by a hard unit that binds its own, saves two:
-    # 273 / 509 / 1,000 with the units
-    draft = chain_draft("first-term-wrong", n)
-    calls = _count_solves(monkeypatch)
-    copies = _count_nodes(monkeypatch)
-    out = run_pipeline("Sum a chain.", MockBackend([draft]), max_llm_calls=1)
-    assert out.status == STATUS_ITERATION_LIMIT
-    assert (len(calls), copies[0]) == (searches, nodes)
+        monkeypatch, n, quickxplain_searches, quickxplain_nodes):
+    searches, nodes = _chain_cost(monkeypatch, "first-term-wrong", n)
+    assert (searches, nodes) == _FIRST_TERM_WRONG[n]
+    assert searches < quickxplain_searches and nodes < quickxplain_nodes
+
+
+# the same for a chain whose second `+` is a `|`, which makes both halves
+# bit-vectors against their `int` terms
+_ONE_BAR = {10: (20, 19), 20: (20, 19), 40: (20, 19)}
+
+
+@pytest.mark.parametrize("n, quickxplain_searches, quickxplain_nodes", [
+    (10, 355, 354), (20, 944, 943), (40, 3154, 3153),
+])
+def test_a_chain_with_one_bar_costs_pinned_nodes(
+        monkeypatch, n, quickxplain_searches, quickxplain_nodes):
+    searches, nodes = _chain_cost(monkeypatch, "one-bar", n)
+    assert (searches, nodes) == _ONE_BAR[n]
+    assert searches < quickxplain_searches and nodes < quickxplain_nodes
 
 
 def test_a_component_asserts_each_hard_unit_once(monkeypatch):
     # four declarations of one name and a type-hole local assigned from
     # it, whose hole binding is a hard unit: one component, relaxed three
-    # times over many searches and QuickXplain calls, all on one hard
-    # base, which none searches alone. Without `h` the component has no
-    # hard unit, and takes 55 searches (56 when the root node did)
+    # times over many searches, all on one hard base, which none searches
+    # alone. Without `h` the component has no hard unit, and took 55
+    # searches (56 when the root node did); with it, 64 when QuickXplain
+    # shrank each core
     source = _duplicates_source(4).replace(
         "        self.flag = bool\n",
         "        self.flag = bool\n        self.h = ??\n", 1)
@@ -808,9 +878,36 @@ def test_a_component_asserts_each_hard_unit_once(monkeypatch):
     calls = _count_solves(monkeypatch)
     asserted = _count_asserts(monkeypatch)
     assert len(maxsmt._solve_component(comp)[0]) == 3
-    assert (len(calls), len(hard_units)) == (64, 1)
+    assert (len(calls), len(hard_units)) == (10, 1)
     assert [sum(l is u for l in asserted) for u in hard_units] == \
         [1] * len(hard_units)
+
+
+def _record_cores(monkeypatch):
+    """The cores the hitting-set search branches on: for each search inside
+    `_solve_component` that fails, the soft clauses its explanation names,
+    with the component's hard clauses."""
+    cores = []
+    hard = []  # the hard clauses of the component being solved, if any
+    solve_component, search = maxsmt._solve_component, maxsmt._Base.search
+
+    def component(clauses):
+        hard.append([c for c in clauses if c.hard])
+        try:
+            return solve_component(clauses)
+        finally:
+            hard.pop()
+
+    def searching(base):
+        found = search(base)
+        if hard and not isinstance(found, _Theory):
+            cores.append(([c for c in base.clauses
+                           if not c.hard and c.index in found], hard[-1]))
+        return found
+
+    monkeypatch.setattr(maxsmt, "_solve_component", component)
+    monkeypatch.setattr(maxsmt._Base, "search", searching)
+    return cores
 
 
 def test_a_known_core_is_branched_on_without_a_solve(monkeypatch):
@@ -821,24 +918,17 @@ def test_a_known_core_is_branched_on_without_a_solve(monkeypatch):
     for i, lit in enumerate([Lit(Eq(x, INT)), Lit(Eq(x, BOOL)),
                              Lit(Eq(y, INT)), Lit(Eq(y, BOOL))]):
         cs.add_soft([lit], 1, origin=i, label="t")
-    shrunk = []
-    shrink = maxsmt._shrink_core
-
-    def recording(candidates, fixed=()):
-        core = shrink(candidates, fixed)
-        shrunk.append(tuple(c.index for c in core))
-        return core
-
-    monkeypatch.setattr(maxsmt, "_shrink_core", recording)
+    cores = _record_cores(monkeypatch)
     calls = _count_solves(monkeypatch)
     res = solve_maxsmt(cs)
     assert (res.falsified, res.cost) == ((1, 3), 2)
-    # the first core is {y = int, y = bool}; dropping y = int finds the
-    # second, {x = int, x = bool}; dropping y = bool then branches on the
-    # second without solving x = int, x = bool, y = int
-    assert shrunk == [(3, 4), (1, 2)]
-    assert (0, 1, 2, 3) not in calls
-    assert (0, 1, 2, 4) in calls
+    # the first core is {x = int, x = bool}; dropping x = int finds the
+    # second, {y = int, y = bool}; dropping x = bool then branches on the
+    # second without solving x = int, y = int, y = bool
+    assert [tuple(c.index for c in core) for core, _ in cores] == \
+        [(1, 2), (3, 4)]
+    assert (0, 1, 3, 4) not in calls
+    assert (0, 1, 4) in calls
 
 
 # ---------------------------------------------------------------------------
@@ -945,7 +1035,35 @@ def test_incremental_diseq_check_raises_exactly_when_a_full_recheck_would(
     monkeypatch.setattr(_Theory, "check_diseqs", compared)
     for cs in _solver_corpus():
         _solve_all(cs)
+    # a search now stops at a branch that its explanation refutes, so the
+    # corpus reaches 1,165 conflicting checks (9,785 while QuickXplain
+    # shrank each core); theories built from random disequalities, then
+    # equalities and testers, each checked, reach the rest
+    _diseq_walks(random.Random(3), 10000)
     assert min(outcomes.values()) >= 5000, outcomes
+
+
+def _diseq_walks(rng, count):
+    """`count` theories over three variables: two random disequalities,
+    then four random equalities or testers, each checked as it is
+    asserted, until one conflicts."""
+    v = [TVar(i) for i in range(3)]
+    terms = v + [INT, BOOL, ArrayType(v[0], BOOL), ArrayType(INT, v[1])]
+    for _ in range(count):
+        lits = [Lit(Eq(rng.choice(v), rng.choice(terms)), positive=False)
+                for _ in range(2)]
+        for _ in range(4):
+            x = rng.choice(v)
+            lits.append(
+                Lit(CtorTester((rng.choice(("int", "bool", "arr")),), x))
+                if rng.random() < 0.3 else Lit(Eq(x, rng.choice(terms))))
+        th = _Theory()
+        try:
+            for lit in lits:
+                th.assert_lit(lit)
+                th.check_diseqs()
+        except _Conflict:
+            pass
 
 
 def _two_walk_solution(th, tids):
@@ -1140,32 +1258,57 @@ def test_whole_set_solve_equals_the_component_loop_on_workload_rounds(
 
 
 def test_every_base_the_hitting_set_search_is_given_holds(monkeypatch):
-    # the hard clauses are searched once before the split, so neither a
-    # component's hard clauses nor QuickXplain's `fixed` ever conflict
-    given = {"component": 0, "shrink_core": 0}
+    # the hard clauses are searched once before the split, so a
+    # component's hard clauses never conflict; and every core the search
+    # branches on, named by a failed search's explanation, conflicts with
+    # them, with no QuickXplain call (which this counted while QuickXplain
+    # shrank the cores)
+    components, solving = [0], [False]
+    cores = _record_cores(monkeypatch)
     solve_component, shrink = maxsmt._solve_component, maxsmt._shrink_core
 
     def component(clauses):
         assert _solve([c for c in clauses if c.hard]) is not None
-        given["component"] += 1
-        return solve_component(clauses)
+        components[0] += 1
+        solving[0] = True
+        try:
+            return solve_component(clauses)
+        finally:
+            solving[0] = False
 
     def shrinking(candidates, fixed=()):
-        base = fixed if isinstance(fixed, maxsmt._Base) else \
-            maxsmt._Base.of(fixed)
-        assert base.search() is not None
-        given["shrink_core"] += 1
+        assert not solving[0]
         return shrink(candidates, fixed)
 
     monkeypatch.setattr(maxsmt, "_solve_component", component)
     monkeypatch.setattr(maxsmt, "_shrink_core", shrinking)
+
+    def checked():
+        # (components solved, cores checked) since the last call
+        for core, hard in cores:
+            assert core and _solve(hard + core) is None
+        got = components[0], len(cores)
+        components[0] = 0
+        cores.clear()
+        return got
+
     for cs in _solver_corpus():
         _solve_all(cs)
-    corpus = dict(given)
-    sets = _workload_round_sets(monkeypatch)
-    rounds = {k: given[k] - corpus[k] for k in given}
-    assert min(corpus.values()) >= 250, corpus
-    assert min(rounds.values()) >= 100 and len(sets) >= 150, (rounds, len(sets))
+    corpus = checked()
+    sets = len(_workload_round_sets(monkeypatch))
+    rounds = checked()
+    for family, sizes in (("first-term-wrong", _FIRST_TERM_WRONG),
+                          ("one-bar", _ONE_BAR)):
+        for n in sizes:
+            run_pipeline("Sum a chain.", MockBackend([chain_draft(family, n)]),
+                         max_llm_calls=1)
+    chains = checked()
+    # (components, cores) were (296, 850), (243, 165) and (6, 33), over
+    # 183 round sets, when this was written
+    assert corpus[0] >= 250 and corpus[1] >= 700, corpus
+    assert rounds[0] >= 100 and rounds[1] >= 130 and sets >= 150, \
+        (rounds, sets)
+    assert chains[1] >= 25, chains
 
 
 def test_tagless_enum_roots_take_fresh_tags_numbered_across_one_walk():

@@ -475,11 +475,12 @@ def test_whole_pipeline_fuzz():
             bad.append((i, out.status, out.diagnostics, replies))
     assert not bad, bad[:3]
     assert min(statuses.values()) >= 20, statuses
-    # a known fault, kept in view: input 68 puts a `|` into the 600-term
-    # chain, and the conflict that makes both halves bit-vectors costs
-    # the hitting-set search about n^2 searches for n terms (11,646 and
-    # 5 s at 80). When conflict analysis removes it, this list empties
-    assert over_time == [68]
+    # input 68 puts a `|` into the 600-term chain, which makes both halves
+    # bit-vectors against their int terms. It ran over while QuickXplain
+    # shrank each core the hitting-set search branched on (about n^2
+    # searches for n terms: 11,646 and 5 s at 80); a failed search now
+    # names its own core
+    assert over_time == []
 
 
 KEYWORD_RESPONSES = {
