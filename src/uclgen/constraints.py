@@ -139,10 +139,10 @@ class Lit:
 class Clause:
     """A disjunction of literals.
 
-    weight is None for hard clauses. origin names the node to hole when
-    the clause is falsified: its position in the clause set's `walk`,
-    which is its pre-order position in the program; hard clauses have no
-    origin.
+    weight is None for hard clauses and at least 1 for soft ones, as the
+    solver's optimum assumes. origin names the node to hole when the
+    clause is falsified: its position in the clause set's `walk`, which is
+    its pre-order position in the program; hard clauses have no origin.
     """
 
     index: int
@@ -150,6 +150,10 @@ class Clause:
     weight: Optional[int]
     origin: Optional[int]
     label: str
+
+    def __post_init__(self) -> None:
+        if self.weight is not None and self.weight < 1:
+            raise ValueError(f"soft weight {self.weight} is not at least 1")
 
     @property
     def hard(self) -> bool:

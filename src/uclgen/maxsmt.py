@@ -18,12 +18,12 @@ them again: a component's hard clauses are asserted once, and each
 QuickXplain call extends its parent's base. Every fact the theory stores
 is labelled with the clause that asserted it, so a failed search names
 clauses that cannot all hold, and a child whose refutation leaves out its
-branch's clause refutes its parent. Over the searches, a branch and bound
-search picks the soft clauses to falsify. It branches on the cores that
-failed searches name, each at the cost of the search that failed, and
-keeps them: a node that has relaxed no clause of a known core branches
-on it without a solve. QuickXplain shrinks a core to a minimal one only
-for `Untypeable`.
+branch's clause refutes its parent. Over the searches, a best-first
+hitting-set search takes the cheapest relaxation next and stops at the
+first whose search holds. It branches on the cores that failed searches
+name, each at the cost of the search that failed, and keeps them: a node
+that has relaxed no clause of a known core branches on it without a
+search. QuickXplain shrinks a core to a minimal one only for `Untypeable`.
 `emit_smtlib` renders a clause set as SMT-LIB 2 with
 `assert-soft` weights, for inspection or for another MAX-SMT solver.
 
@@ -40,6 +40,7 @@ search of the kept clauses, so it follows from the falsified set alone.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from itertools import chain
 from typing import Optional, Sequence
@@ -133,7 +134,7 @@ class _Theory:
     each with its label and the roots its sides resolved to when it was
     last checked; `changed` holds the roots merged, bound or narrowed since
     then, so `check_diseqs` re-checks only what a step can break. `ground`
-    is the one walk that grounds a term: `determined`, `solution` and the
+    is the one walk that grounds a term: `check_diseqs`, `solution` and the
     model's disequality scan differ only in the root values.
 
     Every fact is labelled with the index of the clause whose literal
@@ -409,32 +410,31 @@ class _Theory:
 
     # -- final consistency ---------------------------------------------------
 
-    def ground(self, t: TypeTerm, value) -> Optional[TypeTerm]:
-        """`t` with each unbound root `r` replaced by `value(r)`; None if
-        any `value(r)` is None."""
+    def ground(self, t: TypeTerm, value) -> TypeTerm:
+        """`t` with each unbound root `r` replaced by `value(r)`."""
         t = self.resolve(t)
         if isinstance(t, TVar):
             return value(t.tid)
         if isinstance(t, ArrayType):
-            i = self.ground(t.index, value)
-            e = self.ground(t.elem, value)
-            return ArrayType(i, e) if i is not None and e is not None else None
+            return ArrayType(self.ground(t.index, value),
+                             self.ground(t.elem, value))
         return t
 
     def pinned(self, root: int) -> Optional[TypeTerm]:
         """The singleton value the root's record pins it to, else None."""
         return _PINNED.get(self.record.get(root, _FREE)[0])
 
-    def determined(self, t: TypeTerm) -> Optional[TypeTerm]:
-        """The unique value of a term if it has one, else None."""
-        return self.ground(t, self.pinned)
+    def _settled(self, root: int) -> TypeTerm:
+        """The value the root's record pins it to, else the root itself."""
+        return _PINNED.get(self.record.get(root, _FREE)[0], TVar(root))
 
     def check_diseqs(self) -> None:
         """Raise `_Conflict` if a stored disequality fails: its sides
-        resolve to one term, or both have the same determined value.
-        Only a disequality that is new, reaches an array, or resolved to
-        a root changed since the last check is checked again; the others
-        resolve as they did then."""
+        resolve to one term, or ground to one term with each pinned root
+        replaced by its value and every other root left as itself, so no
+        value of the other roots tells them apart. Only a disequality that
+        is new, reaches an array, or resolved to a root changed since the
+        last check is checked again; the others resolve as they did then."""
         changed = self.changed
         for pair, (label, roots) in self.diseqs.items():
             if roots is None or not changed.isdisjoint(roots):
@@ -451,8 +451,7 @@ class _Theory:
             if self.resolve_deep(a) == self.resolve_deep(b):
                 raise self._diseq_conflict(a, b, self._deep(a, False),
                                            self._deep(b, False))
-            da = self.determined(a)
-            if da is not None and da == self.determined(b):
+            if self.ground(a, self._settled) == self.ground(b, self._settled):
                 raise self._diseq_conflict(a, b, self._deep(a, True),
                                            self._deep(b, True))
             return None
@@ -540,17 +539,16 @@ class _Theory:
                         yield ArrayType(INT, BVType(fresh[0]))
 
         def violates(root: int, val: TypeTerm) -> bool:
-            # a root pinned to a singleton constructor is known before its turn
-            def value(r: int) -> Optional[TypeTerm]:
+            # a root pinned to a singleton constructor is known before its
+            # turn, and any other root not yet valued stays itself: sides
+            # equal then stay equal whatever that root takes
+            def value(r: int) -> TypeTerm:
                 if r == root:
                     return val
-                return values[r] if r in values else self.pinned(r)
+                return values[r] if r in values else self._settled(r)
 
-            for a, b in self.diseqs:
-                ga = self.ground(a, value)
-                if ga is not None and ga == self.ground(b, value):
-                    return True
-            return False
+            return any(self.ground(a, value) == self.ground(b, value)
+                       for a, b in self.diseqs)
 
         walked_free = False
 
@@ -796,7 +794,7 @@ def check_sat(clauses: Sequence[Clause]) -> MaxSmtResult:
 
 
 # ---------------------------------------------------------------------------
-# MAX-SMT branch and bound
+# MAX-SMT: best-first hitting-set search
 # ---------------------------------------------------------------------------
 
 def _components(cs: ClauseSet) -> list[list[Clause]]:
@@ -826,57 +824,51 @@ def _components(cs: ClauseSet) -> list[list[Clause]]:
 
 
 def _solve_component(clauses: list[Clause]) -> tuple[tuple[int, ...], int]:
-    """The falsified soft clauses and their cost, from a core-guided
-    hitting-set search. Assumes the hard clauses hold, so a best set
-    always exists.
+    """The falsified soft clauses and their cost, from a best-first
+    hitting-set search (Reiter's hitting-set tree, popped by cost as MaxHS
+    orders its hitting sets). Assumes the hard clauses hold, so a best set
+    always exists, and every soft weight is at least 1, which `Clause`
+    enforces.
 
     A falsified soft clause is simply dropped (not negated): the reported
     set is the cheapest set of soft clauses whose removal leaves the rest
     satisfiable, tie-broken by the lexicographically smallest sorted index
-    tuple. Whenever the active clauses are unsatisfiable, the search
-    branches on dropping each soft clause of an unsatisfiable core, the
-    soft clauses that the failed search's explanation names: every
-    minimal relaxation set hits every core, minimal or not, so the search
-    is complete, and it reaches the optimum and its tie-break in any
-    branch order. It drops a core's cheapest clause first, so a cheap
-    relaxation bounds the search early. Cores are kept: a node whose
-    excluded set misses a known core branches on that core without
-    solving, since the core lies wholly among the active clauses. Only a
-    node that hits every known core is solved, and a failed solve names a
-    new core.
+    tuple. Nodes, the sets of excluded soft clauses, come off a heap in
+    (cost, sorted indices) order. A node that misses a known core branches
+    on it without a search, since the core lies wholly among its active
+    clauses; any other node is searched, and a failed search names a new
+    core, the soft clauses of its explanation. The first node that holds
+    is the answer: with positive weights a least-cost set is a minimal
+    correction set, every node excluding a proper subset of it fails with
+    a core that meets the rest of it, so it is reached, and no node before
+    it in that order holds.
 
     The hard clauses are asserted once, in `hard_base`, which each
     node's search extends. They hold, so a core has a soft clause.
     """
     softs = [c for c in clauses if not c.hard]
     hard_base = _Base.of([c for c in clauses if c.hard])
-    best: Optional[tuple[int, tuple[int, ...]]] = None
-    seen: set[frozenset[int]] = set()
+    seen: set[tuple[int, ...]] = set()
     cores: list[list[Clause]] = []
-    stack: list[tuple[frozenset[int], int]] = [(frozenset(), 0)]
-    while stack:  # depth first, a core's clauses cheapest first
-        excluded, cost = stack.pop()
+    heap: list[tuple[int, tuple[int, ...]]] = [(0, ())]
+    while True:
+        cost, excluded = heapq.heappop(heap)
         if excluded in seen:
             continue
         seen.add(excluded)
-        if best is not None and cost > best[0]:
-            continue
+        drop = frozenset(excluded)
         core = next((k for k in cores
-                     if excluded.isdisjoint(c.index for c in k)), None)
+                     if drop.isdisjoint(c.index for c in k)), None)
         if core is None:
-            active = [c for c in softs if c.index not in excluded]
+            active = [c for c in softs if c.index not in drop]
             found = hard_base.extend(active).search()
             if isinstance(found, _Theory):
-                cand = (cost, tuple(sorted(excluded)))
-                if best is None or cand < best:
-                    best = cand
-                continue
-            core = sorted((c for c in active if c.index in found),
-                          key=lambda c: c.weight)
+                return excluded, cost
+            core = [c for c in active if c.index in found]
             cores.append(core)
-        stack.extend((excluded | {c.index}, cost + c.weight)
-                     for c in reversed(core))
-    return best[1], best[0]
+        for c in core:
+            heapq.heappush(heap, (cost + c.weight,
+                                  tuple(sorted((*excluded, c.index)))))
 
 
 def solve_maxsmt(cs: ClauseSet) -> MaxSmtResult:

@@ -8,6 +8,7 @@ move that text, with
 """
 
 import random
+import signal
 import sys
 from pathlib import Path
 
@@ -186,7 +187,7 @@ def test_record_five_negative_testers_force_the_last_scalar():
     x = TVar(0)
     for ctor in ("bool", "real", "bv", "enum", "arr"):
         th.assert_lit(Lit(CtorTester((ctor,), x), positive=False))
-    assert th.determined(x) == INT
+    assert th.ground(x, th.pinned) == INT
     assert th.solution([0])[1] == {0: INT}
 
 
@@ -233,6 +234,57 @@ def test_scalars_that_disequalities_rule_out_are_untypeable(name):
     cs = cs_of(*([lit] for lit in lits))
     res = solve_maxsmt(cs)
     assert res.cost == 1 and verify_solution(cs, res)
+
+
+def _within_a_second(solve, cs):
+    """`solve(cs)`, or `TimeoutError` if it runs past one second."""
+    def over_time(signum, frame):
+        raise TimeoutError("no answer within a second")
+
+    handler = signal.signal(signal.SIGALRM, over_time)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        return solve(cs)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
+
+
+def _arrays_apart_only_by_a_free_index(hard):
+    """`s` is an `int`, `x = Array(r, int)`, `y = Array(r, s)` and `x != y`:
+    with `s` pinned, no value of the free index `r` tells `x` and `y`
+    apart. Drop the tester and `s` may be `bool`."""
+    cs = ClauseSet()
+    s, x, y, r = (cs.tvar(("var", n)) for n in "sxyr")
+    lits = [Lit(CtorTester(("int",), s)), Lit(Eq(x, ArrayType(r, INT))),
+            Lit(Eq(y, ArrayType(r, s))), Lit(Eq(x, y), positive=False)]
+    for i, lit in enumerate(lits):
+        if hard:
+            cs.add_hard([lit], "t:hard")
+        else:
+            cs.add_soft([lit], 1, origin=i, label="t:soft")
+    return cs
+
+
+def test_arrays_apart_only_by_a_free_index_are_untypeable():
+    # the disequality check grounds the pinned roots and leaves the free
+    # ones as they are; it grounded only terms with no free root, and the
+    # model walk then tried the index's values forever
+    cs = _arrays_apart_only_by_a_free_index(hard=True)
+    for solve in (lambda cs: check_sat(cs.clauses), solve_maxsmt):
+        with pytest.raises(Untypeable) as exc:
+            _within_a_second(solve, cs)
+        assert exc.value.core == (0, 1, 2, 3)
+
+
+def test_arrays_apart_only_by_a_free_index_solve_as_soft_clauses():
+    # the model walk gave `s` the first value, `int`, while `r` had none,
+    # and no value of `r` was left; a root not yet valued now counts as
+    # itself, so `s` takes `bool`
+    cs = _arrays_apart_only_by_a_free_index(hard=False)
+    res = _within_a_second(solve_maxsmt, cs)
+    assert (res.falsified, res.cost) == ((0,), 1)
+    assert verify_solution(cs, res)
 
 
 # ---------------------------------------------------------------------------
@@ -297,7 +349,7 @@ def test_a_skipped_clause_holds_in_the_model_of_the_leaf():
                 "t:skipped")
     th = _solve(cs.clauses)
     assert th is not None
-    assert th.determined(z) is None
+    assert th.ground(z, th.pinned) is None
     model = th.solution({x.tid, y.tid, z.tid})[0]
     assert model[z.tid] == INT
     assert all(eval_clause(c, model) for c in cs.clauses)
@@ -332,6 +384,18 @@ def test_equal_weight_tie_breaks_to_lex_smallest_index():
     cs.add_soft([Lit(Eq(x, BOOL))], 3, origin=1, label="b")
     res = solve_maxsmt(cs)
     assert res.falsified == (0,)
+
+
+@pytest.mark.parametrize("weight", [0, -1])
+def test_a_soft_clause_weighs_at_least_one(weight):
+    # with a clause that costs nothing to drop, a least-cost set need not
+    # be a minimal correction set, which the hitting-set search's optimum
+    # and tie-break rest on
+    cs = ClauseSet()
+    x = cs.tvar(("var", "x"))
+    with pytest.raises(ValueError, match="at least 1"):
+        cs.add_soft([Lit(Eq(x, INT))], weight, origin=0, label="a")
+    assert cs.clauses == []
 
 
 def test_hard_clauses_are_never_falsified():
@@ -747,8 +811,11 @@ def _count_asserts(monkeypatch):
 # reference's type to its variable's: 37 / 98 / 277 / 842 / 2,256 / 5,256 /
 # 11,400 with them. A failed search names its own core, and a child whose
 # explanation leaves out its branch's clause refutes the branch: 32 / 93 /
-# 272 / 837 / 2,251 / 5,251 / 11,395 when QuickXplain shrank each core
-_DUPLICATE_NODES = {2: 9, 3: 27, 4: 50, 5: 86, 6: 138, 7: 209, 8: 302}
+# 272 / 837 / 2,251 / 5,251 / 11,395 when QuickXplain shrank each core.
+# The best-first hitting-set search makes fewer searches than the
+# depth-first one, which dropped each core's cheapest clause first and
+# whose figures `_DEPTH_FIRST_DUPLICATES` keeps as upper bounds
+_DUPLICATE_NODES = {2: 8, 3: 19, 4: 39, 5: 71, 6: 118, 7: 183, 8: 269}
 # literals asserted with each search extending a base; re-asserting every
 # unit clause in every solve took 209 / 358 / 728 / 1,593 / 3,411 / 6,928 /
 # 13,667, and 90 / 168 / 383 / 1,008 / 2,495 / 5,596 / 11,842 without the
@@ -761,19 +828,24 @@ _DUPLICATE_NODES = {2: 9, 3: 27, 4: 50, 5: 86, 6: 138, 7: 209, 8: 302}
 # reference is now typed by its variable: 178 / 258 / 475 / 1,102 / 2,591 /
 # 5,694 / 11,942 with them. 134 / 214 / 431 / 1,058 / 2,547 / 5,650 /
 # 11,898 when QuickXplain shrank each core
-_DUPLICATE_ASSERTS = {2: 100, 3: 147, 4: 194, 5: 261, 6: 351, 7: 467,
-                      8: 612}
+_DUPLICATE_ASSERTS = {2: 92, 3: 120, 4: 166, 5: 234, 6: 328, 7: 452,
+                      8: 610}
 # disequalities resolved, each step checking only those it can break;
 # re-checking every stored one after every step resolved 28 / 154 / 668 /
 # 2,711 / 9,032 / 25,067 / 63,518, and 20 / 68 / 216 / 690 / 1,925 / 4,591
 # / 10,129 without the whole-set search, 21 / 69 / 217 / 691 / 1,926 /
 # 4,592 / 10,130 without the kept-set search, 22 / 71 / 220 / 695 / 1,931
 # / 4,598 / 10,137 when QuickXplain shrank each core
-_DUPLICATE_DISEQ_CHECKS = {2: 6, 3: 22, 4: 43, 5: 77, 6: 127, 7: 196,
-                           8: 287}
+_DUPLICATE_DISEQ_CHECKS = {2: 5, 3: 15, 4: 34, 5: 65, 6: 111, 7: 175,
+                           8: 260}
 # the searches between the search of the hard clauses and that of the kept
 # clauses: the hitting-set search's
-_DUPLICATE_SOLVES = {2: 7, 3: 11, 4: 14, 5: 18, 6: 23, 7: 29, 8: 36}
+_DUPLICATE_SOLVES = {2: 6, 3: 8, 4: 11, 5: 15, 6: 20, 7: 26, 8: 33}
+# (solves, nodes, asserts, disequality checks) of the depth-first search
+_DEPTH_FIRST_DUPLICATES = {
+    2: (7, 9, 100, 6), 3: (11, 27, 147, 22), 4: (14, 50, 194, 43),
+    5: (18, 86, 261, 77), 6: (23, 138, 351, 127), 7: (29, 209, 467, 196),
+    8: (36, 302, 612, 287)}
 
 
 @pytest.mark.parametrize("k, quickxplain_solves, falsified", [
@@ -808,6 +880,10 @@ def test_duplicate_declarations_cost_pinned_solves(
     assert nodes[0] == _DUPLICATE_NODES[k]
     assert len(asserted) == _DUPLICATE_ASSERTS[k]
     assert diseq_checks[0] == _DUPLICATE_DISEQ_CHECKS[k]
+    depth_first = _DEPTH_FIRST_DUPLICATES[k]
+    assert all(got < bound for got, bound in zip(
+        (len(calls) - 2, nodes[0], len(asserted), diseq_checks[0]),
+        depth_first)), depth_first
 
 
 def _chain_cost(monkeypatch, family, n):
@@ -833,8 +909,9 @@ def _chain_cost(monkeypatch, family, n):
 # the whole set fails takes the place of the conflicting component's
 # root-node search of its hard base, but builds a base of its own. Typing
 # a variable reference by its variable saved two nodes more. QuickXplain
-# then paid about 2k log2(n/k) searches for the core of the chain's spine
-_FIRST_TERM_WRONG = {50: (11, 10), 100: (11, 10), 200: (11, 10)}
+# then paid about 2k log2(n/k) searches for the core of the chain's spine,
+# and the depth-first hitting-set search (11, 10) at every size
+_FIRST_TERM_WRONG = {50: (8, 7), 100: (8, 7), 200: (8, 7)}
 
 
 @pytest.mark.parametrize("n, quickxplain_searches, quickxplain_nodes", [
@@ -845,11 +922,13 @@ def test_a_chain_whose_first_term_is_wrong_costs_pinned_nodes(
     searches, nodes = _chain_cost(monkeypatch, "first-term-wrong", n)
     assert (searches, nodes) == _FIRST_TERM_WRONG[n]
     assert searches < quickxplain_searches and nodes < quickxplain_nodes
+    assert searches < 11 and nodes < 10
 
 
 # the same for a chain whose second `+` is a `|`, which makes both halves
-# bit-vectors against their `int` terms
-_ONE_BAR = {10: (20, 19), 20: (20, 19), 40: (20, 19)}
+# bit-vectors against their `int` terms; (20, 19) at every size for the
+# depth-first hitting-set search
+_ONE_BAR = {10: (8, 7), 20: (8, 7), 40: (8, 7)}
 
 
 @pytest.mark.parametrize("n, quickxplain_searches, quickxplain_nodes", [
@@ -860,6 +939,7 @@ def test_a_chain_with_one_bar_costs_pinned_nodes(
     searches, nodes = _chain_cost(monkeypatch, "one-bar", n)
     assert (searches, nodes) == _ONE_BAR[n]
     assert searches < quickxplain_searches and nodes < quickxplain_nodes
+    assert searches < 20 and nodes < 19
 
 
 def test_a_component_asserts_each_hard_unit_once(monkeypatch):
@@ -868,7 +948,7 @@ def test_a_component_asserts_each_hard_unit_once(monkeypatch):
     # times over many searches, all on one hard base, which none searches
     # alone. Without `h` the component has no hard unit, and took 55
     # searches (56 when the root node did); with it, 64 when QuickXplain
-    # shrank each core
+    # shrank each core and 10 while the hitting-set search was depth first
     source = _duplicates_source(4).replace(
         "        self.flag = bool\n",
         "        self.flag = bool\n        self.h = ??\n", 1)
@@ -878,7 +958,7 @@ def test_a_component_asserts_each_hard_unit_once(monkeypatch):
     calls = _count_solves(monkeypatch)
     asserted = _count_asserts(monkeypatch)
     assert len(maxsmt._solve_component(comp)[0]) == 3
-    assert (len(calls), len(hard_units)) == (10, 1)
+    assert (len(calls), len(hard_units)) == (7, 1) and len(calls) < 10
     assert [sum(l is u for l in asserted) for u in hard_units] == \
         [1] * len(hard_units)
 
@@ -924,11 +1004,12 @@ def test_a_known_core_is_branched_on_without_a_solve(monkeypatch):
     assert (res.falsified, res.cost) == ((1, 3), 2)
     # the first core is {x = int, x = bool}; dropping x = int finds the
     # second, {y = int, y = bool}; dropping x = bool then branches on the
-    # second without solving x = int, y = int, y = bool
+    # second without solving x = int, y = int, y = bool; the cheapest node
+    # after it, dropping x = int and y = int, holds and is the answer
     assert [tuple(c.index for c in core) for core, _ in cores] == \
         [(1, 2), (3, 4)]
     assert (0, 1, 3, 4) not in calls
-    assert (0, 1, 4) in calls
+    assert calls[2:] == [(0, 1, 2, 3, 4), (0, 2, 3, 4), (0, 2, 4), (0, 2, 4)]
 
 
 # ---------------------------------------------------------------------------
@@ -994,6 +1075,8 @@ def _solve_all(cs):
 
 
 def _determined_ref(th, t):
+    """The unique value of `t`: None if it reaches a root that its record
+    does not pin to one scalar."""
     t = th.resolve(t)
     if isinstance(t, TVar):
         ctors = th.record.get(t.tid, (frozenset(),))[0]
@@ -1005,15 +1088,25 @@ def _determined_ref(th, t):
     return t
 
 
+def _settled_ref(th, t):
+    """`t` resolved deep, with each root that its record pins to one scalar
+    replaced by that scalar and every other root left as itself."""
+    t = th.resolve(t)
+    if isinstance(t, TVar):
+        ctors = th.record.get(t.tid, (frozenset(),))[0]
+        return {frozenset({"int"}): INT, frozenset({"bool"}): BOOL,
+                frozenset({"real"}): REAL}.get(ctors, t)
+    if isinstance(t, ArrayType):
+        return ArrayType(_settled_ref(th, t.index), _settled_ref(th, t.elem))
+    return t
+
+
 def _diseqs_hold(th):
-    """Reference: every stored disequality checked from scratch."""
-    for a, b in th.diseqs:
-        if th.resolve_deep(a) == th.resolve_deep(b):
-            return False
-        da = _determined_ref(th, a)
-        if da is not None and da == _determined_ref(th, b):
-            return False
-    return True
+    """Reference: every stored disequality checked from scratch. Its sides
+    fail when they settle to one term, since no value of the roots left
+    free can then tell them apart."""
+    return all(_settled_ref(th, a) != _settled_ref(th, b)
+               for a, b in th.diseqs)
 
 
 def test_incremental_diseq_check_raises_exactly_when_a_full_recheck_would(
@@ -1103,10 +1196,9 @@ def _two_walk_solution(th, tids):
         def value(r):
             if r == root:
                 return val
-            return values[r] if r in values else th.pinned(r)
+            return values[r] if r in values else _settled_ref(th, TVar(r))
 
-        return any(th.ground(a, value) is not None
-                   and th.ground(a, value) == th.ground(b, value)
+        return any(th.ground(a, value) == th.ground(b, value)
                    for a, b in th.diseqs)
 
     def value_of(root):
@@ -1116,7 +1208,7 @@ def _two_walk_solution(th, tids):
         return values[root]
 
     model = {tid: th.ground(TVar(tid), value_of) for tid in sorted(tids)}
-    forced = {tid: th.ground(TVar(tid), th.pinned) for tid in tids}
+    forced = {tid: _determined_ref(th, TVar(tid)) for tid in tids}
     return model, {tid: v for tid, v in forced.items() if v is not None}
 
 
@@ -1222,9 +1314,9 @@ def test_a_solve_walks_one_theory_once(monkeypatch):
                           ] * walks
 
 
-def _workload_round_sets(monkeypatch):
+def _workload_round_sets(monkeypatch, seeds=(0, 1, 2)):
     """Every clause set `repair_round` solves when `run_pipeline` runs
-    the three benchmark workloads' items at seeds 0-2."""
+    the three benchmark workloads' items at `seeds`."""
     sets = []
 
     def recording(cs):
@@ -1235,7 +1327,7 @@ def _workload_round_sets(monkeypatch):
                         lambda program, weight_mode: repair_round(
                             program, weight_mode, solver=recording))
     for workload in workloads.WORKLOADS:
-        for seed in (0, 1, 2):
+        for seed in seeds:
             for item in workloads.pool(workload, seed, SUITE):
                 backend = (ReplayBackend.from_file(item.transcript)
                            if item.transcript
@@ -1248,13 +1340,19 @@ def test_whole_set_solve_equals_the_component_loop_on_workload_rounds(
         monkeypatch):
     sets = _workload_round_sets(monkeypatch)
     monkeypatch.undo()
-    satisfiable = 0
+    calls = _count_solves(monkeypatch)
+    satisfiable = searches = 0
     for cs in sets:
-        assert _fields(solve_maxsmt, cs) == _fields(_by_components, cs)
+        before = len(calls)
+        got = _fields(solve_maxsmt, cs)
+        searches += len(calls) - before
+        assert got == _fields(_by_components, cs)
         satisfiable += _solve(cs.clauses) is not None
-    # 147 of 183 sets hold when this was written
+    # 147 of 183 sets hold when this was written. The solves search 615
+    # times, 687 while the hitting-set search was depth first
     assert satisfiable >= 100 and len(sets) - satisfiable >= 20, \
         (satisfiable, len(sets))
+    assert searches == 615
 
 
 def test_every_base_the_hitting_set_search_is_given_holds(monkeypatch):
@@ -1295,16 +1393,20 @@ def test_every_base_the_hitting_set_search_is_given_holds(monkeypatch):
     for cs in _solver_corpus():
         _solve_all(cs)
     corpus = checked()
-    sets = len(_workload_round_sets(monkeypatch))
+    sets = len(_workload_round_sets(monkeypatch, range(6)))
     rounds = checked()
-    for family, sizes in (("first-term-wrong", _FIRST_TERM_WRONG),
-                          ("one-bar", _ONE_BAR)):
-        for n in sizes:
+    # each family at the sizes that either is pinned at
+    for family in ("first-term-wrong", "one-bar"):
+        for n in (*_FIRST_TERM_WRONG, *_ONE_BAR):
             run_pipeline("Sum a chain.", MockBackend([chain_draft(family, n)]),
                          max_llm_calls=1)
     chains = checked()
     # (components, cores) were (296, 850), (243, 165) and (6, 33), over
-    # 183 round sets, when this was written
+    # the 183 round sets of seeds 0-2 and the chains at their pinned sizes,
+    # while the hitting-set search was depth first. Best-first finds 117
+    # cores on those round sets and 18 on those chains, so the rounds of
+    # seeds 3-5 join them, and each family runs at the other's sizes too:
+    # (296, 864), (486, 234) over 366 round sets, and (12, 36)
     assert corpus[0] >= 250 and corpus[1] >= 700, corpus
     assert rounds[0] >= 100 and rounds[1] >= 130 and sets >= 150, \
         (rounds, sets)
