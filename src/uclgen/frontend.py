@@ -121,8 +121,9 @@ def extract_code(llm_response: str) -> str:
 
 class Tok(NamedTuple):
     kind: str  # NAME, INT, FLOAT, STR, OP, HOLE
-    value: str
-    pos: int  # byte offset into the source
+    value: str  # a string's is unquoted and unescaped
+    pos: int  # offset into the source where the token starts
+    end: int  # offset just past it, a string's closing quote included
 
 
 # One token per match: a match first passes over blanks and a `#`
@@ -215,7 +216,7 @@ def _logical_lines(source: str) -> list[_Line]:
                 elif depth == 0 and assign is None and value in _ASSIGN_OPS:
                     assign = len(toks)
             if kind != "NL":
-                toks.append(Tok(kind, value, at))
+                toks.append(Tok(kind, value, at, end))
         out.append(_Line(indent, toks, Span(start, at), bad, assign))
         start = at + 1
     return out
@@ -271,7 +272,7 @@ class _ExprParser:
 
     def expect(self, value: str) -> Tok:
         t = self.next()
-        if t.value != value:
+        if t.value != value or t.kind not in ("OP", "NAME"):
             raise _ParseFail(f"expected {value!r}, got {t.value!r}")
         return t
 
@@ -281,7 +282,7 @@ class _ExprParser:
 
     def span_from(self, tok: Tok) -> Span:
         end = self.toks[self.i - 1] if self.i > 0 else tok
-        return Span(tok.pos, end.pos + len(end.value))
+        return Span(tok.pos, end.end)
 
     def parse(self) -> PNode:
         return self.ternary()
@@ -387,7 +388,7 @@ class _ExprParser:
 
     def atom(self) -> PNode:
         t = self.next()
-        sp = Span(t.pos, t.pos + len(t.value))
+        sp = Span(t.pos, t.end)
         if t.kind == "HOLE":
             return PNode("hole", span=sp)
         if t.kind == "INT":
@@ -395,7 +396,7 @@ class _ExprParser:
         if t.kind == "FLOAT":
             return PNode("float", text=t.value, span=sp)
         if t.kind == "STR":
-            return PNode("str", text=t.value, span=Span(t.pos, t.pos + len(t.value) + 2))
+            return PNode("str", text=t.value, span=sp)
         if t.kind == "NAME":
             if t.value in ("True", "False"):
                 return PNode("bool", text=t.value, span=sp)

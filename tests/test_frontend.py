@@ -308,6 +308,30 @@ def test_prune_report_lines_are_one_based():
     assert [h["line"] for h in got["holes_inserted"]] == [4, 6]
 
 
+@pytest.mark.parametrize("rhs", ['(self.x ")"', 'self.a[self.i "]"'],
+                         ids=["paren", "subscript"])
+def test_a_string_literal_closes_no_bracket(rhs):
+    src = f"class M(Module):\n    def next(self):\n        self.y = {rhs}\n"
+    p, rep = pruned(src)
+    assert [type(s) for s in p.next_body] == [HoleStmt]
+    assert rep.to_dict()["dropped"] == [{"line": 3, "reason": "unparseable"}]
+
+
+@pytest.mark.parametrize("literal", [r'"ab\"c"', '"""ab"""'],
+                         ids=["escape", "triple"])
+def test_a_string_literal_span_ends_past_its_closing_quote(literal):
+    src = f"self.y == {literal}\n"
+    end = len(src) - 1
+    (stmt,) = parse_tolerant(src).root.children
+    assert [(n.kind, n.span) for n, _ in iter_nodes(stmt)] == [
+        ("expr_stmt", Span(0, end)),
+        ("binop", Span(0, end)),
+        ("attr", Span(0, 6)),
+        ("name", Span(0, 4)),
+        ("str", Span(10, end)),
+    ]
+
+
 def test_prune_value_declaration_is_kept_as_decl_value():
     src = (
         "class M(Module):\n"
