@@ -17,7 +17,6 @@ from __future__ import annotations
 import copy
 import math
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from decimal import Decimal
 from typing import NamedTuple
@@ -127,24 +126,26 @@ class Tok(NamedTuple):
 
 
 # One token per match: a match first passes over blanks and a `#`
-# comment, then takes the first of these that fits. Only decimal digits
-# make a number. NAME is the identifier pattern, which also admits a
-# leading non-decimal digit such as `²`; the scan rejects that. A quoted
-# string ends on its line; an unterminated triple-quoted one matches
-# OPEN, any other character that starts no token matches BAD, and END
-# matches only at the end of the source, so a match never fails and
-# never backtracks into the blanks.
+# comment, then takes the first of these that fits. NAME comes first, as
+# the commonest token; no other alternative starts with a word character
+# that is not a decimal digit, so its place changes no match. Only
+# decimal digits make a number. NAME is the identifier pattern, which
+# also admits a leading non-decimal digit such as `²`; the scan rejects
+# that. A quoted string ends on its line; an unterminated triple-quoted
+# one matches OPEN, any other character that starts no token matches BAD,
+# and END matches only at the end of the source, so a match never fails
+# and never backtracks into the blanks.
 _TOKEN_RE = re.compile(
     r"""
     [ \t\r]*(?:\#[^\n]*)?
     (?:
-      (?P<NL>\n)
+      (?P<NAME>""" + IDENTIFIER_PATTERN + r""")
+    | (?P<NL>\n)
     | (?P<TRIPLE>'{3}.*?'{3}|"{3}.*?"{3})
     | (?P<OPEN>'{3}|"{3})
     | (?P<QUOTED>'(?:[^'\\\n]|\\[^\n])*'|"(?:[^"\\\n]|\\[^\n])*")
     | (?P<FLOAT>\d*\.\d+)
     | (?P<INT>\d+)
-    | (?P<NAME>""" + IDENTIFIER_PATTERN + r""")
     | (?P<HOLE>\?\?)
     | (?P<OP>\*\*=|//=|==|!=|<=|>=|<<|>>|//|\*\*|\+=|-=|\*=|/=|%=|&=|\|=|\^=|->
             |[()\[\]{}:,.=+\-*/%<>&|^~@;])
@@ -156,7 +157,9 @@ _TOKEN_RE = re.compile(
 )
 _ESCAPE_RE = re.compile(r"\\(.)")
 
-_ASSIGN_OPS = ("=", "+=", "-=", "*=", "/=", "//=", "%=", "&=", "|=", "^=")
+_ASSIGN_OPS = frozenset(
+    ("=", "+=", "-=", "*=", "/=", "//=", "%=", "&=", "|=", "^="))
+_BRACKETS = {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}
 
 
 @dataclass
@@ -181,6 +184,7 @@ def _logical_lines(source: str) -> list[_Line]:
     the rest of the source one bad line."""
     out: list[_Line] = []
     finditer = _TOKEN_RE.finditer
+    new = tuple.__new__  # a Tok without the NamedTuple constructor's frame
     start = 0
     while start <= len(source):
         text = source[start : _line_end(source, start)]
@@ -191,32 +195,44 @@ def _logical_lines(source: str) -> list[_Line]:
         lead = text[: len(text) - len(text.lstrip(" \t"))]
         indent = len(lead) + 3 * lead.count("\t")  # a tab counts as four
         toks: list[Tok] = []
+        append = toks.append
         depth, assign, bad = 0, None, False
         # every line ends in a break: END matches at the end of the source
         for m in finditer(source, start):
             kind = m.lastgroup
-            at, end = m.span(m.lastindex)
-            if kind == "END" or (kind == "NL" and depth <= 0):
+            at, end = m.start(kind), m.end()
+            if kind == "NAME":
+                # an ASCII word character that starts a NAME is a letter or
+                # `_`; only another character needs the identifier test
+                if source[at] >= "\x80" and not identifier_head(source[at]):
+                    toks, assign, bad = [], None, True
+                    at = _line_end(source, at)
+                    break
+                append(new(Tok, ("NAME", source[at:end], at, end)))
+            elif kind == "OP":
+                value = source[at:end]
+                step = _BRACKETS.get(value)
+                if step is not None:
+                    depth += step
+                elif depth == 0 and assign is None and value in _ASSIGN_OPS:
+                    assign = len(toks)
+                append(new(Tok, ("OP", value, at, end)))
+            elif kind == "NL":
+                if depth <= 0:
+                    break
+            elif kind == "END":
                 break
-            if kind in ("OPEN", "BAD") or (
-                    kind == "NAME" and not identifier_head(source[at])):
+            elif kind == "OPEN" or kind == "BAD":
                 toks, assign, bad = [], None, True
                 at = len(source) if kind == "OPEN" else _line_end(source, at)
                 break
-            value = source[at:end]
-            if kind == "TRIPLE":
-                kind, value = "STR", value[3:-3]
+            elif kind == "TRIPLE":
+                append(new(Tok, ("STR", source[at + 3 : end - 3], at, end)))
             elif kind == "QUOTED":
-                kind, value = "STR", _ESCAPE_RE.sub(r"\1", value[1:-1])
-            elif kind == "OP":
-                if value in ("(", "[", "{"):
-                    depth += 1
-                elif value in (")", "]", "}"):
-                    depth -= 1
-                elif depth == 0 and assign is None and value in _ASSIGN_OPS:
-                    assign = len(toks)
-            if kind != "NL":
-                toks.append(Tok(kind, value, at, end))
+                value = _ESCAPE_RE.sub(r"\1", source[at + 1 : end - 1])
+                append(new(Tok, ("STR", value, at, end)))
+            else:  # INT, FLOAT, HOLE
+                append(new(Tok, (kind, source[at:end], at, end)))
         out.append(_Line(indent, toks, Span(start, at), bad, assign))
         start = at + 1
     return out
@@ -246,6 +262,9 @@ _BINOPS = {
     "*": ("*", 10), "/": ("div", 10), "//": ("div", 10), "%": ("mod", 10),
 }
 _NOT_PREC = 3
+_PREC = {surface: prec for surface, (_, prec) in _BINOPS.items()}
+_KEYWORDS = frozenset(("if", "else", "and", "or", "not", "in", "is"))
+_LITERAL_ATOMS = {"INT": "int", "FLOAT": "float", "STR": "str"}
 
 # The deepest nesting of parentheses, subscripts, call arguments,
 # conditional expressions and prefix operators accepted in one line. A
@@ -253,171 +272,172 @@ _NOT_PREC = 3
 # default recursion limit; a deeper line becomes an error node.
 MAX_NESTING = 100
 
+# The token after an expression's last. It fails every kind test, so the
+# parser reads the token list by index with no bound check, and an atom
+# in its place is the end of the line.
+_END = Tok("END", "", -1, -1)
+
 
 class _ExprParser:
+    """Precedence climbing over `toks`, which ends in `_END`. `i` is the
+    next token, and `depth` the nesting levels open."""
+
     def __init__(self, toks: list[Tok]):
         self.toks = toks
         self.i = 0
         self.depth = 0
 
-    def peek(self) -> Tok | None:
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
-    def next(self) -> Tok:
-        t = self.peek()
-        if t is None:
-            raise _ParseFail("unexpected end of line")
-        self.i += 1
-        return t
-
-    def expect(self, value: str) -> Tok:
-        t = self.next()
-        if t.value != value or t.kind not in ("OP", "NAME"):
-            raise _ParseFail(f"expected {value!r}, got {t.value!r}")
-        return t
-
-    def at(self, value: str) -> bool:
-        t = self.peek()
-        return t is not None and t.value == value and t.kind in ("OP", "NAME")
-
-    def span_from(self, tok: Tok) -> Span:
-        end = self.toks[self.i - 1] if self.i > 0 else tok
-        return Span(tok.pos, end.end)
-
-    def parse(self) -> PNode:
-        return self.ternary()
-
-    @contextmanager
-    def _nested(self):
-        """Parse the body one nesting level down. A failed parse is
-        abandoned as a whole, so the level is only left on success."""
+    def _down(self) -> None:
+        """Enter one nesting level; the caller leaves it by lowering
+        `depth` after parsing the body. A failed parse is abandoned as a
+        whole, so the level is only left on success."""
         if self.depth == MAX_NESTING:
             raise _ParseFail(
                 f"expression nested deeper than {MAX_NESTING} levels")
         self.depth += 1
-        yield
-        self.depth -= 1
+
+    def expect(self, value: str) -> Tok:
+        t = self.toks[self.i]
+        if t.value != value or t.kind not in ("OP", "NAME"):
+            raise _ParseFail(f"expected {value!r}, got {t.kind} {t.value!r}")
+        self.i += 1
+        return t
 
     def ternary(self) -> PNode:
-        start = self.peek()
-        body = self.binary()
-        if self.at("if"):
-            self.next()
-            cond = self.binary()
-            self.expect("else")
-            with self._nested():
-                other = self.ternary()
-            return PNode("ifexp", (body, cond, other), span=self.span_from(start))
-        return body
+        toks = self.toks
+        start = toks[self.i]
+        body = self.binary(1)
+        t = toks[self.i]
+        if t.value != "if" or t.kind != "NAME":
+            return body
+        self.i += 1
+        cond = self.binary(1)
+        self.expect("else")
+        self._down()
+        other = self.ternary()
+        self.depth -= 1
+        return PNode("ifexp", (body, cond, other), "",
+                     Span(start.pos, toks[self.i - 1].end))
 
-    def binary(self, min_prec: int = 1) -> PNode:
-        """Precedence climbing over `_BINOPS`: operands bind to operators
-        of at least `min_prec`; equal levels associate to the left."""
-        start = self.peek()
-        if min_prec <= _NOT_PREC and self.at("not"):
-            self.next()
-            with self._nested():
-                operand = self.binary(_NOT_PREC)
-            node = PNode("unop", (operand,), "not", span=self.span_from(start))
+    def binary(self, min_prec: int) -> PNode:
+        """Operands bind to operators of at least `min_prec`; equal levels
+        associate to the left."""
+        toks = self.toks
+        start = toks[self.i]
+        if min_prec <= _NOT_PREC and start.value == "not" \
+                and start.kind == "NAME":
+            self.i += 1
+            self._down()
+            operand = self.binary(_NOT_PREC)
+            self.depth -= 1
+            node = PNode("unop", (operand,), "not",
+                         Span(start.pos, toks[self.i - 1].end))
         else:
             node = self.unary()
         while True:
-            t = self.peek()
-            if t is None or t.kind not in ("OP", "NAME"):
+            t = toks[self.i]
+            # a string's value may spell an operator; no other kind's can
+            prec = _PREC.get(t.value, 0)
+            if prec < min_prec or t.kind == "STR":
                 return node
-            prec = _BINOPS.get(t.value, (None, 0))[1]
-            if prec < min_prec:
-                return node
-            self.next()
+            self.i += 1
             rhs = self.binary(prec + 1)
-            node = PNode("binop", (node, rhs), t.value, span=self.span_from(start))
+            node = PNode("binop", (node, rhs), t.value,
+                         Span(start.pos, toks[self.i - 1].end))
 
     def unary(self) -> PNode:
-        t = self.peek()
-        if t is not None and t.kind == "OP" and t.value in ("-", "+", "~"):
-            self.next()
-            with self._nested():
-                operand = self.unary()
-            if t.value == "+":
-                return operand
-            return PNode("unop", (operand,), t.value, span=self.span_from(t))
-        return self.postfix()
+        t = self.toks[self.i]
+        if t.kind != "OP" or t.value not in ("-", "+", "~"):
+            return self.postfix()
+        self.i += 1
+        self._down()
+        operand = self.unary()
+        self.depth -= 1
+        if t.value == "+":
+            return operand
+        return PNode("unop", (operand,), t.value,
+                     Span(t.pos, self.toks[self.i - 1].end))
 
     def postfix(self) -> PNode:
+        toks = self.toks
         node = self.atom()
         while True:
-            t = self.peek()
-            if t is None or t.kind != "OP":
+            t = toks[self.i]
+            if t.kind != "OP":
                 return node
             if t.value == ".":
-                self.next()
-                name = self.next()
+                name = toks[self.i + 1]
                 if name.kind != "NAME":
                     raise _ParseFail("expected attribute name")
-                node = PNode(
-                    "attr", (node,), name.value,
-                    span=Span(node.span.start, name.pos + len(name.value)),
-                )
+                self.i += 2
+                node = PNode("attr", (node,), name.value,
+                             Span(node.span.start, name.end))
             elif t.value == "(":
-                self.next()
+                self.i += 1
+                self._down()
                 args = []
-                with self._nested():
-                    if not self.at(")"):
-                        args.append(self.parse())
-                        while self.at(","):
-                            self.next()
-                            if self.at(")"):
-                                break
-                            args.append(self.parse())
+                t = toks[self.i]
+                if t.value != ")" or t.kind != "OP":
+                    args.append(self.ternary())
+                    while (t := toks[self.i]).value == "," and t.kind == "OP":
+                        self.i += 1
+                        t = toks[self.i]
+                        if t.value == ")" and t.kind == "OP":
+                            break
+                        args.append(self.ternary())
+                self.depth -= 1
                 close = self.expect(")")
-                node = PNode(
-                    "call", (node, *args), "",
-                    span=Span(node.span.start, close.pos + 1),
-                )
+                node = PNode("call", (node, *args), "",
+                             Span(node.span.start, close.end))
             elif t.value == "[":
-                self.next()
-                with self._nested():
-                    idx = self.parse()
+                self.i += 1
+                self._down()
+                idx = self.ternary()
+                self.depth -= 1
                 close = self.expect("]")
-                node = PNode(
-                    "subscript", (node, idx), "",
-                    span=Span(node.span.start, close.pos + 1),
-                )
+                node = PNode("subscript", (node, idx), "",
+                             Span(node.span.start, close.end))
             else:
                 return node
 
     def atom(self) -> PNode:
-        t = self.next()
-        sp = Span(t.pos, t.end)
-        if t.kind == "HOLE":
-            return PNode("hole", span=sp)
-        if t.kind == "INT":
-            return PNode("int", text=t.value, span=sp)
-        if t.kind == "FLOAT":
-            return PNode("float", text=t.value, span=sp)
-        if t.kind == "STR":
-            return PNode("str", text=t.value, span=sp)
-        if t.kind == "NAME":
-            if t.value in ("True", "False"):
-                return PNode("bool", text=t.value, span=sp)
-            if t.value in ("if", "else", "and", "or", "not", "in", "is"):
+        t = self.toks[self.i]
+        kind = t.kind
+        if kind == "NAME":
+            if t.value in _KEYWORDS:
                 raise _ParseFail(f"keyword {t.value!r} in atom position")
-            return PNode("name", text=t.value, span=sp)
-        if t.kind == "OP" and t.value == "(":
-            with self._nested():
-                inner = self.parse()
-            if self.at(","):
+            self.i += 1
+            return PNode("bool" if t.value in ("True", "False") else "name",
+                         (), t.value, Span(t.pos, t.end))
+        if kind in _LITERAL_ATOMS:
+            self.i += 1
+            return PNode(_LITERAL_ATOMS[kind], (), t.value, Span(t.pos, t.end))
+        if kind == "HOLE":
+            self.i += 1
+            return PNode("hole", (), "", Span(t.pos, t.end))
+        if kind == "OP" and t.value == "(":
+            self.i += 1
+            self._down()
+            inner = self.ternary()
+            self.depth -= 1
+            if self.toks[self.i].value == ",":
                 raise _ParseFail("tuple expressions are not supported")
             self.expect(")")
             return inner
+        if kind == "END":
+            raise _ParseFail("unexpected end of line")
         raise _ParseFail(f"unexpected token {t.value!r}")
 
 
-def _parse_expr_tokens(toks: list[Tok]) -> PNode:
-    p = _ExprParser(toks)
-    node = p.parse()
-    if p.peek() is not None:
-        raise _ParseFail(f"trailing tokens after expression: {p.peek().value!r}")
+def _parse_expr_tokens(toks: list[Tok], lo: int = 0,
+                       hi: int | None = None) -> PNode:
+    """The expression `toks[lo:hi]`, which must be all of it."""
+    seq = toks[lo:hi]
+    seq.append(_END)
+    p = _ExprParser(seq)
+    node = p.ternary()
+    if seq[p.i] is not _END:
+        raise _ParseFail(f"trailing tokens after expression: {seq[p.i].value!r}")
     return node
 
 
@@ -429,6 +449,12 @@ def _parse_expr_tokens(toks: list[Tok]) -> PNode:
 # level costs about four Python frames on top of a line's expression
 # nesting; an opener past it becomes an error node covering its body.
 MAX_BLOCK_NESTING = 80
+
+# the keywords that start a line other than an assignment or expression
+_LINE_KEYWORDS = frozenset((
+    "class", "def", "if", "elif", "else", "assert", "return", "pass",
+    "import", "from",
+))
 
 
 class _BlockParser:
@@ -499,42 +525,45 @@ class _BlockParser:
         line = self.lines[i]
         toks = line.toks
         head = toks[0]
-        if head.kind == "NAME" and head.value in ("class", "def"):
-            return self._parse_def_like(i, head.value)
-        if head.kind == "NAME" and head.value in ("if", "elif"):
-            return self._parse_cond_block(i, head.value)
-        if head.kind == "NAME" and head.value == "else":
-            if len(toks) != 2 or toks[1].value != ":":
-                raise _ParseFail("malformed else")
-            body, j = self.parse_block(i + 1, self._body_indent(i))
-            return PNode("else", (self._block(body, line.span),), span=line.span), j
-        if head.kind == "NAME" and head.value == "assert":
-            expr = _parse_expr_tokens(toks[1:])
-            return PNode("assert_stmt", (expr,), span=line.span), i + 1
-        if head.kind == "NAME" and head.value == "return":
-            if len(toks) == 1:
-                return PNode("return", span=line.span), i + 1
-            expr = _parse_expr_tokens(toks[1:])
-            return PNode("return", (expr,), span=line.span), i + 1
-        if head.kind == "NAME" and head.value == "pass":
-            if len(toks) != 1:
-                raise _ParseFail("malformed pass")
-            return PNode("pass", span=line.span), i + 1
-        if head.kind == "NAME" and head.value in ("import", "from"):
-            return PNode("import", text=self._line_text(line), span=line.span), i + 1
+        span = line.span
+        kw = head.value if head.kind == "NAME" else None
+        if kw in _LINE_KEYWORDS:
+            if kw == "class" or kw == "def":
+                return self._parse_def_like(i, kw)
+            if kw == "if" or kw == "elif":
+                return self._parse_cond_block(i, kw)
+            if kw == "else":
+                if len(toks) != 2 or toks[1].value != ":":
+                    raise _ParseFail("malformed else")
+                body, j = self.parse_block(i + 1, self._body_indent(i))
+                return PNode("else", (self._block(body, span),), "", span), j
+            if kw == "assert":
+                expr = _parse_expr_tokens(toks, 1)
+                return PNode("assert_stmt", (expr,), "", span), i + 1
+            if kw == "return":
+                if len(toks) == 1:
+                    return PNode("return", (), "", span), i + 1
+                expr = _parse_expr_tokens(toks, 1)
+                return PNode("return", (expr,), "", span), i + 1
+            if kw == "pass":
+                if len(toks) != 1:
+                    raise _ParseFail("malformed pass")
+                return PNode("pass", (), "", span), i + 1
+            # import, from
+            return PNode("import", (), self._line_text(line), span), i + 1
         if head.kind == "STR" and len(toks) == 1:
-            return PNode("docstring", text=head.value, span=line.span), i + 1
+            return PNode("docstring", (), head.value, span), i + 1
         # assignment, augmented assignment, or expression statement
         idx = line.assign
         if idx is not None:
             opval = toks[idx].value
-            lhs = _parse_expr_tokens(toks[:idx])
-            rhs = _parse_expr_tokens(toks[idx + 1 :])
+            lhs = _parse_expr_tokens(toks, 0, idx)
+            rhs = _parse_expr_tokens(toks, idx + 1)
             if opval == "=":
-                return PNode("assign", (lhs, rhs), span=line.span), i + 1
-            return PNode("augassign", (lhs, rhs), opval, span=line.span), i + 1
+                return PNode("assign", (lhs, rhs), "", span), i + 1
+            return PNode("augassign", (lhs, rhs), opval, span), i + 1
         expr = _parse_expr_tokens(toks)
-        return PNode("expr_stmt", (expr,), span=line.span), i + 1
+        return PNode("expr_stmt", (expr,), "", span), i + 1
 
     def _line_text(self, line: _Line) -> str:
         return self.source[line.span.start : line.span.end].strip()
@@ -574,7 +603,7 @@ class _BlockParser:
         toks = line.toks
         if toks[-1].value != ":":
             raise _ParseFail(f"malformed {kw}")
-        cond = _parse_expr_tokens(toks[1:-1])
+        cond = _parse_expr_tokens(toks, 1, -1)
         body, j = self.parse_block(i + 1, self._body_indent(i))
         return PNode(kw, (cond, self._block(body, line.span)), span=line.span), j
 
