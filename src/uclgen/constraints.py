@@ -100,6 +100,11 @@ class Eq:
 #: constructor names for tester atoms
 CTORS = ("bool", "int", "real", "bv", "enum", "arr")
 
+#: every non-empty tuple of constructor names in `CTORS` order
+_CTOR_TUPLES = frozenset(
+    tuple(c for k, c in enumerate(CTORS) if mask >> k & 1)
+    for mask in range(1, 1 << len(CTORS)))
+
 
 @dataclass(frozen=True)
 class Tester:
@@ -112,8 +117,7 @@ class Tester:
     term: TypeTerm
 
     def __post_init__(self) -> None:
-        if not self.ctors or self.ctors != tuple(
-                c for c in CTORS if c in self.ctors):
+        if self.ctors not in _CTOR_TUPLES:
             raise ValueError(f"constructors {self.ctors!r} are not a "
                              f"non-empty tuple in the order of {CTORS}")
 
@@ -269,6 +273,7 @@ def eval_clause(clause: Clause, assignment: dict[int, TypeTerm]) -> bool:
 # ---------------------------------------------------------------------------
 
 _NUMERIC = ("int", "real", "bv")
+_LITERAL_TYPES = {BoolLit: BOOL, IntLit: INT, RealLit: REAL}
 
 
 class _Gen:
@@ -278,15 +283,15 @@ class _Gen:
         self.p = program
         self.cs = ClauseSet(walk=iter_nodes(program))
         self.pos = walk_index(self.cs.walk)
-        self.mode = weight_mode
+        # the weight of a soft clause by its origin's position
+        self.weights = ([1 + d for _, d in self.cs.walk]
+                        if weight_mode == "depth" else [1] * len(self.cs.walk))
         self.input_decls: dict[str, Decl] = {}
 
-    def weight(self, origin: int) -> int:
-        return 1 + self.cs.walk[origin][1] if self.mode == "depth" else 1
-
-    def soft(self, lits, origin: Node, label: str) -> None:
+    def soft(self, lits: tuple[Lit, ...], origin: Node, label: str) -> None:
         i = self.pos[id(origin)]
-        self.cs.add_soft(lits, self.weight(i), i, label)
+        clauses = self.cs.clauses
+        clauses.append(Clause(len(clauses), lits, self.weights[i], i, label))
 
     # -- declarations -------------------------------------------------------
 
@@ -322,8 +327,7 @@ class _Gen:
         for stmt in self.p.next_body:
             self._stmt(stmt)
         for _, expr in self.p.invariants_spec:
-            self._expr(expr)
-            self.soft([Lit(Eq(self._t(expr), BOOL))], expr, "S6:spec")
+            self.soft((Lit(Eq(self._expr(expr), BOOL)),), expr, "S6:spec")
         return self.cs
 
     def _act(self, d: Decl) -> TypeTerm:
@@ -331,25 +335,22 @@ class _Gen:
 
     def _decl_clauses(self, d: Decl, key: TVarKey, duplicated: bool,
                       is_input: bool) -> None:
-        guard: list[Lit] = []
+        guard: tuple[Lit, ...] = ()
         if duplicated or is_input:
             act = self._act(d)
-            self.soft([Lit(Eq(act, BOOL))], d, "S1:active")
-            guard = [Lit(Eq(act, BOOL), positive=False)]
+            self.soft((Lit(Eq(act, BOOL)),), d, "S1:active")
+            guard = (Lit(Eq(act, BOOL), positive=False),)
         t_name = self.cs.tvar(key)
         annot = d.annot
         if isinstance(annot, TypeAnnot):
             ty = self._elaborate(annot.ty)
-            self.soft(guard + [Lit(Eq(t_name, ty))], annot, "S2:decl-type")
+            self.soft(guard + (Lit(Eq(t_name, ty)),), annot, "S2:decl-type")
         elif isinstance(annot, HoleType):
             h = self.cs.tvar(("hole", annot.hid))
-            self.cs.add_hard(guard + [Lit(Eq(t_name, h))], "S2:hole-binding")
+            self.cs.add_hard(guard + (Lit(Eq(t_name, h)),), "S2:hole-binding")
         elif isinstance(annot, DeclValue):
-            self._expr(annot.expr)
-            self.soft(
-                guard + [Lit(Eq(t_name, self._t(annot.expr)))],
-                annot, "S2:decl-value",
-            )
+            t = self._expr(annot.expr)
+            self.soft(guard + (Lit(Eq(t_name, t)),), annot, "S2:decl-value")
 
     def _exclusion(self, decls: list[Decl]) -> None:
         for i, a in enumerate(decls):
@@ -372,130 +373,115 @@ class _Gen:
     # -- statements ---------------------------------------------------------
 
     def _stmt(self, s: Stmt) -> None:
-        if isinstance(s, Assign):
-            self._expr(s.lhs)
-            self._expr(s.rhs)
-            self.soft(
-                [Lit(Eq(self._t(s.lhs), self._t(s.rhs)))], s, "S4:assign"
-            )
+        cls = type(s)
+        if cls is Assign:
+            tl = self._expr(s.lhs)
+            tr = self._expr(s.rhs)
+            self.soft((Lit(Eq(tl, tr)),), s, "S4:assign")
             base = s.lhs
-            while isinstance(base, ArraySelect):
+            while type(base) is ArraySelect:
                 base = base.array
-            if isinstance(base, VarRef):
+            if type(base) is VarRef:
                 self._input_write(base.name, s)
-        elif isinstance(s, If):
+        elif cls is If:
             for cond, body in s.arms:
-                self._expr(cond)
-                self.soft([Lit(Eq(self._t(cond), BOOL))], cond, "S6:cond")
+                self.soft((Lit(Eq(self._expr(cond), BOOL)),), cond, "S6:cond")
                 for sub in body:
                     self._stmt(sub)
             for sub in s.orelse:
                 self._stmt(sub)
-        elif isinstance(s, Havoc):
+        elif cls is Havoc:
             self.cs.tvar(("var", s.name))
             self._input_write(s.name, s)
-        elif isinstance(s, (Assume, Assert)):
-            self._expr(s.cond)
-            self.soft([Lit(Eq(self._t(s.cond), BOOL))], s.cond, "S6:cond")
-        elif isinstance(s, HoleStmt):
-            pass
-        else:
+        elif cls is Assume or cls is Assert:
+            self.soft((Lit(Eq(self._expr(s.cond), BOOL)),), s.cond, "S6:cond")
+        elif cls is not HoleStmt:
             raise TypeError(f"unknown statement {s!r}")
 
     def _input_write(self, name: str, origin: Stmt) -> None:
         d = self.input_decls.get(name)
         if d is not None:
-            self.soft([Lit(Eq(self._act(d), BOOL), positive=False)],
+            self.soft((Lit(Eq(self._act(d), BOOL), positive=False),),
                       origin, "S5:input-write")
 
     # -- expressions ---------------------------------------------------------
 
-    def _t(self, e: Expr) -> TVar:
-        if isinstance(e, VarRef):
+    def _expr(self, e: Expr) -> TVar:
+        """Emit the clauses of `e`'s subtree and return `e`'s type
+        variable. A node's variable is made before its children's."""
+        cls = type(e)
+        if cls is VarRef:
             return self.cs.tvar(("var", e.name))
-        return self.cs.tvar(("node", self.pos[id(e)]))
-
-    def _numeric(self, t: TypeTerm, origin: Node, label: str) -> None:
-        self.soft([Lit(Tester(_NUMERIC, t))], origin, label)
-
-    def _expr(self, e: Expr) -> None:
-        t = self._t(e)
-        if isinstance(e, BoolLit):
-            self.soft([Lit(Eq(t, BOOL))], e, "S3:lit")
-        elif isinstance(e, IntLit):
-            self.soft([Lit(Eq(t, INT))], e, "S3:lit")
-        elif isinstance(e, RealLit):
-            self.soft([Lit(Eq(t, REAL))], e, "S3:lit")
-        elif isinstance(e, BVLit):
-            self.soft([Lit(Eq(t, BVType(e.width)))], e, "S3:lit")
-        elif isinstance(e, EnumLit):
-            self.soft([Lit(HasTag(e.tag, t))], e, "S3:lit")
-        elif isinstance(e, (VarRef, HoleExpr)):
-            pass  # a reference has its variable's type; a hole is free
-        elif isinstance(e, Unary):
-            self._expr(e.operand)
-            to = self._t(e.operand)
-            if e.op == "not":
-                self.soft([Lit(Eq(t, BOOL))], e, "S3:op")
-                self.soft([Lit(Eq(to, BOOL))], e, "S3:op")
-            else:  # neg
-                self.soft([Lit(Eq(t, to))], e, "S3:op")
-                self._numeric(t, e, "S3:op")
-        elif isinstance(e, Binary):
+        tvar = self.cs.tvar
+        t = tvar(("node", self.pos[id(e)]))
+        if cls is Binary:
             spine = left_spine(e)
             # the spine's type variables top-down, then the leaf's
-            for n in spine[1:]:
-                self._t(n)
-            self._expr(spine[-1].left)
-            for n in reversed(spine):
-                self._expr(n.right)
-                self._binary(n, self._t(n), self._t(n.left), self._t(n.right))
-        elif isinstance(e, Ite):
-            self._expr(e.cond)
-            self._expr(e.then)
-            self._expr(e.other)
-            self.soft([Lit(Eq(self._t(e.cond), BOOL))], e, "S3:op")
-            self.soft([Lit(Eq(t, self._t(e.then)))], e, "S3:op")
-            self.soft([Lit(Eq(t, self._t(e.other)))], e, "S3:op")
-        elif isinstance(e, ArraySelect):
-            self._expr(e.array)
-            self._expr(e.index)
-            self.soft(
-                [Lit(Eq(self._t(e.array), ArrayType(self._t(e.index), t)))],
-                e, "S3:select",
-            )
-        else:
+            ts = [t] + [tvar(("node", self.pos[id(n)])) for n in spine[1:]]
+            tl = self._expr(spine[-1].left)
+            for k in range(len(spine) - 1, -1, -1):
+                n = spine[k]
+                self._binary(n, ts[k], tl, self._expr(n.right))
+                tl = ts[k]
+        elif cls in _LITERAL_TYPES:
+            self.soft((Lit(Eq(t, _LITERAL_TYPES[cls])),), e, "S3:lit")
+        elif cls is ArraySelect:
+            ta = self._expr(e.array)
+            ti = self._expr(e.index)
+            self.soft((Lit(Eq(ta, ArrayType(ti, t))),), e, "S3:select")
+        elif cls is Unary:
+            to = self._expr(e.operand)
+            if e.op == "not":
+                self.soft((Lit(Eq(t, BOOL)),), e, "S3:op")
+                self.soft((Lit(Eq(to, BOOL)),), e, "S3:op")
+            else:  # neg
+                self.soft((Lit(Eq(t, to)),), e, "S3:op")
+                self.soft((Lit(Tester(_NUMERIC, t)),), e, "S3:op")
+        elif cls is Ite:
+            tc = self._expr(e.cond)
+            ta = self._expr(e.then)
+            tb = self._expr(e.other)
+            self.soft((Lit(Eq(tc, BOOL)),), e, "S3:op")
+            self.soft((Lit(Eq(t, ta)),), e, "S3:op")
+            self.soft((Lit(Eq(t, tb)),), e, "S3:op")
+        elif cls is BVLit:
+            self.soft((Lit(Eq(t, BVType(e.width))),), e, "S3:lit")
+        elif cls is EnumLit:
+            self.soft((Lit(HasTag(e.tag, t)),), e, "S3:lit")
+        elif cls is not HoleExpr:  # a hole is free
             raise TypeError(f"unknown expression {e!r}")
+        return t
 
     def _binary(self, n: Binary, t: TVar, tl: TVar, tr: TVar) -> None:
         op = n.op
-        if op in ("and", "or"):
-            self.soft([Lit(Eq(t, BOOL))], n, "S3:op")
-            self.soft([Lit(Eq(tl, BOOL))], n, "S3:op")
-            self.soft([Lit(Eq(tr, BOOL))], n, "S3:op")
+        soft = self.soft
+        if op in ("+", "-", "*"):
+            soft((Lit(Eq(t, tl)),), n, "S3:op")
+            soft((Lit(Eq(t, tr)),), n, "S3:op")
+            soft((Lit(Tester(_NUMERIC, t)),), n, "S3:op")
         elif op in ("==", "!="):
-            self.soft([Lit(Eq(t, BOOL))], n, "S3:op")
-            self.soft([Lit(Eq(tl, tr))], n, "S3:op")
+            soft((Lit(Eq(t, BOOL)),), n, "S3:op")
+            soft((Lit(Eq(tl, tr)),), n, "S3:op")
         elif op in ("<", "<=", ">", ">="):
-            self.soft([Lit(Eq(t, BOOL))], n, "S3:op")
-            self.soft([Lit(Eq(tl, tr))], n, "S3:op")
-            self._numeric(tl, n, "S3:op")
-        elif op in ("+", "-", "*"):
-            self.soft([Lit(Eq(t, tl))], n, "S3:op")
-            self.soft([Lit(Eq(t, tr))], n, "S3:op")
-            self._numeric(t, n, "S3:op")
+            soft((Lit(Eq(t, BOOL)),), n, "S3:op")
+            soft((Lit(Eq(tl, tr)),), n, "S3:op")
+            soft((Lit(Tester(_NUMERIC, tl)),), n, "S3:op")
+        elif op in ("and", "or"):
+            soft((Lit(Eq(t, BOOL)),), n, "S3:op")
+            soft((Lit(Eq(tl, BOOL)),), n, "S3:op")
+            soft((Lit(Eq(tr, BOOL)),), n, "S3:op")
         elif op in ("div", "mod"):
-            self.soft([Lit(Eq(t, tl))], n, "S3:op")
-            self.soft([Lit(Eq(t, tr))], n, "S3:op")
-            self.soft([Lit(Eq(t, INT))], n, "S3:op")
+            soft((Lit(Eq(t, tl)),), n, "S3:op")
+            soft((Lit(Eq(t, tr)),), n, "S3:op")
+            soft((Lit(Eq(t, INT)),), n, "S3:op")
         elif op == "xor":
-            self.soft([Lit(Eq(t, tl))], n, "S3:op")
-            self.soft([Lit(Eq(t, tr))], n, "S3:op")
-            self.soft([Lit(Tester(("bool", "bv"), t))], n, "S3:op")
+            soft((Lit(Eq(t, tl)),), n, "S3:op")
+            soft((Lit(Eq(t, tr)),), n, "S3:op")
+            soft((Lit(Tester(("bool", "bv"), t)),), n, "S3:op")
         elif op in ("bvand", "bvor", "shl", "lshr"):
-            self.soft([Lit(Eq(t, tl))], n, "S3:op")
-            self.soft([Lit(Eq(t, tr))], n, "S3:op")
-            self.soft([Lit(Tester(("bv",), t))], n, "S3:op")
+            soft((Lit(Eq(t, tl)),), n, "S3:op")
+            soft((Lit(Eq(t, tr)),), n, "S3:op")
+            soft((Lit(Tester(("bv",), t)),), n, "S3:op")
         else:
             raise ValueError(f"unknown operator {op!r}")
 
