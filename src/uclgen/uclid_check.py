@@ -18,7 +18,6 @@ contain statements directly.
 from __future__ import annotations
 
 import re
-from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Optional
 
@@ -74,17 +73,19 @@ class Diagnostic:
 # One token per match: a match first passes over any whitespace and
 # comments, then takes the first of these that fits. A name is an
 # identifier (`IDENTIFIER_PATTERN`, whose head `identifier_head` checks);
-# `bad` takes a character that starts no token and `end` matches only at
-# the end of the text, so a match never fails and never backtracks into
-# the whitespace.
+# it comes first, as the commonest token, and no other alternative starts
+# with a word character that is not a decimal digit, so its place changes
+# no match. `bad` takes a character that starts no token and `end`
+# matches only at the end of the text, so a match never fails and never
+# backtracks into the whitespace.
 _TOKEN_RE = re.compile(
     r"""
     \s*(?:(?://[^\n]*|/\*.*?\*/)\s*)*
     (?:
-      (?P<bv>\d+bv\d+)
+      (?P<name>""" + IDENTIFIER_PATTERN + r""")
+    | (?P<bv>\d+bv\d+)
     | (?P<real>\d+\.\d+)
     | (?P<int>\d+)
-    | (?P<name>""" + IDENTIFIER_PATTERN + r""")
     | (?P<op>==>|==|!=|<=|>=|<<|>>|\+\+|&&|\|\||[-+*/%&|^!<>=:;,(){}\[\]])
     | (?P<bad>.)
     | (?P<end>\Z)
@@ -94,17 +95,35 @@ _TOKEN_RE = re.compile(
 )
 
 
+#: the last token of every token list: the parser reads the list by
+#: index with no bound check, and this token matches no expected value
+_EOF = ("end", "")
+
+
+def _untokenizable(text: str, at: int) -> UclidParseError:
+    return UclidParseError(f"cannot tokenize at offset {at}: "
+                           f"{text[at:at + 20]!r}")
+
+
 def _lex(text: str) -> list[tuple[str, str]]:
+    """The (kind, text) tokens of `text`, then `_EOF`."""
     toks: list[tuple[str, str]] = []
+    append = toks.append
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        at, end = m.span(m.lastindex)
-        if kind == "end":
-            break
-        if kind == "bad" or (kind == "name" and not identifier_head(text[at])):
-            raise UclidParseError(f"cannot tokenize at offset {at}: "
-                                  f"{text[at:at + 20]!r}")
-        toks.append((kind, text[at:end]))
+        at = m.start(kind)
+        if kind == "name":
+            # an ASCII word character that starts a name is a letter or
+            # `_`; only another character needs the identifier test
+            if text[at] >= "\x80" and not identifier_head(text[at]):
+                raise _untokenizable(text, at)
+        elif kind != "op":
+            if kind == "end":
+                break
+            if kind == "bad":
+                raise _untokenizable(text, at)
+        append((kind, text[at:m.end()]))
+    append(_EOF)
     return toks
 
 
@@ -127,6 +146,7 @@ _BINOPS = {
     "+": ("+", 9), "-": ("-", 9),
     "*": ("*", 10), "/": ("div", 10), "%": ("mod", 10),
 }
+_NO_OP = (None, 0)
 
 # The deepest nesting of parentheses, subscripts, `ite` arguments, prefix
 # operators and `==>` right operands accepted in one expression. A level
@@ -150,34 +170,36 @@ def _int(text: str) -> int:
             f"integer literal of {len(text)} digits is too long") from None
 
 
+_STMT_KEYWORDS = frozenset(("havoc", "assume", "assert", "if"))
+
+
 class _Parser:
+    """Recursive descent over a token list from `_lex`, which ends in
+    `_EOF`; `i` is the next token."""
+
     def __init__(self, toks: list[tuple[str, str]]):
         self.toks = toks
         self.i = 0
         self.depth = 0
         self.if_depth = 0
 
-    def peek(self) -> Optional[tuple[str, str]]:
-        return self.toks[self.i] if self.i < len(self.toks) else None
-
     def next(self) -> tuple[str, str]:
-        t = self.peek()
-        if t is None:
+        t = self.toks[self.i]
+        if t is _EOF:
             raise UclidParseError("unexpected end of input")
         self.i += 1
         return t
 
     def accept(self, value: str) -> bool:
-        t = self.peek()
-        if t is not None and t[1] == value:
+        if self.toks[self.i][1] == value:
             self.i += 1
             return True
         return False
 
     def expect(self, value: str) -> None:
-        t = self.next()
-        if t[1] != value:
-            raise UclidParseError(f"expected {value!r}, got {t[1]!r}")
+        got = self.next()[1]
+        if got != value:
+            raise UclidParseError(f"expected {value!r}, got {got!r}")
 
     def name(self) -> str:
         kind, value = self.next()
@@ -236,9 +258,9 @@ class _Parser:
                 self.expect(";")
             else:
                 raise UclidParseError(f"unexpected {value!r} in module body")
-        if self.peek() is not None:
+        if self.toks[self.i] is not _EOF:
             raise UclidParseError(f"trailing input after module: "
-                                  f"{self.peek()[1]!r}")
+                                  f"{self.toks[self.i][1]!r}")
         # resolve procedure calls in next into the effective next body
         for pname in next_calls:
             if pname not in proc_bodies:
@@ -275,23 +297,29 @@ class _Parser:
         return out
 
     def stmt(self) -> Stmt:
-        if self.accept("havoc"):
+        head = self.toks[self.i][1]
+        if head not in _STMT_KEYWORDS:
+            lhs: Expr = VarRef(self.name())
+            while self.accept("["):
+                idx = self.expr()
+                self.expect("]")
+                lhs = ArraySelect(lhs, idx)
+            self.expect("=")
+            rhs = self.expr()
+            self.expect(";")
+            return Assign(lhs, rhs)
+        self.i += 1
+        if head == "havoc":
             name = self.name()
             self.expect(";")
             return Havoc(name)
-        if self.accept("assume"):
+        if head == "assume" or head == "assert":
             self.expect("(")
             e = self.expr()
             self.expect(")")
             self.expect(";")
-            return Assume(e)
-        if self.accept("assert"):
-            self.expect("(")
-            e = self.expr()
-            self.expect(")")
-            self.expect(";")
-            return Assert(e)
-        if self.accept("if"):
+            return Assume(e) if head == "assume" else Assert(e)
+        if head == "if":
             if self.if_depth == MAX_IF_NESTING:
                 raise UclidParseError(
                     f"if statements nested deeper than {MAX_IF_NESTING} levels")
@@ -326,15 +354,6 @@ class _Parser:
                     del arms[start:]
             self.if_depth -= 1
             return If(tuple(arms), orelse)
-        lhs: Expr = VarRef(self.name())
-        while self.accept("["):
-            idx = self.expr()
-            self.expect("]")
-            lhs = ArraySelect(lhs, idx)
-        self.expect("=")
-        rhs = self.expr()
-        self.expect(";")
-        return Assign(lhs, rhs)
 
     # -- types ----------------------------------------------------------------
 
@@ -374,84 +393,91 @@ class _Parser:
     def expr(self) -> Expr:
         return self._implies()
 
-    @contextmanager
-    def _nested(self):
-        """Parse the body one nesting level down. A failed parse is
-        abandoned as a whole, so the level is only left on success."""
+    def _down(self) -> None:
+        """Enter one nesting level; the caller leaves it by lowering
+        `depth` after parsing the body. A failed parse is abandoned as a
+        whole, so the level is only left on success."""
         if self.depth == MAX_NESTING:
             raise UclidParseError(
                 f"expression nested deeper than {MAX_NESTING} levels")
         self.depth += 1
-        yield
-        self.depth -= 1
 
     def _implies(self) -> Expr:
-        left = self._binary()
-        if self.accept("==>"):
-            with self._nested():
-                return Binary("implies", left, self._implies())
-        return left
+        left = self._binary(1)
+        if self.toks[self.i][1] != "==>":
+            return left
+        self.i += 1
+        self._down()
+        right = self._implies()
+        self.depth -= 1
+        return Binary("implies", left, right)
 
-    def _binary(self, min_prec: int = 1) -> Expr:
+    def _binary(self, min_prec: int) -> Expr:
         """Precedence climbing over `_BINOPS`: operands bind to operators
         of at least `min_prec`; equal levels associate to the left."""
+        toks = self.toks
         node = self._unary()
         while True:
-            t = self.peek()
-            op, prec = _BINOPS.get(t[1], (None, 0)) if t else (None, 0)
+            op, prec = _BINOPS.get(toks[self.i][1], _NO_OP)
             if prec < min_prec:
                 return node
-            self.next()
+            self.i += 1
             node = Binary(op, node, self._binary(prec + 1))
 
     def _unary(self) -> Expr:
-        if self.accept("!"):
-            with self._nested():
-                return Unary("not", self._unary())
-        if self.accept("-"):
-            with self._nested():
-                return Unary("neg", self._unary())
-        return self._postfix()
+        head = self.toks[self.i][1]
+        if head != "!" and head != "-":
+            return self._postfix()
+        self.i += 1
+        self._down()
+        operand = self._unary()
+        self.depth -= 1
+        return Unary("not" if head == "!" else "neg", operand)
 
     def _postfix(self) -> Expr:
+        toks = self.toks
         node = self._atom()
-        while self.accept("["):
-            with self._nested():
-                idx = self.expr()
+        while toks[self.i][1] == "[":
+            self.i += 1
+            self._down()
+            idx = self.expr()
+            self.depth -= 1
             self.expect("]")
             node = ArraySelect(node, idx)
         return node
 
     def _atom(self) -> Expr:
         kind, value = self.next()
+        if kind == "name":
+            if value == "true":
+                return BoolLit(True)
+            if value == "false":
+                return BoolLit(False)
+            if value != "ite":
+                return VarRef(value)
+            self.expect("(")
+            self._down()
+            c = self.expr()
+            self.expect(",")
+            a = self.expr()
+            self.expect(",")
+            b = self.expr()
+            self.depth -= 1
+            self.expect(")")
+            return Ite(c, a, b)
+        if kind == "int":
+            return IntLit(_int(value))
         if value == "(":
-            with self._nested():
-                e = self.expr()
+            self._down()
+            e = self.expr()
+            self.depth -= 1
             self.expect(")")
             return e
         if kind == "bv":
             v, w = value.split("bv")
             return BVLit(_int(v), _int(w))
-        if kind == "int":
-            return IntLit(_int(value))
         if kind == "real":
             return RealLit(float(value))
-        if value == "true":
-            return BoolLit(True)
-        if value == "false":
-            return BoolLit(False)
-        if value == "ite":
-            self.expect("(")
-            with self._nested():
-                c = self.expr()
-                self.expect(",")
-                a = self.expr()
-                self.expect(",")
-                b = self.expr()
-            self.expect(")")
-            return Ite(c, a, b)
-        if kind == "name":
-            return VarRef(value)
         raise UclidParseError(f"unexpected token {value!r} in expression")
 
 
