@@ -202,13 +202,14 @@ def _logical_lines(source: str) -> list[_Line]:
             kind = m.lastgroup
             at, end = m.start(kind), m.end()
             if kind == "NAME":
+                value = source[at:end]
                 # an ASCII word character that starts a NAME is a letter or
-                # `_`; only another character needs the identifier test
-                if source[at] >= "\x80" and not identifier_head(source[at]):
+                # `_`; only another head needs the identifier test
+                if value >= "\x80" and not identifier_head(value[0]):
                     toks, assign, bad = [], None, True
                     at = _line_end(source, at)
                     break
-                append(new(Tok, ("NAME", source[at:end], at, end)))
+                append(new(Tok, ("NAME", value, at, end)))
             elif kind == "OP":
                 value = source[at:end]
                 step = _BRACKETS.get(value)

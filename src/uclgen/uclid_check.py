@@ -112,17 +112,18 @@ def _lex(text: str) -> list[tuple[str, str]]:
     for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
         at = m.start(kind)
+        value = text[at:m.end()]
         if kind == "name":
             # an ASCII word character that starts a name is a letter or
-            # `_`; only another character needs the identifier test
-            if text[at] >= "\x80" and not identifier_head(text[at]):
+            # `_`; only another head needs the identifier test
+            if value >= "\x80" and not identifier_head(value[0]):
                 raise _untokenizable(text, at)
         elif kind != "op":
             if kind == "end":
                 break
             if kind == "bad":
                 raise _untokenizable(text, at)
-        append((kind, text[at:m.end()]))
+        append((kind, value))
     append(_EOF)
     return toks
 
