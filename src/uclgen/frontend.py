@@ -481,17 +481,15 @@ class _BlockParser:
                 i = self._skip_region(i, line.indent)
                 continue
             node, i = self.parse_line(i)
-            # an `if` takes further arms until its `else`, and none after it
-            if node.kind in ("elif", "else") and nodes and nodes[-1].kind == "if" \
-                    and nodes[-1].children[-1].kind != "else":
-                nodes[-1] = PNode(
-                    "if", nodes[-1].children + (node,), "",
-                    span=Span(nodes[-1].span.start, node.span.end),
-                )
-            elif node.kind in ("elif", "else"):
-                nodes.append(self._as_error(node, "dangling elif/else"))
-            else:
+            if node.kind != "elif" and node.kind != "else":
                 nodes.append(node)
+            # an `if` takes further arms until its `else`, and none after it
+            elif nodes and nodes[-1].kind == "if" \
+                    and nodes[-1].children[-1].kind != "else":
+                nodes[-1] = PNode("if", nodes[-1].children + (node,), "",
+                                  Span(nodes[-1].span.start, node.span.end))
+            else:
+                nodes.append(self._as_error(node, "dangling elif/else"))
         self.depth -= 1
         return nodes, i
 
@@ -505,11 +503,11 @@ class _BlockParser:
     def _error_region(self, i: int, indent: int) -> PNode:
         j = self._skip_region(i, indent)
         last = self.lines[j - 1]
-        return PNode("error",
-                     span=Span(self.lines[i].span.start, last.span.end))
+        return PNode("error", (), "",
+                     Span(self.lines[i].span.start, last.span.end))
 
     def _as_error(self, node: PNode, reason: str) -> PNode:
-        return PNode("error", text=reason, span=node.span)
+        return PNode("error", (), reason, node.span)
 
     def parse_line(self, i: int) -> tuple[PNode, int]:
         line = self.lines[i]
@@ -591,11 +589,10 @@ class _BlockParser:
                 elif t.value not in (",", ".", "*"):
                     raise _ParseFail(f"unexpected token in {kw} header")
         body, j = self.parse_block(i + 1, self._body_indent(i))
-        kind = "class" if kw == "class" else "def"
         header = PNode("bases" if kw == "class" else "params",
-                       tuple(PNode("name", text=b) for b in bases), span=line.span)
+                       tuple(PNode("name", (), b) for b in bases), "", line.span)
         return (
-            PNode(kind, (header, self._block(body, line.span)), name, span=line.span),
+            PNode(kw, (header, self._block(body, line.span)), name, line.span),
             j,
         )
 
@@ -606,10 +603,10 @@ class _BlockParser:
             raise _ParseFail(f"malformed {kw}")
         cond = _parse_expr_tokens(toks, 1, -1)
         body, j = self.parse_block(i + 1, self._body_indent(i))
-        return PNode(kw, (cond, self._block(body, line.span)), span=line.span), j
+        return PNode(kw, (cond, self._block(body, line.span)), "", line.span), j
 
     def _block(self, nodes: list[PNode], span: Span) -> PNode:
-        return PNode("block", tuple(nodes), span=span)
+        return PNode("block", tuple(nodes), "", span)
 
 
 def parse_tolerant(source: str) -> ParentAst:
@@ -623,7 +620,7 @@ def parse_tolerant(source: str) -> ParentAst:
         more, i2 = bp.parse_block(i, lines[i].indent)
         nodes.extend(more)
         i = max(i2, i + 1)
-    root = PNode("module", tuple(nodes), span=Span(0, len(source)))
+    root = PNode("module", tuple(nodes), "", Span(0, len(source)))
     return ParentAst(root, source)
 
 
