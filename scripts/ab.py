@@ -2,13 +2,13 @@
 """Compare the benchmark's end-to-end metrics of a git revision (the
 parent) and the working tree (the change), in alternating pairs.
 
-    python3 scripts/ab.py REV --workload W --seed S --pairs N [--seconds T]
+    python3 scripts/ab.py REV --workload W --seed S --pairs N
 
 The revision is unpacked from `git archive REV` into a temporary
 directory. Each pair runs `perfbench/run.py --trace 0` once there and
 once in the working tree, one after the other; the parent runs first in
-even pairs and the change in odd ones. `--seconds` is each run's length,
-by default `run_seconds` of `BENCHMARK.json`.
+even pairs and the change in odd ones. Each run lasts `run_seconds` of
+`BENCHMARK.json`, the length the benchmark itself runs.
 
 Each run's metrics are printed on a `#` line as it ends. Then, for every
 end-to-end metric of `BENCHMARK.json`, one row gives each side's median
@@ -90,13 +90,14 @@ def unpack(rev: str, dest: Path) -> None:
             archive.extractall(dest)
 
 
-def run_once(root: Path, workload: str, seed: int,
-             seconds: float) -> tuple[bool, dict[str, float]]:
+def run_once(root: Path, workload: str,
+             seed: int) -> tuple[bool, dict[str, float]]:
     """(whether every output passed its check, the metrics by name) of
     one untraced benchmark run in the checkout at `root`."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
+         "--seed", str(seed), "--seconds", str(BENCHMARK["run_seconds"]),
+         "--trace", "0"],
         cwd=root, capture_output=True, text=True)
     if proc.returncode not in (0, 1):
         raise RuntimeError(f"perfbench in {root} exited "
@@ -132,11 +133,9 @@ def parse_args(argv=None) -> argparse.Namespace:
                     choices=[w["name"] for w in BENCHMARK["workloads"]])
     ap.add_argument("--seed", type=int, required=True)
     ap.add_argument("--pairs", type=int, required=True)
-    ap.add_argument("--seconds", type=float,
-                    default=BENCHMARK["run_seconds"])
     args = ap.parse_args(argv)
-    if args.pairs < 1 or args.seconds <= 0:
-        ap.error("--pairs and --seconds must be positive")
+    if args.pairs < 1:
+        ap.error("--pairs must be positive")
     return args
 
 
@@ -159,7 +158,7 @@ def main(argv=None) -> int:
                 root, runs = sides[side]
                 try:
                     correct, metrics = run_once(root, args.workload,
-                                                args.seed, args.seconds)
+                                                args.seed)
                 except RuntimeError as exc:
                     print(f"ab: {exc}", file=sys.stderr)
                     return 2
@@ -171,7 +170,7 @@ def main(argv=None) -> int:
                       f"{'' if correct else ' (an output failed its check)'}",
                       flush=True)
     print(f"# {args.workload}, seed {args.seed}, {args.pairs} pairs of "
-          f"{args.seconds:g} s runs, parent {args.rev}")
+          f"{BENCHMARK['run_seconds']:g} s runs, parent {args.rev}")
     print("\n".join(report(parent, change)))
     return 0 if all_correct else 1
 
