@@ -117,7 +117,7 @@ class Tester:
     term: TypeTerm
 
     def __post_init__(self) -> None:
-        if self.ctors not in _CTOR_TUPLES:
+        if type(self.ctors) is not tuple or self.ctors not in _CTOR_TUPLES:
             raise ValueError(f"constructors {self.ctors!r} are not a "
                              f"non-empty tuple in the order of {CTORS}")
 
@@ -290,8 +290,7 @@ class _Gen:
 
     def soft(self, lits: tuple[Lit, ...], origin: Node, label: str) -> None:
         i = self.pos[id(origin)]
-        clauses = self.cs.clauses
-        clauses.append(Clause(len(clauses), lits, self.weights[i], i, label))
+        self.cs.add_soft(lits, self.weights[i], i, label)
 
     # -- declarations -------------------------------------------------------
 

@@ -182,7 +182,8 @@ class M(Module):
 
 
 @pytest.mark.parametrize("ctors", [(), ("bv", "int"), ("int", "int"),
-                                   ("nat",)])
+                                   ("nat",), ("int", "bool"), ["int"],
+                                   ["bool", "int"]])
 def test_a_tester_names_known_constructors_in_order(ctors):
     with pytest.raises(ValueError):
         CtorTester(ctors, INT)
