@@ -119,7 +119,7 @@ def extract_code(llm_response: str) -> str:
 # ---------------------------------------------------------------------------
 
 class Tok(NamedTuple):
-    kind: str  # NAME, INT, FLOAT, STR, OP, HOLE
+    kind: str  # NAME, INT, FLOAT, STR, OP, HOLE; END ends a token list
     value: str  # a string's is unquoted and unescaped
     pos: int  # offset into the source where the token starts
     end: int  # offset just past it, a string's closing quote included
@@ -184,7 +184,6 @@ def _logical_lines(source: str) -> list[_Line]:
     the rest of the source one bad line."""
     out: list[_Line] = []
     finditer = _TOKEN_RE.finditer
-    new = tuple.__new__  # a Tok without the NamedTuple constructor's frame
     start = 0
     while start <= len(source):
         text = source[start : _line_end(source, start)]
@@ -209,7 +208,7 @@ def _logical_lines(source: str) -> list[_Line]:
                     toks, assign, bad = [], None, True
                     at = _line_end(source, at)
                     break
-                append(new(Tok, ("NAME", value, at, end)))
+                append(Tok("NAME", value, at, end))
             elif kind == "OP":
                 value = source[at:end]
                 step = _BRACKETS.get(value)
@@ -217,7 +216,7 @@ def _logical_lines(source: str) -> list[_Line]:
                     depth += step
                 elif depth == 0 and assign is None and value in _ASSIGN_OPS:
                     assign = len(toks)
-                append(new(Tok, ("OP", value, at, end)))
+                append(Tok("OP", value, at, end))
             elif kind == "NL":
                 if depth <= 0:
                     break
@@ -228,12 +227,12 @@ def _logical_lines(source: str) -> list[_Line]:
                 at = len(source) if kind == "OPEN" else _line_end(source, at)
                 break
             elif kind == "TRIPLE":
-                append(new(Tok, ("STR", source[at + 3 : end - 3], at, end)))
+                append(Tok("STR", source[at + 3 : end - 3], at, end))
             elif kind == "QUOTED":
                 value = _ESCAPE_RE.sub(r"\1", source[at + 1 : end - 1])
-                append(new(Tok, ("STR", value, at, end)))
+                append(Tok("STR", value, at, end))
             else:  # INT, FLOAT, HOLE
-                append(new(Tok, (kind, source[at:end], at, end)))
+                append(Tok(kind, source[at:end], at, end))
         out.append(_Line(indent, toks, Span(start, at), bad, assign))
         start = at + 1
     return out
