@@ -7,18 +7,19 @@ clause generator below only emits constraint shapes for which the finite
 universe is as expressive as the unbounded term algebra, so the oracle
 optimum equals the true optimum. The generator writes only the ground
 terms in ``GROUND`` and the tags in ``TAGS``, over at most ``MAX_TVARS``
-variables, with at most two negative equalities between variables per
-clause set. Take any assignment over the whole term algebra and group the
-variables into classes of equal value. A class whose value is in
-``GROUND`` keeps it. Any other class takes a witness with the same
-constructor and, for an enum, the same tags from ``TAGS``: ``BVType(5)``
-or ``BVType(6)``, one of two arrays, or the enum of its tags plus ``D`` or
-plus ``E``. No witness is in ``GROUND``, and no literal names ``D`` or
-``E``. At most two disequalities join the classes, so they form a forest,
-and two colours keep every joined pair of classes apart. Every literal the
-assignment satisfies then still holds: testers, tags and equalities with
-ground terms are kept exactly, equal variables stay equal and variables
-that must differ still differ.
+variables, and its only negative literals are testers and disequalities
+with ``bool``, ``int`` or ``real``, the solver's literal language. Take
+any assignment over the whole term algebra. A variable whose value is in
+``GROUND`` keeps it. Any other takes a witness with the same constructor
+and, for an enum, the same tags from ``TAGS``: ``BVType(5)``,
+``ArrayType(INT, INT)``, or the enum of its tags plus ``D``; variables of
+equal value take the same witness. No witness is in ``GROUND``, and no
+literal names ``D``. Every literal the assignment satisfies then still
+holds: testers and tags are kept exactly, an equality with a ground term
+held only for a value in ``GROUND``, equal variables stay equal, and a
+variable apart from a scalar stays apart from it, since a witness is no
+scalar. The universe holds a second witness of each kind, which this
+argument does not use.
 
 The oracle is exhaustive but works on sets of assignments: for each
 literal, the assignments in which it holds are one bit mask, and the
@@ -78,47 +79,44 @@ UNIVERSE: tuple[TypeTerm, ...] = GROUND + (
 
 MAX_TVARS = 3
 
+#: the ground terms a generated disequality may name
+_SCALARS = (BOOL, INT, REAL)
+
 #: generated tester constructors
 _CTORS = ("bool", "int", "real", "bv", "enum")
 
 
 def random_clause_set(rng: random.Random, max_soft: int = 14) -> ClauseSet:
-    """A random clause set within the oracle-safe fragment."""
+    """A random clause set within the oracle-safe fragment and the
+    solver's literal language. A literal drawn negative that the solver
+    rejects, a disequality between variables or with a bit-vector and a
+    negative tag, is made positive; that draws no random number, so a set
+    with none is the one the unrestricted generator gave."""
     cs = ClauseSet()
     n_tvars = rng.randint(1, MAX_TVARS)
     tvars = [cs.tvar(("var", f"v{i}")) for i in range(n_tvars)]
-    budget = {"neg_tvar_eq": 2, "neg_ground_eq": 2, "neg_tag": 2}
+    neg_ground_eq = 2  # disequalities with a scalar left to draw
 
     def literal() -> Optional[Lit]:
+        nonlocal neg_ground_eq
         kind = rng.choice(("eq_ground", "eq_tvar", "tester", "tag"))
         negative = rng.random() < 0.3
         if kind == "eq_ground":
             ground = rng.choice(GROUND)
             if negative:
-                if budget["neg_ground_eq"] == 0 or isinstance(ground, EnumType):
+                if neg_ground_eq == 0 or ground not in _SCALARS:
                     negative = False
                 else:
-                    budget["neg_ground_eq"] -= 1
+                    neg_ground_eq -= 1
             return Lit(Eq(rng.choice(tvars), ground), not negative)
         if kind == "eq_tvar":
             if n_tvars < 2:
                 return None
-            a, b = rng.sample(tvars, 2)
-            if negative:
-                if budget["neg_tvar_eq"] == 0:
-                    negative = False
-                else:
-                    budget["neg_tvar_eq"] -= 1
-            return Lit(Eq(a, b), not negative)
+            return Lit(Eq(*rng.sample(tvars, 2)))
         if kind == "tester":
             return Lit(Tester((rng.choice(_CTORS),), rng.choice(tvars)),
                        not negative)
-        if negative:
-            if budget["neg_tag"] == 0:
-                negative = False
-            else:
-                budget["neg_tag"] -= 1
-        return Lit(HasTag(rng.choice(TAGS), rng.choice(tvars)), not negative)
+        return Lit(HasTag(rng.choice(TAGS), rng.choice(tvars)))
 
     def lits() -> list[Lit]:
         got = []

@@ -1022,9 +1022,11 @@ _WIDE_GROUND = (BOOL, INT, REAL, BVType(2), BVType(4), EnumType(("A",)),
 
 
 def _random_set_with_arrays(rng):
-    """Soft clauses over four variables with arrays of variables, enums,
-    bit-vectors and disequalities of any shape: outside the oracle's
-    fragment, for checks that need no oracle."""
+    """Soft clauses over four variables with arrays of variables, enums
+    and bit-vectors: outside the oracle's fragment, for checks that need
+    no oracle. A negative literal the solver rejects, a disequality with
+    anything but a scalar and a negative tag, is made positive without
+    drawing a random number."""
     cs = ClauseSet()
     v = _vars(cs, 4)
 
@@ -1041,11 +1043,12 @@ def _random_set_with_arrays(rng):
         positive = rng.random() >= 0.35
         x = rng.choice(v)
         if kind == "eq":
-            return Lit(Eq(x, term()), positive)
+            t = term()
+            return Lit(Eq(x, t), positive or t not in (BOOL, INT, REAL))
         if kind == "tester":
             return Lit(CtorTester((rng.choice(
                 ("bool", "int", "real", "bv", "enum", "arr")),), x), positive)
-        return Lit(HasTag(rng.choice("AB"), x), positive)
+        return Lit(HasTag(rng.choice("AB"), x))
 
     for i in range(rng.randint(2, 10)):
         cs.add_soft([lit() for _ in range(rng.randint(1, 3))], 1, origin=i,
