@@ -1,17 +1,21 @@
 """Weighted partial MAX-SMT over the type-term algebra.
 
 The theory is unification over type terms extended with constructor
-testers and enum-tag membership. Each unbound union-find root keeps one
-record of what it may still be: the constructors left to it, the tags its
-enum must hold and the tags its enum must not hold. Testers, tag literals
-and unification all narrow a record in one place, `_Theory._narrow`, and
-the model reads it back. Satisfiability is a depth-first search from a
-base, a theory with the unit clauses asserted, in which each step copies
-a theory and asserts one literal of the next clause, skipping each clause
-the theory already entails (a positive equality whose sides resolve to
-one term, or a disequality stored as it stands). A step re-checks only
-the disequalities it can break: those it added, those whose roots it
-merged, bound or narrowed, and those that reach an array. The model and
+testers and enum-tag membership. Its literals are every positive one,
+negative testers, and a type variable apart from `bool`, `int` or `real`:
+the disequalities `generate_clauses` emits are all `act != bool`.
+`solve_maxsmt` and `check_sat` raise `ValueError` for any other negative
+literal before they search; `emit_smtlib` renders every literal. Each
+unbound union-find root keeps one record of what it may still be: the
+constructors left to it and the tags its enum must hold. A scalar takes
+no arguments, so `t != int` says no more than that `t` is not built with
+`int`, and testers, tag literals, disequalities and unification all
+narrow a record in one place, `_Theory._narrow`; the model reads it back.
+Satisfiability is a depth-first search from a base, a theory with the
+unit clauses asserted, in which each step copies a theory and asserts one
+literal of the next clause, skipping each clause the theory already
+entails (a positive equality whose sides resolve to one term, or a
+disequality whose constructor the theory already excludes). The model and
 the values the theory forces come from one grounding walk per variable.
 Searches that share clauses extend one base rather than each asserting
 them again: a component's hard clauses are asserted once, and each
@@ -76,14 +80,17 @@ _CTOR_ORDER = ("int", "bool", "real", "bv", "enum", "arr")  # model's order
 _NONE: frozenset[str] = frozenset()
 _ALL = frozenset(_CTOR_ORDER)
 _ENUM = frozenset({"enum"})
-_FREE = (_ALL, _NONE, _NONE)  # the record of a root nothing narrowed
+_FREE = (_ALL, _NONE)  # the record of a root nothing narrowed
 # the value of a root whose record leaves one singleton constructor
 _PINNED = {frozenset({c}): t for c, t in _SINGLETONS.items()}
+# the model's value for a root whose first constructor left is not `enum`
+_FIRST = {**_SINGLETONS, "bv": BVType(1), "arr": ArrayType(INT, INT)}
+# the constructors left to a term apart from a scalar, by its type
+_APART = {type(t): _ALL - {c} for c, t in _SINGLETONS.items()}
 
 
 #: the label of a fact that no clause asserted, as in a theory built by hand
 _UNLABELLED = -1
-_SCALARS = frozenset(_SINGLETONS)
 
 
 class _Conflict(Exception):
@@ -128,14 +135,12 @@ class _Theory:
     """A conjunction of theory literals, decided by unification.
 
     A union-find root is bound to a term (`binding`) or unbound; an
-    unbound root may hold one record (`record`), a triple (ctors, tags,
-    bad): the constructors it may still take, the tags its enum must hold
-    and the tags it must not hold. Negative equalities wait in `diseqs`,
-    each with its label and the roots its sides resolved to when it was
-    last checked; `changed` holds the roots merged, bound or narrowed since
-    then, so `check_diseqs` re-checks only what a step can break. `ground`
-    is the one walk that grounds a term: `check_diseqs`, `solution` and the
-    model's disequality scan differ only in the root values.
+    unbound root may hold one record (`record`), a pair (ctors, tags): the
+    constructors it may still take and the tags its enum must hold. A
+    disequality with a scalar takes that scalar's constructor from the
+    record, so a conflict shows when a literal is asserted and every leaf
+    of a search has a model. `ground` is the one walk that grounds a term,
+    for `solution`'s model and forced values alike.
 
     Every fact is labelled with the index of the clause whose literal
     asserted it, so a conflict names clauses that cannot all hold (Nieuwenhuis
@@ -146,32 +151,25 @@ class _Theory:
     took each constructor and set each tag of a root's record.
     """
 
-    __slots__ = ("parent", "binding", "record", "diseqs", "changed",
-                 "proof", "bound_by", "narrowed_by")
+    __slots__ = ("parent", "binding", "record", "proof", "bound_by",
+                 "narrowed_by")
 
     def __init__(self) -> None:
         self.parent: dict[int, int] = {}
         self.binding: dict[int, TypeTerm] = {}
-        self.record: dict[int, tuple[frozenset, frozenset, frozenset]] = {}
-        # each stored disequality: its label, and the roots its sides
-        # resolved to when it was last checked (None if it is new or
-        # reaches an array)
-        self.diseqs: dict[tuple[TypeTerm, TypeTerm],
-                          tuple[int, Optional[tuple[int, ...]]]] = {}
-        self.changed: set[int] = set()  # roots merged, bound or narrowed
+        self.record: dict[int, tuple[frozenset, frozenset]] = {}
         # variable -> (its parent in the proof forest, the edge's reason)
         self.proof: dict[int, tuple[int, object]] = {}
         # bound root -> the reason it equals its binding
         self.bound_by: dict[int, object] = {}
-        # root -> (lost constructor, ("+", required tag) or ("-",
-        # forbidden tag)) -> the (term, reason) of the literal that did it
+        # root -> (lost constructor, or ("+", required tag)) -> the
+        # (term, reason) of the literal that did it
         self.narrowed_by: dict[int, dict] = {}
 
     def copy(self) -> _Theory:
         th = _Theory.__new__(_Theory)
         th.parent, th.binding = self.parent.copy(), self.binding.copy()
-        th.record, th.diseqs = self.record.copy(), self.diseqs.copy()
-        th.changed, th.proof = self.changed.copy(), self.proof.copy()
+        th.record, th.proof = self.record.copy(), self.proof.copy()
         th.bound_by = self.bound_by.copy()
         th.narrowed_by = self.narrowed_by.copy()  # each entry map is new
         return th
@@ -247,20 +245,12 @@ class _Theory:
         bound = self.bound_by.get(root, ())
         return (bound,) if root == t.tid else (_Path(t.tid, root), bound)
 
-    def _record_why(self, root: int) -> list:
-        """The reasons for every constructor the root's record lost."""
-        by = self.narrowed_by.get(root, {})
-        return [by[c] for c in _CTOR_ORDER if c in by]
-
-    def _deep(self, t: TypeTerm, pinned: bool) -> list:
-        """The reasons `t` resolves deep as it does now, and, if `pinned`,
-        those that pin each unbound root it reaches."""
+    def _deep(self, t: TypeTerm) -> list:
+        """The reasons `t` resolves deep as it does now."""
         out = [t]
         t = self.resolve(t)
         if isinstance(t, ArrayType):
-            out += self._deep(t.index, pinned) + self._deep(t.elem, pinned)
-        elif pinned and isinstance(t, TVar):
-            out += self._record_why(t.tid)
+            out += self._deep(t.index) + self._deep(t.elem)
         return out
 
     def _explain(self, *reasons) -> frozenset[int]:
@@ -297,50 +287,42 @@ class _Theory:
     # -- assertion ----------------------------------------------------------
 
     def _narrow(self, t: TypeTerm, ctors: frozenset[str],
-                tags: frozenset[str], bad: frozenset[str],
-                by=(None, _UNLABELLED)) -> None:
-        """Assert that `t` takes one of `ctors`, holds every tag in `tags`
-        and no tag in `bad`; only an enum holds tags. A ground term is
-        checked; a root's record is intersected with the new facts, which
-        conflicts when no constructor is left or a tag is both required
-        and forbidden. `by` is the (term, reason) of the literal that
+                tags: frozenset[str], by=(None, _UNLABELLED)) -> None:
+        """Assert that `t` takes one of `ctors` and holds every tag in
+        `tags`; only an enum holds tags. A ground term is checked; a root's
+        record is intersected with the new facts, which conflicts when no
+        constructor is left. `by` is the (term, reason) of the literal that
         narrows, or, when a root's record moves to `t`, its entries."""
         r = self.resolve(t)
         if isinstance(r, TVar):
             root = r.tid
             old = self.record.get(root)
             have = old or _FREE
-            new_tags, new_bad = tags | have[1], bad | have[2]
+            new_tags = tags | have[1]
             new_ctors = ctors & have[0]
             if new_tags:
                 new_ctors = new_ctors & _ENUM
-            new = (new_ctors, new_tags, new_bad)
+            new = (new_ctors, new_tags)
             if new == old:
                 return
             got = dict(self.narrowed_by.get(root, ()))
             for key in chain(have[0] - new_ctors,
-                             (("+", g) for g in new_tags - have[1]),
-                             (("-", g) for g in new_bad - have[2])):
+                             (("+", g) for g in new_tags - have[1])):
                 got[key] = _source(by, key)
             if not new_ctors:
                 raise self._conflict(*(got[c] for c in _ALL))
-            clash = new_tags & new_bad
-            if clash:
-                g = min(clash)
-                raise self._conflict(got[("+", g)], got[("-", g)])
             self.record[root] = new
             self.narrowed_by[root] = got
-            self.changed.add(root)
             return
         ctor = _CTOR_OF[type(r)]
         if ctor not in ctors:
             key = ctor
-        elif tags or bad:
+        elif tags:
             have = frozenset(r.tags) if isinstance(r, EnumType) else _NONE
-            missing, banned = sorted(tags - have), sorted(bad & have)
-            if not (missing or banned):
+            missing = sorted(tags - have)
+            if not missing:
                 return
-            key = ("+", missing[0]) if missing else ("-", banned[0])
+            key = ("+", missing[0])
         else:
             return
         raise self._conflict(_source(by, key))
@@ -363,13 +345,11 @@ class _Theory:
             raise self._conflict(why, a, b)
         # ra is a root; bind it to rb, or merge it into rb if rb is a root
         root = ra.tid
-        self.changed.add(root)
         if isinstance(rb, TVar):
             self.parent[root] = rb.tid
             self._link(a.tid, b.tid, why)
         elif self._occurs(root, rb):
-            raise self._conflict(why, self._deep(a, False),
-                                 self._deep(b, False))
+            raise self._conflict(why, self._deep(a), self._deep(b))
         else:
             self.bound_by[root] = (why, b) if a.tid == root \
                 else (why, _Path(a.tid, root), b)
@@ -379,36 +359,38 @@ class _Theory:
             self._narrow(TVar(root), *rec, self.narrowed_by.pop(root))
 
     def assert_lit(self, lit: Lit, label: int = _UNLABELLED) -> None:
-        """Assert `lit`, labelling each fact it adds with `label`."""
+        """Assert `lit`, a literal of the solver's language
+        (`_check_literals`), labelling each fact it adds with `label`."""
         a = lit.atom
         if isinstance(a, Eq):
             if lit.positive:
                 self.unify(a.left, a.right, label)
             else:
-                self.diseqs.setdefault((a.left, a.right), (label, None))
+                self._narrow(a.left, _APART[type(a.right)], _NONE,
+                             (a.left, label))
         elif isinstance(a, Tester):
             ctors = frozenset(a.ctors)
             self._narrow(a.term, ctors if lit.positive else _ALL - ctors,
-                         _NONE, _NONE, (a.term, label))
-        elif lit.positive:
-            self._narrow(a.term, _ALL, frozenset((a.tag,)), _NONE,
-                         (a.term, label))
+                         _NONE, (a.term, label))
         else:
-            self._narrow(a.term, _ALL, _NONE, frozenset((a.tag,)),
-                         (a.term, label))
+            self._narrow(a.term, _ALL, frozenset((a.tag,)), (a.term, label))
 
     def entails(self, lit: Lit) -> bool:
         """Whether `lit` holds in every extension of this theory: a
-        positive `Eq` whose sides resolve to one term, or a negative `Eq`
-        stored as it stands. Testers and tag literals are never entailed."""
+        positive `Eq` whose sides resolve to one term, or a disequality
+        with a scalar whose constructor the theory already excludes.
+        Testers and tag literals are never entailed."""
         a = lit.atom
         if not isinstance(a, Eq):
             return False
         if lit.positive:
             return self.resolve_deep(a.left) == self.resolve_deep(a.right)
-        return (a.left, a.right) in self.diseqs
+        r = self.resolve(a.left)
+        ctors = (self.record.get(r.tid, _FREE)[0] if isinstance(r, TVar)
+                 else (_CTOR_OF[type(r)],))
+        return _CTOR_OF[type(a.right)] not in ctors
 
-    # -- final consistency ---------------------------------------------------
+    # -- models ---------------------------------------------------------------
 
     def ground(self, t: TypeTerm, value) -> TypeTerm:
         """`t` with each unbound root `r` replaced by `value(r)`."""
@@ -424,151 +406,39 @@ class _Theory:
         """The singleton value the root's record pins it to, else None."""
         return _PINNED.get(self.record.get(root, _FREE)[0])
 
-    def _settled(self, root: int) -> TypeTerm:
-        """The value the root's record pins it to, else the root itself."""
-        return _PINNED.get(self.record.get(root, _FREE)[0], TVar(root))
-
-    def check_diseqs(self) -> None:
-        """Raise `_Conflict` if a stored disequality fails: its sides
-        resolve to one term, or ground to one term with each pinned root
-        replaced by its value and every other root left as itself, so no
-        value of the other roots tells them apart. Only a disequality that
-        is new, reaches an array, or resolved to a root changed since the
-        last check is checked again; the others resolve as they did then."""
-        changed = self.changed
-        for pair, (label, roots) in self.diseqs.items():
-            if roots is None or not changed.isdisjoint(roots):
-                self.diseqs[pair] = (label, self._check_diseq(*pair))
-        changed.clear()
-
-    def _check_diseq(self, a: TypeTerm,
-                     b: TypeTerm) -> Optional[tuple[int, ...]]:
-        """Check one disequality; the roots its sides resolve to, or None
-        when a side resolves to an array."""
-        ra = self.resolve(a)
-        rb = self.resolve(b)
-        if isinstance(ra, ArrayType) or isinstance(rb, ArrayType):
-            if self.resolve_deep(a) == self.resolve_deep(b):
-                raise self._diseq_conflict(a, b, self._deep(a, False),
-                                           self._deep(b, False))
-            if self.ground(a, self._settled) == self.ground(b, self._settled):
-                raise self._diseq_conflict(a, b, self._deep(a, True),
-                                           self._deep(b, True))
-            return None
-        if ra == rb:
-            raise self._diseq_conflict(a, b)
-        da = self.pinned(ra.tid) if isinstance(ra, TVar) else ra
-        if da is not None and da == (
-                self.pinned(rb.tid) if isinstance(rb, TVar) else rb):
-            raise self._diseq_conflict(
-                a, b, *(self._record_why(r.tid) for r in (ra, rb)
-                        if isinstance(r, TVar)))
-        return tuple(r.tid for r in (ra, rb) if isinstance(r, TVar))
-
-    def _diseq_conflict(self, a: TypeTerm, b: TypeTerm, *reasons) -> _Conflict:
-        return self._conflict(self.diseqs[a, b][0], a, b, *reasons)
-
-    def split(self) -> Optional[tuple[list[Lit], frozenset[int]]]:
-        """A case split that a leaf needs before its model can be read:
-        the least unbound root that a stored disequality reaches and whose
-        record leaves two or more constructors, all scalar. The literals
-        pin it to each of them in the model's order; the labels are why
-        its record leaves no other. None if there is no such root."""
-        reached: set[int] = set()
-        for pair in self.diseqs:
-            for t in pair:
-                self._reach(t, reached)
-        wide = [r for r in reached
-                if len(ctors := self.record.get(r, _FREE)[0]) > 1
-                and ctors <= _SCALARS]
-        if not wide:
-            return None
-        root = min(wide)
-        ctors = self.record[root][0]
-        return ([Lit(Tester((c,), TVar(root)))
-                 for c in _CTOR_ORDER if c in ctors],
-                self._explain(self._record_why(root)))
-
-    def _reach(self, t: TypeTerm, out: set[int]) -> None:
-        """Add the unbound roots that `t` resolves deep to."""
-        t = self.resolve(t)
-        if isinstance(t, TVar):
-            out.add(t.tid)
-        elif isinstance(t, ArrayType):
-            self._reach(t.index, out)
-            self._reach(t.elem, out)
-
-    # -- models ---------------------------------------------------------------
-
     def solution(self, tids) -> tuple[dict[int, TypeTerm],
                                       dict[int, TypeTerm]]:
         """A total ground assignment consistent with the asserted literals,
         and the part of it the theory determines, from one grounding walk
         per variable: a value is determined when every root it grounds
-        through is pinned."""
+        through is pinned. An unpinned root takes the first value its
+        record allows, in the model's constructor order; a tagless enum
+        takes a fresh tag, numbered along the walk."""
         values: dict[int, TypeTerm] = {}  # chosen for unbound roots
         free: set[int] = set()  # the valued roots no record pins
-        fresh = [1000]
+        fresh = 1000
 
-        def candidates(root: int):
-            ctors, tags, bad = self.record.get(root, _FREE)
-            tags = tuple(sorted(tags))
-            for ctor in _CTOR_ORDER:
-                if ctor not in ctors:
-                    continue
-                if ctor in _SINGLETONS:
-                    yield _SINGLETONS[ctor]
-                elif ctor == "bv":
-                    for w in range(1, 64):
-                        yield BVType(w)
-                    while True:
-                        fresh[0] += 1
-                        yield BVType(fresh[0])
-                elif ctor == "enum":
-                    if tags:
-                        yield EnumType(tags)
-                    while True:
-                        fresh[0] += 1
-                        extra = f"TAG{fresh[0]}"
-                        if extra not in bad:
-                            yield EnumType(tags + (extra,))
-                elif ctor == "arr":
-                    yield ArrayType(INT, INT)
-                    while True:
-                        fresh[0] += 1
-                        yield ArrayType(INT, BVType(fresh[0]))
-
-        def violates(root: int, val: TypeTerm) -> bool:
-            # a root pinned to a singleton constructor is known before its
-            # turn, and any other root not yet valued stays itself: sides
-            # equal then stay equal whatever that root takes
-            def value(r: int) -> TypeTerm:
-                if r == root:
-                    return val
-                return values[r] if r in values else self._settled(r)
-
-            return any(self.ground(a, value) == self.ground(b, value)
-                       for a, b in self.diseqs)
+        def first(root: int) -> TypeTerm:
+            nonlocal fresh
+            ctors, tags = self.record.get(root, _FREE)
+            ctor = next(c for c in _CTOR_ORDER if c in ctors)
+            if ctor != "enum":
+                return _FIRST[ctor]
+            if tags:
+                return EnumType(tuple(sorted(tags)))
+            fresh += 1
+            return EnumType((f"TAG{fresh}",))
 
         walked_free = False
 
         def value_of(root: int) -> TypeTerm:
             nonlocal walked_free
-            val = values.get(root)
-            if val is None:
-                # a pinned value never violates a disequality that
-                # `check_diseqs` passed, as the unpinned roots see it first
-                val = self.pinned(root)
-                if val is None:
+            if root not in values:
+                values[root] = first(root)
+                if self.pinned(root) is None:
                     free.add(root)
-                    # the search splits every root that a disequality
-                    # reaches and only scalars are left to, so a value
-                    # that breaks none is among the candidates
-                    val = next(c for c in candidates(root)
-                               if not violates(root, c))
-                values[root] = val
             walked_free = walked_free or root in free
-            return val
+            return values[root]
 
         model: dict[int, TypeTerm] = {}
         forced: dict[int, TypeTerm] = {}
@@ -586,24 +456,21 @@ class _Theory:
 
 class _Branch:
     """An open branch point of a search: the children of `theory` each
-    assert one of `lits` with `label`, in order, and `pos` is the next.
-    `why` gathers the labels of the children that failed. A clause's
-    branch then resumes at clause `rest`; a split's (`label` below 0)
-    stays at the leaf, and `record` holds why its root has no other
-    value."""
+    assert one of `lits`, the literals of the clause `label`, in order, and
+    `pos` is the next. `why` gathers the labels of the children that
+    failed. A child resumes the search at clause `rest`."""
 
-    __slots__ = ("theory", "label", "lits", "pos", "rest", "why", "record")
+    __slots__ = ("theory", "label", "lits", "pos", "rest", "why")
 
     def __init__(self, theory: _Theory, label: int, lits: Sequence[Lit],
-                 rest: int, record: frozenset[int] = frozenset()):
+                 rest: int):
         self.theory, self.label, self.lits = theory, label, lits
-        self.pos, self.rest, self.why, self.record = 0, rest, set(), record
+        self.pos, self.rest, self.why = 0, rest, set()
 
 
 class _Base:
     """Where searches start: `theory` has the unit clauses of `clauses`
-    asserted in order and passes `check_diseqs`, or is None when they
-    conflict, with `why` the indices of clauses that cannot all hold; a
+    asserted in order, or is None when they conflict, with `why` the indices of clauses that cannot all hold; a
     search from it branches on the other clauses. `extend` asserts only
     the added units, on a copy, so a fact that many searches share is
     asserted once; a base's theory is never asserted to again."""
@@ -628,7 +495,6 @@ class _Base:
             try:
                 for c in units:
                     th.assert_lit(c.lits[0], c.index)
-                th.check_diseqs()
             except _Conflict as conflict:
                 th, why = None, conflict.why
         return _Base(th, self.clauses + tuple(clauses), why)
@@ -639,10 +505,9 @@ class _Base:
         the base's theory, in which each step copies the theory it extends
         and asserts one literal of the next non-unit clause. A step first
         passes over each next clause with a literal the theory entails;
-        that clause holds at every leaf below, since a branch only adds
-        merges and disequalities, and never takes one back, and it adds
-        nothing to an explanation. A leaf whose model needs a root's
-        finite domain split (`_Theory.split`) branches on it first. The
+        that clause holds at every leaf below, since a branch only merges,
+        binds and narrows, and never takes a fact back, and it adds nothing
+        to an explanation. Every leaf has a model (`_Theory.solution`). The
         base's theory is the one that asserting the units of `clauses` in
         order on a fresh theory gives, so how a base was built does not
         change what its search finds.
@@ -650,9 +515,9 @@ class _Base:
         A failed child names the clauses that refute it. If its branch's
         clause is not among them, they refute the branch's node too, and
         the node's other children are not tried; otherwise the node fails
-        for the union of its children's clauses (a split's record in place
-        of its own label). Only subtrees without a satisfiable leaf are
-        cut, so the first satisfiable leaf is the one a full search finds.
+        for the union of its children's clauses. Only subtrees without a
+        satisfiable leaf are cut, so the first satisfiable leaf is the one
+        a full search finds.
         """
         if self.theory is None:
             return self.why
@@ -660,20 +525,13 @@ class _Base:
         branches: list[_Branch] = []
         th, i = self.theory, 0
         while True:
-            # th holds: branch on the next clause it does not entail, on a
-            # split, or return it as the leaf
+            # th holds: branch on the next clause it does not entail, or
+            # return it as the leaf
             while i < len(rest) and any(th.entails(l) for l in rest[i].lits):
                 i += 1
-            if i < len(rest):
-                branches.append(_Branch(th, rest[i].index, rest[i].lits,
-                                        i + 1))
-            else:
-                split = th.split()
-                if split is None:
-                    return th
-                # a label no clause has, and no open branch
-                branches.append(_Branch(th, -2 - len(branches), split[0], i,
-                                        split[1]))
+            if i == len(rest):
+                return th
+            branches.append(_Branch(th, rest[i].index, rest[i].lits, i + 1))
             why: Optional[frozenset[int] | set[int]] = None
             while True:  # the top branch's next child that holds
                 top = branches[-1]
@@ -687,8 +545,6 @@ class _Base:
                 if top.pos == len(top.lits):
                     branches.pop()
                     why = top.why
-                    if top.label < 0:
-                        why = (why - {top.label}) | top.record
                     if not branches:
                         return frozenset(why)
                     continue
@@ -697,7 +553,6 @@ class _Base:
                 th = top.theory.copy()
                 try:
                     th.assert_lit(lit, top.label)
-                    th.check_diseqs()
                 except _Conflict as conflict:
                     why = conflict.why
                     continue
@@ -752,9 +607,11 @@ def _shrink_core(candidates: Sequence[Clause],
 @dataclass
 class MaxSmtResult:
     """`model` and `forced` come from the leaf of one search of the kept
-    clauses: `forced` is what the theory there determines. A kept clause
-    of several literals, which the search branches on, can make it
-    depend on the search order."""
+    clauses. `forced` is what the theory there determines: each variable
+    that grounds only through roots whose records leave one scalar, as
+    testers and disequalities narrow them. A kept clause of several
+    literals, which the search branches on, can make it depend on the
+    search order."""
 
     falsified: tuple[int, ...]
     cost: int
@@ -772,6 +629,20 @@ class Untypeable(Exception):
         self.core = core
 
 
+def _check_literals(clauses: Sequence[Clause]) -> None:
+    """Raise `ValueError` for a literal outside the solver's language: a
+    negative `Eq` other than a type variable apart from `bool`, `int` or
+    `real`, or a negative `HasTag`."""
+    for c in clauses:
+        for lit in c.lits:
+            a = lit.atom
+            if not (lit.positive or type(a) is Tester
+                    or (type(a) is Eq and type(a.left) is TVar
+                        and type(a.right) in _APART)):
+                raise ValueError(f"clause {c.index}: the solver cannot "
+                                 f"assert {lit}")
+
+
 def _holding(clauses: Sequence[Clause]) -> _Theory:
     """A theory in which every clause holds. Raises `Untypeable`, with
     the core QuickXplain keeps among the clauses, when there is none."""
@@ -784,7 +655,9 @@ def _holding(clauses: Sequence[Clause]) -> _Theory:
 def check_sat(clauses: Sequence[Clause]) -> MaxSmtResult:
     """Every listed clause held at once: nothing falsified, at cost 0,
     with the model and forced values over the clauses' type variables.
-    Raises `Untypeable` when they cannot all hold."""
+    Raises `Untypeable` when they cannot all hold, and `ValueError` for a
+    literal outside the solver's language, before any search."""
+    _check_literals(clauses)
     th = _holding(clauses)
     tids = set()
     for c in clauses:
@@ -886,8 +759,11 @@ def solve_maxsmt(cs: ClauseSet) -> MaxSmtResult:
     only when the whole set fails, and before it is split, so every
     component's search starts from hard clauses that hold. The hard
     clauses `generate_clauses` emits all hold when every type variable
-    is `int`, which is why a repair round never raises it.
+    is `int`, which is why a repair round never raises it. Raises
+    `ValueError` for a literal outside the solver's language, before any
+    search.
     """
+    _check_literals(cs.clauses)
     falsified: list[int] = []
     cost = 0
     th = _solve(cs.clauses)

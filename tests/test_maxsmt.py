@@ -8,7 +8,6 @@ move that text, with
 """
 
 import random
-import signal
 import sys
 from pathlib import Path
 
@@ -25,7 +24,8 @@ from oracle_maxsmt import (  # noqa: E402
     oracle_optimum,
     random_clause_set,
 )
-from uclgen import maxsmt, pipeline  # noqa: E402
+from corpus import INVALID_PROGRAMS, VALID_PROGRAMS, transcript_replies  # noqa: E402
+from uclgen import maxsmt, pipeline, repair, uclid  # noqa: E402
 from uclgen.ast_core import BOOL, INT, REAL, ArrayType, BVType, EnumType, TVar  # noqa: E402
 from uclgen.constraints import (  # noqa: E402
     CTORS,
@@ -121,24 +121,21 @@ def test_check_sat_occurs_check():
 
 
 def test_check_sat_tester_and_tag():
-    cs = cs_of(
-        [is_ctor("enum", "x")],
-        [tag("GO", "x")],
-        [neq("x", EnumType(("GO",)))],
-    )
+    cs = cs_of([is_ctor("enum", "x")], [tag("GO", "x")])
     res = check_sat(cs.clauses)
     assert (res.falsified, res.cost) == ((), 0)
-    model_x = res.model[cs.tvar(("var", "x")).tid]
-    assert isinstance(model_x, EnumType) and "GO" in model_x.tags
-    assert model_x != EnumType(("GO",))
+    assert res.model[cs.tvar(("var", "x")).tid] == EnumType(("GO",))
 
 
 def test_check_sat_negative_testers_leave_options():
-    cs = cs_of([is_ctor("bv", "x")], [neq("x", BVType(1))], [neq("x", BVType(2))])
+    # neither `int` nor a scalar apart from it is left: x takes the first
+    # value its record allows, and is not forced
+    cs = cs_of([lambda v: Lit(CtorTester(("int",), v["x"]), positive=False)],
+               [neq("x", BOOL)], [neq("x", REAL)])
     res = check_sat(cs.clauses)
     assert (res.falsified, res.cost) == ((), 0)
-    got = res.model[cs.tvar(("var", "x")).tid]
-    assert isinstance(got, BVType) and got.width not in (1, 2)
+    x = cs.tvar(("var", "x")).tid
+    assert res.model[x] == BVType(1) and x not in res.forced
 
 
 def test_check_sat_disjunction_splits():
@@ -152,14 +149,13 @@ def test_check_sat_disjunction_splits():
 
 
 # ---------------------------------------------------------------------------
-# The theory's per-root record: allowed constructors, required and
-# forbidden enum tags
+# The theory's per-root record: allowed constructors and required enum tags
 # ---------------------------------------------------------------------------
 
 def test_record_ground_int_with_a_required_tag_conflicts():
     th = _Theory()
     with pytest.raises(_Conflict):
-        th._narrow(INT, frozenset({"int"}), frozenset({"A"}), frozenset())
+        th._narrow(INT, frozenset({"int"}), frozenset({"A"}))
 
 
 def test_record_merging_disjoint_constructors_conflicts():
@@ -169,15 +165,6 @@ def test_record_merging_disjoint_constructors_conflicts():
         th.assert_lit(Lit(CtorTester((ctor,), x), positive=False))
     for ctor in ("bv", "enum", "arr"):
         th.assert_lit(Lit(CtorTester((ctor,), y), positive=False))
-    with pytest.raises(_Conflict):
-        th.unify(x, y)
-
-
-def test_record_merging_a_required_and_a_forbidden_tag_conflicts():
-    th = _Theory()
-    x, y = TVar(0), TVar(1)
-    th.assert_lit(Lit(HasTag("A", x)))
-    th.assert_lit(Lit(HasTag("A", y), positive=False))
     with pytest.raises(_Conflict):
         th.unify(x, y)
 
@@ -203,25 +190,19 @@ def _bool_or_int(name):
     return lambda v: Lit(CtorTester(("bool", "int"), v[name]))
 
 
-def _differ(a, b):
-    return lambda v: Lit(Eq(v[a], v[b]), positive=False)
-
-
-#: literals that no model meets, each variable bool or int and the
-#: disequalities ruling out every choice: one variable that is neither,
-#: and three that differ pairwise
+#: literals that no model meets: a variable bool or int, and the
+#: disequalities ruling out every choice
 _SCALARS_RULED_OUT = {
     "neither": [_bool_or_int("x"), neq("x", INT), neq("x", BOOL)],
-    "pairwise": [_bool_or_int("x"), _bool_or_int("y"), _bool_or_int("z"),
-                 _differ("x", "y"), _differ("x", "z"), _differ("y", "z")],
 }
 
 
 @pytest.mark.parametrize("name", sorted(_SCALARS_RULED_OUT))
 def test_scalars_that_disequalities_rule_out_are_untypeable(name):
-    # the search splits such a root over its scalars before it accepts a
-    # leaf; the model walk used to meet it, and raised the private
-    # `_Conflict` out of both entry points
+    # each disequality takes its scalar from the root's record, so the
+    # last one asserted leaves no constructor; the model walk used to
+    # meet such a root, and raised the private `_Conflict` out of both
+    # entry points
     lits = _SCALARS_RULED_OUT[name]
     every = tuple(range(len(lits)))
     cs = cs_of(hard=[[lit] for lit in lits])
@@ -236,57 +217,6 @@ def test_scalars_that_disequalities_rule_out_are_untypeable(name):
     assert res.cost == 1 and verify_solution(cs, res)
 
 
-def _within_a_second(solve, cs):
-    """`solve(cs)`, or `TimeoutError` if it runs past one second."""
-    def over_time(signum, frame):
-        raise TimeoutError("no answer within a second")
-
-    handler = signal.signal(signal.SIGALRM, over_time)
-    signal.setitimer(signal.ITIMER_REAL, 1.0)
-    try:
-        return solve(cs)
-    finally:
-        signal.setitimer(signal.ITIMER_REAL, 0)
-        signal.signal(signal.SIGALRM, handler)
-
-
-def _arrays_apart_only_by_a_free_index(hard):
-    """`s` is an `int`, `x = Array(r, int)`, `y = Array(r, s)` and `x != y`:
-    with `s` pinned, no value of the free index `r` tells `x` and `y`
-    apart. Drop the tester and `s` may be `bool`."""
-    cs = ClauseSet()
-    s, x, y, r = (cs.tvar(("var", n)) for n in "sxyr")
-    lits = [Lit(CtorTester(("int",), s)), Lit(Eq(x, ArrayType(r, INT))),
-            Lit(Eq(y, ArrayType(r, s))), Lit(Eq(x, y), positive=False)]
-    for i, lit in enumerate(lits):
-        if hard:
-            cs.add_hard([lit], "t:hard")
-        else:
-            cs.add_soft([lit], 1, origin=i, label="t:soft")
-    return cs
-
-
-def test_arrays_apart_only_by_a_free_index_are_untypeable():
-    # the disequality check grounds the pinned roots and leaves the free
-    # ones as they are; it grounded only terms with no free root, and the
-    # model walk then tried the index's values forever
-    cs = _arrays_apart_only_by_a_free_index(hard=True)
-    for solve in (lambda cs: check_sat(cs.clauses), solve_maxsmt):
-        with pytest.raises(Untypeable) as exc:
-            _within_a_second(solve, cs)
-        assert exc.value.core == (0, 1, 2, 3)
-
-
-def test_arrays_apart_only_by_a_free_index_solve_as_soft_clauses():
-    # the model walk gave `s` the first value, `int`, while `r` had none,
-    # and no value of `r` was left; a root not yet valued now counts as
-    # itself, so `s` takes `bool`
-    cs = _arrays_apart_only_by_a_free_index(hard=False)
-    res = _within_a_second(solve_maxsmt, cs)
-    assert (res.falsified, res.cost) == ((0,), 1)
-    assert verify_solution(cs, res)
-
-
 # ---------------------------------------------------------------------------
 # Entailment: the clauses `_solve` skips
 # ---------------------------------------------------------------------------
@@ -299,7 +229,6 @@ def test_entails_an_equality_through_a_union_find_chain():
     th.unify(y, z)
     assert th.entails(Lit(Eq(x, z)))
     assert th.entails(Lit(Eq(z, x)))
-    assert not th.entails(Lit(Eq(x, z), positive=False))
 
 
 def test_entails_an_equality_through_an_arrays_parts():
@@ -313,25 +242,31 @@ def test_entails_an_equality_through_an_arrays_parts():
     assert not th.entails(Lit(Eq(a, ArrayType(j, INT))))
 
 
-def test_entails_a_stored_disequality_as_it_stands():
+def test_entails_a_disequality_whose_constructor_is_excluded():
     th = _Theory()
-    x, y = TVar(0), TVar(1)
+    x, y, z = TVar(0), TVar(1), TVar(2)
     th.assert_lit(Lit(Eq(x, INT), positive=False))
     assert th.entails(Lit(Eq(x, INT), positive=False))
-    # checked syntactically: sides swapped, a merged side, or sides that
-    # are ground and differ do not match a stored disequality
+    assert not th.entails(Lit(Eq(x, BOOL), positive=False))
+    # read off the record of the root a variable resolves to, whichever
+    # literal narrowed it, and off the constructor of a bound variable
     th.unify(x, y)
-    assert not th.entails(Lit(Eq(INT, x), positive=False))
-    assert not th.entails(Lit(Eq(y, INT), positive=False))
+    assert th.entails(Lit(Eq(y, INT), positive=False))
+    th.assert_lit(Lit(CtorTester(("bool", "int"), y)))
+    assert th.entails(Lit(Eq(x, REAL), positive=False))
+    th.unify(z, ArrayType(INT, INT))
+    assert all(th.entails(Lit(Eq(z, s), positive=False))
+               for s in (BOOL, INT, REAL))
     th.unify(y, BOOL)
-    assert not th.entails(Lit(Eq(x, REAL), positive=False))
+    assert th.entails(Lit(Eq(x, REAL), positive=False))
+    assert not th.entails(Lit(Eq(x, BOOL), positive=False))
 
 
 def test_entails_no_tester_or_tag_literal():
     th = _Theory()
     x = TVar(0)
     for lit in (Lit(CtorTester(("enum",), x)), Lit(HasTag("A", x)),
-                Lit(HasTag("B", x), positive=False)):
+                Lit(CtorTester(("bv",), x), positive=False)):
         th.assert_lit(lit)
         assert not th.entails(lit)
 
@@ -353,6 +288,85 @@ def test_a_skipped_clause_holds_in_the_model_of_the_leaf():
     model = th.solution({x.tid, y.tid, z.tid})[0]
     assert model[z.tid] == INT
     assert all(eval_clause(c, model) for c in cs.clauses)
+
+
+# ---------------------------------------------------------------------------
+# The literal language: negative testers and a variable apart from a scalar
+# ---------------------------------------------------------------------------
+
+#: negative literals outside the solver's language, by name, with their
+#: SMT-LIB text
+_DROPPED_SHAPES = {
+    "var-var": (lambda v: Lit(Eq(v["x"], v["y"]), positive=False),
+                "(not (= t0 t1))"),
+    "var-bv": (lambda v: Lit(Eq(v["x"], BVType(2)), positive=False),
+               "(not (= t0 (ty-bv 2)))"),
+    "var-array": (lambda v: Lit(Eq(v["x"], ArrayType(INT, v["y"])),
+                                positive=False),
+                  "(not (= t0 (ty-arr ty-int t1)))"),
+    "var-enum": (lambda v: Lit(Eq(v["x"], EnumType(("A",))), positive=False),
+                 "(not (= t0 (ty-enum 0)))"),
+    "no-tag": (lambda v: Lit(HasTag("A", v["x"]), positive=False),
+               "(not (and ((_ is ty-enum) t0) (or (= (enum-id t0) 0))))"),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_DROPPED_SHAPES))
+def test_a_literal_outside_the_language_is_rejected_before_any_search(
+        monkeypatch, shape):
+    # behind a clause that holds and inside one with a literal that would,
+    # so no search could meet it first; the SMT-LIB export renders it
+    lit, text = _DROPPED_SHAPES[shape]
+    cs = cs_of([eq("x", INT)], [eq("y", BOOL), lit], hard=[[eq("z", REAL)]])
+    calls = _count_solves(monkeypatch)
+    for solve in (solve_maxsmt, lambda cs: check_sat(cs.clauses)):
+        with pytest.raises(ValueError, match="clause 2: the solver cannot"):
+            solve(cs)
+    assert calls == []
+    assert f"(assert (=> b2 (or (= t1 ty-bool) {text})))" in \
+        emit_smtlib(cs).splitlines()
+
+
+def _generated_clause_sets(monkeypatch):
+    """Every clause set `generate_clauses` returns for a repair round of
+    each corpus program and recorded reply, and through `run_pipeline` on
+    each workload item at seed 0, holed and final programs included."""
+    sets = []
+
+    def recording(program, weight_mode="depth"):
+        cs = generate_clauses(program, weight_mode)
+        sets.append(cs)
+        return cs
+
+    for module in (repair, uclid):
+        monkeypatch.setattr(module, "generate_clauses", recording)
+    sources = [*VALID_PROGRAMS.values(), *INVALID_PROGRAMS.values(),
+               *(code for _, code in transcript_replies())]
+    for source in sources:
+        repair_round(prune_to_child(parse_tolerant(source))[0], "depth")
+    for workload in workloads.WORKLOADS:
+        for item in workloads.pool(workload, 0, SUITE):
+            backend = (ReplayBackend.from_file(item.transcript)
+                       if item.transcript else MockBackend(list(item.replies)))
+            run_pipeline(item.task, backend)
+    return sets
+
+
+def test_every_literal_clause_generation_emits_is_in_the_language(
+        monkeypatch):
+    sets = _generated_clause_sets(monkeypatch)
+    negative = {}
+    for cs in sets:
+        maxsmt._check_literals(cs.clauses)
+        for c in cs.clauses:
+            for lit in c.lits:
+                if not lit.positive:
+                    negative[c.label] = negative.get(c.label, 0) + 1
+    # each is `act != bool`: a declaration guard, `S1:exclusive` or
+    # `S5:input-write`
+    assert {"S1:exclusive", "S2:decl-type", "S5:input-write"} <= \
+        negative.keys(), negative
+    assert len(sets) >= 150, len(sets)
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +566,9 @@ def test_solver_matches_oracle_where_an_enum_needs_a_fresh_tag(
 
 
 def test_oracle_has_a_width_outside_the_ground_terms():
-    # v0 is a bit-vector apart from v1 = bv2, v2 = bv3 and bv4
+    # v0 is a bit-vector apart from v1 = bv2, v2 = bv3 and bv4. The solver
+    # rejects such disequalities, and `random_clause_set` writes none, so
+    # only the oracle scores this set
     cs = ClauseSet()
     v0, v1, v2 = _vars(cs)
     for i, lit in enumerate([
@@ -563,7 +579,6 @@ def test_oracle_has_a_width_outside_the_ground_terms():
     ]):
         cs.add_soft([lit], 1, origin=i, label="t")
     assert oracle_optimum(cs) == (0, ())
-    _assert_optimal(cs)
 
 
 def test_oracle_has_an_array():
@@ -573,42 +588,6 @@ def test_oracle_has_an_array():
         cs.add_soft([Lit(CtorTester((ctor,), v0), positive=False)], 1,
                     origin=i, label="t")
     assert oracle_optimum(cs) == (0, ())
-    _assert_optimal(cs)
-
-
-def test_model_sees_singleton_values_before_their_turn():
-    # v1 = v2 and is-int(v2) make v1 an int; v0 is valued first and must
-    # not take int, or v1 != v0 leaves v1 without a value
-    cs = ClauseSet()
-    v0, v1, v2 = _vars(cs)
-    cs.add_soft([Lit(CtorTester(("int",), v2))], 1, origin=0, label="t")
-    cs.add_soft([Lit(Eq(v1, v2)), Lit(CtorTester(("bv",), v1), positive=False)],
-                1, origin=1, label="t")
-    cs.add_soft([Lit(Eq(v1, v0), positive=False)], 1, origin=2, label="t")
-    assert oracle_optimum(cs) == (0, ())
-    _assert_optimal(cs)
-
-
-def test_model_with_singleton_values_on_a_random_set():
-    # random_clause_set(random.Random(7), max_soft=10), set 252
-    cs = ClauseSet()
-    v0, v1, v2 = _vars(cs)
-    bc = EnumType(("B", "C"))
-    cs.add_hard([Lit(Eq(v1, v2), positive=False),
-                 Lit(CtorTester(("real",), v1))], "t:hard")
-    for w, lits in [
-        (7, [Lit(HasTag("B", v2))]),
-        (1, [Lit(HasTag("B", v0)), Lit(Eq(v2, bc))]),
-        (8, [Lit(Eq(v1, v0), positive=False), Lit(HasTag("A", v0)),
-             Lit(HasTag("C", v1), positive=False)]),
-        (7, [Lit(Eq(v1, v2))]),
-        (7, [Lit(HasTag("B", v0), positive=False), Lit(Eq(v1, v2)),
-             Lit(Eq(v1, v2))]),
-        (8, [Lit(Eq(v1, bc)), Lit(CtorTester(("bool",), v1), positive=False)]),
-        (8, [Lit(CtorTester(("int",), v1)), Lit(Eq(v2, v0))]),
-    ]:
-        cs.add_soft(lits, w, origin=len(cs.clauses), label="t")
-    assert oracle_optimum(cs) == (7, (4,))
     _assert_optimal(cs)
 
 
@@ -768,19 +747,6 @@ def _count_nodes(monkeypatch):
     return nodes
 
 
-def _count_diseq_checks(monkeypatch):
-    """Disequalities resolved, one `_Theory._check_diseq` call each."""
-    checks = [0]
-    check = _Theory._check_diseq
-
-    def counting(self, a, b):
-        checks[0] += 1
-        return check(self, a, b)
-
-    monkeypatch.setattr(_Theory, "_check_diseq", counting)
-    return checks
-
-
 def _count_asserts(monkeypatch):
     """Every literal `_Theory.assert_lit` is called with, in order."""
     asserted = []
@@ -827,25 +793,19 @@ _DUPLICATE_NODES = {2: 8, 3: 19, 4: 39, 5: 71, 6: 118, 7: 183, 8: 269}
 # units bound a variable reference's type to its variable's, and a
 # reference is now typed by its variable: 178 / 258 / 475 / 1,102 / 2,591 /
 # 5,694 / 11,942 with them. 134 / 214 / 431 / 1,058 / 2,547 / 5,650 /
-# 11,898 when QuickXplain shrank each core
-_DUPLICATE_ASSERTS = {2: 92, 3: 120, 4: 166, 5: 234, 6: 328, 7: 452,
-                      8: 610}
-# disequalities resolved, each step checking only those it can break;
-# re-checking every stored one after every step resolved 28 / 154 / 668 /
-# 2,711 / 9,032 / 25,067 / 63,518, and 20 / 68 / 216 / 690 / 1,925 / 4,591
-# / 10,129 without the whole-set search, 21 / 69 / 217 / 691 / 1,926 /
-# 4,592 / 10,130 without the kept-set search, 22 / 71 / 220 / 695 / 1,931
-# / 4,598 / 10,137 when QuickXplain shrank each core
-_DUPLICATE_DISEQ_CHECKS = {2: 5, 3: 15, 4: 34, 5: 65, 6: 111, 7: 175,
-                           8: 260}
+# 11,898 when QuickXplain shrank each core. A disequality with a scalar
+# narrows its root's record, so it conflicts when it is asserted, not when
+# the disequalities were checked at the end of its step: 92 / 120 / 166 /
+# 234 / 328 / 452 / 610 while they waited to be checked
+_DUPLICATE_ASSERTS = {2: 70, 3: 98, 4: 144, 5: 212, 6: 306, 7: 430,
+                      8: 588}
 # the searches between the search of the hard clauses and that of the kept
 # clauses: the hitting-set search's
 _DUPLICATE_SOLVES = {2: 6, 3: 8, 4: 11, 5: 15, 6: 20, 7: 26, 8: 33}
-# (solves, nodes, asserts, disequality checks) of the depth-first search
+# (solves, nodes, asserts) of the depth-first search
 _DEPTH_FIRST_DUPLICATES = {
-    2: (7, 9, 100, 6), 3: (11, 27, 147, 22), 4: (14, 50, 194, 43),
-    5: (18, 86, 261, 77), 6: (23, 138, 351, 127), 7: (29, 209, 467, 196),
-    8: (36, 302, 612, 287)}
+    2: (7, 9, 100), 3: (11, 27, 147), 4: (14, 50, 194), 5: (18, 86, 261),
+    6: (23, 138, 351), 7: (29, 209, 467), 8: (36, 302, 612)}
 
 
 @pytest.mark.parametrize("k, quickxplain_solves, falsified", [
@@ -870,7 +830,6 @@ def test_duplicate_declarations_cost_pinned_solves(
     calls = _count_solves(monkeypatch)
     nodes = _count_nodes(monkeypatch)
     asserted = _count_asserts(monkeypatch)
-    diseq_checks = _count_diseq_checks(monkeypatch)
     assert solve_maxsmt(cs).falsified == falsified
     assert calls[0] == tuple(c.index for c in cs.clauses)
     assert calls[1] == tuple(c.index for c in cs.hard)
@@ -879,11 +838,9 @@ def test_duplicate_declarations_cost_pinned_solves(
     assert len(calls) == 2 + _DUPLICATE_SOLVES[k] < 2 + quickxplain_solves
     assert nodes[0] == _DUPLICATE_NODES[k]
     assert len(asserted) == _DUPLICATE_ASSERTS[k]
-    assert diseq_checks[0] == _DUPLICATE_DISEQ_CHECKS[k]
     depth_first = _DEPTH_FIRST_DUPLICATES[k]
     assert all(got < bound for got, bound in zip(
-        (len(calls) - 2, nodes[0], len(asserted), diseq_checks[0]),
-        depth_first)), depth_first
+        (len(calls) - 2, nodes[0], len(asserted)), depth_first)), depth_first
 
 
 def _chain_cost(monkeypatch, family, n):
@@ -1013,7 +970,7 @@ def test_a_known_core_is_branched_on_without_a_solve(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
-# Bookkeeping done once: incremental disequality checks, one-walk models
+# Bookkeeping done once: one-walk models
 # ---------------------------------------------------------------------------
 
 _WIDE_GROUND = (BOOL, INT, REAL, BVType(2), BVType(4), EnumType(("A",)),
@@ -1091,123 +1048,30 @@ def _determined_ref(th, t):
     return t
 
 
-def _settled_ref(th, t):
-    """`t` resolved deep, with each root that its record pins to one scalar
-    replaced by that scalar and every other root left as itself."""
-    t = th.resolve(t)
-    if isinstance(t, TVar):
-        ctors = th.record.get(t.tid, (frozenset(),))[0]
-        return {frozenset({"int"}): INT, frozenset({"bool"}): BOOL,
-                frozenset({"real"}): REAL}.get(ctors, t)
-    if isinstance(t, ArrayType):
-        return ArrayType(_settled_ref(th, t.index), _settled_ref(th, t.elem))
-    return t
-
-
-def _diseqs_hold(th):
-    """Reference: every stored disequality checked from scratch. Its sides
-    fail when they settle to one term, since no value of the roots left
-    free can then tell them apart."""
-    return all(_settled_ref(th, a) != _settled_ref(th, b)
-               for a, b in th.diseqs)
-
-
-def test_incremental_diseq_check_raises_exactly_when_a_full_recheck_would(
-        monkeypatch):
-    outcomes = {True: 0, False: 0}
-    check = _Theory.check_diseqs
-
-    def compared(th):
-        expect = _diseqs_hold(th)
-        try:
-            check(th)
-        except _Conflict:
-            assert not expect
-            outcomes[False] += 1
-            raise
-        assert expect
-        outcomes[True] += 1
-
-    monkeypatch.setattr(_Theory, "check_diseqs", compared)
-    for cs in _solver_corpus():
-        _solve_all(cs)
-    # a search now stops at a branch that its explanation refutes, so the
-    # corpus reaches 1,165 conflicting checks (9,785 while QuickXplain
-    # shrank each core); theories built from random disequalities, then
-    # equalities and testers, each checked, reach the rest
-    _diseq_walks(random.Random(3), 10000)
-    assert min(outcomes.values()) >= 5000, outcomes
-
-
-def _diseq_walks(rng, count):
-    """`count` theories over three variables: two random disequalities,
-    then four random equalities or testers, each checked as it is
-    asserted, until one conflicts."""
-    v = [TVar(i) for i in range(3)]
-    terms = v + [INT, BOOL, ArrayType(v[0], BOOL), ArrayType(INT, v[1])]
-    for _ in range(count):
-        lits = [Lit(Eq(rng.choice(v), rng.choice(terms)), positive=False)
-                for _ in range(2)]
-        for _ in range(4):
-            x = rng.choice(v)
-            lits.append(
-                Lit(CtorTester((rng.choice(("int", "bool", "arr")),), x))
-                if rng.random() < 0.3 else Lit(Eq(x, rng.choice(terms))))
-        th = _Theory()
-        try:
-            for lit in lits:
-                th.assert_lit(lit)
-                th.check_diseqs()
-        except _Conflict:
-            pass
-
-
 def _two_walk_solution(th, tids):
-    """Reference: the model as a walk that scans the disequalities for
-    every root found it, and forced as a second walk through the pinned
-    roots only."""
+    """Reference: the model as a walk that gives every root it finds the
+    first value its record allows, and forced as a second walk through
+    the pinned roots only."""
     values = {}
     fresh = [1000]
 
-    def candidates(root):
-        ctors, tags, bad = th.record.get(root, maxsmt._FREE)
-        tags = tuple(sorted(tags))
-        for ctor in maxsmt._CTOR_ORDER:
-            if ctor not in ctors:
-                continue
-            if ctor in maxsmt._SINGLETONS:
-                yield maxsmt._SINGLETONS[ctor]
-            elif ctor == "bv":
-                yield from (BVType(w) for w in range(1, 64))
-                while True:
-                    fresh[0] += 1
-                    yield BVType(fresh[0])
-            elif ctor == "enum":
-                if tags:
-                    yield EnumType(tags)
-                while True:
-                    fresh[0] += 1
-                    if f"TAG{fresh[0]}" not in bad:
-                        yield EnumType(tags + (f"TAG{fresh[0]}",))
-            elif ctor == "arr":
-                yield ArrayType(INT, INT)
-                while True:
-                    fresh[0] += 1
-                    yield ArrayType(INT, BVType(fresh[0]))
-
-    def violates(root, val):
-        def value(r):
-            if r == root:
-                return val
-            return values[r] if r in values else _settled_ref(th, TVar(r))
-
-        return any(th.ground(a, value) == th.ground(b, value)
-                   for a, b in th.diseqs)
+    def first(root):
+        ctors, tags = th.record.get(root, maxsmt._FREE)
+        ctor = next(c for c in maxsmt._CTOR_ORDER if c in ctors)
+        if ctor in maxsmt._SINGLETONS:
+            return maxsmt._SINGLETONS[ctor]
+        if ctor == "bv":
+            return BVType(1)
+        if ctor == "arr":
+            return ArrayType(INT, INT)
+        if tags:
+            return EnumType(tuple(sorted(tags)))
+        fresh[0] += 1
+        return EnumType((f"TAG{fresh[0]}",))
 
     def value_of(root):
         if root not in values:
-            values[root] = next(c for c in candidates(root)
-                                if not violates(root, c))
+            values[root] = first(root)
         return values[root]
 
     model = {tid: th.ground(TVar(tid), value_of) for tid in sorted(tids)}
