@@ -829,7 +829,8 @@ class _Pruner:
             if fn == "BitVector" and len(args) == 1 and args[0].kind == "int":
                 width = _int_literal(args[0].text)
                 return BVType(width) if width is not None and width >= 1 else None
-            if fn == "Enum" and args and all(a.kind == "str" for a in args):
+            if fn == "Enum" and args and all(
+                    a.kind == "str" and is_identifier(a.text) for a in args):
                 tags = [a.text for a in args]
                 if len(set(tags)) != len(tags):
                     return None

@@ -480,6 +480,29 @@ def test_prune_overlong_bitvector_width_is_a_type_hole():
     assert len(rep.dropped) == 1
 
 
+@pytest.mark.parametrize("tags", [
+    '"a b", "z"', '"1x", "y"', '"", "y"', '"HI*GH", "LOW", "MD"',
+], ids=["space", "digit-first", "empty", "star"])
+def test_prune_enum_with_a_tag_that_is_no_identifier_is_a_type_hole(tags):
+    # as a string literal with such text is no enum literal; UCLID5 text
+    # with the tag failed validation, where a hole goes back to the model
+    src = (
+        "class M(Module):\n"
+        "    def types(self):\n"
+        f"        self.t = Enum({tags})\n"
+        "    def locals(self):\n"
+        f"        self.m = Enum({tags})\n"
+        f"        self.a = Array(int, Enum({tags}))\n"
+        '        self.ok = Enum("A", "b_2")\n'
+    )
+    p, rep = pruned(src)
+    assert isinstance(p.type_defs[0].annot, HoleType)
+    assert [type(d.annot).__name__ for d in p.locals] == [
+        "HoleType", "HoleType", "TypeAnnot"]
+    assert [h["category"] for h in rep.to_dict()["holes_inserted"]] == [
+        "type"] * 3
+
+
 def test_prune_synonym_requires_prior_typedef():
     src = (
         "class M(Module):\n"
