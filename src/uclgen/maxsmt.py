@@ -470,10 +470,11 @@ class _Branch:
 
 class _Base:
     """Where searches start: `theory` has the unit clauses of `clauses`
-    asserted in order, or is None when they conflict, with `why` the indices of clauses that cannot all hold; a
-    search from it branches on the other clauses. `extend` asserts only
-    the added units, on a copy, so a fact that many searches share is
-    asserted once; a base's theory is never asserted to again."""
+    asserted in order, or is None when they conflict, with `why` the
+    indices of clauses that cannot all hold; a search from it branches on
+    the other clauses. `extend` asserts only the added units, on a copy, so
+    a fact that many searches share is asserted once; a base's theory is
+    never asserted to again."""
 
     __slots__ = ("theory", "clauses", "why")
 

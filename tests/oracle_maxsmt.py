@@ -89,9 +89,9 @@ _CTORS = ("bool", "int", "real", "bv", "enum")
 def random_clause_set(rng: random.Random, max_soft: int = 14) -> ClauseSet:
     """A random clause set within the oracle-safe fragment and the
     solver's literal language. A literal drawn negative that the solver
-    rejects, a disequality between variables or with a bit-vector and a
-    negative tag, is made positive; that draws no random number, so a set
-    with none is the one the unrestricted generator gave."""
+    rejects, a disequality with anything but a scalar or a negative tag,
+    is made positive; that draws no random number, so a set with none is
+    the one the unrestricted generator gave."""
     cs = ClauseSet()
     n_tvars = rng.randint(1, MAX_TVARS)
     tvars = [cs.tvar(("var", f"v{i}")) for i in range(n_tvars)]
