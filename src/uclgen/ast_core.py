@@ -2,8 +2,11 @@
 
 Defines the surface-language AST produced by the tolerant parser, the
 restricted module-language AST (with holes), type terms and source spans.
-All trees are immutable after construction; every transformation elsewhere
-in the package returns a new tree, sharing the subtrees it leaves alone.
+No stage changes a built tree: every transformation elsewhere in the
+package returns a new tree, sharing the subtrees it leaves alone, as
+`tests/test_node_writes.py` checks. The classes are plain slotted
+dataclasses, not frozen ones: a frozen dataclass's `__init__` sets each
+field through `object.__setattr__`, which doubles the cost of building it.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from decimal import Decimal
 from typing import Optional, Union
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Span:
     """Source range [start, end) in characters; lines are derived from the
     source where a report needs them."""
@@ -55,27 +58,27 @@ def is_identifier(text: str) -> bool:
 # Type terms
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class TypeTerm:
     """Base class for the type vocabulary used by constraints and decls."""
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class BoolType(TypeTerm):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class IntType(TypeTerm):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class RealType(TypeTerm):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class BVType(TypeTerm):
     width: int
 
@@ -84,7 +87,7 @@ class BVType(TypeTerm):
             raise ValueError(f"bitvector width must be >= 1, got {self.width}")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class EnumType(TypeTerm):
     tags: tuple[str, ...]
 
@@ -93,21 +96,21 @@ class EnumType(TypeTerm):
             raise ValueError("enum needs at least one tag")
         if len(set(self.tags)) != len(self.tags):
             raise ValueError(f"duplicate enum tags: {self.tags}")
-        object.__setattr__(self, "tags", tuple(sorted(self.tags)))
+        self.tags = tuple(sorted(self.tags))
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class ArrayType(TypeTerm):
     index: TypeTerm
     elem: TypeTerm
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class SynonymType(TypeTerm):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class TVar(TypeTerm):
     tid: int
 
@@ -121,7 +124,7 @@ REAL = RealType()
 # Surface-language AST (output of the tolerant parser)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class PNode:
     """Generic surface AST node: kind tag, children, token text, span."""
 
@@ -141,45 +144,45 @@ class ParentAst:
 # Module-language AST
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Node:
     span: Span = field(default=NO_SPAN, compare=False, repr=False, kw_only=True)
 
 
 # -- expressions --
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Expr(Node):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class BoolLit(Expr):
     value: bool
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class IntLit(Expr):
     value: int
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class RealLit(Expr):
     value: float
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class BVLit(Expr):
     value: int
     width: int
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class EnumLit(Expr):
     tag: str
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class VarRef(Expr):
     name: str
 
@@ -193,7 +196,7 @@ BINARY_OPS = (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Unary(Expr):
     op: str
     operand: Expr
@@ -203,7 +206,7 @@ class Unary(Expr):
             raise ValueError(f"bad unary op {self.op!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Binary(Expr):
     op: str
     left: Expr
@@ -223,38 +226,38 @@ def left_spine(e: Binary) -> list[Binary]:
     return spine
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Ite(Expr):
     cond: Expr
     then: Expr
     other: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class ArraySelect(Expr):
     array: Expr
     index: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class HoleExpr(Expr):
     hid: int
 
 
 # -- statements --
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Stmt(Node):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Assign(Stmt):
     lhs: Expr  # VarRef or ArraySelect chain rooted at a state variable
     rhs: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class If(Stmt):
     """`if`/`elif`/`else`: the first arm `(cond, body)` whose condition
     holds runs, `orelse` when none does. The `if` and each `elif` are one
@@ -264,41 +267,41 @@ class If(Stmt):
     orelse: tuple[Stmt, ...] = ()
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Havoc(Stmt):
     name: str
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Assume(Stmt):
     cond: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Assert(Stmt):
     cond: Expr
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class HoleStmt(Stmt):
     hid: int
 
 
 # -- declarations --
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class TypeAnnot(Node):
     """A type expression in declaration position."""
 
     ty: TypeTerm
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class HoleType(Node):
     hid: int
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class DeclValue(Node):
     """A value where a type was expected; the constraint phase infers the
     declared type from it instead of deleting the declaration."""
@@ -309,13 +312,13 @@ class DeclValue(Node):
 Annot = Union[TypeAnnot, HoleType, DeclValue]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Decl(Node):
     name: str
     annot: Annot
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class HoleDecl(Node):
     hid: int
 
@@ -323,7 +326,7 @@ class HoleDecl(Node):
 DeclEntry = Union[Decl, HoleDecl]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class ChildProgram(Node):
     module_name: str = "M"
     type_defs: tuple[DeclEntry, ...] = ()

@@ -45,9 +45,14 @@ EXIT_FAILED = 1
 EXIT_USAGE = 2
 
 
-def _usage_error(message: str) -> NoReturn:
+def _usage(message: str) -> int:
+    """Print `message` as a usage error; returns the exit code for one."""
     print(f"uclgen: {message}", file=sys.stderr)
-    raise SystemExit(EXIT_USAGE)
+    return EXIT_USAGE
+
+
+def _usage_error(message: str) -> NoReturn:
+    raise SystemExit(_usage(message))
 
 
 def _build_backend(args: argparse.Namespace):
@@ -125,7 +130,7 @@ def _read_file(path: str) -> str | None:
     try:
         return Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
-        print(f"cannot read {path}: {exc}", file=sys.stderr)
+        _usage(f"cannot read {path}: {exc}")
         return None
 
 
@@ -147,7 +152,7 @@ def _writable(path: str | None) -> bool:
         reason = "the file is not writable"
     else:
         return True
-    print(f"uclgen: cannot write {path}: {reason}", file=sys.stderr)
+    _usage(f"cannot write {path}: {reason}")
     return False
 
 
@@ -157,7 +162,7 @@ def _write_file(path: str, write) -> bool:
     try:
         write(path)
     except OSError as exc:
-        print(f"uclgen: cannot write {path}: {exc}", file=sys.stderr)
+        _usage(f"cannot write {path}: {exc}")
         return False
     return True
 
@@ -174,8 +179,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     elif args.task:
         task = args.task
     else:
-        print("a task string or --task-file is required", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage("a task string or --task-file is required")
     if not (_writable(args.record) and _writable(args.output)):
         return EXIT_USAGE
     backend = _build_backend(args)
@@ -218,8 +222,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
     try:
         suite = load_suite(args.suite)
     except (OSError, ValueError) as exc:
-        print(f"cannot load suite {args.suite}: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _usage(f"cannot load suite {args.suite}: {exc}")
     report = run_bench(
         suite, max_llm_calls=args.max_llm_calls,
         weight_mode=args.weights, loose=args.loose,

@@ -89,7 +89,7 @@ TVarKey = tuple
 # Atoms, literals, clauses
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Eq:
     """left == right over type terms."""
 
@@ -106,7 +106,7 @@ _CTOR_TUPLES = frozenset(
     for mask in range(1, 1 << len(CTORS)))
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Tester:
     """is-<c1>(term) or ... or is-<cn>(term): the term is built with one of
     the constructors `ctors`, a non-empty tuple of names in `CTORS` order.
@@ -122,7 +122,7 @@ class Tester:
                              f"non-empty tuple in the order of {CTORS}")
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class HasTag:
     """term is an enum type that includes the given tag."""
 
@@ -133,13 +133,13 @@ class HasTag:
 Atom = Union[Eq, Tester, HasTag]
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Lit:
     atom: Atom
     positive: bool = True
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Clause:
     """A disjunction of literals.
 

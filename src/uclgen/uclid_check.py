@@ -57,7 +57,7 @@ class UclidParseError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
+@dataclass(unsafe_hash=True, slots=True)
 class Diagnostic:
     code: str
     message: str

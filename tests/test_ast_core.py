@@ -1,6 +1,7 @@
 """Core AST utilities: traversal, node positions, and type terms."""
 
 import dataclasses
+import gc
 import re
 
 import pytest
@@ -36,6 +37,7 @@ from uclgen.ast_core import (
     PNode,
     RealLit,
     Stmt,
+    Span,
     SynonymType,
     TypeAnnot,
     Unary,
@@ -252,6 +254,9 @@ NODES_AND_CHILDREN = [
 
 
 def test_examples_cover_every_node_class():
+    # a slotted dataclass replaces the class it decorates, and the class
+    # replaced stays among its base's subclasses until a collection
+    gc.collect()
     covered = {type(n) for n, _ in NODES_AND_CHILDREN}
     assert covered == {Node, *_subclasses(Node)}
 
@@ -272,3 +277,15 @@ def test_node_children_and_map_children_follow_field_order(node, children):
     assert node_children(mapped) == tuple(
         IntLit(i) for i in range(100, 100 + len(children))
     )
+
+
+@pytest.mark.parametrize(
+    "node", [n for n, _ in NODES_AND_CHILDREN] + [PNode("k", (PNode("c"),))],
+    ids=[type(n).__name__ for n, _ in NODES_AND_CHILDREN] + ["PNode"],
+)
+def test_equal_copies_hash_alike_and_the_span_is_not_compared(node):
+    copy = dataclasses.replace(node)
+    assert copy is not node and copy == node and hash(copy) == hash(node)
+    moved = dataclasses.replace(node, span=Span(3, 7))
+    assert moved.span != node.span
+    assert moved == node and hash(moved) == hash(node)

@@ -62,18 +62,26 @@ def test_check_missing_file_is_usage_error(tmp_path):
     assert main(["check", str(tmp_path / "nope.ucl")]) == EXIT_USAGE
 
 
-@pytest.mark.parametrize("command", [
-    ["check"], ["repair"], ["run", "--backend", "mock", "--task-file"],
-], ids=["check", "repair", "run"])
+@pytest.mark.parametrize("command,message", [
+    (["check"], "cannot read {path}"),
+    (["repair"], "cannot read {path}"),
+    (["run", "--backend", "mock", "--task-file"], "cannot read {path}"),
+    # no task: the mock backend's file is never read
+    (["run", "--backend", "mock", "--responses"],
+     "a task string or --task-file is required"),
+    (["bench", "--suite"], "cannot load suite {path}"),
+], ids=["check", "repair", "run", "run-no-task", "bench"])
 @pytest.mark.parametrize("content", [None, b"\xff\xfe not utf-8\n"],
                          ids=["missing", "not-utf-8"])
-def test_unreadable_file_is_usage_error(tmp_path, capsys, command, content):
+def test_unreadable_file_is_usage_error(tmp_path, capsys, command, message,
+                                        content):
     path = tmp_path / "input.txt"
     if content is not None:
         path.write_bytes(content)
     assert main([*command, str(path)]) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith(f"cannot read {path}")
+    assert err.count("\n") == 1
+    assert err.startswith("uclgen: " + message.format(path=path))
 
 
 @pytest.mark.parametrize("command", [
@@ -427,7 +435,8 @@ def test_malformed_suite_is_usage_error(tmp_path, capsys, monkeypatch,
         (tmp_path / "t.jsonl").write_text(transcript, encoding="utf-8")
     assert main(["bench", "--suite", str(path)]) == EXIT_USAGE
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and err.startswith(f"cannot load suite {path}")
+    assert err.count("\n") == 1
+    assert err.startswith(f"uclgen: cannot load suite {path}")
 
 
 SMT2_SOURCE = (
