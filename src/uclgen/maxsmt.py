@@ -11,25 +11,26 @@ constructors left to it and the tags its enum must hold. A scalar takes
 no arguments, so `t != int` says no more than that `t` is not built with
 `int`, and testers, tag literals, disequalities and unification all
 narrow a record in one place, `_Theory._narrow`; the model reads it back.
-Satisfiability is a depth-first search from a base, a theory with the
-unit clauses asserted, in which each step copies a theory and asserts one
-literal of the next clause, skipping each clause the theory already
-entails (a positive equality whose sides resolve to one term, or a
-disequality whose constructor the theory already excludes). The model and
-the values the theory forces come from one grounding walk per variable.
-Searches that share clauses extend one base rather than each asserting
-them again: a component's hard clauses are asserted once, and each
-QuickXplain call extends its parent's base. Every fact the theory stores
-is labelled with the clause that asserted it, so a failed search names
-clauses that cannot all hold, and a child whose refutation leaves out its
-branch's clause refutes its parent. Over the searches, a best-first
-hitting-set search takes the cheapest relaxation next and stops at the
-first whose search holds. It branches on the cores that failed searches
-name, each at the cost of the search that failed, and keeps them: a node
-that has relaxed no clause of a known core branches on it without a
-search. QuickXplain shrinks a core to a minimal one only for `Untypeable`.
-`emit_smtlib` renders a clause set as SMT-LIB 2 with
-`assert-soft` weights, for inspection or for another MAX-SMT solver.
+Satisfiability is a depth-first search from a base, the theory the unit
+clauses leave or the clauses that refute them, in which each step copies
+a theory and asserts one literal of the next clause, skipping each clause
+the theory already entails (a positive equality whose sides ground to one
+term, or a disequality whose constructor the theory already excludes).
+Entailment, the model and the values the theory forces all come from one
+grounding walk. Searches that share clauses extend one base rather than
+each asserting them again: a component's hard clauses are asserted once,
+and each QuickXplain call extends its parent's base. Every fact the
+theory stores sits beside its reason, which leads to the clauses that
+asserted it, so a failed search names clauses that cannot all hold, and
+a child whose refutation leaves out its branch's clause refutes its
+parent. Over the searches, a best-first hitting-set search takes the
+cheapest relaxation next and stops at the first whose search holds. It
+branches on the cores that failed searches name, each at the cost of the
+search that failed, and keeps them: a node that has relaxed no clause of
+a known core branches on it without a search. QuickXplain shrinks a core
+to a minimal one only for `Untypeable`. `emit_smtlib` renders a clause
+set as SMT-LIB 2 with `assert-soft` weights, for inspection or for
+another MAX-SMT solver.
 
 Optimum selection: minimal total weight of falsified soft clauses;
 ties go to the lexicographically smallest set of falsified clause
@@ -80,7 +81,7 @@ _CTOR_ORDER = ("int", "bool", "real", "bv", "enum", "arr")  # model's order
 _NONE: frozenset[str] = frozenset()
 _ALL = frozenset(_CTOR_ORDER)
 _ENUM = frozenset({"enum"})
-_FREE = (_ALL, _NONE)  # the record of a root nothing narrowed
+_FREE = (_ALL, _NONE, {})  # the record of a root nothing narrowed
 # the value of a root whose record leaves one singleton constructor
 _PINNED = {frozenset({c}): t for c, t in _SINGLETONS.items()}
 # the model's value for a root whose first constructor left is not `enum`
@@ -117,61 +118,47 @@ class _Path:
 # asserted it), a `_Path`, a term (a variable stands for why it resolves
 # as it does: its path to its root and the root's binding; any other term
 # needs no reason), or a tuple or list of reasons. Each fact keeps its
-# reason as it is recorded, in O(1); labels are gathered only to explain a
-# conflict. A variable that a binding's or a proof edge's reason names
-# resolves through a bound root, which stays bound to one term for one
-# reason, so the reason means the same whenever it is read; a record's
-# entries are read only by the conflict they explain.
-
-
-def _source(by, key):
-    """The (term, reason) of the literal that took a constructor or set a
-    tag (`key`): `by` itself when one literal narrows, or its entry when
-    `by` holds a record's entries."""
-    return by[key] if isinstance(by, dict) else by
+# reason beside it, stored in O(1) and read only to explain a conflict. A
+# variable a binding's or a proof edge's reason names resolves through
+# bound roots, each bound to one term for one reason for good, so the
+# reason means the same whenever it is read.
 
 
 class _Theory:
     """A conjunction of theory literals, decided by unification.
 
     A union-find root is bound to a term (`binding`) or unbound; an
-    unbound root may hold one record (`record`), a pair (ctors, tags): the
-    constructors it may still take and the tags its enum must hold. A
-    disequality with a scalar takes that scalar's constructor from the
-    record, so a conflict shows when a literal is asserted and every leaf
-    of a search has a model. `ground` is the one walk that grounds a term,
-    for `solution`'s model and forced values alike.
+    unbound root may hold one record (`record`): the constructors it may
+    still take, the tags its enum must hold, and `by`, which maps each lost
+    constructor and each ("+", required tag) to the (term, reason) of the
+    literal that did it. A disequality with a scalar takes that scalar's
+    constructor from the record, so a conflict shows when a literal is
+    asserted and every leaf of a search has a model. `ground` is the one
+    walk that grounds a term, for `entails`, the model and forced values.
 
     Every fact is labelled with the index of the clause whose literal
     asserted it, so a conflict names clauses that cannot all hold (Nieuwenhuis
     and Oliveras, "Proof-producing congruence closure", RTA 2005). A merge
     is an edge of the proof forest `proof` between the two variables the
-    equality named, apart from the path-compressed `parent`; `bound_by`
-    holds the reason a root is bound, and `narrowed_by` the literal that
-    took each constructor and set each tag of a root's record.
+    equality named, apart from the path-compressed `parent`. Each fact
+    sits beside its reason, so a search node copies four maps.
     """
 
-    __slots__ = ("parent", "binding", "record", "proof", "bound_by",
-                 "narrowed_by")
+    __slots__ = ("parent", "binding", "record", "proof")
 
     def __init__(self) -> None:
         self.parent: dict[int, int] = {}
-        self.binding: dict[int, TypeTerm] = {}
-        self.record: dict[int, tuple[frozenset, frozenset]] = {}
+        # bound root -> (its term, the reason it equals that term)
+        self.binding: dict[int, tuple[TypeTerm, object]] = {}
+        # unbound root -> (ctors, tags, by)
+        self.record: dict[int, tuple[frozenset, frozenset, dict]] = {}
         # variable -> (its parent in the proof forest, the edge's reason)
         self.proof: dict[int, tuple[int, object]] = {}
-        # bound root -> the reason it equals its binding
-        self.bound_by: dict[int, object] = {}
-        # root -> (lost constructor, or ("+", required tag)) -> the
-        # (term, reason) of the literal that did it
-        self.narrowed_by: dict[int, dict] = {}
 
     def copy(self) -> _Theory:
         th = _Theory.__new__(_Theory)
         th.parent, th.binding = self.parent.copy(), self.binding.copy()
         th.record, th.proof = self.record.copy(), self.proof.copy()
-        th.bound_by = self.bound_by.copy()
-        th.narrowed_by = self.narrowed_by.copy()  # each entry map is new
         return th
 
     # -- union-find ---------------------------------------------------------
@@ -192,13 +179,7 @@ class _Theory:
             bound = self.binding.get(root)
             if bound is None:
                 return t if t.tid == root else TVar(root)
-            t = bound
-        return t
-
-    def resolve_deep(self, t: TypeTerm) -> TypeTerm:
-        t = self.resolve(t)
-        if isinstance(t, ArrayType):
-            return ArrayType(self.resolve_deep(t.index), self.resolve_deep(t.elem))
+            t = bound[0]
         return t
 
     def _occurs(self, root: int, t: TypeTerm) -> bool:
@@ -242,7 +223,7 @@ class _Theory:
         """Why the variable `t` resolves one level as it does now: its path
         to its root and the root's binding."""
         root = self.find(t.tid)
-        bound = self.bound_by.get(root, ())
+        bound = self.binding.get(root, (None, ()))[1]
         return (bound,) if root == t.tid else (_Path(t.tid, root), bound)
 
     def _deep(self, t: TypeTerm) -> list:
@@ -287,32 +268,31 @@ class _Theory:
     # -- assertion ----------------------------------------------------------
 
     def _narrow(self, t: TypeTerm, ctors: frozenset[str],
-                tags: frozenset[str], by=(None, _UNLABELLED)) -> None:
+                tags: frozenset[str],
+                source=lambda key: (None, _UNLABELLED)) -> None:
         """Assert that `t` takes one of `ctors` and holds every tag in
         `tags`; only an enum holds tags. A ground term is checked; a root's
         record is intersected with the new facts, which conflicts when no
-        constructor is left. `by` is the (term, reason) of the literal that
-        narrows, or, when a root's record moves to `t`, its entries."""
+        constructor is left. `source(key)` is the (term, reason) of the
+        literal that takes the constructor `key` or sets the tag of
+        `("+", tag)`: the one literal, or an entry of a record moving here."""
         r = self.resolve(t)
         if isinstance(r, TVar):
             root = r.tid
-            old = self.record.get(root)
-            have = old or _FREE
-            new_tags = tags | have[1]
-            new_ctors = ctors & have[0]
+            have_ctors, have_tags, have_by = self.record.get(root, _FREE)
+            new_tags = tags | have_tags
+            new_ctors = ctors & have_ctors
             if new_tags:
                 new_ctors = new_ctors & _ENUM
-            new = (new_ctors, new_tags)
-            if new == old:
+            if new_ctors == have_ctors and new_tags == have_tags:
                 return
-            got = dict(self.narrowed_by.get(root, ()))
-            for key in chain(have[0] - new_ctors,
-                             (("+", g) for g in new_tags - have[1])):
-                got[key] = _source(by, key)
+            by = dict(have_by)
+            for key in chain(have_ctors - new_ctors,
+                             (("+", g) for g in new_tags - have_tags)):
+                by[key] = source(key)
             if not new_ctors:
-                raise self._conflict(*(got[c] for c in _ALL))
-            self.record[root] = new
-            self.narrowed_by[root] = got
+                raise self._conflict(*(by[c] for c in _ALL))
+            self.record[root] = (new_ctors, new_tags, by)
             return
         ctor = _CTOR_OF[type(r)]
         if ctor not in ctors:
@@ -325,7 +305,7 @@ class _Theory:
             key = ("+", missing[0])
         else:
             return
-        raise self._conflict(_source(by, key))
+        raise self._conflict(source(key))
 
     def unify(self, a: TypeTerm, b: TypeTerm, why=_UNLABELLED) -> None:
         """Assert a = b for the reason `why`."""
@@ -351,12 +331,12 @@ class _Theory:
         elif self._occurs(root, rb):
             raise self._conflict(why, self._deep(a), self._deep(b))
         else:
-            self.bound_by[root] = (why, b) if a.tid == root \
-                else (why, _Path(a.tid, root), b)
-            self.binding[root] = rb
+            self.binding[root] = (rb, (why, b) if a.tid == root
+                                  else (why, _Path(a.tid, root), b))
         rec = self.record.pop(root, None)
         if rec is not None:
-            self._narrow(TVar(root), *rec, self.narrowed_by.pop(root))
+            ctors, tags, by = rec
+            self._narrow(TVar(root), ctors, tags, by.__getitem__)
 
     def assert_lit(self, lit: Lit, label: int = _UNLABELLED) -> None:
         """Assert `lit`, a literal of the solver's language
@@ -365,26 +345,27 @@ class _Theory:
         if isinstance(a, Eq):
             if lit.positive:
                 self.unify(a.left, a.right, label)
-            else:
-                self._narrow(a.left, _APART[type(a.right)], _NONE,
-                             (a.left, label))
+                return
+            t, ctors, tags = a.left, _APART[type(a.right)], _NONE
         elif isinstance(a, Tester):
-            ctors = frozenset(a.ctors)
-            self._narrow(a.term, ctors if lit.positive else _ALL - ctors,
-                         _NONE, (a.term, label))
+            t, ctors, tags = a.term, frozenset(a.ctors), _NONE
+            if not lit.positive:
+                ctors = _ALL - ctors
         else:
-            self._narrow(a.term, _ALL, frozenset((a.tag,)), (a.term, label))
+            t, ctors, tags = a.term, _ALL, frozenset((a.tag,))
+        by = (t, label)
+        self._narrow(t, ctors, tags, lambda key: by)
 
     def entails(self, lit: Lit) -> bool:
         """Whether `lit` holds in every extension of this theory: a
-        positive `Eq` whose sides resolve to one term, or a disequality
-        with a scalar whose constructor the theory already excludes.
-        Testers and tag literals are never entailed."""
+        positive `Eq` whose sides ground to one term, unbound roots kept,
+        or a disequality with a scalar whose constructor the theory
+        already excludes. Testers and tag literals are never entailed."""
         a = lit.atom
         if not isinstance(a, Eq):
             return False
         if lit.positive:
-            return self.resolve_deep(a.left) == self.resolve_deep(a.right)
+            return self.ground(a.left, TVar) == self.ground(a.right, TVar)
         r = self.resolve(a.left)
         ctors = (self.record.get(r.tid, _FREE)[0] if isinstance(r, TVar)
                  else (_CTOR_OF[type(r)],))
@@ -420,7 +401,7 @@ class _Theory:
 
         def first(root: int) -> TypeTerm:
             nonlocal fresh
-            ctors, tags = self.record.get(root, _FREE)
+            ctors, tags, _ = self.record.get(root, _FREE)
             ctor = next(c for c in _CTOR_ORDER if c in ctors)
             if ctor != "enum":
                 return _FIRST[ctor]
@@ -469,36 +450,34 @@ class _Branch:
 
 
 class _Base:
-    """Where searches start: `theory` has the unit clauses of `clauses`
-    asserted in order, or is None when they conflict, with `why` the
-    indices of clauses that cannot all hold; a search from it branches on
-    the other clauses. `extend` asserts only the added units, on a copy, so
-    a fact that many searches share is asserted once; a base's theory is
-    never asserted to again."""
+    """Where searches start. `found` is what asserting the unit clauses of
+    `clauses` in order leaves: the theory, or the indices of clauses that
+    cannot all hold, the shape `search` returns. A search from a theory
+    branches on the other clauses. `extend` asserts only the added units,
+    on a copy, so a fact that many searches share is asserted once; a
+    base's theory is never asserted to again."""
 
-    __slots__ = ("theory", "clauses", "why")
+    __slots__ = ("found", "clauses")
 
-    def __init__(self, theory: Optional[_Theory], clauses: tuple[Clause, ...],
-                 why: frozenset[int] = frozenset()):
-        self.theory = theory
-        self.clauses = clauses
-        self.why = why
+    def __init__(self, found: _Theory | frozenset[int],
+                 clauses: tuple[Clause, ...]):
+        self.found, self.clauses = found, clauses
 
     @staticmethod
     def of(clauses: Sequence[Clause]) -> _Base:
         return _Base(_Theory(), ()).extend(clauses)
 
     def extend(self, clauses: Sequence[Clause]) -> _Base:
-        th, why = self.theory, self.why
+        found = self.found
         units = [c for c in clauses if len(c.lits) == 1]
-        if th is not None and units:
-            th = th.copy()
+        if isinstance(found, _Theory) and units:
+            found = found.copy()
             try:
                 for c in units:
-                    th.assert_lit(c.lits[0], c.index)
+                    found.assert_lit(c.lits[0], c.index)
             except _Conflict as conflict:
-                th, why = None, conflict.why
-        return _Base(th, self.clauses + tuple(clauses), why)
+                found = conflict.why
+        return _Base(found, self.clauses + tuple(clauses))
 
     def search(self) -> _Theory | frozenset[int]:
         """A theory in which every clause holds, or, if there is none, the
@@ -520,11 +499,11 @@ class _Base:
         satisfiable leaf are cut, so the first satisfiable leaf is the one
         a full search finds.
         """
-        if self.theory is None:
-            return self.why
+        th, i = self.found, 0
+        if not isinstance(th, _Theory):
+            return th
         rest = [c for c in self.clauses if len(c.lits) != 1]
         branches: list[_Branch] = []
-        th, i = self.theory, 0
         while True:
             # th holds: branch on the next clause it does not entail, or
             # return it as the leaf

@@ -186,6 +186,72 @@ def test_record_binding_to_an_enum_without_a_required_tag_conflicts():
         th.unify(x, EnumType(("B",)))
 
 
+# ---------------------------------------------------------------------------
+# Explanations: each fact's reason, read back by the conflict it explains
+# ---------------------------------------------------------------------------
+
+#: a labelled literal about a variable no other literal names
+_UNRELATED = (Lit(CtorTester(("int",), TVar(9)), positive=False), 9)
+
+
+@pytest.mark.parametrize("merge_first", [True, False], ids=["merge-first",
+                                                             "narrow-first"])
+def test_merging_two_records_explains_with_every_tester_and_the_merge(
+        merge_first):
+    # x loses int, bool and real (labels 0-2) and y the other three
+    # constructors (3-5); `x = y` (6) leaves their root none, whether it
+    # moves a record onto the other or the testers narrow the merged root
+    x, y = TVar(0), TVar(1)
+    testers = [(Lit(CtorTester((c,), v), positive=False), label)
+               for label, (c, v) in enumerate(
+                   [("int", x), ("bool", x), ("real", x),
+                    ("bv", y), ("enum", y), ("arr", y)])]
+    merge = [(Lit(Eq(x, y)), 6)]
+    th = _Theory()
+    th.assert_lit(*_UNRELATED)
+    lits = merge + testers if merge_first else testers + merge
+    with pytest.raises(_Conflict) as exc:
+        for lit, label in lits:
+            th.assert_lit(lit, label)
+    assert exc.value.why == frozenset(range(7))
+
+
+@pytest.mark.parametrize("last", [
+    Lit(Eq(TVar(0), BOOL)),
+    Lit(Eq(TVar(0), INT), positive=False),
+    Lit(CtorTester(("bool",), TVar(0))),
+], ids=["equality", "disequality", "tester"])
+def test_a_binding_conflict_explains_with_the_chain_that_bound_it(last):
+    # x = y, y = z, z = int (labels 0-2) bind x's root to int; the
+    # literal labelled 3 then refutes it through that chain
+    x, y, z = TVar(0), TVar(1), TVar(2)
+    th = _Theory()
+    th.assert_lit(*_UNRELATED)
+    for label, lit in enumerate([Lit(Eq(x, y)), Lit(Eq(y, z)),
+                                 Lit(Eq(z, INT))]):
+        th.assert_lit(lit, label)
+    with pytest.raises(_Conflict) as exc:
+        th.assert_lit(last, 3)
+    assert exc.value.why == frozenset({0, 1, 2, 3})
+
+
+def test_a_copy_narrows_and_binds_without_touching_its_original():
+    x, y, z = TVar(0), TVar(1), TVar(2)
+    th = _Theory()
+    th.assert_lit(Lit(CtorTester(("int",), x), positive=False), 0)
+    th.assert_lit(Lit(Eq(y, BOOL)), 1)
+    record, binding = dict(th.record), dict(th.binding)
+    by = {root: dict(rec[2]) for root, rec in th.record.items()}
+    child = th.copy()
+    child.assert_lit(Lit(CtorTester(("bool",), x), positive=False), 2)
+    child.assert_lit(Lit(HasTag("A", z)), 3)
+    child.assert_lit(Lit(Eq(x, z)), 4)
+    child.assert_lit(Lit(Eq(x, EnumType(("A",)))), 5)
+    assert child.record != record and child.binding != binding
+    assert th.record == record and th.binding == binding
+    assert {root: rec[2] for root, rec in th.record.items()} == by
+
+
 def _bool_or_int(name):
     return lambda v: Lit(CtorTester(("bool", "int"), v[name]))
 
@@ -1055,7 +1121,7 @@ def _two_walk_solution(th, tids):
     fresh = [1000]
 
     def first(root):
-        ctors, tags = th.record.get(root, maxsmt._FREE)
+        ctors, tags = th.record.get(root, maxsmt._FREE)[:2]
         ctor = next(c for c in maxsmt._CTOR_ORDER if c in ctors)
         if ctor in maxsmt._SINGLETONS:
             return maxsmt._SINGLETONS[ctor]
