@@ -476,8 +476,8 @@ class _BlockParser:
                 break
             if line.indent > indent:
                 # orphan over-indented line: error, consume it alone
-                nodes.append(self._error_region(i, line.indent))
-                i = self._skip_region(i, line.indent)
+                node, i = self._error_region(i, line.indent)
+                nodes.append(node)
                 continue
             node, i = self.parse_line(i)
             if node.kind != "elif" and node.kind != "else":
@@ -492,18 +492,14 @@ class _BlockParser:
         self.depth -= 1
         return nodes, i
 
-    def _skip_region(self, i: int, indent: int) -> int:
-        """Skip line i and every following line more indented than it."""
+    def _error_region(self, i: int, indent: int) -> tuple[PNode, int]:
+        """An error node over line i and every following line more
+        indented than it, and the index of the line after them."""
         j = i + 1
         while j < len(self.lines) and self.lines[j].indent > indent:
             j += 1
-        return j
-
-    def _error_region(self, i: int, indent: int) -> PNode:
-        j = self._skip_region(i, indent)
-        last = self.lines[j - 1]
-        return PNode("error", (), "",
-                     Span(self.lines[i].span.start, last.span.end))
+        return PNode("error", (), "", Span(self.lines[i].span.start,
+                                           self.lines[j - 1].span.end)), j
 
     def _as_error(self, node: PNode, reason: str) -> PNode:
         return PNode("error", (), reason, node.span)
@@ -511,13 +507,11 @@ class _BlockParser:
     def parse_line(self, i: int) -> tuple[PNode, int]:
         line = self.lines[i]
         if line.bad or not line.toks:
-            node = self._error_region(i, line.indent)
-            return node, self._skip_region(i, line.indent)
+            return self._error_region(i, line.indent)
         try:
             return self._parse_line_inner(i)
         except _ParseFail:
-            node = self._error_region(i, line.indent)
-            return node, self._skip_region(i, line.indent)
+            return self._error_region(i, line.indent)
 
     def _parse_line_inner(self, i: int) -> tuple[PNode, int]:
         line = self.lines[i]
@@ -726,13 +720,6 @@ class _Pruner:
             else:
                 self.drop(item, "not a recognized method")
 
-        # typedef names must be known before elaborating other sections
-        if "types" in sections:
-            for stmt in sections["types"].children[1].children:
-                name = _decl_target(stmt)
-                if name:
-                    self.typedef_names.add(name)
-
         type_defs = self._decl_section(sections.get("types"), is_typedef=True)
         locals_ = self._decl_section(sections.get("locals"))
         inputs = self._decl_section(sections.get("inputs"))
@@ -801,6 +788,9 @@ class _Pruner:
             rhs = stmt.children[1]
             annot = self._elaborate_annot(rhs, is_typedef)
             out.append(Decl(name, annot, span=stmt.span))
+            if is_typedef:
+                # a synonym names only the synonyms declared above it
+                self.typedef_names.add(name)
         return tuple(out)
 
     def _elaborate_annot(self, rhs: PNode, is_typedef: bool):

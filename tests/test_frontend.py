@@ -517,6 +517,21 @@ def test_prune_synonym_requires_prior_typedef():
     assert not isinstance(p.locals[1].annot, type(p.locals[0].annot))
 
 
+@pytest.mark.parametrize("types, kinds", [
+    (["self.a = self.b", "self.b = int"], ["HoleType", "TypeAnnot"]),
+    (["self.t = self.t"], ["HoleType"]),
+    (["self.a = self.b", "self.b = self.a"], ["HoleType", "TypeAnnot"]),
+], ids=["forward", "self", "mutual"])
+def test_prune_synonym_names_only_synonyms_declared_above_it(types, kinds):
+    # the validator's rule: a synonym may name only one declared above it
+    src = "class M(Module):\n    def types(self):\n" + "".join(
+        f"        {line}\n" for line in types)
+    p, rep = pruned(src)
+    assert [type(d.annot).__name__ for d in p.type_defs] == kinds
+    assert [reason for _, reason in rep.dropped] == [
+        "unrecognized type expression"]
+
+
 # ---------------------------------------------------------------------------
 # print_child round trip
 # ---------------------------------------------------------------------------

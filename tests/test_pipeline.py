@@ -149,6 +149,42 @@ def test_a_name_starting_with_a_non_ascii_letter_compiles(response, printed):
     assert validate_uclid(out.uclid_text) == []
 
 
+def _synonym_draft(types, var_type):
+    return ("class M(Module):\n    def types(self):\n"
+            + "".join(f"        {line}\n" for line in types)
+            + f"    def locals(self):\n        self.x = {var_type}\n"
+            "    def init(self):\n        self.x = 0\n")
+
+
+#: drafts whose synonyms name one not declared above them, each with the
+#: type declarations the compiled text holds
+SYNONYM_DRAFTS = {
+    "forward": (_synonym_draft(["self.a = self.b", "self.b = int"],
+                               "self.a"),
+                ["type a = integer;", "type b = integer;"]),
+    "self": (_synonym_draft(["self.t = self.t"], "self.t"),
+             ["type t = integer;"]),
+    "mutual": (_synonym_draft(["self.a = self.b", "self.b = self.a"],
+                              "self.a"),
+               ["type a = integer;", "type b = a;"]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SYNONYM_DRAFTS))
+def test_a_synonym_naming_none_declared_above_it_is_repaired(name):
+    # such a synonym was once printed as it stood, `type a = b;` above
+    # `type b`, and the validator rejected the text; read in order, it is
+    # a type hole that the solver fills from the variable's value
+    draft, printed = SYNONYM_DRAFTS[name]
+    backend = MockBackend([draft])
+    out = run_pipeline("Model it.", backend)
+    assert out.status == STATUS_SUCCESS, out.diagnostics
+    assert backend.calls == 1
+    assert [line.strip() for line in out.uclid_text.splitlines()
+            if line.strip().startswith("type ")] == printed
+    assert validate_uclid(out.uclid_text) == []
+
+
 REAL_RESPONSE = CLEAN_RESPONSE.replace("int", "real").replace(
     "self.count = 0", "self.count = LITERAL").replace("+ 1", "+ 0.5")
 
