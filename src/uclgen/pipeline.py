@@ -167,11 +167,11 @@ def load_suite(path: str | Path) -> list[dict]:
     with string values. Transcript paths are relative to the suite file;
     each entry comes back with its path resolved and the loaded transcript
     under "replay". Raises OSError if the suite file cannot be read and
-    ValueError if it or a transcript is malformed."""
+    ValueError if it or a transcript is malformed, or it has no entry."""
     path = Path(path)
     raw = json.loads(path.read_text(encoding="utf-8"))
-    if not isinstance(raw, list):
-        raise ValueError("a suite is a JSON list of entries")
+    if not isinstance(raw, list) or not raw:
+        raise ValueError("a suite is a non-empty JSON list of entries")
     tasks = []
     for i, entry in enumerate(raw):
         if not isinstance(entry, dict) or not all(

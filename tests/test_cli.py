@@ -419,8 +419,9 @@ def test_max_llm_calls_below_one_is_usage_error(capsys, monkeypatch,
     ([{"id": "a", "transcript": "counter.jsonl"}], None),
     ([{"id": "a", "task": "t", "transcript": "missing.jsonl"}], None),
     ([{"id": "a", "task": "t", "transcript": "t.jsonl"}], "not json\n"),
+    ([], None),
 ], ids=["object", "not-an-entry", "no-task", "missing-transcript",
-        "not-json-lines"])
+        "not-json-lines", "empty"])
 def test_malformed_suite_is_usage_error(tmp_path, capsys, monkeypatch,
                                         suite, transcript):
     def never(*args, **kwargs):
