@@ -82,7 +82,9 @@ CLEAN = (
 
 def clauses_of(reply: str):
     program, _ = prune_to_child(parse_tolerant(extract_code(reply)))
-    return generate_clauses(synthesize_decls(program)[0], "depth")
+    cs = generate_clauses(program, "depth")
+    program, missing = synthesize_decls(program, cs)
+    return generate_clauses(program, "depth") if missing else cs
 
 
 def chain_draft(family: str, n: int) -> str:

@@ -441,33 +441,14 @@ def walk_index(walk: list[tuple[object, int]]) -> dict[int, int]:
     return index
 
 
-def _hole_ids(tree: Node) -> list[int]:
-    """The id of every hole in `tree`, a program's module hole included."""
+def max_hole_id(tree: Node) -> int:
+    """The largest hole id in `tree`, a program's module hole included,
+    or -1 when it has no hole."""
     ids = [n.hid for n, _ in iter_nodes(tree)
            if isinstance(n, (HoleExpr, HoleStmt, HoleType, HoleDecl))]
     if isinstance(tree, ChildProgram) and tree.module_hole is not None:
         ids.append(tree.module_hole)
-    return ids
-
-
-def max_hole_id(tree: Node) -> int:
-    return max(_hole_ids(tree), default=-1)
-
-
-def undeclared_names(p: ChildProgram) -> list[str]:
-    """Variables read, written or havocked but declared in no locals,
-    inputs or outputs section, in first-use order."""
-    declared = {d.name for section in (p.locals, p.inputs, p.outputs)
-                for d in section if isinstance(d, Decl)}
-    out: dict[str, None] = {}
-    for node, _ in iter_nodes(p):
-        if isinstance(node, (VarRef, Havoc)) and node.name not in declared:
-            out[node.name] = None
-    return list(out)
-
-
-def count_holes(p: ChildProgram) -> int:
-    return len(_hole_ids(p))
+    return max(ids, default=-1)
 
 
 # ---------------------------------------------------------------------------

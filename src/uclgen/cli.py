@@ -253,7 +253,10 @@ def _cmd_repair(args: argparse.Namespace) -> int:
               file=sys.stderr)
     if args.smt2:
         # the clause set the round solves first, for an external solver
-        cs = generate_clauses(synthesize_decls(program)[0], args.weights)
+        cs = generate_clauses(program, args.weights)
+        program, missing = synthesize_decls(program, cs)
+        if missing:
+            cs = generate_clauses(program, args.weights)
         sys.stdout.write(emit_smtlib(cs))
         return EXIT_OK
     outcome = repair_round(program, args.weights)

@@ -50,6 +50,7 @@ from .ast_core import (
     EnumType,
     Expr,
     Havoc,
+    HoleDecl,
     HoleExpr,
     HoleStmt,
     HoleType,
@@ -174,15 +175,30 @@ WEIGHT_MODES = ("depth", "uniform")
 @dataclass
 class ClauseSet:
     """Clauses and their type variables. A set made by `generate_clauses`
-    also holds `walk`, the `(node, depth)` pre-order walk of the program
-    it was generated from, so `walk[c.origin][0]` is the node a soft
-    clause `c` names; a set built by hand has an empty walk."""
+    also records three facts of the program it was generated from, so no
+    later stage walks the program again for them:
+      - `walk`, its `(node, depth)` pre-order walk, so `walk[c.origin][0]`
+        is the node a soft clause `c` names;
+      - `hole_ids`, the id of every hole in it, in pre-order, its module
+        hole last, read from the walk;
+      - `undeclared`, the variables it reads, writes or havocs but
+        declares in no locals, inputs or outputs section, in first-use
+        order, read from the `("var", name)` keys.
+    A set built by hand has none of them."""
 
     clauses: list[Clause] = field(default_factory=list)
     tvar_table: dict[TVarKey, TVar] = field(default_factory=dict)
     _next_tid: int = 0
     walk: list[tuple[Node, int]] = field(
         default_factory=list, compare=False, repr=False)
+    hole_ids: tuple[int, ...] = field(default=(), compare=False, repr=False)
+    undeclared: tuple[str, ...] = field(
+        default=(), compare=False, repr=False)
+
+    @property
+    def next_hole_id(self) -> int:
+        """The least id above every hole of the program."""
+        return max(self.hole_ids, default=-1) + 1
 
     def tvar(self, key: TVarKey) -> TVar:
         got = self.tvar_table.get(key)
@@ -273,6 +289,7 @@ def eval_clause(clause: Clause, assignment: dict[int, TypeTerm]) -> bool:
 # ---------------------------------------------------------------------------
 
 _NUMERIC = ("int", "real", "bv")
+_HOLES = frozenset((HoleDecl, HoleExpr, HoleStmt, HoleType))
 _LITERAL_TYPES = {BoolLit: BOOL, IntLit: INT, RealLit: REAL}
 
 
@@ -281,8 +298,12 @@ class _Gen:
         if weight_mode not in WEIGHT_MODES:
             raise ValueError(f"unknown weight mode {weight_mode!r}")
         self.p = program
-        self.cs = ClauseSet(walk=iter_nodes(program))
-        self.pos = walk_index(self.cs.walk)
+        walk = iter_nodes(program)
+        holes = [n.hid for n, _ in walk if type(n) in _HOLES]
+        if program.module_hole is not None:
+            holes.append(program.module_hole)
+        self.cs = ClauseSet(walk=walk, hole_ids=tuple(holes))
+        self.pos = walk_index(walk)
         # the weight of a soft clause by its origin's position
         self.weights = ([1 + d for _, d in self.cs.walk]
                         if weight_mode == "depth" else [1] * len(self.cs.walk))
@@ -327,6 +348,10 @@ class _Gen:
             self._stmt(stmt)
         for _, expr in self.p.invariants_spec:
             self.soft((Lit(Eq(self._expr(expr), BOOL)),), expr, "S6:spec")
+        # every use made a ("var", name) key, in the order of the walk
+        self.cs.undeclared = tuple(
+            k[1] for k in self.cs.tvar_table
+            if k[0] == "var" and k not in by_key)
         return self.cs
 
     def _act(self, d: Decl) -> TypeTerm:
@@ -492,6 +517,8 @@ def generate_clauses(
 
     Clause indices follow generation order, which is deterministic:
     declarations by section (types, locals, inputs, outputs), then init,
-    next, and the specification; expressions in pre-order.
+    next, and the specification; expressions in pre-order. The set also
+    records the program's walk, hole ids and undeclared names (see
+    `ClauseSet`).
     """
     return _Gen(program, weight_mode).run()

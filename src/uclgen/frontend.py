@@ -19,7 +19,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 from .ast_core import (
     ArraySelect,
@@ -676,11 +676,18 @@ def _decl_target(stmt: PNode) -> str | None:
 
 
 class _Pruner:
-    def __init__(self, ast: ParentAst):
+    def __init__(self, ast: ParentAst, variables: Iterable[str] = ()):
         self.ast = ast
         self.report = PruneReport(ast.source)
         self.hole_counter = 0
         self.typedef_names: set[str] = set()
+        # UCLID5 reads a tag and a variable in one namespace, and a tag
+        # belongs to one enum type: the names no tag may be spelled like,
+        # each accepted tag's type, and the variables the behavior names
+        self.variables = set(variables)
+        self.enum_of_tag: dict[str, tuple[str, ...]] = {}
+        self.used: set[str] = set()
+        self.tag_fault: str | None = None
 
     def drop(self, node: PNode, reason: str) -> None:
         self.report.dropped.append((node, reason))
@@ -720,6 +727,12 @@ class _Pruner:
             else:
                 self.drop(item, "not a recognized method")
 
+        for key in ("locals", "inputs", "outputs"):
+            if key in sections:
+                for stmt in sections[key].children[1].children:
+                    name = _decl_target(stmt)
+                    if name is not None:
+                        self.variables.add(name)
         type_defs = self._decl_section(sections.get("types"), is_typedef=True)
         locals_ = self._decl_section(sections.get("locals"))
         inputs = self._decl_section(sections.get("inputs"))
@@ -794,6 +807,7 @@ class _Pruner:
         return tuple(out)
 
     def _elaborate_annot(self, rhs: PNode, is_typedef: bool):
+        self.tag_fault = None
         ty = self._try_type(rhs)
         if ty is not None:
             return TypeAnnot(ty, span=rhs.span)
@@ -804,7 +818,7 @@ class _Pruner:
             if expr is not None:
                 return DeclValue(expr, span=rhs.span)
         hid = self.fresh_hole("type", rhs.span)
-        self.drop(rhs, "unrecognized type expression")
+        self.drop(rhs, self.tag_fault or "unrecognized type expression")
         return HoleType(hid, span=rhs.span)
 
     def _try_type(self, node: PNode) -> TypeTerm | None:
@@ -821,10 +835,10 @@ class _Pruner:
                 return BVType(width) if width is not None and width >= 1 else None
             if fn == "Enum" and args and all(
                     a.kind == "str" and is_identifier(a.text) for a in args):
-                tags = [a.text for a in args]
-                if len(set(tags)) != len(tags):
+                tags = tuple(a.text for a in args)
+                if len(set(tags)) != len(tags) or not self._own_tags(tags):
                     return None
-                return EnumType(tuple(tags))
+                return EnumType(tags)
             if fn == "Array" and len(args) == 2:
                 idx = self._try_type(args[0])
                 elem = self._try_type(args[1])
@@ -832,6 +846,21 @@ class _Pruner:
                     return ArrayType(idx, elem)
             return None
         return None
+
+    def _own_tags(self, tags: tuple[str, ...]) -> bool:
+        """Whether an enum type of `tags` prints unambiguously: no tag is
+        spelled like a variable or belongs to an earlier enum type of
+        other tags. If so its tags are recorded as this type's; if not,
+        `tag_fault` says why."""
+        for t in tags:
+            if t in self.variables:
+                self.tag_fault = f"enum tag {t!r} is spelled like a variable"
+                return False
+            if self.enum_of_tag.get(t, tags) != tags:
+                self.tag_fault = f"enum tag {t!r} is in an earlier enum type"
+                return False
+        self.enum_of_tag.update(dict.fromkeys(tags, tags))
+        return True
 
     def _stmt_block(self, block: PNode) -> tuple[Stmt, ...]:
         out: list[Stmt] = []
@@ -896,6 +925,7 @@ class _Pruner:
     def _lvalue(self, node: PNode):
         name = _self_attr(node)
         if name is not None:
+            self.used.add(name)
             return VarRef(name, span=node.span)
         if node.kind == "subscript":
             arr = self._lvalue(node.children[0])
@@ -936,6 +966,7 @@ class _Pruner:
             return None
         name = _self_attr(node)
         if name is not None:
+            self.used.add(name)
             return VarRef(name, span=node.span)
         if k == "unop":
             operand = self._expr(node.children[0])
@@ -977,9 +1008,18 @@ class _Pruner:
 
 
 def prune_to_child(ast: ParentAst) -> tuple[ChildProgram, PruneReport]:
-    """Prune a surface AST to the maximal module-language subtree."""
+    """Prune a surface AST to the maximal module-language subtree. An
+    enum type becomes a type hole when a tag is spelled like a variable,
+    declared or only used, or when it shares a tag with an earlier enum
+    type of other tags."""
     pruner = _Pruner(ast)
-    return pruner.run(), pruner.report
+    program = pruner.run()
+    if not pruner.used.isdisjoint(pruner.enum_of_tag):
+        # a tag is spelled like a variable that no section declares but
+        # the behavior names: prune again knowing every such name
+        pruner = _Pruner(ast, pruner.used)
+        program = pruner.run()
+    return program, pruner.report
 
 
 # ---------------------------------------------------------------------------

@@ -48,7 +48,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import chain
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .ast_core import (
     ArrayType,
@@ -632,16 +632,19 @@ def _holding(clauses: Sequence[Clause]) -> _Theory:
     return th
 
 
-def check_sat(clauses: Sequence[Clause]) -> MaxSmtResult:
+def check_sat(clauses: Sequence[Clause],
+              tids: Optional[Iterable[int]] = None) -> MaxSmtResult:
     """Every listed clause held at once: nothing falsified, at cost 0,
-    with the model and forced values over the clauses' type variables.
-    Raises `Untypeable` when they cannot all hold, and `ValueError` for a
-    literal outside the solver's language, before any search."""
+    with the model and forced values over the type variables `tids`,
+    by default every variable of the clauses. Raises `Untypeable` when
+    they cannot all hold, and `ValueError` for a literal outside the
+    solver's language, before any search."""
     _check_literals(clauses)
     th = _holding(clauses)
-    tids = set()
-    for c in clauses:
-        tids |= clause_tvars(c)
+    if tids is None:
+        tids = set()
+        for c in clauses:
+            tids |= clause_tvars(c)
     model, forced = th.solution(tids)
     return MaxSmtResult((), 0, model, forced)
 

@@ -1,8 +1,10 @@
 """Program repair: hole insertion and model-based hole filling.
 
 One repair round is:
-  1. synthesize declarations for variables that are used but never
-     declared (``self.x = ??`` appended to the locals section),
+  1. generate the program's clauses, which record the variables used
+     but never declared, and synthesize a declaration for each
+     (``self.x = ??`` appended to the locals section; the clauses are
+     generated again only then),
   2. solve the typing MAX-SMT problem and replace the subtree at each
      falsified clause's origin with a hole of the right category,
   3. re-solve the holed program (if step 2 made holes) and fill every
@@ -32,14 +34,16 @@ from .ast_core import (
     Node,
     Stmt,
     TypeAnnot,
-    count_holes,
     iter_nodes,
     map_children,
-    max_hole_id,
-    undeclared_names,
 )
 from .constraints import ClauseSet, generate_clauses
 from .maxsmt import MaxSmtResult, solve_maxsmt
+
+
+def _check_generated_from(program: ChildProgram, cs: ClauseSet) -> None:
+    if not cs.walk or cs.walk[0][0] is not program:
+        raise ValueError("the clause set was not generated from this program")
 
 
 # ---------------------------------------------------------------------------
@@ -54,10 +58,10 @@ def holeify(
     outermost replacement. A declaration whose annotation holds an origin
     gets a type hole. Origins are pre-order positions in `program`, read
     through `cs.walk`, so `cs` must be generated from `program`
-    (ValueError otherwise). The result shares every subtree that holds
-    no origin, and with no origin it is the program itself."""
-    if not cs.walk or cs.walk[0][0] is not program:
-        raise ValueError("the clause set was not generated from this program")
+    (ValueError otherwise); new hole ids start at `cs.next_hole_id`. The
+    result shares every subtree that holds no origin, and with no origin
+    it is the program itself."""
+    _check_generated_from(program, cs)
     origins = {
         id(cs.walk[cs.clauses[i].origin][0])
         for i in falsified
@@ -65,7 +69,7 @@ def holeify(
     }
     if not origins:
         return program
-    ids = itertools.count(max_hole_id(program) + 1)
+    ids = itertools.count(cs.next_hole_id)
 
     def rewrite(n: Node) -> Node:
         if isinstance(n, Decl):
@@ -104,17 +108,24 @@ def holeify(
 # Declaration synthesis
 # ---------------------------------------------------------------------------
 
-def synthesize_decls(p: ChildProgram) -> tuple[ChildProgram, tuple[str, ...]]:
+def synthesize_decls(
+    p: ChildProgram, cs: ClauseSet
+) -> tuple[ChildProgram, tuple[str, ...]]:
     """Append ``self.x = ??`` to locals for every variable that is used
-    but never declared, in first-use order."""
-    missing = undeclared_names(p)
+    but never declared, in first-use order. The names and the first free
+    hole id come from `cs`, which must be generated from `p` (ValueError
+    otherwise), so synthesis follows the first generation and walks
+    nothing; the new declarations' clauses need a second one. With
+    nothing missing the program itself is returned."""
+    _check_generated_from(p, cs)
+    missing = cs.undeclared
     if not missing:
         return p, ()
     extra = tuple(
         Decl(name, HoleType(hid))
-        for hid, name in enumerate(missing, max_hole_id(p) + 1)
+        for hid, name in enumerate(missing, cs.next_hole_id)
     )
-    return dataclasses.replace(p, locals=p.locals + extra), tuple(missing)
+    return dataclasses.replace(p, locals=p.locals + extra), missing
 
 
 # ---------------------------------------------------------------------------
@@ -147,6 +158,14 @@ def model_repair(
     return map_children(program, fill), tuple(filled)
 
 
+def _type_holes(p: ChildProgram) -> int:
+    """The type holes of a program's declarations, the only holes that
+    `model_repair` fills."""
+    return sum(isinstance(d, Decl) and isinstance(d.annot, HoleType)
+               for section in (p.type_defs, p.locals, p.inputs, p.outputs)
+               for d in section)
+
+
 # ---------------------------------------------------------------------------
 # One full repair round
 # ---------------------------------------------------------------------------
@@ -167,10 +186,15 @@ def repair_round(
     weight_mode: str = "depth",
     solver=solve_maxsmt,
 ) -> RepairOutcome:
-    """Run a complete repair round and return the repaired program."""
+    """Run a complete repair round and return the repaired program. The
+    clauses are generated once, again after synthesis when names were
+    missing, and again after holeify when it made holes; the holes left
+    are those of the last clause set less the type holes filled."""
     t0 = time.monotonic()
-    program, synthesized = synthesize_decls(program)
     cs = generate_clauses(program, weight_mode)
+    program, synthesized = synthesize_decls(program, cs)
+    if synthesized:
+        cs = generate_clauses(program, weight_mode)
     res = solver(cs)
     holed = holeify(program, cs, res.falsified)
     if holed is program:
@@ -179,12 +203,15 @@ def repair_round(
         cs2 = generate_clauses(holed, weight_mode)
         res2 = solver(cs2)
     repaired, filled = model_repair(holed, cs2, res2)
+    holes = len(cs2.hole_ids)
+    if filled:
+        holes -= _type_holes(holed) - _type_holes(repaired)
     return RepairOutcome(
         program=repaired,
         falsified=res.falsified,
         synthesized=synthesized,
         filled=filled,
-        holes_remaining=count_holes(repaired),
+        holes_remaining=holes,
         cost=res.cost,
         ms=(time.monotonic() - t0) * 1000.0,
     )

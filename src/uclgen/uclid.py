@@ -40,11 +40,9 @@ from .ast_core import (
     TypeTerm,
     Unary,
     VarRef,
-    count_holes,
     format_real,
     iter_nodes,
     left_spine,
-    undeclared_names,
 )
 from .constraints import generate_clauses
 from .maxsmt import check_sat
@@ -164,23 +162,26 @@ def lower(
 
 
 def compile_program(program: ChildProgram) -> UclidModule:
-    """Typecheck and lower. Raises HoleRemaining if holes are left and
-    Untypeable (with an unsat core) if the clauses cannot all hold."""
-    n = count_holes(program)
-    if n:
-        raise HoleRemaining(n)
-    missing = undeclared_names(program)
-    if missing:
-        raise CompileError(f"use of undeclared variable {missing[0]!r}")
+    """Typecheck and lower. Generating the clauses records the program's
+    holes and undeclared names, so no other walk looks for them. Raises
+    HoleRemaining if holes are left (a module hole counts), CompileError
+    for a variable used but never declared, and Untypeable (with an
+    unsat core) if the clauses cannot all hold. The solve grounds only
+    the variables declared by value, the ones `lower` reads."""
     # typed here, not taken from the repair round: model repair may have
     # changed the program after the round's solve
     cs = generate_clauses(program)
-    res = check_sat(cs.clauses)
-    var_types: dict[str, TypeTerm] = {}
-    for key, tv in cs.tvar_table.items():
-        if key[0] == "var" and tv.tid in res.model:
-            var_types[key[1]] = res.model[tv.tid]
-    return lower(program, var_types)
+    if cs.hole_ids:
+        raise HoleRemaining(len(cs.hole_ids))
+    if cs.undeclared:
+        raise CompileError(f"use of undeclared variable {cs.undeclared[0]!r}")
+    by_value = {d.name: cs.tvar_table[("var", d.name)].tid
+                for section in (program.locals, program.inputs,
+                                program.outputs)
+                for d in section if isinstance(d.annot, DeclValue)}
+    res = check_sat(cs.clauses, by_value.values())
+    return lower(program, {name: res.model[tid]
+                           for name, tid in by_value.items()})
 
 
 # ---------------------------------------------------------------------------

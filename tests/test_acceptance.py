@@ -26,9 +26,9 @@ from uclgen.ast_core import (
     If,
     IntLit,
     VarRef,
-    count_holes,
     iter_nodes,
 )
+from uclgen.constraints import generate_clauses
 from uclgen.frontend import parse_tolerant, print_child, prune_to_child
 from uclgen.llm import MockBackend, ReplayBackend
 from uclgen.maxsmt import Untypeable, solve_maxsmt
@@ -172,7 +172,7 @@ def test_criterion_4_round_trip():
     assert len(VALID_PROGRAMS) >= 25
     for name, src in VALID_PROGRAMS.items():
         p = program_of(src)
-        assert count_holes(p) == 0, name
+        assert len(generate_clauses(p).hole_ids) == 0, name
         text = print_uclid(compile_program(p))
         assert validate_uclid(text) == [], name
     report(4, "round trip", f"{len(VALID_PROGRAMS)} programs")

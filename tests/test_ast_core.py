@@ -42,12 +42,10 @@ from uclgen.ast_core import (
     TypeAnnot,
     Unary,
     VarRef,
-    count_holes,
     format_real,
     format_type,
     iter_nodes,
     map_children,
-    max_hole_id,
     walk_index,
 )
 from uclgen.ast_core import _NODE_FIELDS
@@ -157,25 +155,6 @@ def test_no_field_outside_the_node_field_table_holds_a_node():
     assert _NODE_FIELDS[If] == ("arms", "orelse")
     assert _NODE_FIELDS[VarRef] == ()
     assert _NODE_FIELDS[TypeAnnot] == ()
-
-
-def test_count_holes_counts_every_hole_category():
-    p = ChildProgram(
-        module_name="M",
-        type_defs=(),
-        locals=(Decl("x", HoleType(0)),),
-        inputs=(),
-        outputs=(),
-        init_body=(HoleStmt(1),),
-        next_body=(Assign(VarRef("x"), HoleExpr(2)),),
-        invariants_spec=(),
-    )
-    assert count_holes(p) == 3
-    assert max_hole_id(p) == 2
-
-
-def test_count_holes_zero_on_complete_program():
-    assert count_holes(program_of(SAMPLE)) == 0
 
 
 def test_enum_type_sorts_tags_and_rejects_duplicates():

@@ -325,8 +325,33 @@ def test_repair_uclid_flag_with_holes_left_prints_the_program(tmp_path,
         "        ??\n")
 
 
-def test_repair_uclid_flag_validates_its_output(tmp_path, capsys):
-    # the tag "x" belongs to two enums, so the compiled text is ambiguous
+def test_repair_uclid_flag_validates_its_output(tmp_path, capsys,
+                                                monkeypatch):
+    # prune now keeps every hole-free draft clear of the validator's
+    # rejections, so a printer fault stands in for one: `a = x` printed as
+    # `a = 1` writes an int to an enum
+    f = tmp_path / "prog.py"
+    f.write_text(
+        "class M(Module):\n"
+        "    def locals(self):\n"
+        '        self.a = Enum("x", "y")\n'
+        "    def next(self):\n"
+        '        self.a = "x"\n',
+        encoding="utf-8",
+    )
+    printed = pipeline.print_uclid
+    monkeypatch.setattr(pipeline, "print_uclid",
+                        lambda m: printed(m).replace("a = x;", "a = 1;"))
+    assert main(["repair", str(f), "--uclid"]) == EXIT_FAILED
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert [line.split(":")[:2] for line in err.splitlines()] == [
+        ["validate", " assign-mismatch"]]
+
+
+def test_repair_uclid_holes_an_enum_whose_tag_another_holds(tmp_path, capsys):
+    # the tag "x" belongs to two enums: once compiled to text the
+    # validator rejected as ambiguous, now a type hole at prune
     f = tmp_path / "prog.py"
     f.write_text(
         "class M(Module):\n"
@@ -339,9 +364,12 @@ def test_repair_uclid_flag_validates_its_output(tmp_path, capsys):
     )
     assert main(["repair", str(f), "--uclid"]) == EXIT_FAILED
     out, err = capsys.readouterr()
-    assert out == ""
-    assert [line.split(":")[:2] for line in err.splitlines()] == [
-        ["validate", " ambiguous-tag"], ["validate", " assign-mismatch"]]
+    assert "        self.b = ??\n" in out
+    assert err.splitlines() == [
+        "dropped line 4: enum tag 'x' is in an earlier enum type",
+        "hole at line 4: type",
+        "1 hole(s) remain; cannot emit UCLID5",
+    ]
 
 
 def test_replay_backend_requires_transcript(capsys):
@@ -459,7 +487,10 @@ def test_repair_smt2_prints_the_rounds_clause_set(tmp_path, capsys, weights):
     f = tmp_path / "prog.py"
     f.write_text(SMT2_SOURCE, encoding="utf-8")
     assert main(["repair", str(f), "--smt2", "--weights", weights]) == EXIT_OK
-    program = synthesize_decls(prune_to_child(parse_tolerant(SMT2_SOURCE))[0])[0]
+    program = prune_to_child(parse_tolerant(SMT2_SOURCE))[0]
+    program, missing = synthesize_decls(
+        program, generate_clauses(program, weights))
+    assert missing
     expect = emit_smtlib(generate_clauses(program, weights))
     out = capsys.readouterr().out
     assert out == expect

@@ -7,7 +7,21 @@ from pathlib import Path
 import pytest
 
 from corpus import INVALID_PROGRAMS, VALID_PROGRAMS
-from uclgen.ast_core import BOOL, INT, Decl, Expr, iter_nodes
+from uclgen.ast_core import (
+    BOOL,
+    INT,
+    Assign,
+    ChildProgram,
+    Decl,
+    Expr,
+    HoleDecl,
+    HoleExpr,
+    HoleStmt,
+    HoleType,
+    VarRef,
+    iter_nodes,
+    max_hole_id,
+)
 from uclgen.constraints import (
     Eq,
     Lit,
@@ -51,6 +65,26 @@ def test_every_soft_clause_has_an_origin_node():
     n_nodes = sum(1 for _ in iter_nodes(p))
     for c in cs.soft:
         assert 0 <= c.origin < n_nodes
+
+
+def test_hole_ids_cover_every_hole_category():
+    p = ChildProgram(
+        module_name="M",
+        locals=(Decl("x", HoleType(0)), HoleDecl(3)),
+        init_body=(HoleStmt(1),),
+        next_body=(Assign(VarRef("x"), HoleExpr(2)),),
+    )
+    cs = generate_clauses(p)
+    assert cs.hole_ids == (0, 3, 1, 2)  # pre-order
+    assert cs.next_hole_id == max_hole_id(p) + 1 == 4
+    # a draft with no Module class is one hole, the module's
+    empty = generate_clauses(ChildProgram(module_hole=5))
+    assert (empty.hole_ids, empty.next_hole_id) == ((5,), 6)
+
+
+def test_hole_ids_empty_on_complete_program():
+    cs = generate_clauses(program_of(SIMPLE))
+    assert (cs.hole_ids, cs.next_hole_id, cs.undeclared) == ((), 0, ())
 
 
 CORPUS = {**{f"valid/{k}": v for k, v in VALID_PROGRAMS.items()},

@@ -24,9 +24,9 @@ from uclgen.ast_core import (
     If,
     RealLit,
     Span,
-    count_holes,
     iter_nodes,
 )
+from uclgen.constraints import generate_clauses
 from uclgen.frontend import (
     BASE_CLASS,
     MAX_BLOCK_NESTING,
@@ -289,7 +289,7 @@ def test_prune_unparseable_lines_become_recorded_holes():
         ("declaration", 4), ("statement", 6), ("invariant", 8)]
     assert [hid for hid, _, _ in rep.holes_inserted] == [
         p.locals[1].hid, p.next_body[0].hid, inv.hid]
-    assert count_holes(p) == 3
+    assert len(generate_clauses(p).hole_ids) == 3
 
 
 def test_prune_report_lines_are_one_based():
@@ -358,7 +358,7 @@ def test_prune_explicit_hole_forms():
     assert isinstance(p.locals[1], HoleDecl)
     assert isinstance(p.next_body[0], HoleStmt)
     assert isinstance(p.next_body[1].rhs, HoleExpr)
-    assert count_holes(p) == 4
+    assert len(generate_clauses(p).hole_ids) == 4
 
 
 def test_prune_desugars_augmented_assignment():
@@ -503,6 +503,36 @@ def test_prune_enum_with_a_tag_that_is_no_identifier_is_a_type_hole(tags):
         "type"] * 3
 
 
+@pytest.mark.parametrize("sections, kinds, reason", [
+    ({"locals": ['self.x = int', 'self.s = Enum("x", "y")']},
+     ["TypeAnnot", "HoleType"], "enum tag 'x' is spelled like a variable"),
+    ({"locals": ['self.s = Enum("a", "b")', 'self.t = Enum("a", "c")']},
+     ["TypeAnnot", "HoleType"], "enum tag 'a' is in an earlier enum type"),
+    ({"locals": ['self.s = Array(int, Enum("x", "y"))'],
+      "outputs": ["self.x = bool"]},
+     ["HoleType"], "enum tag 'x' is spelled like a variable"),
+    ({"locals": ['self.s = Enum("x", "y")'], "init": ["self.x = 0"]},
+     ["HoleType"], "enum tag 'x' is spelled like a variable"),
+    ({"locals": ['self.s = Enum("a", "b")', 'self.t = Enum("b", "a")']},
+     ["TypeAnnot", "HoleType"], "enum tag 'b' is in an earlier enum type"),
+    ({"locals": ['self.s = Enum("a", "b")', 'self.t = Enum("a", "b")',
+                 'self.u = Enum("c")']},
+     ["TypeAnnot", "TypeAnnot", "TypeAnnot"], None),
+], ids=["declared-variable", "shared-tag", "later-section", "used-only",
+        "reordered", "same-type"])
+def test_prune_enum_whose_tags_clash_is_a_type_hole(sections, kinds, reason):
+    # UCLID5 reads tags and variables in one namespace, and a tag belongs
+    # to one enum type; such a draft once compiled to text the validator
+    # rejected (`assign-mismatch`, `ambiguous-tag`)
+    src = "class M(Module):\n" + "".join(
+        f"    def {name}(self):\n" + "".join(f"        {line}\n"
+                                        for line in lines)
+        for name, lines in sections.items())
+    p, rep = pruned(src)
+    assert [type(d.annot).__name__ for d in p.locals] == kinds
+    assert [why for _, why in rep.dropped] == ([reason] if reason else [])
+
+
 def test_prune_synonym_requires_prior_typedef():
     src = (
         "class M(Module):\n"
@@ -570,7 +600,7 @@ def test_print_child_renders_holes_as_question_marks():
     text = print_child(p)
     assert text.count("??") == 2
     p2, _ = prune_to_child(parse_tolerant(text))
-    assert count_holes(p2) == count_holes(p)
+    assert len(generate_clauses(p2).hole_ids) == len(generate_clauses(p).hole_ids)
 
 
 def test_mutated_corpus_never_raises():
@@ -837,5 +867,5 @@ def test_long_chain_parses_without_recursion():
     depth = max(d for _, d in iter_nodes(ast.root))
     assert depth > 3000
     p, report = prune_to_child(ast)
-    assert not report.dropped and count_holes(p) == 0
+    assert not report.dropped and len(generate_clauses(p).hole_ids) == 0
     assert sum(isinstance(n, Binary) for n, _ in iter_nodes(p)) == 2999

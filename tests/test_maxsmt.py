@@ -710,8 +710,7 @@ def _nest_source(depth):
         *(f"nest{d}" for d in (10, 30, 60))])
 def test_search_asserts_a_bounded_number_of_literals_per_clause(
         monkeypatch, source):
-    program, _ = prune_to_child(parse_tolerant(source))
-    cs = generate_clauses(synthesize_decls(program)[0], "depth")
+    cs = _clauses_of(source)
     asserted = _count_asserts(monkeypatch)
     check_sat(cs.clauses)
     assert len(asserted) <= len(cs.clauses)
@@ -760,7 +759,9 @@ def _count_solves(monkeypatch):
 
 def _clauses_of(source):
     program, _ = prune_to_child(parse_tolerant(source))
-    return generate_clauses(synthesize_decls(program)[0], "depth")
+    cs = generate_clauses(program, "depth")
+    program, missing = synthesize_decls(program, cs)
+    return generate_clauses(program, "depth") if missing else cs
 
 
 @pytest.mark.parametrize("n", [25, 50, 100, 200])

@@ -10,7 +10,7 @@ import pytest
 
 from corpus import VALID_PROGRAMS, mutate
 from uclgen import pipeline
-from uclgen.ast_core import count_holes
+from uclgen.constraints import generate_clauses
 from uclgen.frontend import (
     MAX_BLOCK_NESTING,
     MAX_NESTING,
@@ -183,6 +183,76 @@ def test_a_synonym_naming_none_declared_above_it_is_repaired(name):
     assert [line.strip() for line in out.uclid_text.splitlines()
             if line.strip().startswith("type ")] == printed
     assert validate_uclid(out.uclid_text) == []
+
+
+def _enum_draft(*lines: str) -> str:
+    return ("class M(Module):\n    def locals(self):\n"
+            + "".join(f"        {line}\n" for line in lines)
+            + '    def init(self):\n        self.s = "x"\n')
+
+
+def _sent_back_and_fixed(draft: str) -> None:
+    fixed = _enum_draft('self.s = Enum("x", "y")')
+    backend = MockBackend([draft, fixed])
+    out = run_pipeline("Model it.", backend)
+    assert out.status == STATUS_SUCCESS, out.diagnostics
+    assert backend.calls == 2
+    assert validate_uclid(out.uclid_text) == []
+
+
+def test_an_enum_with_a_tag_spelled_like_a_variable_is_sent_back():
+    # `self.x = int` beside `Enum("x", "y")` printed `x` for both, and the
+    # validator read `s = x` as an int written to an enum
+    _sent_back_and_fixed(_enum_draft('self.x = int', 'self.s = Enum("x", "y")'))
+
+
+def test_an_enum_sharing_a_tag_with_an_earlier_one_is_sent_back():
+    # `Enum("a", "b")` beside `Enum("a", "c")`: the validator's
+    # `ambiguous-tag`, though `a` is never used
+    _sent_back_and_fixed(_enum_draft(
+        'self.s = Enum("x", "y")', 'self.t = Enum("a", "b")',
+        'self.u = Enum("a", "c")'))
+
+
+def _tag_draft(rng: random.Random) -> str:
+    """A draft with an enum synonym, a second type and three variables,
+    named from a small pool that holds reserved words."""
+    pool = ["x", "y", "a", "b", "next", "init", "s", "t", "go", "var"]
+
+    def enum(tags: list[str]) -> str:
+        return "Enum(" + ", ".join(f'"{t}"' for t in tags) + ")"
+
+    tags = rng.sample(pool, rng.randint(1, 3))
+    other = rng.sample(pool, rng.randint(1, 3))
+    v = rng.sample(pool, 3)
+    tag = f'"{rng.choice(tags)}"'
+    return (
+        "class M(Module):\n    def types(self):\n"
+        f"        self.T = {enum(tags)}\n"
+        "    def locals(self):\n"
+        f"        self.{v[0]} = self.T\n"
+        f"        self.{v[1]} = {rng.choice(['int', 'bool', enum(other)])}\n"
+        f"        self.{v[2]} = {rng.choice(['int', 'bool', 'BitVector(4)'])}\n"
+        "    def init(self):\n"
+        f"        self.{v[0]} = {tag}\n"
+        f"        self.{rng.choice(pool)} = 0\n"
+        "    def next(self):\n"
+        f"        if self.{v[0]} == {tag}:\n"
+        f"            self.{v[2]} = self.{v[2]}\n")
+
+
+def test_no_enum_tag_draft_ends_with_a_validator_diagnostic():
+    # before tags and names shared a table at prune, about a third of
+    # these drafts ended as `backend_error` with `validate:` diagnostics
+    rng = random.Random(0)
+    statuses = {}
+    for _ in range(300):
+        out = run_pipeline("Model it.", MockBackend([_tag_draft(rng)]),
+                           max_llm_calls=1)
+        assert not any(d.startswith("validate:") for d in out.diagnostics), \
+            out.diagnostics
+        statuses[out.status] = statuses.get(out.status, 0) + 1
+    assert set(statuses) == {STATUS_SUCCESS, STATUS_ITERATION_LIMIT}, statuses
 
 
 REAL_RESPONSE = CLEAN_RESPONSE.replace("int", "real").replace(
@@ -360,7 +430,7 @@ def test_long_chain_with_a_wrong_literal_repairs_in_bounded_time():
     draft = chain_response(1000, wrong=True)
     out = run_pipeline("Sum a chain.", MockBackend([draft]), max_llm_calls=1)
     assert out.status == STATUS_ITERATION_LIMIT
-    assert count_holes(out.program) == 1
+    assert len(generate_clauses(out.program).hole_ids) == 1
     out = run_pipeline("Sum a chain.",
                        MockBackend([draft, chain_response(1000)]))
     assert out.status == STATUS_SUCCESS, out.diagnostics
@@ -507,7 +577,8 @@ def test_whole_pipeline_fuzz():
             continue
         statuses[out.status] = statuses.get(out.status, 0) + 1
         if out.status not in (STATUS_SUCCESS, STATUS_ITERATION_LIMIT,
-                              STATUS_BACKEND_ERROR):
+                              STATUS_BACKEND_ERROR) or any(
+                d.startswith("validate:") for d in out.diagnostics):
             bad.append((i, out.status, out.diagnostics, replies))
     assert not bad, bad[:3]
     assert min(statuses.values()) >= 20, statuses
@@ -612,7 +683,7 @@ def test_readme_example_compiles_as_written():
     block = readme.split("```python\n", 1)[1].split("```", 1)[0]
     program, report = prune_to_child(parse_tolerant(block))
     assert not report.dropped and not report.holes_inserted
-    assert count_holes(program) == 0
+    assert len(generate_clauses(program).hole_ids) == 0
     out = run_pipeline("Model a traffic light.",
                        MockBackend([f"```python\n{block}```\n"]))
     assert out.status == STATUS_SUCCESS, out.diagnostics

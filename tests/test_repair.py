@@ -18,10 +18,8 @@ from uclgen.ast_core import (
     HoleStmt,
     HoleType,
     TypeAnnot,
-    count_holes,
     iter_nodes,
     left_spine,
-    undeclared_names,
     walk_index,
 )
 from uclgen.constraints import ClauseSet, eval_clause, generate_clauses
@@ -66,7 +64,7 @@ def test_holeify_replaces_falsified_origins():
     cs = generate_clauses(p)
     res = solve_maxsmt(cs)
     holed = holeify(p, cs, res.falsified)
-    assert count_holes(holed) > 0
+    assert len(generate_clauses(holed).hole_ids) > 0
 
 
 def test_holeify_on_empty_falsified_is_identity():
@@ -136,10 +134,14 @@ class M(Module):
     def next(self):
         self.x = self.ghost + self.other
 ''')
-    assert undeclared_names(p) == ["ghost", "other"]  # first-use order
-    p2, synthesized = synthesize_decls(p)
+    cs = generate_clauses(p)
+    assert cs.undeclared == ("ghost", "other")  # first-use order
+    p2, synthesized = synthesize_decls(p, cs)
     assert synthesized == ("ghost", "other")
-    assert undeclared_names(p2) == []
+    assert generate_clauses(p2).undeclared == ()
+    # the new type holes take the ids above the program's
+    assert [d.annot.hid for d in p2.locals[1:]] == [
+        cs.next_hole_id, cs.next_hole_id + 1]
     assert all(
         isinstance(d.annot, HoleType)
         for d in p2.locals
@@ -156,16 +158,20 @@ class M(Module):
         havoc(self.y)
         self.x = self.z
 ''')
-    assert undeclared_names(p) == ["y", "z"]
-    _, synthesized = synthesize_decls(p)
+    cs = generate_clauses(p)
+    assert cs.undeclared == ("y", "z")
+    _, synthesized = synthesize_decls(p, cs)
     assert synthesized == ("y", "z")
 
 
 def test_synthesize_decls_is_idempotent_when_complete():
     p = program_of(CONFLICT)
-    p2, synthesized = synthesize_decls(p)
+    p2, synthesized = synthesize_decls(p, generate_clauses(p))
     assert synthesized == ()
     assert p2 is p
+    # the names come from a clause set of this very program
+    with pytest.raises(ValueError, match="not generated from this program"):
+        synthesize_decls(p, generate_clauses(program_of(CLEAN)))
 
 
 def test_model_repair_fills_forced_type_holes():
@@ -219,7 +225,7 @@ class M(Module):
     repaired, filled = model_repair(p, cs, res)
     assert res.falsified == ()
     assert filled == ()
-    assert count_holes(repaired) == 2
+    assert len(generate_clauses(repaired).hole_ids) == 2
 
 
 def test_rewrites_share_the_subtrees_they_leave_alone():
@@ -237,7 +243,7 @@ class M(Module):
         if self.n < 9:
             self.n = self.n + self.ghost
 ''')
-    synthesized, _ = synthesize_decls(p)
+    synthesized, _ = synthesize_decls(p, generate_clauses(p))
     assert synthesized.locals[:3] == p.locals
     assert all(a is b for a, b in zip(synthesized.locals, p.locals))
     assert synthesized.init_body is p.init_body
@@ -246,7 +252,7 @@ class M(Module):
     cs = generate_clauses(synthesized)
     res = solve_maxsmt(cs)
     holed = holeify(synthesized, cs, res.falsified)
-    assert count_holes(holed) > count_holes(synthesized)
+    assert len(generate_clauses(holed).hole_ids) > len(generate_clauses(synthesized).hole_ids)
     assert holed.locals is synthesized.locals
     assert holed.next_body is synthesized.next_body
     # `self.f = 3` becomes a hole; its siblings stay the same objects

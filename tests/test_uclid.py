@@ -1,11 +1,30 @@
 """Compilation of hole-free programs and verifier-text printing."""
 
+import random
+import sys
+
 import pytest
 
-from corpus import VALID_PROGRAMS
-from uclgen.ast_core import Binary, IntType, VarRef
+from corpus import INVALID_PROGRAMS, VALID_PROGRAMS, mutate
+from uclgen import constraints, uclid
+from uclgen.ast_core import (
+    Binary,
+    ChildProgram,
+    Decl,
+    Havoc,
+    HoleDecl,
+    HoleExpr,
+    HoleStmt,
+    HoleType,
+    IntType,
+    VarRef,
+    iter_nodes,
+    max_hole_id,
+)
+from uclgen.constraints import generate_clauses
 from uclgen.frontend import parse_tolerant, prune_to_child
-from uclgen.maxsmt import Untypeable
+from uclgen.maxsmt import Untypeable, check_sat
+from uclgen.repair import repair_round
 from uclgen.uclid import (
     UCLID_KEYWORDS,
     CompileError,
@@ -239,3 +258,115 @@ def test_left_chains_print_flat(op, sym):
 def test_other_chains_keep_their_parentheses(op, sym):
     a, b, c = (VarRef(n) for n in "abc")
     assert print_expr(Binary(op, Binary(op, a, b), c)) == f"((a {sym} b) {sym} c)"
+
+
+# ---------------------------------------------------------------------------
+# Holes and undeclared names come from the clause set, not from more walks
+# ---------------------------------------------------------------------------
+
+def _walk_hole_ids(p: ChildProgram) -> list[int]:
+    """Every hole id of a program by a tree walk, its module hole last."""
+    ids = [n.hid for n, _ in iter_nodes(p)
+           if isinstance(n, (HoleExpr, HoleStmt, HoleType, HoleDecl))]
+    return ids + ([p.module_hole] if p.module_hole is not None else [])
+
+
+def _walk_undeclared(p: ChildProgram) -> list[str]:
+    """Variables used but not declared, in first-use order, by a walk."""
+    declared = {d.name for section in (p.locals, p.inputs, p.outputs)
+                for d in section if isinstance(d, Decl)}
+    out: dict[str, None] = {}
+    for n, _ in iter_nodes(p):
+        if isinstance(n, (VarRef, Havoc)) and n.name not in declared:
+            out[n.name] = None
+    return list(out)
+
+
+def _compile_by_walks(program: ChildProgram):
+    """`compile_program` as it was before the clause set recorded these
+    facts: two walks first, then every variable of the clauses grounded."""
+    holes = _walk_hole_ids(program)
+    if holes:
+        raise HoleRemaining(len(holes))
+    missing = _walk_undeclared(program)
+    if missing:
+        raise CompileError(f"use of undeclared variable {missing[0]!r}")
+    cs = generate_clauses(program)
+    res = check_sat(cs.clauses)
+    return lower(program, {key[1]: res.model[tv.tid]
+                           for key, tv in cs.tvar_table.items()
+                           if key[0] == "var" and tv.tid in res.model})
+
+
+def _outcome(compile_fn, program):
+    try:
+        m = compile_fn(program)
+    except (CompileError, Untypeable) as e:
+        return type(e).__name__, str(e)
+    return print_uclid(m), m.notes
+
+
+def _seeded_drafts():
+    """Each corpus program, pruned as written and after a repair round,
+    and three seeded mutations of each, likewise."""
+    rng = random.Random(0)
+    for name in sorted(VALID_PROGRAMS) + sorted(INVALID_PROGRAMS):
+        src = VALID_PROGRAMS.get(name) or INVALID_PROGRAMS[name]
+        for text in [src] + [mutate(rng, src) for _ in range(3)]:
+            p = program_of(text)
+            yield p
+            yield repair_round(p).program
+
+
+def test_clause_set_facts_equal_those_of_a_tree_walk():
+    kinds = set()
+    for p in _seeded_drafts():
+        cs = generate_clauses(p)
+        assert list(cs.undeclared) == _walk_undeclared(p)
+        assert list(cs.hole_ids) == _walk_hole_ids(p)
+        assert cs.next_hole_id == max_hole_id(p) + 1
+        kinds.add((bool(cs.undeclared), bool(cs.hole_ids),
+                   p.module_hole is not None))
+    # drafts with and without each fact, and one with no Module class
+    assert {(True, True, False), (False, True, False), (False, False, False),
+            (False, True, True)} <= kinds, kinds
+
+
+def test_compile_fails_and_lowers_as_the_walks_did():
+    # same exception and message, or the same text and `lower` notes
+    seen = set()
+    for p in _seeded_drafts():
+        got = _outcome(compile_program, p)
+        assert got == _outcome(_compile_by_walks, p)
+        seen.add(got[0] if got[0] in ("HoleRemaining", "CompileError",
+                                      "Untypeable") else "compiled")
+    assert seen == {"HoleRemaining", "CompileError", "Untypeable",
+                    "compiled"}
+
+
+@pytest.mark.parametrize("name", sorted(VALID_PROGRAMS))
+def test_a_clean_round_and_its_compile_walk_once_per_generation(
+        monkeypatch, name):
+    # the round and compile read holes and undeclared names from the
+    # clause sets, so the only whole-program walks are the generations'
+    walks, generations = [], []
+
+    def counted(fn, log):
+        def wrapper(tree, *args):
+            if isinstance(tree, ChildProgram):
+                log.append(tree)
+            return fn(tree, *args)
+        return wrapper
+
+    for mod in list(sys.modules.values()):
+        if mod.__name__.startswith("uclgen.") and hasattr(mod, "iter_nodes"):
+            monkeypatch.setattr(mod, "iter_nodes",
+                                counted(mod.iter_nodes, walks))
+    for mod in (constraints.__name__, "uclgen.repair", uclid.__name__):
+        mod = sys.modules[mod]
+        monkeypatch.setattr(mod, "generate_clauses",
+                            counted(mod.generate_clauses, generations))
+    out = repair_round(program_of(VALID_PROGRAMS[name]))
+    compile_program(out.program)
+    assert len(generations) == 2
+    assert walks == generations
