@@ -125,10 +125,12 @@ def _add_backend_args(p: argparse.ArgumentParser) -> None:
     _add_weights_arg(p)
 
 
-def _read_file(path: str) -> str | None:
-    """The file's text, or None after printing why it cannot be read."""
+def _read_file(path: str, encoding: str = "utf-8") -> str | None:
+    """The file's text, or None after printing why it cannot be read.
+    With `utf-8-sig`, a leading byte-order mark is dropped, as Python's
+    own reader drops it from source."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding=encoding)
     except (OSError, UnicodeDecodeError) as exc:
         _usage(f"cannot read {path}: {exc}")
         return None
@@ -173,7 +175,7 @@ def _write_text(path: str, text: str) -> bool:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     if args.task_file:
-        task = _read_file(args.task_file)
+        task = _read_file(args.task_file, "utf-8-sig")
         if task is None:
             return EXIT_USAGE
     elif args.task:
@@ -207,6 +209,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
+    # the text as it is: UCLID5's reader is not known to skip a BOM
     text = _read_file(args.file)
     if text is None:
         return EXIT_USAGE
@@ -238,7 +241,7 @@ def _cmd_bench(args: argparse.Namespace) -> int:
 
 
 def _cmd_repair(args: argparse.Namespace) -> int:
-    source = _read_file(args.file)
+    source = _read_file(args.file, "utf-8-sig")
     if source is None:
         return EXIT_USAGE
     program, report = prune_to_child(parse_tolerant(source))

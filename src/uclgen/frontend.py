@@ -19,7 +19,7 @@ import math
 import re
 from dataclasses import dataclass, field
 from decimal import Decimal
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 from .ast_core import (
     ArraySelect,
@@ -118,12 +118,14 @@ def extract_code(llm_response: str) -> str:
 # Lexer
 # ---------------------------------------------------------------------------
 
-class Tok(NamedTuple):
-    kind: str  # NAME, INT, FLOAT, STR, OP, HOLE; END ends a token list
-    value: str  # a string's is unquoted and unescaped
-    pos: int  # offset into the source where the token starts
-    end: int  # offset just past it, a string's closing quote included
-
+# A token is a plain `(kind, value, pos, end)` tuple:
+#   kind   NAME, INT, FLOAT, STR, OP or HOLE; END ends a token list
+#   value  its text; a string's is unquoted and unescaped
+#   pos    the offset into the source where the token starts
+#   end    the offset just past it, a string's closing quote included
+# `_logical_lines` makes them in one `_TOKEN_RE` scan over the whole
+# draft, which restarts only after a bad line.
+Token = tuple[str, str, int, int]
 
 # One token per match: a match first passes over blanks and a `#`
 # comment, then takes the first of these that fits. NAME comes first, as
@@ -165,7 +167,7 @@ _BRACKETS = {"(": 1, "[": 1, "{": 1, ")": -1, "]": -1, "}": -1}
 @dataclass
 class _Line:
     indent: int
-    toks: list[Tok]
+    toks: list[Token]
     span: Span
     bad: bool = False  # an unknown character or an unterminated string
     assign: int | None = None  # index of the first depth-0 `=` or `op=`
@@ -176,39 +178,49 @@ def _line_end(source: str, pos: int) -> int:
     return len(source) if end < 0 else end
 
 
+def _rule_indent(source: str, start: int) -> int | None:
+    """The per-line rule for the physical line at `start`: None when
+    `str.strip()` calls it blank or a comment, else the width of its
+    leading spaces and tabs, a tab counted as four."""
+    text = source[start : _line_end(source, start)]
+    stripped = text.strip()
+    if not stripped or stripped.startswith("#"):
+        return None
+    lead = text[: len(text) - len(text.lstrip(" \t"))]
+    return len(lead) + 3 * lead.count("\t")
+
+
 def _logical_lines(source: str) -> list[_Line]:
-    """Tokenize in one forward scan. A logical line starts at a physical
-    line that is neither blank nor a comment, and ends at a newline where
-    no bracket is open. A bad character empties its logical line and ends
-    it at its physical line; an unterminated triple-quoted string makes
-    the rest of the source one bad line."""
+    """Tokenize the whole source in one `finditer` scan. A newline where
+    no bracket is open ends a logical line; one with no token open ends a
+    blank or comment line, which is skipped. A line whose lead is spaces
+    only is indented by their count; for any other lead (a tab, a `\\r`)
+    the per-line rule of `_rule_indent` gives the indent.
+
+    A bad character, a non-identifier NAME head or an unterminated
+    triple-quoted string makes a bad line: no tokens, ending at its
+    physical line, or at the end of the source for the string. The
+    per-line rule also decides whether it counts, since `str.strip()`
+    calls a line of `\\x0c` or `\\xa0` blank where the scan sees a bad
+    character. The scan restarts after a bad line."""
     out: list[_Line] = []
     finditer = _TOKEN_RE.finditer
-    start = 0
-    while start <= len(source):
-        text = source[start : _line_end(source, start)]
-        stripped = text.strip()
-        if not stripped or stripped.startswith("#"):
-            start += len(text) + 1
-            continue
-        lead = text[: len(text) - len(text.lstrip(" \t"))]
-        indent = len(lead) + 3 * lead.count("\t")  # a tab counts as four
-        toks: list[Tok] = []
+    start = 0  # where the scan starts or restarts: a physical line start
+    while True:
+        line_start = start  # the physical line where the open line began
+        toks: list[Token] = []
         append = toks.append
-        depth, assign, bad = 0, None, False
-        # every line ends in a break: END matches at the end of the source
+        depth, assign = 0, None
         for m in finditer(source, start):
             kind = m.lastgroup
-            at, end = m.start(kind), m.end()
+            at, end = m.span(kind)
             if kind == "NAME":
                 value = source[at:end]
                 # an ASCII word character that starts a NAME is a letter or
                 # `_`; only another head needs the identifier test
                 if value >= "\x80" and not identifier_head(value[0]):
-                    toks, assign, bad = [], None, True
-                    at = _line_end(source, at)
                     break
-                append(Tok("NAME", value, at, end))
+                append(("NAME", value, at, end))
             elif kind == "OP":
                 value = source[at:end]
                 step = _BRACKETS.get(value)
@@ -216,26 +228,40 @@ def _logical_lines(source: str) -> list[_Line]:
                     depth += step
                 elif depth == 0 and assign is None and value in _ASSIGN_OPS:
                     assign = len(toks)
-                append(Tok("OP", value, at, end))
-            elif kind == "NL":
-                if depth <= 0:
-                    break
-            elif kind == "END":
-                break
-            elif kind == "OPEN" or kind == "BAD":
-                toks, assign, bad = [], None, True
-                at = len(source) if kind == "OPEN" else _line_end(source, at)
-                break
+                append(("OP", value, at, end))
+            elif kind == "NL" or kind == "END":
+                if depth > 0 and kind == "NL":
+                    continue
+                if toks:
+                    # the lead is blanks the match passed over: `[ \t\r]*`
+                    indent = toks[0][2] - line_start
+                    if source.count(" ", line_start, line_start + indent) \
+                            != indent:
+                        # never None: the line holds a token
+                        indent = _rule_indent(source, line_start)
+                    out.append(_Line(indent, toks, Span(line_start, at),
+                                     False, assign))
+                    toks = []
+                    append = toks.append
+                    depth, assign = 0, None
+                if kind == "END":
+                    return out
+                line_start = end
             elif kind == "TRIPLE":
-                append(Tok("STR", source[at + 3 : end - 3], at, end))
+                append(("STR", source[at + 3 : end - 3], at, end))
             elif kind == "QUOTED":
                 value = _ESCAPE_RE.sub(r"\1", source[at + 1 : end - 1])
-                append(Tok("STR", value, at, end))
+                append(("STR", value, at, end))
+            elif kind == "OPEN" or kind == "BAD":
+                break
             else:  # INT, FLOAT, HOLE
-                append(Tok(kind, source[at:end], at, end))
-        out.append(_Line(indent, toks, Span(start, at), bad, assign))
-        start = at + 1
-    return out
+                append((kind, source[at:end], at, end))
+        # a bad line: reached only by a `break` above
+        stop = len(source) if kind == "OPEN" else _line_end(source, at)
+        indent = _rule_indent(source, line_start)
+        if indent is not None:
+            out.append(_Line(indent, [], Span(line_start, stop), True))
+        start = stop + 1
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +301,14 @@ MAX_NESTING = 100
 # The token after an expression's last. It fails every kind test, so the
 # parser reads the token list by index with no bound check, and an atom
 # in its place is the end of the line.
-_END = Tok("END", "", -1, -1)
+_END: Token = ("END", "", -1, -1)
 
 
 class _ExprParser:
     """Precedence climbing over `toks`, which ends in `_END`. `i` is the
     next token, and `depth` the nesting levels open."""
 
-    def __init__(self, toks: list[Tok]):
+    def __init__(self, toks: list[Token]):
         self.toks = toks
         self.i = 0
         self.depth = 0
@@ -296,19 +322,19 @@ class _ExprParser:
                 f"expression nested deeper than {MAX_NESTING} levels")
         self.depth += 1
 
-    def expect(self, value: str) -> Tok:
+    def expect(self, value: str) -> Token:
         t = self.toks[self.i]
-        if t.value != value or t.kind not in ("OP", "NAME"):
-            raise _ParseFail(f"expected {value!r}, got {t.kind} {t.value!r}")
+        if t[1] != value or t[0] not in ("OP", "NAME"):
+            raise _ParseFail(f"expected {value!r}, got {t[0]} {t[1]!r}")
         self.i += 1
         return t
 
     def ternary(self) -> PNode:
         toks = self.toks
-        start = toks[self.i]
+        pos = toks[self.i][2]
         body = self.binary(1)
-        t = toks[self.i]
-        if t.value != "if" or t.kind != "NAME":
+        kind, value, _, _ = toks[self.i]
+        if value != "if" or kind != "NAME":
             return body
         self.i += 1
         cond = self.binary(1)
@@ -317,119 +343,117 @@ class _ExprParser:
         other = self.ternary()
         self.depth -= 1
         return PNode("ifexp", (body, cond, other), "",
-                     Span(start.pos, toks[self.i - 1].end))
+                     Span(pos, toks[self.i - 1][3]))
 
     def binary(self, min_prec: int) -> PNode:
         """Operands bind to operators of at least `min_prec`; equal levels
         associate to the left."""
         toks = self.toks
-        start = toks[self.i]
-        if min_prec <= _NOT_PREC and start.value == "not" \
-                and start.kind == "NAME":
+        kind, value, pos, _ = toks[self.i]
+        if min_prec <= _NOT_PREC and value == "not" and kind == "NAME":
             self.i += 1
             self._down()
             operand = self.binary(_NOT_PREC)
             self.depth -= 1
             node = PNode("unop", (operand,), "not",
-                         Span(start.pos, toks[self.i - 1].end))
+                         Span(pos, toks[self.i - 1][3]))
         else:
             node = self.unary()
         while True:
-            t = toks[self.i]
+            kind, value, _, _ = toks[self.i]
             # a string's value may spell an operator; no other kind's can
-            prec = _PREC.get(t.value, 0)
-            if prec < min_prec or t.kind == "STR":
+            prec = _PREC.get(value, 0)
+            if prec < min_prec or kind == "STR":
                 return node
             self.i += 1
             rhs = self.binary(prec + 1)
-            node = PNode("binop", (node, rhs), t.value,
-                         Span(start.pos, toks[self.i - 1].end))
+            node = PNode("binop", (node, rhs), value,
+                         Span(pos, toks[self.i - 1][3]))
 
     def unary(self) -> PNode:
-        t = self.toks[self.i]
-        if t.kind != "OP" or t.value not in ("-", "+", "~"):
+        kind, value, pos, _ = self.toks[self.i]
+        if kind != "OP" or value not in ("-", "+", "~"):
             return self.postfix()
         self.i += 1
         self._down()
         operand = self.unary()
         self.depth -= 1
-        if t.value == "+":
+        if value == "+":
             return operand
-        return PNode("unop", (operand,), t.value,
-                     Span(t.pos, self.toks[self.i - 1].end))
+        return PNode("unop", (operand,), value,
+                     Span(pos, self.toks[self.i - 1][3]))
 
     def postfix(self) -> PNode:
         toks = self.toks
         node = self.atom()
         while True:
-            t = toks[self.i]
-            if t.kind != "OP":
+            kind, value, _, _ = toks[self.i]
+            if kind != "OP":
                 return node
-            if t.value == ".":
-                name = toks[self.i + 1]
-                if name.kind != "NAME":
+            if value == ".":
+                kind, name, _, end = toks[self.i + 1]
+                if kind != "NAME":
                     raise _ParseFail("expected attribute name")
                 self.i += 2
-                node = PNode("attr", (node,), name.value,
-                             Span(node.span.start, name.end))
-            elif t.value == "(":
+                node = PNode("attr", (node,), name,
+                             Span(node.span.start, end))
+            elif value == "(":
                 self.i += 1
                 self._down()
                 args = []
                 t = toks[self.i]
-                if t.value != ")" or t.kind != "OP":
+                if t[1] != ")" or t[0] != "OP":
                     args.append(self.ternary())
-                    while (t := toks[self.i]).value == "," and t.kind == "OP":
+                    while (t := toks[self.i])[1] == "," and t[0] == "OP":
                         self.i += 1
                         t = toks[self.i]
-                        if t.value == ")" and t.kind == "OP":
+                        if t[1] == ")" and t[0] == "OP":
                             break
                         args.append(self.ternary())
                 self.depth -= 1
                 close = self.expect(")")
                 node = PNode("call", (node, *args), "",
-                             Span(node.span.start, close.end))
-            elif t.value == "[":
+                             Span(node.span.start, close[3]))
+            elif value == "[":
                 self.i += 1
                 self._down()
                 idx = self.ternary()
                 self.depth -= 1
                 close = self.expect("]")
                 node = PNode("subscript", (node, idx), "",
-                             Span(node.span.start, close.end))
+                             Span(node.span.start, close[3]))
             else:
                 return node
 
     def atom(self) -> PNode:
-        t = self.toks[self.i]
-        kind = t.kind
+        kind, value, pos, end = self.toks[self.i]
         if kind == "NAME":
-            if t.value in _KEYWORDS:
-                raise _ParseFail(f"keyword {t.value!r} in atom position")
+            if value in _KEYWORDS:
+                raise _ParseFail(f"keyword {value!r} in atom position")
             self.i += 1
-            return PNode("bool" if t.value in ("True", "False") else "name",
-                         (), t.value, Span(t.pos, t.end))
+            return PNode("bool" if value in ("True", "False") else "name",
+                         (), value, Span(pos, end))
         if kind in _LITERAL_ATOMS:
             self.i += 1
-            return PNode(_LITERAL_ATOMS[kind], (), t.value, Span(t.pos, t.end))
+            return PNode(_LITERAL_ATOMS[kind], (), value, Span(pos, end))
         if kind == "HOLE":
             self.i += 1
-            return PNode("hole", (), "", Span(t.pos, t.end))
-        if kind == "OP" and t.value == "(":
+            return PNode("hole", (), "", Span(pos, end))
+        if kind == "OP" and value == "(":
             self.i += 1
             self._down()
             inner = self.ternary()
             self.depth -= 1
-            if self.toks[self.i].value == ",":
+            if self.toks[self.i][1] == ",":
                 raise _ParseFail("tuple expressions are not supported")
             self.expect(")")
             return inner
         if kind == "END":
             raise _ParseFail("unexpected end of line")
-        raise _ParseFail(f"unexpected token {t.value!r}")
+        raise _ParseFail(f"unexpected token {value!r}")
 
 
-def _parse_expr_tokens(toks: list[Tok], lo: int = 0,
+def _parse_expr_tokens(toks: list[Token], lo: int = 0,
                        hi: int | None = None) -> PNode:
     """The expression `toks[lo:hi]`, which must be all of it."""
     seq = toks[lo:hi]
@@ -437,7 +461,7 @@ def _parse_expr_tokens(toks: list[Tok], lo: int = 0,
     p = _ExprParser(seq)
     node = p.ternary()
     if seq[p.i] is not _END:
-        raise _ParseFail(f"trailing tokens after expression: {seq[p.i].value!r}")
+        raise _ParseFail(f"trailing tokens after expression: {seq[p.i][1]!r}")
     return node
 
 
@@ -518,14 +542,14 @@ class _BlockParser:
         toks = line.toks
         head = toks[0]
         span = line.span
-        kw = head.value if head.kind == "NAME" else None
+        kw = head[1] if head[0] == "NAME" else None
         if kw in _LINE_KEYWORDS:
             if kw == "class" or kw == "def":
                 return self._parse_def_like(i, kw)
             if kw == "if" or kw == "elif":
                 return self._parse_cond_block(i, kw)
             if kw == "else":
-                if len(toks) != 2 or toks[1].value != ":":
+                if len(toks) != 2 or toks[1][1] != ":":
                     raise _ParseFail("malformed else")
                 body, j = self.parse_block(i + 1, self._body_indent(i))
                 return PNode("else", (self._block(body, span),), "", span), j
@@ -543,12 +567,12 @@ class _BlockParser:
                 return PNode("pass", (), "", span), i + 1
             # import, from
             return PNode("import", (), self._line_text(line), span), i + 1
-        if head.kind == "STR" and len(toks) == 1:
-            return PNode("docstring", (), head.value, span), i + 1
+        if head[0] == "STR" and len(toks) == 1:
+            return PNode("docstring", (), head[1], span), i + 1
         # assignment, augmented assignment, or expression statement
         idx = line.assign
         if idx is not None:
-            opval = toks[idx].value
+            opval = toks[idx][1]
             lhs = _parse_expr_tokens(toks, 0, idx)
             rhs = _parse_expr_tokens(toks, idx + 1)
             if opval == "=":
@@ -569,17 +593,17 @@ class _BlockParser:
     def _parse_def_like(self, i: int, kw: str) -> tuple[PNode, int]:
         line = self.lines[i]
         toks = line.toks
-        if len(toks) < 3 or toks[1].kind != "NAME" or toks[-1].value != ":":
+        if len(toks) < 3 or toks[1][0] != "NAME" or toks[-1][1] != ":":
             raise _ParseFail(f"malformed {kw}")
-        name = toks[1].value
+        name = toks[1][1]
         bases: list[str] = []
         if len(toks) > 3:
-            if toks[2].value != "(" or toks[-2].value != ")":
+            if toks[2][1] != "(" or toks[-2][1] != ")":
                 raise _ParseFail(f"malformed {kw} header")
-            for t in toks[3:-2]:
-                if t.kind == "NAME":
-                    bases.append(t.value)
-                elif t.value not in (",", ".", "*"):
+            for kind, value, _, _ in toks[3:-2]:
+                if kind == "NAME":
+                    bases.append(value)
+                elif value not in (",", ".", "*"):
                     raise _ParseFail(f"unexpected token in {kw} header")
         body, j = self.parse_block(i + 1, self._body_indent(i))
         header = PNode("bases" if kw == "class" else "params",
@@ -592,7 +616,7 @@ class _BlockParser:
     def _parse_cond_block(self, i: int, kw: str) -> tuple[PNode, int]:
         line = self.lines[i]
         toks = line.toks
-        if toks[-1].value != ":":
+        if toks[-1][1] != ":":
             raise _ParseFail(f"malformed {kw}")
         cond = _parse_expr_tokens(toks, 1, -1)
         body, j = self.parse_block(i + 1, self._body_indent(i))

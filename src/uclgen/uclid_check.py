@@ -594,6 +594,11 @@ class _Checker:
                 self._register_tags(got)
         for name, ty in self.typedefs.items():
             self._register_tags(ty)
+        # a tag and a variable share one namespace, whichever comes first
+        for tag in self.enum_tags:
+            if tag in self.env:
+                self.err("tag-variable",
+                         f"enum tag {tag!r} is spelled like a variable")
 
         self.check_body(self.m.init_body, "init")
         self.check_body(self.m.next_body, "next")

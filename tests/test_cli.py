@@ -302,6 +302,60 @@ def test_repair_uclid_flag_compiles(tmp_path, capsys):
     assert "module main {" in capsys.readouterr().out
 
 
+BOM = "\ufeff"
+BOM_MODULE = (
+    "class M(Module):\r\n"
+    "    def locals(self):\r\n"
+    "        self.x = int\r\n"
+    "\x0c\r\n"
+    "    def init(self):\r\n"
+    "        self.x = 0\r\n"
+)
+
+
+@pytest.mark.parametrize("flag", [[], ["--uclid"], ["--smt2"]],
+                         ids=["child", "uclid", "smt2"])
+def test_repair_skips_a_byte_order_mark(tmp_path, capsys, flag):
+    # a CRLF draft with a form-feed line reads as its LF form does
+    f = tmp_path / "prog.py"
+    f.write_text(BOM + BOM_MODULE, encoding="utf-8", newline="")
+    assert main(["repair", str(f), *flag]) == EXIT_OK
+    with_bom = capsys.readouterr()
+    f.write_text(BOM_MODULE.replace("\r\n", "\n"), encoding="utf-8")
+    assert main(["repair", str(f), *flag]) == EXIT_OK
+    assert with_bom == capsys.readouterr()
+    assert "input contains no Module class" not in with_bom.err
+
+
+def test_run_reads_a_task_file_without_its_byte_order_mark(tmp_path,
+                                                          monkeypatch):
+    tasks = []
+    real = cli.run_pipeline
+
+    def spy(task, *args, **kwargs):
+        tasks.append(task)
+        return real(task, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "run_pipeline", spy)
+    task_file = tmp_path / "task.txt"
+    task_file.write_text(BOM + "Model a counter.", encoding="utf-8")
+    responses = tmp_path / "responses.json"
+    responses.write_text(json.dumps([CLEAN_RESPONSE]), encoding="utf-8")
+    assert main(["run", "--task-file", str(task_file), "--backend", "mock",
+                 "--responses", str(responses),
+                 "-o", str(tmp_path / "out.ucl")]) == EXIT_OK
+    assert tasks == ["Model a counter."]
+
+
+def test_check_reads_a_byte_order_mark_as_text(tmp_path, capsys):
+    # UCLID5's reader is not known to skip a BOM, so check keeps it
+    f = tmp_path / "m.ucl"
+    f.write_text(BOM + GOOD_UCLID, encoding="utf-8")
+    assert main(["check", str(f)]) == EXIT_FAILED
+    assert capsys.readouterr().out.startswith(
+        "parse-error: cannot tokenize at offset 0: ")
+
+
 def test_repair_uclid_flag_with_holes_left_prints_the_program(tmp_path,
                                                              capsys):
     # a statement hole is left for the LLM: no UCLID5, the holey program

@@ -43,6 +43,7 @@ ROOT = Path(__file__).resolve().parents[1]
 SUITE_DIR = ROOT / "tests" / "data" / "suite"
 sys.path.append(str(ROOT / "perfbench"))
 
+import oracle_lexer  # noqa: E402
 import workloads  # noqa: E402
 
 
@@ -203,14 +204,83 @@ LEXER_CASES = {
         (0, [], Span(0, 5), True),
         (0, [("NAME", "y", 6)], Span(6, 7), False),
     ]),
+    # `str.strip()` calls these lines blank, the token scan BAD
+    "no-break space and vertical tab lines": ("x = 1\n\xa0\n\x0b\ny = 2", [
+        (0, [("NAME", "x", 0), ("OP", "=", 2), ("INT", "1", 4)],
+         Span(0, 5), False),
+        (0, [("NAME", "y", 10), ("OP", "=", 12), ("INT", "2", 14)],
+         Span(10, 15), False),
+    ]),
+    "form feed before a comment": ("\x0c# note\nx", [
+        (0, [("NAME", "x", 8)], Span(8, 9), False),
+    ]),
+    "form feed before the first token": ("  \x0cx = 1\ny", [
+        (2, [], Span(0, 8), True),
+        (0, [("NAME", "y", 9)], Span(9, 10), False),
+    ]),
+    "space then tab": ("if x:\n \ty = 1", [
+        (0, [("NAME", "if", 0), ("NAME", "x", 3), ("OP", ":", 4)],
+         Span(0, 5), False),
+        (5, [("NAME", "y", 8), ("OP", "=", 10), ("INT", "1", 12)],
+         Span(6, 13), False),
+    ]),
+    # the indent stops at a carriage return
+    "carriage return in the lead": (" \r x = 1", [
+        (1, [("NAME", "x", 3), ("OP", "=", 5), ("INT", "1", 7)],
+         Span(0, 8), False),
+    ]),
+    "CRLF endings": ("x = 1\r\n\r\n  y = 2\r\n", [
+        (0, [("NAME", "x", 0), ("OP", "=", 2), ("INT", "1", 4)],
+         Span(0, 6), False),
+        (2, [("NAME", "y", 11), ("OP", "=", 13), ("INT", "2", 15)],
+         Span(9, 17), False),
+    ]),
+    "bad character on a continuation line": ("f(1,\n  \U0001f600 2)\ny", [
+        (0, [], Span(0, 11), True),
+        (0, [("NAME", "y", 12)], Span(12, 13), False),
+    ]),
+    "comment line at the end with no newline": ("x = 1\n  # end", [
+        (0, [("NAME", "x", 0), ("OP", "=", 2), ("INT", "1", 4)],
+         Span(0, 5), False),
+    ]),
+    "trailing comment with no newline": ("x = 1  # end", [
+        (0, [("NAME", "x", 0), ("OP", "=", 2), ("INT", "1", 4)],
+         Span(0, 12), False),
+    ]),
 }
 
 
 @pytest.mark.parametrize("source,lines", LEXER_CASES.values(), ids=LEXER_CASES)
 def test_lexer_edge_cases(source, lines):
-    got = [(line.indent, [(t.kind, t.value, t.pos) for t in line.toks],
+    got = [(line.indent, [t[:3] for t in line.toks],
             line.span, line.bad) for line in _logical_lines(source)]
     assert got == lines
+
+
+# characters the per-line rule and the token scan read apart: blanks to
+# `str.strip()` that no token starts, comments, quotes, brackets, CRLF, a
+# non-decimal digit and a non-ASCII letter
+LEXER_MUTATIONS = (
+    "\t", " ", "\r", "\r\n", "\n", "\x0b", "\x0c", "\xa0", "\x85", "#",
+    "'", '"', "'''", '"""', "(", ")", "[", "]", "{", "}", "²", "é",
+)
+
+
+def test_one_scan_lexer_matches_the_per_line_rule():
+    # `oracle_lexer` is the per-line reference: same lines, same tokens
+    rng = random.Random(0x1E8)
+    drafts = ([VALID_PROGRAMS[k] for k in sorted(VALID_PROGRAMS)]
+              + [INVALID_PROGRAMS[k] for k in sorted(INVALID_PROGRAMS)]
+              + [code for _, code in transcript_replies()])
+    for _ in range(3000):
+        src = list(rng.choice(drafts))
+        for _ in range(rng.randint(1, 12)):
+            src.insert(rng.randint(0, len(src)), rng.choice(LEXER_MUTATIONS))
+        source = "".join(src)
+        if rng.random() < 0.3:  # cut it short: a string or bracket left open
+            source = source[: rng.randint(0, len(source))]
+        want = oracle_lexer.logical_lines(source)
+        assert _logical_lines(source) == want, source
 
 
 def test_no_module_class_reports_module_hole():

@@ -61,7 +61,7 @@ def _clauses(program, mode: str) -> tuple | str:
 def _summary(source: str) -> tuple:
     lines = tuple(
         (line.indent, line.span.start, line.span.end, line.bad, line.assign,
-         tuple((t.kind, t.value, t.pos) for t in line.toks))
+         tuple(t[:3] for t in line.toks))
         for line in _logical_lines(source))
     ast = parse_tolerant(source)
     nodes = tuple((n.kind, n.text, n.span.start, n.span.end)

@@ -131,6 +131,22 @@ def test_reserved_word_as_a_name(decl):
     assert codes(f"module main {{ {decl} }}") == {"reserved-word"}
 
 
+# UCLID5 reads a tag and a variable in one namespace, so a tag spelled
+# like a variable, input or output is a fault even when no use reads it
+@pytest.mark.parametrize("decls", [
+    "var x : integer; var s : enum { x, y };",
+    "var s : enum { x, y }; var x : integer;",
+    "var x : integer; type t = enum { x, y };",
+    "type t = enum { x, y }; var x : integer;",
+    "input x : boolean; var s : [integer]enum { x, y };",
+    "var s : enum { x, y }; output x : integer;",
+], ids=["var-then-enum", "enum-then-var", "var-then-type", "type-then-var",
+        "input-array", "output"])
+def test_an_enum_tag_spelled_like_a_variable(decls):
+    assert [str(d) for d in validate_uclid(f"module main {{ {decls} }}")] \
+        == ["tag-variable: enum tag 'x' is spelled like a variable"]
+
+
 def test_long_chain_is_typed_without_recursion():
     chain = " + ".join(["x"] * 3000)
     text = f"module main {{ var x : integer; init {{ x = {chain}; }} }}"
