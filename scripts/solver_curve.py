@@ -65,7 +65,6 @@ from uclgen.pipeline import (  # noqa: E402
     STATUS_SUCCESS,
     run_pipeline,
 )
-from uclgen.repair import synthesize_decls  # noqa: E402
 
 DUPLICATES = range(2, 9)
 EXTRA_TYPES = ("BitVector(8)", "BitVector(2)", "Array(int, bool)")
@@ -81,10 +80,8 @@ CLEAN = (
 
 
 def clauses_of(reply: str):
-    program, _ = prune_to_child(parse_tolerant(extract_code(reply)))
-    cs = generate_clauses(program, "depth")
-    program, missing = synthesize_decls(program, cs)
-    return generate_clauses(program, "depth") if missing else cs
+    return generate_clauses(
+        prune_to_child(parse_tolerant(extract_code(reply)))[0])
 
 
 def chain_draft(family: str, n: int) -> str:

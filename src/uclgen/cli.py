@@ -5,7 +5,8 @@ Subcommands:
   check   validate an existing UCLID5 file
   bench   run a replay suite and report timing/rate aggregates
   repair  one repair round over module-language source, no LLM involved;
-          with --smt2, the round's clause set as SMT-LIB 2 instead
+          with --smt2, the clause set of the program as given, the one
+          the round solves first, as SMT-LIB 2 instead
 
 Exit codes: 0 on success, 1 when the work product is bad (pipeline did
 not converge, validation failed), 2 on usage or input errors.
@@ -37,7 +38,7 @@ from .pipeline import (
     run_bench,
     run_pipeline,
 )
-from .repair import repair_round, synthesize_decls
+from .repair import repair_round
 from .uclid_check import validate_uclid
 
 EXIT_OK = 0
@@ -256,11 +257,7 @@ def _cmd_repair(args: argparse.Namespace) -> int:
               file=sys.stderr)
     if args.smt2:
         # the clause set the round solves first, for an external solver
-        cs = generate_clauses(program, args.weights)
-        program, missing = synthesize_decls(program, cs)
-        if missing:
-            cs = generate_clauses(program, args.weights)
-        sys.stdout.write(emit_smtlib(cs))
+        sys.stdout.write(emit_smtlib(generate_clauses(program, args.weights)))
         return EXIT_OK
     outcome = repair_round(program, args.weights)
     if args.uclid:
@@ -319,8 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     emit.add_argument(
         "--smt2", action="store_true",
-        help="print the round's MAX-SMT problem as SMT-LIB 2 with "
-        "assert-soft weights, after declaration synthesis",
+        help="print the round's MAX-SMT problem, the clause set of the "
+        "program as given, as SMT-LIB 2 with assert-soft weights",
     )
     _add_weights_arg(p_rep)
     p_rep.set_defaults(func=_cmd_repair)

@@ -1,15 +1,14 @@
 """Program repair: hole insertion and model-based hole filling.
 
 One repair round is:
-  1. generate the program's clauses, which record the variables used
-     but never declared, and synthesize a declaration for each
-     (``self.x = ??`` appended to the locals section; the clauses are
-     generated again only then),
-  2. solve the typing MAX-SMT problem and replace the subtree at each
-     falsified clause's origin with a hole of the right category,
-  3. re-solve the holed program (if step 2 made holes) and fill every
-     type hole whose type variable is forced (ground by equations or
-     pinned to a singleton scalar constructor by testers).
+  1. generate the program's clauses (a name used but never declared is
+     typed by its own variable) and solve the typing MAX-SMT problem,
+  2. replace the subtree at each falsified clause's origin with a hole
+     of the right category, and re-solve if that made holes,
+  3. declare each name the program left undeclared (``self.x = ??`` in
+     locals) and fill every type hole whose type variable is forced
+     (ground by equations or pinned to a singleton scalar constructor by
+     testers).
 
 Everything still holey after that is handed back to the LLM.
 """
@@ -109,23 +108,21 @@ def holeify(
 # ---------------------------------------------------------------------------
 
 def synthesize_decls(
-    p: ChildProgram, cs: ClauseSet
-) -> tuple[ChildProgram, tuple[str, ...]]:
-    """Append ``self.x = ??`` to locals for every variable that is used
-    but never declared, in first-use order. The names and the first free
-    hole id come from `cs`, which must be generated from `p` (ValueError
-    otherwise), so synthesis follows the first generation and walks
-    nothing; the new declarations' clauses need a second one. With
-    nothing missing the program itself is returned."""
+    p: ChildProgram, cs: ClauseSet, names: tuple[str, ...]
+) -> ChildProgram:
+    """Append ``self.x = ??`` to locals for each of `names`. The hole ids
+    start at `cs.next_hole_id`, so `cs` must be generated from `p`
+    (ValueError otherwise) and synthesis walks nothing; `model_repair`
+    types a synthesized hole by its name's variable. With no names the
+    program itself is returned."""
     _check_generated_from(p, cs)
-    missing = cs.undeclared
-    if not missing:
-        return p, ()
+    if not names:
+        return p
     extra = tuple(
         Decl(name, HoleType(hid))
-        for hid, name in enumerate(missing, cs.next_hole_id)
+        for hid, name in enumerate(names, cs.next_hole_id)
     )
-    return dataclasses.replace(p, locals=p.locals + extra), missing
+    return dataclasses.replace(p, locals=p.locals + extra)
 
 
 # ---------------------------------------------------------------------------
@@ -136,19 +133,20 @@ def model_repair(
     program: ChildProgram, cs: ClauseSet, result: MaxSmtResult
 ) -> tuple[ChildProgram, tuple[str, ...]]:
     """Fill type holes and value declarations whose type variable is
-    forced by the solution. The search branches only on declaration
-    guards, whose first choice drops a declaration and pins no type, so a
-    fill is forced by the kept clauses. Returns the program and the names
-    filled; with nothing filled the program itself is returned."""
+    forced by the solution; a type hole `cs` does not know, a synthesized
+    one, goes by its name's variable. The search branches only on
+    declaration guards, whose first choice drops a declaration and pins
+    no type, so a fill is forced by the kept clauses. Returns the program
+    and the names filled; with nothing filled, the program itself."""
     filled: list[str] = []
 
     def fill(n: Node) -> Node:
         if isinstance(n, Decl) and isinstance(n.annot, (HoleType, DeclValue)):
             # a DeclValue is a variable's: `_elaborate_annot` builds none
             # for a type definition
-            tv = cs.tvar_table.get(("hole", n.annot.hid)
-                                   if isinstance(n.annot, HoleType)
-                                   else ("var", n.name))
+            hole = (("hole", n.annot.hid) if isinstance(n.annot, HoleType)
+                    else None)
+            tv = cs.tvar_table.get(hole) or cs.tvar_table.get(("var", n.name))
             if tv is not None and tv.tid in result.forced:
                 filled.append(n.name)
                 return dataclasses.replace(n, annot=TypeAnnot(
@@ -187,14 +185,12 @@ def repair_round(
     solver=solve_maxsmt,
 ) -> RepairOutcome:
     """Run a complete repair round and return the repaired program. The
-    clauses are generated once, again after synthesis when names were
-    missing, and again after holeify when it made holes; the holes left
-    are those of the last clause set less the type holes filled."""
+    clauses are generated once, and again after holeify when it made
+    holes; `falsified` indexes the first set. Declarations come last, for
+    the names `program` left undeclared, so the holes left are the last
+    set's and theirs, less the type holes filled."""
     t0 = time.monotonic()
     cs = generate_clauses(program, weight_mode)
-    program, synthesized = synthesize_decls(program, cs)
-    if synthesized:
-        cs = generate_clauses(program, weight_mode)
     res = solver(cs)
     holed = holeify(program, cs, res.falsified)
     if holed is program:
@@ -202,14 +198,15 @@ def repair_round(
     else:
         cs2 = generate_clauses(holed, weight_mode)
         res2 = solver(cs2)
+    holed = synthesize_decls(holed, cs2, cs.undeclared)
     repaired, filled = model_repair(holed, cs2, res2)
-    holes = len(cs2.hole_ids)
+    holes = len(cs2.hole_ids) + len(cs.undeclared)
     if filled:
         holes -= _type_holes(holed) - _type_holes(repaired)
     return RepairOutcome(
         program=repaired,
         falsified=res.falsified,
-        synthesized=synthesized,
+        synthesized=cs.undeclared,
         filled=filled,
         holes_remaining=holes,
         cost=res.cost,

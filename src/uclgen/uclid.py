@@ -70,14 +70,25 @@ UCLID_KEYWORDS = frozenset(
 )
 
 
+# the procedure `print_uclid` puts the next block in; UCLID5 declares a
+# module's procedures, types, variables and enum tags in one scope
+STEP_PROCEDURE = "step"
+_TAKEN = UCLID_KEYWORDS | {STEP_PROCEDURE}
+
+
+def _unsuffixed(name: str) -> str:
+    while name.endswith("_v"):
+        name = name[:-2]
+    return name
+
+
 def uclid_name(name: str) -> str:
     """How a module-language name is spelled in UCLID5: one more `_v` if
-    the name is a reserved word once its trailing `_v`s are stripped, so
-    no spelling is reserved and no two names share one."""
-    base = name
-    while base.endswith("_v"):
-        base = base[:-2]
-    return name + "_v" if base in UCLID_KEYWORDS else name
+    the name is a reserved word or the step procedure's once its trailing
+    `_v`s are stripped, so no spelling is taken and no two names share
+    one."""
+    base = _unsuffixed(name) if name.endswith("_v") else name
+    return name + "_v" if base in _TAKEN else name
 
 
 @dataclass
@@ -128,11 +139,7 @@ def lower(
         if isinstance(d.annot, TypeAnnot):
             return d.annot.ty
         if isinstance(d.annot, DeclValue):
-            got = var_types.get(d.name)
-            if got is None:
-                notes.append(f"defaulted {d.name!r} to integer")
-                return IntType()
-            return got
+            return var_types[d.name]
         raise HoleRemaining(1)
 
     def decls(section) -> list[tuple[str, TypeTerm]]:
@@ -143,8 +150,11 @@ def lower(
             spelled = uclid_name(d.name)
             if spelled != d.name and d.name not in renamed:
                 renamed.add(d.name)
-                why = "reserved word" if d.name in UCLID_KEYWORDS \
-                    else "keeps clear of a reserved word's spelling"
+                base = _unsuffixed(d.name)
+                taken = ("reserved word" if base in UCLID_KEYWORDS
+                         else "procedure name")
+                why = (taken if base == d.name
+                       else f"keeps clear of a {taken}'s spelling")
                 notes.append(f"renamed {d.name!r} to {spelled!r} ({why})")
             out.append((d.name, decl_type(d)))
         return out
@@ -315,7 +325,7 @@ def print_uclid(m: UclidModule) -> str:
         _print_stmt(s, 2, out)
     out.append("  }")
     out.append("")
-    out.append("  procedure step()")
+    out.append(f"  procedure {STEP_PROCEDURE}()")
     for name in m.modifies:
         out.append(f"    modifies {uclid_name(name)};")
     out.append("  {")
@@ -324,7 +334,7 @@ def print_uclid(m: UclidModule) -> str:
     out.append("  }")
     out.append("")
     out.append("  next {")
-    out.append("    call step();")
+    out.append(f"    call {STEP_PROCEDURE}();")
     out.append("  }")
     for name, e in m.invariants:
         out.append(f"  invariant {name}: {print_expr(e)};")

@@ -183,6 +183,8 @@ class _Parser:
         self.i = 0
         self.depth = 0
         self.if_depth = 0
+        # procedure name -> the names it modifies, filled by `module`
+        self.procedures: dict[str, list[str]] = {}
 
     def next(self) -> tuple[str, str]:
         t = self.toks[self.i]
@@ -213,7 +215,7 @@ class _Parser:
     def module(self) -> UclidModule:
         self.expect("module")
         m = UclidModule(name=self.name())
-        procedures: dict[str, list[str]] = {}
+        procedures = self.procedures
         proc_bodies: dict[str, list[Stmt]] = {}
         next_calls: list[str] = []
         self.expect("{")
@@ -530,8 +532,9 @@ _RESERVED = frozenset(
 
 
 class _Checker:
-    def __init__(self, m: UclidModule):
+    def __init__(self, m: UclidModule, procedures: dict[str, list[str]]):
         self.m = m
+        self.procedures = procedures
         self.diags: list[Diagnostic] = []
         self.typedefs: dict[str, TyTuple] = {}
         self.env: dict[str, TyTuple] = {}
@@ -599,6 +602,14 @@ class _Checker:
             if tag in self.env:
                 self.err("tag-variable",
                          f"enum tag {tag!r} is spelled like a variable")
+        # and so do procedures, with types, variables and tags (one whose
+        # type does not resolve has its own diagnostic already)
+        for pname in self.procedures:
+            for what, names in (("type", self.typedefs), ("variable", self.env),
+                                ("enum tag", self.enum_tags)):
+                if pname in names:
+                    self.err("procedure-name",
+                             f"{what} {pname!r} is spelled like a procedure")
 
         self.check_body(self.m.init_body, "init")
         self.check_body(self.m.next_body, "next")
@@ -810,7 +821,8 @@ class _Checker:
 def validate_uclid(text: str) -> list[Diagnostic]:
     """All problems with a UCLID5 module; empty means it passed."""
     try:
-        module = parse_uclid(text)
+        parser = _Parser(_lex(text))
+        module = parser.module()
     except UclidParseError as exc:
         return [Diagnostic("parse-error", str(exc))]
-    return _Checker(module).run()
+    return _Checker(module, parser.procedures).run()

@@ -1,14 +1,21 @@
-"""Brute-force oracle for minimal-edit repair under uniform weights.
+"""Brute-force oracle for minimal-edit repair under uniform weights, and
+a reference repair round.
 
 ``random_conflict_program`` builds small, flat programs where each soft
 clause has its own origin node, so the minimal number of falsified
 clauses coincides with the minimal number of holes. ``min_hole_count``
 finds that minimum by trying every origin subset in increasing size,
 independent of the solver's branch-and-bound search.
+
+``reference_round`` is the repair round with declaration synthesis
+first: it declares the missing names, generates the clauses again and
+only then solves. `repair_round` synthesizes last and must repair every
+program the same way.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import random
 
@@ -20,6 +27,7 @@ from uclgen.ast_core import (
     BoolLit,
     ChildProgram,
     Decl,
+    HoleType,
     IntLit,
     RealLit,
     TypeAnnot,
@@ -27,8 +35,13 @@ from uclgen.ast_core import (
     iter_nodes,
 )
 from uclgen.constraints import generate_clauses
-from uclgen.maxsmt import _solve
-from uclgen.repair import holeify
+from uclgen.maxsmt import _solve, solve_maxsmt
+from uclgen.repair import (
+    RepairOutcome,
+    _type_holes,
+    holeify,
+    model_repair,
+)
 
 _TYPES = (INT, BOOL, REAL)
 
@@ -102,3 +115,30 @@ def holes_introduced(program: ChildProgram, falsified) -> int:
             if cs.clauses[i].origin is not None
         }
     )
+
+
+def reference_round(program: ChildProgram,
+                    weight_mode: str = "depth") -> RepairOutcome:
+    """A repair round that declares every missing name first, as
+    ``self.x = ??`` with hole ids from the program's first free one,
+    generates the clauses of the extended program, and solves those;
+    holeify's holes come after the declarations'. Its `falsified`
+    indexes the extended program's clauses."""
+    cs = generate_clauses(program, weight_mode)
+    synthesized = cs.undeclared
+    if synthesized:
+        program = dataclasses.replace(program, locals=program.locals + tuple(
+            Decl(name, HoleType(hid))
+            for hid, name in enumerate(synthesized, cs.next_hole_id)))
+        cs = generate_clauses(program, weight_mode)
+    res = solve_maxsmt(cs)
+    holed = holeify(program, cs, res.falsified)
+    cs2, res2 = cs, res
+    if holed is not program:
+        cs2 = generate_clauses(holed, weight_mode)
+        res2 = solve_maxsmt(cs2)
+    repaired, filled = model_repair(holed, cs2, res2)
+    holes = len(cs2.hole_ids) - (_type_holes(holed) - _type_holes(repaired))
+    return RepairOutcome(program=repaired, falsified=res.falsified,
+                         synthesized=synthesized, filled=filled,
+                         holes_remaining=holes, cost=res.cost)

@@ -12,7 +12,6 @@ from uclgen.constraints import generate_clauses
 from uclgen.frontend import parse_tolerant, prune_to_child
 from uclgen.llm import MockBackend
 from uclgen.maxsmt import emit_smtlib
-from uclgen.repair import synthesize_decls
 
 SUITE_PATH = Path(__file__).parent / "data" / "suite" / "suite.json"
 
@@ -536,19 +535,20 @@ SMT2_SOURCE = (
 
 @pytest.mark.parametrize("weights", ["depth", "uniform"])
 def test_repair_smt2_prints_the_rounds_clause_set(tmp_path, capsys, weights):
-    # `y` is used but never declared: the clauses include its synthesized
-    # declaration
+    # `y` is used but never declared: the clauses are those of the program
+    # as given, which type `y` by its uses and bind no hole to it
     f = tmp_path / "prog.py"
     f.write_text(SMT2_SOURCE, encoding="utf-8")
     assert main(["repair", str(f), "--smt2", "--weights", weights]) == EXIT_OK
-    program = prune_to_child(parse_tolerant(SMT2_SOURCE))[0]
-    program, missing = synthesize_decls(
-        program, generate_clauses(program, weights))
-    assert missing
-    expect = emit_smtlib(generate_clauses(program, weights))
+    cs = generate_clauses(prune_to_child(parse_tolerant(SMT2_SOURCE))[0],
+                          weights)
+    assert cs.undeclared == ("y",)
     out = capsys.readouterr().out
-    assert out == expect
+    assert out == emit_smtlib(cs)
     assert "(assert-soft " in out
+    # every clause is soft, so every assertion hangs off its indicator
+    assert all(line.startswith("(assert (=> b")
+               for line in out.splitlines() if line.startswith("(assert "))
 
 
 def test_repair_smt2_and_uclid_together_is_usage_error(tmp_path):

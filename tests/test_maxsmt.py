@@ -52,7 +52,7 @@ from uclgen.maxsmt import (  # noqa: E402
     verify_solution,
 )
 from uclgen.pipeline import STATUS_ITERATION_LIMIT, run_pipeline  # noqa: E402
-from uclgen.repair import repair_round, synthesize_decls  # noqa: E402
+from uclgen.repair import repair_round  # noqa: E402
 
 GOLDEN = Path(__file__).parent / "golden"
 SUITE = ROOT / "tests" / "data" / "suite" / "suite.json"
@@ -758,10 +758,7 @@ def _count_solves(monkeypatch):
 
 
 def _clauses_of(source):
-    program, _ = prune_to_child(parse_tolerant(source))
-    cs = generate_clauses(program, "depth")
-    program, missing = synthesize_decls(program, cs)
-    return generate_clauses(program, "depth") if missing else cs
+    return generate_clauses(prune_to_child(parse_tolerant(source))[0])
 
 
 @pytest.mark.parametrize("n", [25, 50, 100, 200])

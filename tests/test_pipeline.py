@@ -87,7 +87,8 @@ def test_unparseable_lines_are_sent_back_as_holes():
     out = run_pipeline("Model a counter.", backend)
     assert out.status == STATUS_SUCCESS
     assert backend.calls == 2
-    assert "var step : integer;" in out.uclid_text
+    # `step` is the compiled module's procedure, so the variable is respelled
+    assert "var step_v : integer;" in out.uclid_text
     assert "count = (count + 1);" in out.uclid_text
 
 

@@ -1,6 +1,8 @@
 """Hole introduction, declaration synthesis, and model-based repair."""
 
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,7 +11,9 @@ from oracle_repair import (
     holes_introduced,
     min_hole_count,
     random_conflict_program,
+    reference_round,
 )
+from test_uclid import _seeded_drafts
 from uclgen.ast_core import (
     BOOL,
     INT,
@@ -22,15 +26,30 @@ from uclgen.ast_core import (
     left_spine,
     walk_index,
 )
-from uclgen.constraints import ClauseSet, eval_clause, generate_clauses
-from uclgen.frontend import parse_tolerant, print_child, prune_to_child
-from uclgen.maxsmt import solve_maxsmt
+from uclgen import repair
+from uclgen.constraints import (
+    WEIGHT_MODES,
+    ClauseSet,
+    eval_clause,
+    generate_clauses,
+)
+from uclgen.frontend import (
+    extract_code,
+    parse_tolerant,
+    print_child,
+    prune_to_child,
+)
+from uclgen.maxsmt import _solve, solve_maxsmt
 from uclgen.repair import (
     holeify,
     model_repair,
     repair_round,
     synthesize_decls,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.append(str(ROOT / "perfbench"))
+import workloads  # noqa: E402
 
 
 def program_of(src: str):
@@ -136,17 +155,12 @@ class M(Module):
 ''')
     cs = generate_clauses(p)
     assert cs.undeclared == ("ghost", "other")  # first-use order
-    p2, synthesized = synthesize_decls(p, cs)
-    assert synthesized == ("ghost", "other")
-    assert generate_clauses(p2).undeclared == ()
+    p2 = synthesize_decls(p, cs, cs.undeclared)
+    assert [d.name for d in p2.locals] == ["x", "ghost", "other"]
     # the new type holes take the ids above the program's
     assert [d.annot.hid for d in p2.locals[1:]] == [
         cs.next_hole_id, cs.next_hole_id + 1]
-    assert all(
-        isinstance(d.annot, HoleType)
-        for d in p2.locals
-        if d.name in synthesized
-    )
+    assert all(isinstance(d.annot, HoleType) for d in p2.locals[1:])
 
 
 def test_havoc_target_counts_as_a_use():
@@ -160,18 +174,18 @@ class M(Module):
 ''')
     cs = generate_clauses(p)
     assert cs.undeclared == ("y", "z")
-    _, synthesized = synthesize_decls(p, cs)
-    assert synthesized == ("y", "z")
+    p2 = synthesize_decls(p, cs, cs.undeclared)
+    assert [d.name for d in p2.locals] == ["x", "y", "z"]
 
 
 def test_synthesize_decls_is_idempotent_when_complete():
     p = program_of(CONFLICT)
-    p2, synthesized = synthesize_decls(p, generate_clauses(p))
-    assert synthesized == ()
-    assert p2 is p
-    # the names come from a clause set of this very program
+    cs = generate_clauses(p)
+    assert cs.undeclared == ()
+    assert synthesize_decls(p, cs, cs.undeclared) is p
+    # the hole ids come from a clause set of this very program
     with pytest.raises(ValueError, match="not generated from this program"):
-        synthesize_decls(p, generate_clauses(program_of(CLEAN)))
+        synthesize_decls(p, generate_clauses(program_of(CLEAN)), ("y",))
 
 
 def test_model_repair_fills_forced_type_holes():
@@ -243,27 +257,28 @@ class M(Module):
         if self.n < 9:
             self.n = self.n + self.ghost
 ''')
-    synthesized, _ = synthesize_decls(p, generate_clauses(p))
-    assert synthesized.locals[:3] == p.locals
-    assert all(a is b for a, b in zip(synthesized.locals, p.locals))
-    assert synthesized.init_body is p.init_body
-    assert synthesized.next_body is p.next_body
-
-    cs = generate_clauses(synthesized)
+    cs = generate_clauses(p)
     res = solve_maxsmt(cs)
-    holed = holeify(synthesized, cs, res.falsified)
-    assert len(generate_clauses(holed).hole_ids) > len(generate_clauses(synthesized).hole_ids)
-    assert holed.locals is synthesized.locals
-    assert holed.next_body is synthesized.next_body
+    holed = holeify(p, cs, res.falsified)
+    cs2 = generate_clauses(holed)
+    assert len(cs2.hole_ids) > len(cs.hole_ids)
+    assert holed.locals is p.locals
+    assert holed.next_body is p.next_body
     # `self.f = 3` becomes a hole; its siblings stay the same objects
     first, mid, last = holed.init_body
     assert isinstance(mid, HoleStmt)
-    assert first is synthesized.init_body[0]
-    assert last is synthesized.init_body[2]
+    assert first is p.init_body[0]
+    assert last is p.init_body[2]
 
-    cs2 = generate_clauses(holed)
-    repaired, filled = model_repair(holed, cs2, solve_maxsmt(cs2))
-    assert "x" in filled
+    synthesized = synthesize_decls(holed, cs2, cs.undeclared)
+    assert synthesized.locals[:3] == p.locals
+    assert all(a is b for a, b in zip(synthesized.locals, p.locals))
+    assert synthesized.init_body is holed.init_body
+    assert synthesized.next_body is holed.next_body
+
+    repaired, filled = model_repair(synthesized, cs2, solve_maxsmt(cs2))
+    # `ghost`'s hole has no variable in `cs2`; its use types it
+    assert filled == ("x", "ghost")
     assert repaired.init_body is holed.init_body
     assert repaired.next_body is holed.next_body
     assert repaired.locals[0] is holed.locals[0]
@@ -345,6 +360,101 @@ class M(Module):
 def test_repair_round_reports_time():
     out = repair_round(program_of(CONFLICT))
     assert out.ms >= 0.0
+
+
+# `ghost` is read but never declared, and `self.x = True` conflicts with
+# the declaration
+GHOST = '''
+class M(Module):
+    def locals(self):
+        self.x = int
+    def init(self):
+        self.x = 0
+    def next(self):
+        self.x = self.ghost
+        self.x = True
+'''
+
+# reads a name it never declares, and nothing conflicts
+GHOST_CLEAN = '''
+class M(Module):
+    def locals(self):
+        self.x = int
+    def init(self):
+        self.x = self.ghost + 1
+'''
+
+
+def _round_inputs():
+    """The seeded corpus drafts (`input_write` among them, whose round
+    holes the declaration of the input it writes), the recorded replies,
+    the `typing_conflicts` drafts at seed 0 and the two drafts above."""
+    yield from _seeded_drafts()
+    for _, code in transcript_replies():
+        yield program_of(code)
+    for item in workloads.pool("typing_conflicts", 0,
+                               ROOT / "tests" / "data" / "suite" / "suite.json"):
+        yield program_of(extract_code(item.replies[0]))
+    yield program_of(GHOST)
+    yield program_of(GHOST_CLEAN)
+
+
+@pytest.mark.parametrize("weights", WEIGHT_MODES)
+def test_the_round_repairs_as_a_round_that_synthesizes_first(weights):
+    # declaring the missing names first only adds hard aliases, so the
+    # same clauses are relaxed, the same nodes holed and the same names
+    # filled; only the hole ids and the clause indices move
+    kinds = set()
+    for p in _round_inputs():
+        got, want = repair_round(p, weights), reference_round(p, weights)
+        assert (print_child(got.program), got.synthesized, got.filled,
+                got.holes_remaining, got.cost) == (
+            print_child(want.program), want.synthesized, want.filled,
+            want.holes_remaining, want.cost)
+        kinds.add((bool(got.synthesized), bool(got.falsified),
+                   got.holes_remaining > 0))
+    assert {(True, True, True), (True, False, False),
+            (False, True, True), (False, False, False)} <= kinds, kinds
+
+
+def test_falsified_indexes_the_clauses_of_the_program_given():
+    p = program_of(GHOST)
+    cs = generate_clauses(p)
+    assert cs.undeclared == ("ghost",) and len(cs.clauses) == 6
+    out = repair_round(p)
+    # the relaxed clause is the `S4:assign` of `self.x = True`, now a hole
+    assert out.falsified == (5,)
+    assert cs.clauses[5].label == "S4:assign"
+    assert cs.walk[cs.clauses[5].origin][0] is p.next_body[1]
+    assert isinstance(out.program.next_body[1], HoleStmt)
+    assert out.synthesized == ("ghost",)
+    for p in _round_inputs():
+        out = repair_round(p)
+        cs = generate_clauses(p)
+        relaxed = set(out.falsified)
+        # soft clauses of `p` whose weights are the cost, and without which
+        # the rest of `p`'s clauses hold
+        assert all(not cs.clauses[i].hard for i in relaxed)
+        assert sum(cs.clauses[i].weight for i in relaxed) == out.cost
+        assert _solve([c for c in cs.clauses
+                       if c.index not in relaxed]) is not None
+
+
+def test_a_round_that_declares_a_name_and_holes_generates_twice(monkeypatch):
+    # once for the program given and once for the holed one; a clean
+    # round's one generation is checked with its compile's in test_uclid
+    generations = []
+    generate = repair.generate_clauses
+
+    def counted(program, weight_mode="depth"):
+        generations.append(program)
+        return generate(program, weight_mode)
+
+    monkeypatch.setattr(repair, "generate_clauses", counted)
+    p = program_of(GHOST)
+    out = repair_round(p)
+    assert (out.synthesized, out.holes_remaining) == (("ghost",), 1)
+    assert len(generations) == 2 and generations[0] is p
 
 
 def test_uniform_weights_make_minimal_edits():

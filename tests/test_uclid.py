@@ -141,6 +141,42 @@ def test_name_respelled_clear_of_a_reserved_spelling_says_so():
     ]
 
 
+def test_a_name_spelled_like_the_step_procedure_is_respelled():
+    # `print_uclid` declares `procedure step()` in the module's one scope
+    module = compile_program(program_of(
+        "class M(Module):\n"
+        "    def locals(self):\n"
+        "        self.step = int\n"
+        "        self.step_v = bool\n"
+        "    def init(self):\n"
+        "        self.step = 0\n"
+        "        self.step_v = False\n"
+        "    def next(self):\n"
+        "        self.step = self.step + 1\n"
+    ))
+    assert module.notes == [
+        "renamed 'step' to 'step_v' (procedure name)",
+        "renamed 'step_v' to 'step_v_v' (keeps clear of a procedure name's "
+        "spelling)",
+    ]
+    text = print_uclid(module)
+    assert "var step_v : integer;" in text
+    assert "var step_v_v : boolean;" in text
+    assert "modifies step_v;" in text
+    assert validate_uclid(text) == []
+    # an enum tag too
+    text = compiled(
+        "class M(Module):\n"
+        "    def locals(self):\n"
+        "        self.mode = Enum(\"step\", \"run\")\n"
+        "    def init(self):\n"
+        "        self.mode = \"step\"\n"
+    )
+    assert "var mode : enum { run, step_v };" in text
+    assert "mode = step_v;" in text
+    assert validate_uclid(text) == []
+
+
 def test_uclid_name_is_injective_and_never_reserved():
     assert [uclid_name(n) for n in ("next", "next_v", "next_v_v", "x_v")] \
         == ["next_v", "next_v_v", "next_v_v_v", "x_v"]
@@ -192,17 +228,6 @@ def test_havoc_assume_and_assert_forms():
 def test_ite_expression():
     text = compiled(VALID_PROGRAMS["ite_pick"])
     assert "ite(" in text
-
-
-def test_lower_without_types_defaults_to_integer():
-    p = program_of(
-        "class M(Module):\n"
-        "    def locals(self):\n"
-        "        self.x = 0\n"
-    )
-    module = lower(p, {})
-    assert print_uclid(module).count("var x : integer;") == 1
-    assert module.notes
 
 
 @pytest.mark.parametrize("line", ["self.x = ??", "??"],
@@ -344,7 +369,18 @@ def test_compile_fails_and_lowers_as_the_walks_did():
                     "compiled"}
 
 
-@pytest.mark.parametrize("name", sorted(VALID_PROGRAMS))
+# a clean draft that reads a name it never declares: the round declares
+# it after its one generation
+READS_UNDECLARED = (
+    "class M(Module):\n"
+    "    def locals(self):\n"
+    "        self.x = int\n"
+    "    def init(self):\n"
+    "        self.x = self.ghost + 1\n"
+)
+
+
+@pytest.mark.parametrize("name", [*sorted(VALID_PROGRAMS), "reads_undeclared"])
 def test_a_clean_round_and_its_compile_walk_once_per_generation(
         monkeypatch, name):
     # the round and compile read holes and undeclared names from the
@@ -366,7 +402,8 @@ def test_a_clean_round_and_its_compile_walk_once_per_generation(
         mod = sys.modules[mod]
         monkeypatch.setattr(mod, "generate_clauses",
                             counted(mod.generate_clauses, generations))
-    out = repair_round(program_of(VALID_PROGRAMS[name]))
+    source = VALID_PROGRAMS.get(name, READS_UNDECLARED)
+    out = repair_round(program_of(source))
     compile_program(out.program)
     assert len(generations) == 2
     assert walks == generations

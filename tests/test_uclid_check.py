@@ -310,6 +310,17 @@ CODE_TABLE = {
     # w ++ w is 8 bits wide: the widths add up
     "concat-width": (code_case(stmt="w = w ++ w;"), "assign-mismatch"),
     "concat-int": (code_case(stmt="w = n ++ w;"), "operand-type"),
+    # a procedure shares the module's one scope
+    "procedure-variable": (
+        code_case(decls="var step : integer;", next_=STEP.format("n", "")),
+        "procedure-name"),
+    "procedure-type": (
+        code_case(decls="type step = integer;", next_=STEP.format("n", "")),
+        "procedure-name"),
+    "procedure-tag": (
+        code_case(decls="var mode : enum { step, run };",
+                  next_=STEP.format("n", "")),
+        "procedure-name"),
 }
 
 
